@@ -11,43 +11,36 @@ worst contour error over the grid decays toward the closed form.  With
 import argparse
 import sys
 
-import numpy as np
-
+from multiortho.cli import _build_spec, _fields_doc, _merge_config, _parse_grid
 from multiortho.core import mi_chain
-from multiortho.hermite import HermiteSpec
 from multiortho.kernels import build_kernel, eval_cd, eval_contour, eval_sum
-from multiortho.laguerre import LaguerreSpec
-
-
-def parse_axis(text: str) -> np.ndarray:
-    lo, hi, count = text.split(":")
-    return np.linspace(float(lo), float(hi), int(count))
+from multiortho.presets import standard_grid, standard_specs
 
 
 def build_spec(args):
-    n = [int(v) for v in args.n.split(",")]
-    if args.family == "hermite":
-        return HermiteSpec.of(args.a.split(","), n)
-    return LaguerreSpec.of(args.beta.split(","), n, args.p)
+    """Family and spec through the CLI's parsing; parameters left out come
+    from the family's first standard spec."""
+    for key, value in _fields_doc(standard_specs(args.family)[0]).items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    return _build_spec(_merge_config(args))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.set_defaults(command="kernel")
     parser.add_argument("--family", choices=("hermite", "laguerre"), default="hermite")
-    parser.add_argument("--a", default="1,-1", help="comma-separated shifts (hermite)")
-    parser.add_argument("--beta", default="1,2", help="comma-separated rates (laguerre)")
-    parser.add_argument("--n", default="1,1", help="comma-separated multi-index")
-    parser.add_argument("--p", type=int, default=0, help="weight exponent (laguerre)")
+    parser.add_argument("--a", help="comma-separated shifts (hermite; default 1,-1)")
+    parser.add_argument("--beta", help="comma-separated rates (laguerre; default 1,2)")
+    parser.add_argument("--n", help="comma-separated multi-index (default 1,1)")
+    parser.add_argument("--p", type=int, help="weight exponent (laguerre; default 0)")
     parser.add_argument("--grid", default=None, help="lo:hi:count, used for both axes")
     parser.add_argument("--node-counts", default="64,128,256,512,1024")
     parser.add_argument("--out", help="write the per-point CSV here")
     args = parser.parse_args(argv)
 
-    spec = build_spec(args)
-    family = args.family
-    if args.grid is None:
-        args.grid = "-3:3:5" if family == "hermite" else "0.5:4.5:5"
-    axis = parse_axis(args.grid)
+    family, spec = build_spec(args)
+    axis = standard_grid(family) if args.grid is None else _parse_grid(args.grid, axes=1)[0]
     node_counts = [int(v) for v in args.node_counts.split(",")]
 
     K = build_kernel(family, spec)

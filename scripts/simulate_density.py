@@ -12,37 +12,47 @@ Exit status 0 when the largest-S comparison passes.
 import argparse
 import sys
 
-from multiortho.hermite import HermiteSpec
+from multiortho.cli import (
+    DEFAULT_BIN_COUNT,
+    DEFAULT_BIN_RANGE,
+    _build_spec,
+    _fields_doc,
+    _merge_config,
+    _parse_axis,
+)
 from multiortho.kernels import build_kernel
-from multiortho.laguerre import LaguerreSpec
-from multiortho.rmt import EnsembleConfig, compare_density, sample_gue_source, sample_wishart
+from multiortho.presets import standard_specs
+from multiortho.rmt import SAMPLERS, EnsembleConfig, compare_density
 
 
 def build_spec(args):
-    n = [int(v) for v in args.n.split(",")]
-    if args.family == "hermite":
-        return HermiteSpec.of(args.a.split(","), n)
-    return LaguerreSpec.of(args.beta.split(","), n, args.p)
+    """Family and spec through the CLI's parsing; parameters left out come
+    from the family's first standard spec."""
+    for key, value in _fields_doc(standard_specs(args.family)[0]).items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    return _build_spec(_merge_config(args))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.set_defaults(command="simulate")
     parser.add_argument("--family", choices=("hermite", "laguerre"), default="hermite")
-    parser.add_argument("--a", default="1,-1")
-    parser.add_argument("--beta", default="1,2")
-    parser.add_argument("--n", default="1,1")
-    parser.add_argument("--p", type=int, default=0)
+    parser.add_argument("--a", help="default 1,-1")
+    parser.add_argument("--beta", help="default 1,2")
+    parser.add_argument("--n", help="default 1,1")
+    parser.add_argument("--p", type=int, help="default 0")
     parser.add_argument("--samples-list", default="2000,20000,200000")
     parser.add_argument("--seed", type=int, default=20260814)
     parser.add_argument("--bins", default=None, help="lo:hi:count histogram geometry")
     parser.add_argument("--out", help="write the largest-S histogram CSV here")
     args = parser.parse_args(argv)
 
-    spec = build_spec(args)
-    family = args.family
+    family, spec = build_spec(args)
     if args.bins is None:
-        args.bins = "-4:4:40" if family == "hermite" else "0.05:6:40"
-    lo, hi, bins = args.bins.split(":")
+        (lo, hi), bins = DEFAULT_BIN_RANGE[family], DEFAULT_BIN_COUNT
+        args.bins = f"{lo:g}:{hi:g}:{bins}"
+    lo, hi, bins = _parse_axis(args.bins)
     sample_counts = sorted(int(v) for v in args.samples_list.split(","))
 
     def config(samples: int) -> EnsembleConfig:
@@ -51,12 +61,11 @@ def main(argv=None) -> int:
             spec=spec,
             samples=samples,
             seed=args.seed,
-            bin_range=(float(lo), float(hi)),
-            bin_count=int(bins),
+            bin_range=(lo, hi),
+            bin_count=bins,
         )
 
-    sampler = sample_gue_source if family == "hermite" else sample_wishart
-    batch = sampler(config(sample_counts[-1]))
+    batch = SAMPLERS[family](config(sample_counts[-1]))
     K = build_kernel(family, spec)
 
     print(f"spec: {family} {spec}, seed {args.seed}, bins {args.bins}")

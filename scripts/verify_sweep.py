@@ -22,10 +22,9 @@ import sys
 import time
 from fractions import Fraction
 
-from multiortho import hermite as hermite_mod
-from multiortho import laguerre as laguerre_mod
+from multiortho.core import ExactMathError
 from multiortho.hermite import HermiteSpec
-from multiortho.kernels import check_biorthogonality
+from multiortho.kernels import FAMILIES, check_biorthogonality
 from multiortho.laguerre import LaguerreSpec
 from multiortho.presets import standard_specs, verify_battery
 
@@ -57,7 +56,7 @@ def sweep_specs(args):
 
 
 def check_exact(family: str, spec) -> list[str]:
-    mod = hermite_mod if family == "hermite" else laguerre_mod
+    mod = FAMILIES[family]
     problems = []
     P = mod.type_ii_poly(spec)
     if any(r != 0 for r in mod.type_ii_residuals(P, spec)):
@@ -69,20 +68,13 @@ def check_exact(family: str, spec) -> list[str]:
         if spec.n[k] == 0:
             continue
         down = spec.with_n(spec.n.drop(k))
-        if family == "hermite":
-            h_up = hermite_mod.norm_constant_from_moments(spec, k, P)
-            if h_up != hermite_mod.norm_constant(spec, k):
-                problems.append(f"h closed form != moments at k={k}")
-            h_down = hermite_mod.norm_constant_from_moments(
-                down, k, hermite_mod.type_ii_poly(down)
-            )
-            if (h_up / h_down).as_fraction() != spec.n[k]:
-                problems.append(f"h ratio != n_k at k={k}")
-        else:
-            h_up = laguerre_mod.norm_constant(spec, k, P)
-            h_down = laguerre_mod.norm_constant(down, k, laguerre_mod.type_ii_poly(down))
-            if h_up / h_down != laguerre_mod.norm_ratio(spec, k):
-                problems.append(f"h ratio != closed form at k={k}")
+        try:
+            ratio = mod.moment_norm_ratio(spec, k, P, mod.type_ii_poly(down))
+        except ExactMathError as exc:
+            problems.append(f"{exc} at k={k}")
+            continue
+        if ratio != mod.norm_ratio(spec, k):
+            problems.append(f"h ratio != closed form at k={k}")
     w = spec.n.weight
     M = check_biorthogonality(family, spec)
     if any(M[i][j] != (1 if i == j else 0) for i in range(w) for j in range(w)):
@@ -119,7 +111,7 @@ def main(argv=None) -> int:
 
     battery_checks = 0
     if not args.skip_battery:
-        families = ("hermite", "laguerre") if args.family == "both" else (args.family,)
+        families = tuple(FAMILIES) if args.family == "both" else (args.family,)
         for family in families:
             for spec in standard_specs(family):
                 for check in verify_battery(family, spec):

@@ -19,17 +19,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import hermite as _hermite
-from . import laguerre as _laguerre
 from . import kernels as _kernels
 from . import rmt as _rmt
-from .core import ExactMathError, LinearForm, RatPoly, ScaledConstant, as_fraction, mi_chain
+from .core import ExactMathError, MultiIndex, RatPoly, ScaledConstant, as_fraction, mi_chain
 from .quad import ConvergenceError
 from .hermite import HermiteSpec
 from .laguerre import LaguerreSpec
@@ -78,21 +76,7 @@ class JobConfig:
     tolerance: float | None = None
 
 
-_CONFIG_FILE_KEYS = {
-    "family",
-    "a",
-    "beta",
-    "n",
-    "p",
-    "grid",
-    "nodes",
-    "samples",
-    "seed",
-    "out",
-    "format",
-    "points",
-    "tolerance",
-}
+_CONFIG_FILE_KEYS = tuple(f.name for f in fields(JobConfig) if f.name != "command")
 
 
 def _rational_str(q: Fraction) -> str:
@@ -113,34 +97,20 @@ def _parse_rational(value: Any) -> Fraction:
     raise UsageError(f"bad rational {value!r}")
 
 
-def _parse_rational_list(value: Any) -> tuple[Fraction, ...]:
+def _parse_int(value: Any) -> int:
+    """An integer from a flag string or a JSON number; bools and
+    non-integral numbers are rejected instead of truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise UsageError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _parse_list(value: Any, convert: Callable[[Any], Any]) -> tuple:
     if isinstance(value, str):
         value = [s for s in value.split(",") if s.strip()]
     if not isinstance(value, (list, tuple)) or not value:
         raise UsageError(f"expected a non-empty comma-separated list, got {value!r}")
-    return tuple(_parse_rational(v) for v in value)
-
-
-def _parse_int_list(value: Any) -> tuple[int, ...]:
-    if isinstance(value, str):
-        value = [s for s in value.split(",") if s.strip()]
-    if not isinstance(value, (list, tuple)) or not value:
-        raise UsageError(f"expected a non-empty comma-separated list, got {value!r}")
-    try:
-        return tuple(int(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad integer list {value!r}") from exc
-
-
-def _parse_float_list(value: Any) -> tuple[float, ...]:
-    if isinstance(value, str):
-        value = [s for s in value.split(",") if s.strip()]
-    if not isinstance(value, (list, tuple)) or not value:
-        raise UsageError(f"expected a non-empty comma-separated list, got {value!r}")
-    try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad float list {value!r}") from exc
+    return tuple(convert(v) for v in value)
 
 
 def _load_config_file(path: str) -> dict[str, Any]:
@@ -153,7 +123,7 @@ def _load_config_file(path: str) -> dict[str, Any]:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_FILE_KEYS)
+    unknown = sorted(set(raw).difference(_CONFIG_FILE_KEYS))
     if unknown:
         raise UsageError(f"unknown config fields: {', '.join(unknown)}")
     return raw
@@ -171,14 +141,14 @@ def _merge_config(args: argparse.Namespace) -> JobConfig:
 
     cfg = JobConfig(command=args.command)
     converters: dict[str, Callable[[Any], Any]] = {
-        "a": _parse_rational_list,
-        "beta": _parse_rational_list,
-        "n": _parse_int_list,
-        "points": _parse_float_list,
-        "p": int,
-        "nodes": int,
-        "samples": int,
-        "seed": int,
+        "a": lambda v: _parse_list(v, _parse_rational),
+        "beta": lambda v: _parse_list(v, _parse_rational),
+        "n": lambda v: _parse_list(v, _parse_int),
+        "points": lambda v: _parse_list(v, float),
+        "p": _parse_int,
+        "nodes": _parse_int,
+        "samples": _parse_int,
+        "seed": _parse_int,
         "tolerance": float,
         "family": str,
         "grid": str,
@@ -223,7 +193,7 @@ def _build_spec(cfg: JobConfig):
         raise UsageError(f"invalid spec: {exc}") from exc
 
 
-def _parse_axis(text: str) -> np.ndarray:
+def _parse_axis(text: str) -> tuple[float, float, int]:
     bits = text.split(":")
     if len(bits) != 3:
         raise UsageError(f"grid range {text!r} is not min:max:count")
@@ -235,7 +205,7 @@ def _parse_axis(text: str) -> np.ndarray:
         raise UsageError(f"grid range {text!r} is empty")
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
         raise UsageError(f"grid range {text!r} has no extent")
-    return np.linspace(lo, hi, count)
+    return lo, hi, count
 
 
 def _parse_grid(text: str, axes: int) -> list[np.ndarray]:
@@ -244,14 +214,14 @@ def _parse_grid(text: str, axes: int) -> list[np.ndarray]:
         raise UsageError(
             f"--grid takes {'one range' if axes == 1 else 'one or two ranges'}, got {text!r}"
         )
-    ranges = [_parse_axis(p) for p in parts]
+    ranges = [np.linspace(*_parse_axis(p)) for p in parts]
     while len(ranges) < axes:
         ranges.append(ranges[0])
     return ranges
 
 
 def _check_positive_grid(family: str, values: np.ndarray) -> None:
-    if family == "laguerre" and np.any(values <= 0.0):
+    if _kernels.FAMILIES[family].HALF_LINE and np.any(values <= 0.0):
         raise UsageError("laguerre grids must stay strictly positive")
 
 
@@ -277,20 +247,25 @@ def _json_text(doc: dict[str, Any]) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _spec_params(family: str, spec) -> dict[str, Any]:
-    if family == "hermite":
-        return {"a": [_rational_str(v) for v in spec.a], "n": list(spec.n.parts)}
-    return {
-        "beta": [_rational_str(v) for v in spec.beta],
-        "n": list(spec.n.parts),
-        "p": spec.p,
-    }
+def _doc_value(value: Any) -> Any:
+    """A spec or weight field as the JSON documents carry it."""
+    if isinstance(value, MultiIndex):
+        return list(value.parts)
+    if isinstance(value, tuple):
+        return [_rational_str(v) for v in value]
+    if isinstance(value, Fraction):
+        return _rational_str(value)
+    return value
 
 
-def _spec_label(family: str, spec) -> str:
-    params = _spec_params(family, spec)
+def _fields_doc(obj) -> dict[str, Any]:
+    return {f.name: _doc_value(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _spec_label(spec) -> str:
+    params = _fields_doc(spec)
     inner = " ".join(f"{k}={','.join(map(str, v)) if isinstance(v, list) else v}" for k, v in params.items())
-    return f"{family} {inner}"
+    return f"{spec.family} {inner}"
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +293,16 @@ def _coeff_strings(poly: RatPoly) -> list[str]:
 
 def cmd_poly(cfg: JobConfig) -> int:
     family, spec = _build_spec(cfg)
-    mod = _hermite if family == "hermite" else _laguerre
+    mod = _kernels.FAMILIES[family]
     P = mod.type_ii_poly(spec)
-    form: LinearForm = mod.type_i_form(spec)
+    form = mod.type_i_form(spec)
 
     type_i_docs = []
     for term in form.terms:
-        weight_doc = (
-            {"a": _rational_str(term.weight.a)}
-            if family == "hermite"
-            else {"beta": _rational_str(term.weight.beta), "p": term.weight.p}
-        )
         type_i_docs.append(
             {
                 "component": term.k + 1,
-                "weight": weight_doc,
+                "weight": _fields_doc(term.weight),
                 "prefactor": _prefactor_doc(term.prefactor),
                 "coefficients_ascending": _coeff_strings(term.poly),
             }
@@ -341,7 +311,7 @@ def cmd_poly(cfg: JobConfig) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "poly",
         "family": family,
-        "parameters": _spec_params(family, spec),
+        "parameters": _fields_doc(spec),
         "type_ii": {
             "degree": P.degree,
             "coefficients_ascending": _coeff_strings(P),
@@ -353,7 +323,7 @@ def cmd_poly(cfg: JobConfig) -> int:
         return EXIT_OK
 
     lines = [f"family: {family}"]
-    for key, value in _spec_params(family, spec).items():
+    for key, value in _fields_doc(spec).items():
         lines.append(f"{key}: {','.join(map(str, value)) if isinstance(value, list) else value}")
     lines.append(f"type II monic polynomial, degree {P.degree}")
     lines.append(f"  coefficients (ascending): {', '.join(_coeff_strings(P)) or '0'}")
@@ -383,13 +353,15 @@ def _check_doc(res: CheckResult, zero_timings: bool) -> dict[str, Any]:
 
 def cmd_verify(cfg: JobConfig, sweep: bool, inject_fault: bool) -> int:
     if sweep:
-        families = [cfg.family] if cfg.family else ["hermite", "laguerre"]
-        if any(f not in ("hermite", "laguerre") for f in families):
+        families = [cfg.family] if cfg.family else list(_kernels.FAMILIES)
+        if any(f not in _kernels.FAMILIES for f in families):
             raise UsageError("--family must be hermite or laguerre")
         jobs = [(f, spec) for f in families for spec in standard_specs(f)]
     else:
         jobs = [_build_spec(cfg)]
 
+    # A JSON document on stdout must be the only thing there.
+    progress = sys.stderr if cfg.format == "json" and cfg.out is None else sys.stdout
     spec_docs = []
     all_passed = True
     for family, spec in jobs:
@@ -402,20 +374,20 @@ def cmd_verify(cfg: JobConfig, sweep: bool, inject_fault: bool) -> int:
             )
         ok = all(r.passed for r in results)
         all_passed = all_passed and ok
-        label = _spec_label(family, spec)
+        label = _spec_label(spec)
         for r in results:
             status = "pass" if r.passed else "FAIL"
-            print(f"[{status}] {label} :: {r.name} - {r.detail} ({r.seconds:.2f}s)")
+            print(f"[{status}] {label} :: {r.name} - {r.detail} ({r.seconds:.2f}s)", file=progress)
         spec_docs.append(
             {
                 "family": family,
-                "parameters": _spec_params(family, spec),
+                "parameters": _fields_doc(spec),
                 "status": "pass" if ok else "fail",
                 "checks": [_check_doc(r, zero_timings=cfg.out is not None) for r in results],
             }
         )
     overall = "pass" if all_passed else "fail"
-    print(f"overall: {overall}")
+    print(f"overall: {overall}", file=progress)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
@@ -435,10 +407,12 @@ def cmd_kernel(cfg: JobConfig) -> int:
         xs = ys = standard_grid(family)
     _check_positive_grid(family, xs)
     _check_positive_grid(family, ys)
+    tol = cfg.tolerance if cfg.tolerance is not None else _kernels.CONTOUR_DOUBLING_TOL
+    if not tol > 0.0:
+        raise UsageError(f"--tolerance must be a positive number, got {tol}")
     K = _kernels.build_kernel(family, spec)
     chain = mi_chain(spec.n)
     p = getattr(spec, "p", 0)
-    tol = cfg.tolerance if cfg.tolerance is not None else _kernels.CONTOUR_DOUBLING_TOL
 
     rows = []
     json_rows = []
@@ -450,7 +424,7 @@ def cmd_kernel(cfg: JobConfig) -> int:
                 ct = _kernels.eval_contour(family, spec, float(x), float(y), nodes=cfg.nodes)
             else:
                 ct = _kernels.eval_contour(family, spec, float(x), float(y), tol=tol)
-            if family == "laguerre" and p:
+            if p:
                 # report the contour value in the CD normalization so the
                 # agreement column is directly meaningful
                 ct *= (float(y) / float(x)) ** p
@@ -464,7 +438,7 @@ def cmd_kernel(cfg: JobConfig) -> int:
             "schema_version": SCHEMA_VERSION,
             "command": "kernel",
             "family": family,
-            "parameters": _spec_params(family, spec),
+            "parameters": _fields_doc(spec),
             "rows": json_rows,
         }
         _emit(_json_text(doc), cfg.out)
@@ -487,7 +461,7 @@ def cmd_density(cfg: JobConfig) -> int:
             "schema_version": SCHEMA_VERSION,
             "command": "density",
             "family": family,
-            "parameters": _spec_params(family, spec),
+            "parameters": _fields_doc(spec),
             "rows": [{"x": float(x), "density": v} for x, v in zip(xs, values)],
         }
         _emit(_json_text(doc), cfg.out)
@@ -507,15 +481,7 @@ def cmd_simulate(cfg: JobConfig) -> int:
     if cfg.grid is not None:
         if "," in cfg.grid:
             raise UsageError("simulate --grid takes a single min:max:count range")
-        bits = cfg.grid.split(":")
-        if len(bits) != 3:
-            raise UsageError(f"grid range {cfg.grid!r} is not min:max:count")
-        try:
-            lo, hi, bin_count = float(bits[0]), float(bits[1]), int(bits[2])
-        except ValueError as exc:
-            raise UsageError(f"grid range {cfg.grid!r} is not min:max:count") from exc
-        if bin_count < 1 or not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
-            raise UsageError(f"grid range {cfg.grid!r} is empty")
+        lo, hi, bin_count = _parse_axis(cfg.grid)
         bin_range = (lo, hi)
     else:
         bin_range = DEFAULT_BIN_RANGE[family]
@@ -533,8 +499,7 @@ def cmd_simulate(cfg: JobConfig) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    sampler = _rmt.sample_gue_source if family == "hermite" else _rmt.sample_wishart
-    batch = sampler(ens)
+    batch = _rmt.SAMPLERS[family](ens)
     K = _kernels.build_kernel(family, spec)
     comparison = _rmt.compare_density(batch, K, ens)
 
@@ -560,7 +525,7 @@ def cmd_simulate(cfg: JobConfig) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "simulate",
         "family": family,
-        "parameters": _spec_params(family, spec),
+        "parameters": _fields_doc(spec),
         "samples": samples,
         "seed": cfg.seed,
         "bin_range": [bin_range[0], bin_range[1]],
@@ -587,11 +552,11 @@ def cmd_correlate(cfg: JobConfig) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "correlate",
         "family": family,
-        "parameters": _spec_params(family, spec),
+        "parameters": _fields_doc(spec),
         "points": points,
         "determinant": det,
     }
-    if family == "laguerre" and getattr(spec, "p", 0):
+    if getattr(spec, "p", 0):
         conj = _kernels.correlation_det(K, points, conjugated=True)
         doc["conjugated_determinant"] = conj
         scale = max(abs(det), abs(conj), 1e-300)

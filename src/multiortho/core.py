@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str, float]
 
 TWO_PI = 2.0 * math.pi
@@ -293,9 +292,6 @@ class RatPoly:
             acc = acc * x + float(c)
         return acc
 
-    def float_coeffs(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.coeffs)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -309,16 +305,6 @@ class RatPoly:
 
 # ---------------------------------------------------------------------------
 # truncated power series with RatPoly coefficients
-
-_binom_cache: dict[tuple[int, int], int] = {}
-
-
-def _binom(n: int, k: int) -> int:
-    key = (n, k)
-    if key not in _binom_cache:
-        _binom_cache[key] = math.comb(n, k)
-    return _binom_cache[key]
-
 
 @dataclass(frozen=True)
 class PolySeries:
@@ -364,7 +350,7 @@ class PolySeries:
             raise ExactMathError("binomial exponent must be >= 0; use binomial_inverse")
         c = as_fraction(c)
         coeffs = [
-            RatPoly.constant(_binom(m, j) * c ** (m - j))
+            RatPoly.constant(math.comb(m, j) * c ** (m - j))
             for j in range(min(m, order) + 1)
         ]
         return cls.of(order, coeffs)
@@ -378,7 +364,7 @@ class PolySeries:
         if n < 1:
             raise ExactMathError("inverse binomial exponent must be >= 1")
         coeffs = [
-            RatPoly.constant((-1) ** j * _binom(n + j - 1, j) * c ** (-n - j))
+            RatPoly.constant((-1) ** j * math.comb(n + j - 1, j) * c ** (-n - j))
             for j in range(order + 1)
         ]
         return cls.of(order, coeffs)
@@ -524,18 +510,9 @@ class ScaledConstant:
             )
         return self.r
 
-    def to_float(self) -> float:
-        h = self.two_pi_half
-        scale = TWO_PI ** (h // 2)
-        if h % 2:
-            scale *= math.sqrt(TWO_PI)
-        return float(self.r) * scale * math.exp(float(self.exp_arg))
-
 
 # ---------------------------------------------------------------------------
 # exact weight moments
-
-MomentFraction = Fraction
 
 
 def gaussian_moment(j: int) -> Fraction:
@@ -573,9 +550,6 @@ class HermiteWeight:
 
     a: Fraction
 
-    def log_at(self, x: float) -> float:
-        return -0.5 * x * x + float(self.a) * x
-
 
 @dataclass(frozen=True)
 class LaguerreWeight:
@@ -607,7 +581,6 @@ class LinearForm:
     where the naive product of huge and tiny factors would not.
     """
 
-    family: str
     terms: tuple[LinearFormTerm, ...]
 
     def __call__(self, x: float) -> float:

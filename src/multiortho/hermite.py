@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable
+
+import numpy as np
 
 from .core import (
     ExactMathError,
@@ -34,6 +36,10 @@ from .core import (
     as_fraction,
     gaussian_moment,
 )
+from .quad import MAX_LINE_NODES, ContourError, LineRule, bilinear_sum, line_rule_nodes
+
+# The weights live on the whole real line (no half-line domain check).
+HALF_LINE = False
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,7 @@ class HermiteSpec:
     length.  Coincident a_k are allowed for type II (indices then merge);
     type I construction requires them pairwise distinct."""
 
+    family: ClassVar[str] = "hermite"
     a: tuple[Fraction, ...]
     n: MultiIndex
 
@@ -120,7 +127,7 @@ def type_i_form(spec: HermiteSpec) -> LinearForm:
         a_hat = series.coeff_at(T).scale(math.factorial(T))
         prefactor = ScaledConstant.of(Fraction(1, math.factorial(T)), -1, q)
         terms.append(LinearFormTerm(k, prefactor, a_hat, HermiteWeight(a_k)))
-    return LinearForm("hermite", tuple(terms))
+    return LinearForm(tuple(terms))
 
 
 def gaussian_weight_integral(poly: RatPoly, a: RationalLike) -> Fraction:
@@ -157,6 +164,24 @@ def norm_constant_from_moments(spec: HermiteSpec, k: int, P: RatPoly) -> ScaledC
     return ScaledConstant.of(r, 1, a_k * a_k / 2)
 
 
+def norm_ratio(spec: HermiteSpec, k: int) -> Fraction:
+    """Closed-form ratio h_k(n) / h_k(n - e_k) = n_k."""
+    spec.n._check_component(k)
+    if spec.n[k] == 0:
+        raise ExactMathError("ratio needs n_k >= 1")
+    return Fraction(spec.n[k])
+
+
+def moment_norm_ratio(spec: HermiteSpec, k: int, P: RatPoly, P_down: RatPoly) -> Fraction:
+    """h_k(n) / h_k(n - e_k) from the moment engine, given the type II
+    polynomials at n and n - e_k; also asserts the closed form of h_k(n)."""
+    h_top = norm_constant_from_moments(spec, k, P)
+    h_low = norm_constant_from_moments(spec.with_n(spec.n.drop(k)), k, P_down)
+    if norm_constant(spec, k) != h_top:
+        raise ExactMathError("closed-form h disagrees with moment h")  # unreachable
+    return (h_top / h_low).as_fraction()
+
+
 def type_ii_residuals(P: RatPoly, spec: HermiteSpec) -> list[Fraction]:
     """Normalized orthogonality integrals, k ascending then j = 0 .. n_k - 1.
     All must vanish exactly for the type II polynomial."""
@@ -188,7 +213,77 @@ def type_i_conditions(form: LinearForm, spec: HermiteSpec) -> list[Fraction]:
     return [form_integral(form, RatPoly.monomial(j)) for j in range(spec.n.weight)]
 
 
-def eval_form(form: LinearForm, x: float) -> float:
-    """Float value of Q(x); each term uses the folded exponent
-    r * poly(x) * exp(-(x - a_k)^2/2) / ((n_k - 1)! sqrt(2*pi))."""
-    return form(x)
+def trace_rule(spec: HermiteSpec, nodes: int) -> LineRule:
+    """Gauss rule over the weights' support, for the kernel trace."""
+    return line_rule_nodes("gaussian", nodes)
+
+
+# ---------------------------------------------------------------------------
+# double-contour kernel
+
+
+@dataclass(frozen=True)
+class HermiteContourGeometry:
+    """Vertical line Re s = line_abscissa paired with a circle |t - c| = r.
+
+    The line must lie strictly left of the circle and the circle must
+    enclose every shift parameter a_k.
+    """
+
+    line_abscissa: float
+    circle_center: float
+    circle_radius: float
+
+    @classmethod
+    def default_for(cls, spec: HermiteSpec) -> "HermiteContourGeometry":
+        a = [float(v) for v in spec.a]
+        lo, hi = min(a), max(a)
+        return cls(lo - 2.0, 0.5 * (lo + hi), 0.5 * (hi - lo) + 1.0)
+
+    def validate(self, spec: HermiteSpec) -> None:
+        if self.circle_radius <= 0.0:
+            raise ContourError("circle radius must be positive")
+        if self.line_abscissa >= self.circle_center - self.circle_radius:
+            raise ContourError(
+                "vertical line must lie strictly left of the circle "
+                f"(abscissa {self.line_abscissa}, circle reaches "
+                f"{self.circle_center - self.circle_radius})"
+            )
+        for a_k in spec.a:
+            if abs(float(a_k) - self.circle_center) >= self.circle_radius:
+                raise ContourError(f"shift parameter {a_k} is not inside the circle")
+
+
+def _contour_complex(
+    spec: HermiteSpec,
+    x: float,
+    y: float,
+    nodes: int,
+    geometry: HermiteContourGeometry | None,
+) -> complex:
+    """Double-contour kernel value; the imaginary part is a pure
+    discretization diagnostic (the kernel is real on real inputs).
+
+    The vertical-line direction substitutes s = sigma + i u so the Gaussian
+    factor exp((s-x)^2/2) splits into exp((sigma-x)^2/2) * exp(iu(sigma-x))
+    times the Gaussian weight absorbed by the line rule; the circle
+    direction uses the trapezoid rule.  The line rule saturates at
+    MAX_LINE_NODES while the circle keeps refining.
+    """
+    geom = geometry if geometry is not None else HermiteContourGeometry.default_for(spec)
+    geom.validate(spec)
+    sigma, c, rho = geom.line_abscissa, geom.circle_center, geom.circle_radius
+    line = line_rule_nodes("gaussian", min(nodes, MAX_LINE_NODES))
+    u = line.nodes
+    s = sigma + 1j * u
+    theta = 2.0 * math.pi * np.arange(nodes) / nodes
+    t = c + rho * np.exp(1j * theta)
+
+    A = line.weights * np.exp(1j * u * (sigma - x))
+    B = (t - c) * np.exp(-0.5 * (t - y) ** 2)
+    for a_k, n_k in zip(spec.a, spec.n):
+        if n_k:
+            A = A * (s - float(a_k)) ** n_k
+            B = B / (t - float(a_k)) ** n_k
+    factor = math.exp(0.5 * (sigma - x) ** 2) / (2.0 * math.pi * nodes)
+    return factor * bilinear_sum(A, s, t, B)

@@ -10,7 +10,7 @@ The kernel of the determinantal eigenvalue process is computed as
    monotone chain of multi-indices (``eval_sum``);
 3. a double-contour quadrature (vertical line x circle for the Gaussian
    family, circle x circle for the half-line family), spectrally accurate
-   in the node count (``eval_contour_*``).
+   in the node count (``eval_contour``).
 
 All polynomial ingredients are exact rationals; floats appear only at the
 final evaluation step.  The module also provides the derivative identity
@@ -26,18 +26,18 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-import numpy as np
-
 from . import hermite as _hermite
 from . import laguerre as _laguerre
 from .core import ExactMathError, LinearForm, MultiIndex, RatPoly, mi_chain
 from .hermite import HermiteSpec
 from .laguerre import LaguerreSpec
-from .quad import MAX_LINE_NODES, ContourError, ConvergenceError, line_rule_nodes
+from .quad import ContourError, ConvergenceError
 
 Spec = Union[HermiteSpec, LaguerreSpec]
 
-FAMILIES = ("hermite", "laguerre")
+# The family table: each spec class names its family, and each family
+# module exposes the same construction, moment, trace-rule and contour names.
+FAMILIES = {HermiteSpec.family: _hermite, LaguerreSpec.family: _laguerre}
 
 # Below this separation the CD quotient switches to its analytic limit.
 DIAGONAL_EPS = 1e-8
@@ -48,36 +48,26 @@ CONTOUR_START_NODES = 512
 CONTOUR_CAP_NODES = 8192
 CONTOUR_DOUBLING_TOL = 1e-9
 
-# Column-chunk bound so the 1/(s - t) node matrix never exceeds ~64 MB.
-_CHUNK_ENTRIES = 4_000_000
-
 
 class DegenerateIndexError(ExactMathError):
     """Kernel build with some n_k = 0; that component has no down-neighbor."""
 
 
-def _check_family(family: str, spec: Spec) -> None:
-    if family not in FAMILIES:
-        raise ExactMathError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    want = HermiteSpec if family == "hermite" else LaguerreSpec
-    if not isinstance(spec, want):
+def family_module(family: str, spec: Spec):
+    """The family module of spec, after checking that family names it."""
+    if family != spec.family:
         raise ExactMathError(f"family {family!r} does not match spec type {type(spec).__name__}")
-
-
-def family_of(spec: Spec) -> str:
-    return "hermite" if isinstance(spec, HermiteSpec) else "laguerre"
+    return FAMILIES[family]
 
 
 @lru_cache(maxsize=None)
 def _type2(spec: Spec) -> RatPoly:
-    mod = _hermite if isinstance(spec, HermiteSpec) else _laguerre
-    return mod.type_ii_poly(spec)
+    return FAMILIES[spec.family].type_ii_poly(spec)
 
 
 @lru_cache(maxsize=None)
 def _type1(spec: Spec) -> LinearForm:
-    mod = _hermite if isinstance(spec, HermiteSpec) else _laguerre
-    return mod.type_i_form(spec)
+    return FAMILIES[spec.family].type_i_form(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +84,6 @@ class KernelModel:
     dP / dP_down are the formal derivatives used by the diagonal limit.
     """
 
-    family: str
     spec: Spec
     P: RatPoly
     Q: LinearForm
@@ -113,7 +102,7 @@ def build_kernel(family: str, spec: Spec) -> KernelModel:
     n_k (|n| + p) / beta_k^2 for the half-line family) is checked against
     the ratio of moment-based normalization constants before use.
     """
-    _check_family(family, spec)
+    fam = family_module(family, spec)
     n = spec.n
     for k, n_k in enumerate(n):
         if n_k == 0:
@@ -129,18 +118,8 @@ def build_kernel(family: str, spec: Spec) -> KernelModel:
         Pd = _type2(spec_down)
         P_down.append(Pd)
         Q_up.append(_type1(spec_up))
-        if family == "hermite":
-            closed = Fraction(n[k])
-            h_top = _hermite.norm_constant_from_moments(spec, k, P)
-            h_low = _hermite.norm_constant_from_moments(spec_down, k, Pd)
-            moment_ratio = (h_top / h_low).as_fraction()
-            if _hermite.norm_constant(spec, k) != h_top:
-                raise ExactMathError("closed-form h disagrees with moment h")  # unreachable
-        else:
-            closed = _laguerre.norm_ratio(spec, k)
-            h_top = _laguerre.norm_constant(spec, k, P)
-            h_low = _laguerre.norm_constant(spec_down, k, Pd)
-            moment_ratio = h_top / h_low
+        closed = fam.norm_ratio(spec, k)
+        moment_ratio = fam.moment_norm_ratio(spec, k, P, Pd)
         if moment_ratio != closed:
             raise ExactMathError(
                 f"normalization ratio mismatch for component {k}: "
@@ -148,7 +127,6 @@ def build_kernel(family: str, spec: Spec) -> KernelModel:
             )  # unreachable
         ratios.append(closed)
     return KernelModel(
-        family=family,
         spec=spec,
         P=P,
         Q=Q,
@@ -160,8 +138,8 @@ def build_kernel(family: str, spec: Spec) -> KernelModel:
     )
 
 
-def _check_domain(K: KernelModel, x: float, y: float) -> None:
-    if K.family == "laguerre" and (x <= 0.0 or y <= 0.0):
+def _check_domain(spec: Spec, x: float, y: float) -> None:
+    if FAMILIES[spec.family].HALF_LINE and (x <= 0.0 or y <= 0.0):
         raise ExactMathError(
             f"half-line kernel needs x, y > 0, got ({x}, {y})"
         )
@@ -177,7 +155,7 @@ def eval_cd(K: KernelModel, x: float, y: float) -> float:
     needs only the exact polynomial derivatives of P and P_down.
     """
     x, y = float(x), float(y)
-    _check_domain(K, x, y)
+    _check_domain(K.spec, x, y)
     if abs(x - y) < DIAGONAL_EPS:
         t = 0.5 * (x + y)
         val = K.dP(t) * K.Q(t)
@@ -211,11 +189,10 @@ def eval_sum(family: str, spec: Spec, chain: Sequence[MultiIndex], x: float, y: 
     Every factor is built exactly (and cached), then evaluated in float.
     The value is chain-independent; the chain only reindexes the same span.
     """
-    _check_family(family, spec)
+    family_module(family, spec)
     _check_chain(chain, spec.n)
     x, y = float(x), float(y)
-    if family == "laguerre" and (x <= 0.0 or y <= 0.0):
-        raise ExactMathError(f"half-line kernel needs x, y > 0, got ({x}, {y})")
+    _check_domain(spec, x, y)
     total = 0.0
     for j in range(spec.n.weight):
         p = _type2(spec.with_n(chain[j]))
@@ -228,196 +205,6 @@ def eval_sum(family: str, spec: Spec, chain: Sequence[MultiIndex], x: float, y: 
 # double-contour quadrature
 
 
-@dataclass(frozen=True)
-class HermiteContourGeometry:
-    """Vertical line Re s = line_abscissa paired with a circle |t - c| = r.
-
-    The line must lie strictly left of the circle and the circle must
-    enclose every shift parameter a_k.
-    """
-
-    line_abscissa: float
-    circle_center: float
-    circle_radius: float
-
-    @classmethod
-    def default_for(cls, spec: HermiteSpec) -> "HermiteContourGeometry":
-        a = [float(v) for v in spec.a]
-        lo, hi = min(a), max(a)
-        return cls(lo - 2.0, 0.5 * (lo + hi), 0.5 * (hi - lo) + 1.0)
-
-    def validate(self, spec: HermiteSpec) -> None:
-        if self.circle_radius <= 0.0:
-            raise ContourError("circle radius must be positive")
-        if self.line_abscissa >= self.circle_center - self.circle_radius:
-            raise ContourError(
-                "vertical line must lie strictly left of the circle "
-                f"(abscissa {self.line_abscissa}, circle reaches "
-                f"{self.circle_center - self.circle_radius})"
-            )
-        for a_k in spec.a:
-            if abs(float(a_k) - self.circle_center) >= self.circle_radius:
-                raise ContourError(f"shift parameter {a_k} is not inside the circle")
-
-
-@dataclass(frozen=True)
-class LaguerreContourGeometry:
-    """Two disjoint counterclockwise circles: one of radius inner_radius
-    around the origin (inside Re s < min beta), and one around the rates,
-    kept in the right half-plane away from the origin."""
-
-    inner_radius: float
-    outer_center: float
-    outer_radius: float
-
-    @classmethod
-    def default_for(cls, spec: LaguerreSpec) -> "LaguerreContourGeometry":
-        b = [float(v) for v in spec.beta]
-        lo, hi = min(b), max(b)
-        return cls(0.5 * lo, 0.5 * (lo + hi), 0.5 * (hi - lo) + 0.25 * lo)
-
-    def validate(self, spec: LaguerreSpec) -> None:
-        bmin = min(float(v) for v in spec.beta)
-        if not 0.0 < self.inner_radius < bmin:
-            raise ContourError(
-                f"inner radius must lie in (0, min rate) = (0, {bmin}), got {self.inner_radius}"
-            )
-        if self.outer_radius <= 0.0:
-            raise ContourError("outer radius must be positive")
-        if self.outer_center - self.outer_radius <= 0.0:
-            raise ContourError("outer circle must stay in the right half-plane, away from 0")
-        if self.outer_center - self.outer_radius <= self.inner_radius:
-            raise ContourError("the two circles must be disjoint")
-        for b_k in spec.beta:
-            if abs(float(b_k) - self.outer_center) >= self.outer_radius:
-                raise ContourError(f"rate {b_k} is not inside the outer circle")
-
-
-def _chunked_bilinear(A: np.ndarray, s: np.ndarray, t: np.ndarray, B: np.ndarray) -> complex:
-    """sum_{i,j} A[i] * B[j] / (s[i] - t[j]) with bounded memory, summed in a
-    fixed chunk order for determinism."""
-    cols = max(1, _CHUNK_ENTRIES // max(1, s.size))
-    total = 0.0 + 0.0j
-    for j0 in range(0, t.size, cols):
-        block = 1.0 / (s[:, None] - t[None, j0 : j0 + cols])
-        total += complex(A @ block @ B[j0 : j0 + cols])
-    return total
-
-
-def _contour_hermite_complex(
-    spec: HermiteSpec,
-    x: float,
-    y: float,
-    nodes: int,
-    geometry: HermiteContourGeometry | None,
-) -> complex:
-    geom = geometry if geometry is not None else HermiteContourGeometry.default_for(spec)
-    geom.validate(spec)
-    if nodes < 16 or nodes % 2:
-        raise ContourError(f"node count must be even and >= 16, got {nodes}")
-    sigma, c, rho = geom.line_abscissa, geom.circle_center, geom.circle_radius
-    line = line_rule_nodes("gaussian", min(nodes, MAX_LINE_NODES))
-    u = line.nodes
-    s = sigma + 1j * u
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    t = c + rho * np.exp(1j * theta)
-
-    A = line.weights * np.exp(1j * u * (sigma - x))
-    B = (t - c) * np.exp(-0.5 * (t - y) ** 2)
-    for a_k, n_k in zip(spec.a, spec.n):
-        if n_k:
-            A = A * (s - float(a_k)) ** n_k
-            B = B / (t - float(a_k)) ** n_k
-    factor = math.exp(0.5 * (sigma - x) ** 2) / (2.0 * math.pi * nodes)
-    return factor * _chunked_bilinear(A, s, t, B)
-
-
-def _contour_laguerre_complex(
-    spec: LaguerreSpec,
-    x: float,
-    y: float,
-    nodes: int,
-    geometry: LaguerreContourGeometry | None,
-) -> complex:
-    geom = geometry if geometry is not None else LaguerreContourGeometry.default_for(spec)
-    geom.validate(spec)
-    if nodes < 16 or nodes % 2:
-        raise ContourError(f"node count must be even and >= 16, got {nodes}")
-    if x <= 0.0 or y <= 0.0:
-        raise ExactMathError(f"half-line kernel needs x, y > 0, got ({x}, {y})")
-    r, c, rho = geom.inner_radius, geom.outer_center, geom.outer_radius
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    s = r * np.exp(1j * theta)
-    t = c + rho * np.exp(1j * theta)
-    wp = spec.n.weight + spec.p
-
-    A = s * np.exp(x * s) * s ** (-wp)
-    B = (t - c) * np.exp(-y * t) * t**wp
-    for b_k, n_k in zip(spec.beta, spec.n):
-        if n_k:
-            A = A * (s - float(b_k)) ** n_k
-            B = B / (t - float(b_k)) ** n_k
-    factor = 1.0 / (nodes * nodes)
-    return factor * _chunked_bilinear(A, s, t, B)
-
-
-def eval_contour_hermite(
-    spec: HermiteSpec,
-    x: float,
-    y: float,
-    nodes: int = CONTOUR_START_NODES,
-    geometry: HermiteContourGeometry | None = None,
-) -> float:
-    """Double-contour kernel value (real part) for the Gaussian family.
-
-    The vertical-line direction substitutes s = sigma + i u so the Gaussian
-    factor exp((s-x)^2/2) splits into exp((sigma-x)^2/2) * exp(iu(sigma-x))
-    times the Gaussian weight absorbed by the line rule; the circle
-    direction uses the trapezoid rule.  The line rule saturates at
-    MAX_LINE_NODES while the circle keeps refining.
-    """
-    return _contour_hermite_complex(spec, float(x), float(y), nodes, geometry).real
-
-
-def eval_contour_hermite_full(
-    spec: HermiteSpec,
-    x: float,
-    y: float,
-    nodes: int = CONTOUR_START_NODES,
-    geometry: HermiteContourGeometry | None = None,
-) -> complex:
-    """Same as eval_contour_hermite but keeps the imaginary part, which is a
-    pure discretization diagnostic (the kernel is real on real inputs)."""
-    return _contour_hermite_complex(spec, float(x), float(y), nodes, geometry)
-
-
-def eval_contour_laguerre(
-    spec: LaguerreSpec,
-    x: float,
-    y: float,
-    nodes: int = CONTOUR_START_NODES,
-    geometry: LaguerreContourGeometry | None = None,
-) -> float:
-    """Double-contour kernel value (real part) for the half-line family.
-
-    Both directions are trapezoid rules on circles.  Note the contour
-    normalization differs from the CD kernel by the factor x^p y^(-p);
-    they agree exactly when p = 0.
-    """
-    return _contour_laguerre_complex(spec, float(x), float(y), nodes, geometry).real
-
-
-def eval_contour_laguerre_full(
-    spec: LaguerreSpec,
-    x: float,
-    y: float,
-    nodes: int = CONTOUR_START_NODES,
-    geometry: LaguerreContourGeometry | None = None,
-) -> complex:
-    """Same as eval_contour_laguerre but keeps the imaginary diagnostic."""
-    return _contour_laguerre_complex(spec, float(x), float(y), nodes, geometry)
-
-
 def eval_contour(
     family: str,
     spec: Spec,
@@ -428,23 +215,28 @@ def eval_contour(
     tol: float = CONTOUR_DOUBLING_TOL,
     cap: int = CONTOUR_CAP_NODES,
 ) -> float:
-    """Family dispatch for the contour kernel.
+    """Double-contour kernel value (real part): vertical line x circle for
+    the Gaussian family, circle x circle for the half-line family, whose
+    contour normalization differs from the CD kernel by x^p y^(-p).
 
     With an explicit node count this is a single evaluation.  With
     nodes=None it doubles from CONTOUR_START_NODES until two successive
     values differ by less than tol, raising ConvergenceError (carrying the
     best value) if the cap is reached first.
     """
-    _check_family(family, spec)
-    fn = eval_contour_hermite if family == "hermite" else eval_contour_laguerre
+    contour = family_module(family, spec)._contour_complex
+    x, y = float(x), float(y)
+    _check_domain(spec, x, y)
     if nodes is not None:
-        return fn(spec, x, y, nodes, geometry)
+        if nodes < 16 or nodes % 2:
+            raise ContourError(f"node count must be even and >= 16, got {nodes}")
+        return contour(spec, x, y, nodes, geometry).real
     n = CONTOUR_START_NODES
-    prev = fn(spec, x, y, n, geometry)
+    prev = contour(spec, x, y, n, geometry).real
     delta = math.inf
     while n < cap:
         n *= 2
-        cur = fn(spec, x, y, n, geometry)
+        cur = contour(spec, x, y, n, geometry).real
         delta = abs(cur - prev)
         if delta < tol:
             return cur
@@ -513,11 +305,10 @@ def check_biorthogonality(
     p_i is the type II polynomial at chain[i], q_j the type I form at
     chain[j+1]; all integrals reduce to rational moment sums.
     """
-    _check_family(family, spec)
+    mod = family_module(family, spec)
     if chain is None:
         chain = mi_chain(spec.n)
     _check_chain(chain, spec.n)
-    mod = _hermite if family == "hermite" else _laguerre
     w = spec.n.weight
     polys = [_type2(spec.with_n(chain[i])) for i in range(w)]
     forms = [_type1(spec.with_n(chain[j + 1])) for j in range(w)]
@@ -530,10 +321,7 @@ def kernel_trace(K: KernelModel, nodes: int = 200) -> float:
     Uses the lifted rule weights (weights times exp(+W)) so the kernel's own
     weight decay is divided out analytically; the exact value is |n|.
     """
-    if K.family == "hermite":
-        rule = line_rule_nodes("gaussian", nodes)
-    else:
-        rule = line_rule_nodes("exponential", nodes, beta=min(K.spec.beta))
+    rule = FAMILIES[K.spec.family].trace_rule(K.spec, nodes)
     return math.fsum(
         w * eval_cd(K, xi, xi) for xi, w in zip(rule.nodes, rule.lifted) if w != 0.0
     )

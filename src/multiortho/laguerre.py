@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
+from typing import ClassVar, Iterable
+
+import numpy as np
 
 from .core import (
     ExactMathError,
@@ -29,6 +31,10 @@ from .core import (
     as_fraction,
     gamma_moment,
 )
+from .quad import ContourError, LineRule, bilinear_sum, line_rule_nodes
+
+# The weights live on (0, inf): kernel arguments must be > 0.
+HALF_LINE = True
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,7 @@ class LaguerreSpec:
     """Rates beta = (beta_1, ..., beta_m), all > 0 and pairwise distinct,
     a multi-index of the same length, and the shared exponent p >= 0."""
 
+    family: ClassVar[str] = "laguerre"
     beta: tuple[Fraction, ...]
     n: MultiIndex
     p: int = 0
@@ -116,7 +123,7 @@ def type_i_form(spec: LaguerreSpec) -> LinearForm:
                 series = series * PolySeries.binomial_inverse(beta_k - beta_l, n_l, T)
         a_k = series.coeff_at(T).scale(scale)
         terms.append(LinearFormTerm(k, ScaledConstant.one(), a_k, weight))
-    return LinearForm("laguerre", tuple(terms))
+    return LinearForm(tuple(terms))
 
 
 def half_line_integral(poly: RatPoly, beta: RationalLike, p: int) -> Fraction:
@@ -140,6 +147,12 @@ def norm_ratio(spec: LaguerreSpec, k: int) -> Fraction:
     if spec.n[k] == 0:
         raise ExactMathError("ratio needs n_k >= 1")
     return spec.n[k] * (spec.n.weight + spec.p) / spec.beta[k] ** 2
+
+
+def moment_norm_ratio(spec: LaguerreSpec, k: int, P: RatPoly, P_down: RatPoly) -> Fraction:
+    """h_k(n) / h_k(n - e_k) from the moment engine, given the type II
+    polynomials at n and n - e_k."""
+    return norm_constant(spec, k, P) / norm_constant(spec.with_n(spec.n.drop(k)), k, P_down)
 
 
 def type_ii_residuals(P: RatPoly, spec: LaguerreSpec) -> list[Fraction]:
@@ -167,3 +180,77 @@ def form_integral(form: LinearForm, poly: RatPoly) -> Fraction:
 def type_i_conditions(form: LinearForm, spec: LaguerreSpec) -> list[Fraction]:
     """Exact values of integral(x^j Q dx) for j = 0 .. |n| - 1."""
     return [form_integral(form, RatPoly.monomial(j)) for j in range(spec.n.weight)]
+
+
+def trace_rule(spec: LaguerreSpec, nodes: int) -> LineRule:
+    """Gauss rule over the weights' support, for the kernel trace."""
+    return line_rule_nodes("exponential", nodes, beta=min(spec.beta))
+
+
+# ---------------------------------------------------------------------------
+# double-contour kernel
+
+
+@dataclass(frozen=True)
+class LaguerreContourGeometry:
+    """Two disjoint counterclockwise circles: one of radius inner_radius
+    around the origin (inside Re s < min beta), and one around the rates,
+    kept in the right half-plane away from the origin."""
+
+    inner_radius: float
+    outer_center: float
+    outer_radius: float
+
+    @classmethod
+    def default_for(cls, spec: LaguerreSpec) -> "LaguerreContourGeometry":
+        b = [float(v) for v in spec.beta]
+        lo, hi = min(b), max(b)
+        return cls(0.5 * lo, 0.5 * (lo + hi), 0.5 * (hi - lo) + 0.25 * lo)
+
+    def validate(self, spec: LaguerreSpec) -> None:
+        bmin = min(float(v) for v in spec.beta)
+        if not 0.0 < self.inner_radius < bmin:
+            raise ContourError(
+                f"inner radius must lie in (0, min rate) = (0, {bmin}), got {self.inner_radius}"
+            )
+        if self.outer_radius <= 0.0:
+            raise ContourError("outer radius must be positive")
+        if self.outer_center - self.outer_radius <= 0.0:
+            raise ContourError("outer circle must stay in the right half-plane, away from 0")
+        if self.outer_center - self.outer_radius <= self.inner_radius:
+            raise ContourError("the two circles must be disjoint")
+        for b_k in spec.beta:
+            if abs(float(b_k) - self.outer_center) >= self.outer_radius:
+                raise ContourError(f"rate {b_k} is not inside the outer circle")
+
+
+def _contour_complex(
+    spec: LaguerreSpec,
+    x: float,
+    y: float,
+    nodes: int,
+    geometry: LaguerreContourGeometry | None,
+) -> complex:
+    """Double-contour kernel value; the imaginary part is a pure
+    discretization diagnostic.
+
+    Both directions are trapezoid rules on circles.  Note the contour
+    normalization differs from the CD kernel by the factor x^p y^(-p);
+    they agree exactly when p = 0.
+    """
+    geom = geometry if geometry is not None else LaguerreContourGeometry.default_for(spec)
+    geom.validate(spec)
+    r, c, rho = geom.inner_radius, geom.outer_center, geom.outer_radius
+    theta = 2.0 * math.pi * np.arange(nodes) / nodes
+    s = r * np.exp(1j * theta)
+    t = c + rho * np.exp(1j * theta)
+    wp = spec.n.weight + spec.p
+
+    A = s * np.exp(x * s) * s ** (-wp)
+    B = (t - c) * np.exp(-y * t) * t**wp
+    for b_k, n_k in zip(spec.beta, spec.n):
+        if n_k:
+            A = A * (s - float(b_k)) ** n_k
+            B = B / (t - float(b_k)) ** n_k
+    factor = 1.0 / (nodes * nodes)
+    return factor * bilinear_sum(A, s, t, B)

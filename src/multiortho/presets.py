@@ -16,46 +16,33 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import hermite as _hermite
-from . import laguerre as _laguerre
 from . import kernels as _kernels
 from .core import CHAIN_STRATEGIES, mi_chain
 from .hermite import HermiteSpec
 from .laguerre import LaguerreSpec
 
 # Grid windows covering the bulk of each family's spectral support.
-HERMITE_GRID_RANGE = (-3.0, 3.0)
-LAGUERRE_GRID_RANGE = (0.5, 4.5)
+GRID_RANGE = {"hermite": (-3.0, 3.0), "laguerre": (0.5, 4.5)}
+
+_STANDARD_SPECS = {
+    "hermite": (HermiteSpec.of([1, -1], [1, 1]), HermiteSpec.of([1, -1], [2, 1])),
+    "laguerre": (LaguerreSpec.of([1, 2], [1, 1], 0), LaguerreSpec.of([1, 2], [1, 1], 1)),
+}
+
+# The dK/dx + dK/dy identity holds for the Gaussian weights only.
+_DERIVATIVE_IDENTITY_FAMILIES = {"hermite"}
 
 KERNEL_AGREEMENT_TOL_SUM = 1e-10
 KERNEL_AGREEMENT_TOL_CONTOUR = 1e-7
 CHAIN_AGREEMENT_TOL = 1e-12
 
 
-def hermite_standard_specs() -> list[HermiteSpec]:
-    return [
-        HermiteSpec.of([1, -1], [1, 1]),
-        HermiteSpec.of([1, -1], [2, 1]),
-    ]
-
-
-def laguerre_standard_specs() -> list[LaguerreSpec]:
-    return [
-        LaguerreSpec.of([1, 2], [1, 1], 0),
-        LaguerreSpec.of([1, 2], [1, 1], 1),
-    ]
-
-
 def standard_specs(family: str) -> list:
-    if family == "hermite":
-        return hermite_standard_specs()
-    if family == "laguerre":
-        return laguerre_standard_specs()
-    raise ValueError(f"unknown family {family!r}")
+    return list(_STANDARD_SPECS[family])
 
 
 def standard_grid(family: str, count: int = 5) -> np.ndarray:
-    lo, hi = HERMITE_GRID_RANGE if family == "hermite" else LAGUERRE_GRID_RANGE
+    lo, hi = GRID_RANGE[family]
     return np.linspace(lo, hi, count)
 
 
@@ -88,7 +75,7 @@ def verify_battery(family: str, spec) -> list[CheckResult]:
     """Full cross-check list for one spec: exact orthogonality both types,
     normalization ratios, biorthogonality, chain independence, kernel
     three-way agreement, and (Gaussian family) the derivative identity."""
-    mod = _hermite if family == "hermite" else _laguerre
+    mod = _kernels.family_module(family, spec)
     results: list[CheckResult] = []
 
     def check_type2() -> CheckResult:
@@ -147,7 +134,7 @@ def verify_battery(family: str, spec) -> list[CheckResult]:
                 cd = _kernels.eval_cd(K, x, y)
                 sums = [_kernels.eval_sum(family, spec, c, x, y) for c in chains]
                 ct = _kernels.eval_contour(family, spec, x, y, nodes=512)
-                if family == "laguerre" and p:
+                if p:
                     ct *= (y / x) ** p
                 worst_sum = max(worst_sum, abs(cd - sums[0]))
                 worst_chain = max(worst_chain, max(abs(s - sums[0]) for s in sums))
@@ -197,6 +184,6 @@ def verify_battery(family: str, spec) -> list[CheckResult]:
     results.append(_timed("biorthogonality", check_biorth))
     results.append(_timed("kernel-three-way", check_kernels))
     results.append(_timed("kernel-trace", check_trace))
-    if family == "hermite":
+    if family in _DERIVATIVE_IDENTITY_FAMILIES:
         results.append(_timed("derivative-identity", check_dxdy))
     return results

@@ -5,8 +5,7 @@ analytic integrands.  Lines carrying a Gaussian (exp(-u^2/2)) or exponential
 (exp(-beta*u)) weight use Gauss rules built from the classical orthonormal
 three-term recurrences: Sturm bisection on the recurrence brackets every
 root, Newton iteration converges each node to 1e-15, and weights come from
-the Christoffel sums evaluated with overflow-safe rescaling.  Node sums are
-accumulated pairwise so rounding error grows like O(log N).
+the Christoffel sums evaluated with overflow-safe rescaling.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,88 +44,19 @@ class ConvergenceError(RuntimeError):
         self.nodes = nodes
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """A positively oriented circle (center, radius) or a vertical line
-    Re s = abscissa, with a node count."""
-
-    kind: str
-    center: complex = 0j
-    radius: float = 0.0
-    nodes: int = 64
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("circle", "vertical-line"):
-            raise ContourError(f"unknown contour kind {self.kind!r}")
-        if self.nodes < 1:
-            raise ContourError("node count must be >= 1")
-        if self.kind == "circle":
-            if self.radius <= 0:
-                raise ContourError(f"circle radius must be > 0, got {self.radius}")
-            if self.nodes < 16 or self.nodes % 2:
-                raise ContourError(
-                    f"circle rules need an even node count >= 16, got {self.nodes}"
-                )
-
-    def with_nodes(self, n: int) -> "ContourSpec":
-        return ContourSpec(self.kind, self.center, self.radius, n)
+# Column-chunk bound so the 1/(s - t) node matrix never exceeds ~64 MB.
+_CHUNK_ENTRIES = 4_000_000
 
 
-def pairwise_sum(values: Sequence[complex]) -> complex:
-    """Tree summation; deterministic and O(log N) rounding growth."""
-    n = len(values)
-    if n == 0:
-        return 0j
-    if n == 1:
-        return values[0]
-    half = n // 2
-    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
-
-
-def circle_nodes(c: ContourSpec) -> list[complex]:
-    if c.kind != "circle":
-        raise ContourError("circle nodes requested for a non-circle contour")
-    out = []
-    for j in range(c.nodes):
-        theta = 2.0 * math.pi * j / c.nodes
-        out.append(c.center + c.radius * complex(math.cos(theta), math.sin(theta)))
-    return out
-
-
-def trapezoid_circle(f: Callable[[complex], complex], c: ContourSpec) -> complex:
-    """Contour integral of f over the circle: with z_j on the circle,
-    (2*pi*i/N) * sum_j (z_j - center) * f(z_j), the exact discretization of
-    integral f(z) i (z - center) dtheta."""
-    nodes = circle_nodes(c)
-    terms = [(z - c.center) * f(z) for z in nodes]
-    return (2j * math.pi / c.nodes) * pairwise_sum(terms)
-
-
-def adaptive_double(
-    f: Callable[[complex], complex],
-    c: ContourSpec,
-    tol: float,
-    cap: int = 8192,
-) -> tuple[complex, float, int]:
-    """Double the node count until successive trapezoid values agree within
-    tol.  Returns (value, delta, nodes); raises ConvergenceError carrying the
-    best value if the cap is exceeded."""
-    if c.kind != "circle":
-        raise ContourError("adaptive doubling is defined for circle contours")
-    n = c.nodes
-    value = trapezoid_circle(f, c.with_nodes(n))
-    best_delta = float("inf")
-    while True:
-        n2 = 2 * n
-        if n2 > cap:
-            raise ConvergenceError(
-                f"no convergence to {tol} within {cap} nodes", value, best_delta, n
-            )
-        value2 = trapezoid_circle(f, c.with_nodes(n2))
-        delta = abs(value2 - value)
-        if delta < tol:
-            return value2, delta, n2
-        n, value, best_delta = n2, value2, delta
+def bilinear_sum(A: np.ndarray, s: np.ndarray, t: np.ndarray, B: np.ndarray) -> complex:
+    """sum_{i,j} A[i] * B[j] / (s[i] - t[j]), the double-contour node sum, with
+    bounded memory and summed in a fixed chunk order for determinism."""
+    cols = max(1, _CHUNK_ENTRIES // max(1, s.size))
+    total = 0.0 + 0.0j
+    for j0 in range(0, t.size, cols):
+        block = 1.0 / (s[:, None] - t[None, j0 : j0 + cols])
+        total += complex(A @ block @ B[j0 : j0 + cols])
+    return total
 
 
 # ---------------------------------------------------------------------------

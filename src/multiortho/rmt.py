@@ -28,14 +28,13 @@ import numpy as np
 from scipy.stats import chi2 as _chi2_dist
 
 from .hermite import HermiteSpec
-from .kernels import KernelModel, eval_cd
+from .kernels import KernelModel, eval_cd, family_module
 from .laguerre import LaguerreSpec
 
 Spec = Union[HermiteSpec, LaguerreSpec]
 
 MAX_EIGEN_DIM = 64
 JACOBI_TOL = 1e-12
-HERMITICITY_TOL = 1e-14
 MIN_EXPECTED_COUNT = 10.0
 CHI2_CONFIDENCE = 0.99
 
@@ -43,28 +42,6 @@ CHI2_CONFIDENCE = 0.99
 # density over each histogram bin.
 _GL3_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
 _GL3_WEIGHTS = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianMatrix:
-    """A square complex matrix certified Hermitian at construction."""
-
-    data: np.ndarray
-
-    @classmethod
-    def of(cls, data) -> "HermitianMatrix":
-        a = np.asarray(data, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        scale = float(np.linalg.norm(a.ravel()))
-        dev = float(np.linalg.norm((a - a.conj().T).ravel()))
-        if dev > HERMITICITY_TOL * max(scale, 1.0):
-            raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e}")
-        return cls(a)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
 
 
 @dataclass(frozen=True)
@@ -80,11 +57,7 @@ class EnsembleConfig:
     bin_count: int
 
     def __post_init__(self) -> None:
-        if self.family not in ("hermite", "laguerre"):
-            raise ValueError(f"unknown family {self.family!r}")
-        want = HermiteSpec if self.family == "hermite" else LaguerreSpec
-        if not isinstance(self.spec, want):
-            raise ValueError(f"family {self.family!r} does not match {type(self.spec).__name__}")
+        family_module(self.family, self.spec)
         if self.samples < 1:
             raise ValueError("need at least one sample")
         lo, hi = self.bin_range
@@ -134,7 +107,7 @@ def sample_gue_source(cfg: EnsembleConfig) -> np.ndarray:
     Off-diagonal real/imaginary parts have variance 1/2, matching the
     density exp(-Tr H^2 / 2).
     """
-    if cfg.family != "hermite":
+    if cfg.family != HermiteSpec.family:
         raise ValueError("sample_gue_source needs a hermite config")
     spec: HermiteSpec = cfg.spec
     d = spec.n.weight
@@ -164,7 +137,7 @@ def sample_wishart(cfg: EnsembleConfig) -> np.ndarray:
     (row-major), then all imaginary parts.  Row i of X is scaled by
     1/sqrt(beta at row i), giving column covariance diag(1/beta_k).
     """
-    if cfg.family != "laguerre":
+    if cfg.family != LaguerreSpec.family:
         raise ValueError("sample_wishart needs a laguerre config")
     spec: LaguerreSpec = cfg.spec
     d = spec.n.weight
@@ -183,6 +156,10 @@ def sample_wishart(cfg: EnsembleConfig) -> np.ndarray:
         np.maximum(lam, 0.0, out=lam)
         out[i] = lam
     return out
+
+
+# The sampler of each family's matrix ensemble.
+SAMPLERS = {"hermite": sample_gue_source, "laguerre": sample_wishart}
 
 
 def _jacobi_eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -230,19 +207,6 @@ def _jacobi_eigenvalues(A: np.ndarray) -> np.ndarray:
         raise RuntimeError("Jacobi sweep limit reached without convergence")
     lam = np.sort(A.diagonal().real)
     return lam
-
-
-def hermitian_eigenvalues(M) -> list[float]:
-    """Sorted eigenvalues of a Hermitian matrix via cyclic Jacobi.
-
-    Accepts a HermitianMatrix or anything array-like; array-likes are
-    validated for shape, size (<= MAX_EIGEN_DIM) and hermiticity first.
-    """
-    if not isinstance(M, HermitianMatrix):
-        M = HermitianMatrix.of(M)
-    if M.n > MAX_EIGEN_DIM:
-        raise ValueError(f"dimension {M.n} exceeds the eigensolver limit {MAX_EIGEN_DIM}")
-    return [float(v) for v in _jacobi_eigenvalues(M.data)]
 
 
 def chi_square_statistic(

@@ -91,10 +91,6 @@ def _module_of(spec):
     return hermite_mod if isinstance(spec, HermiteSpec) else laguerre_mod
 
 
-def _family_of(spec):
-    return "hermite" if isinstance(spec, HermiteSpec) else "laguerre"
-
-
 # ---------------------------------------------------------------------------
 # 1. exact orthogonality over the full sweep
 
@@ -228,7 +224,7 @@ def test_criterion_4_chain_independence_and_biorthogonality():
     bad = None
     checked = 0
     for spec in hermite_sweep() + laguerre_sweep():
-        M = check_biorthogonality(_family_of(spec), spec)
+        M = check_biorthogonality(spec.family, spec)
         w = spec.n.weight
         if any(M[i][j] != (1 if i == j else 0) for i in range(w) for j in range(w)):
             bad = f"biorthogonality matrix not identity for {spec}"

@@ -104,6 +104,18 @@ def test_verify_inject_fault(capsys, tmp_path):
     assert all(c["seconds"] == 0.0 for c in doc["specs"][0]["checks"])
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--family", "hermite", "--a", "1,-1", "--n", "1,1"], ["--sweep"]],
+    ids=["single", "sweep"],
+)
+def test_verify_json_stdout_is_one_document(capsys, flags):
+    code, out, err = run(capsys, "verify", *flags, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["overall"] == "pass"
+    assert "overall: pass" in err
+
+
 # ---------------------------------------------------------------------------
 # kernel
 
@@ -161,6 +173,17 @@ def test_kernel_empty_grid_exit_2(capsys):
     )
     assert code == 2
     assert "empty" in err
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "0", "nan"])
+def test_kernel_nonpositive_tolerance_exit_2(capsys, tolerance):
+    code, out, err = run(
+        capsys, "kernel", "--family", "hermite", "--a", "0", "--n", "1",
+        "--grid", "0:1:2", "--tolerance", tolerance,
+    )
+    assert code == 2
+    assert out == ""
+    assert "tolerance" in err
 
 
 def test_kernel_laguerre_positivity_exit_2(capsys):
@@ -391,6 +414,20 @@ def test_config_unknown_field_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "poly", "--config", str(cfg))
     assert code == 2
     assert "oops" in err
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"n": [1.7, 1]}, {"p": 1.9}, {"p": True}, {"n": [True, 1]}],
+    ids=["n-float", "p-float", "p-bool", "n-bool"],
+)
+def test_config_integer_fields_not_truncated(capsys, tmp_path, fields):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"family": "laguerre", "beta": [1, 2], "n": [1, 1], **fields}))
+    code, out, err = run(capsys, "poly", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "expected an integer" in err
 
 
 def test_out_writes_file(capsys, tmp_path):

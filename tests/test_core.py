@@ -196,11 +196,6 @@ def test_scaled_constant_algebra():
         c + d
     with pytest.raises(ExactMathError):
         c.as_fraction()
-
-
-def test_scaled_constant_to_float():
-    c = ScaledConstant.of(2, 1, F(1, 2))
-    assert c.to_float() == pytest.approx(2 * math.sqrt(2 * math.pi) * math.exp(0.5), rel=1e-15)
     assert ScaledConstant.of(0, 5, 7).is_zero
 
 

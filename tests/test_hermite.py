@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +17,10 @@ from oracles import (
     type_i_oracle,
     type_ii_oracle,
 )
+
+
+def _mp(q: F) -> mpmath.mpf:
+    return mpmath.mpf(q.numerator) / q.denominator
 
 
 def _spec_strategy():
@@ -188,25 +193,30 @@ def test_gaussian_weight_integral_matches_oracle(coeffs, a):
 
 def test_eval_form_examples():
     spec = HermiteSpec.of([0], [1])
-    assert hm.eval_form(hm.type_i_form(spec), 0.0) == pytest.approx(
-        1 / math.sqrt(2 * math.pi), rel=1e-14
-    )
+    assert hm.type_i_form(spec)(0.0) == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-14)
     spec2 = HermiteSpec.of([0], [2])
-    assert hm.eval_form(hm.type_i_form(spec2), 0.0) == 0.0
+    assert hm.type_i_form(spec2)(0.0) == 0.0
     spec3 = HermiteSpec.of([1, -1], [1, 1])
-    assert hm.eval_form(hm.type_i_form(spec3), 0.0) == pytest.approx(0.0, abs=1e-16)
+    assert hm.type_i_form(spec3)(0.0) == pytest.approx(0.0, abs=1e-16)
 
 
 @given(_spec_strategy(), st.floats(-3, 3))
 def test_eval_form_matches_direct_sum(spec, x):
+    """form(x) folds each prefactor's e^q into the weight; the unfolded sum
+    r * (2*pi)^(h/2) * poly(x) * exp(q - x^2/2 + a x) is its reference.  The
+    terms can cancel (close shifts), so the reference is summed in 40-digit
+    arithmetic: a double-precision sum would carry the cancellation error."""
     form = hm.type_i_form(spec)
-    direct = 0.0
-    for term, a_k in zip(form.terms, spec.a):
-        pf = term.prefactor
-        scale = float(pf.r) * (2 * math.pi) ** (pf.two_pi_half / 2.0)
-        direct += (
-            scale
-            * term.poly(x)
-            * math.exp(float(pf.exp_arg) - x * x / 2 + float(a_k) * x)
-        )
-    assert hm.eval_form(form, x) == pytest.approx(direct, rel=1e-12, abs=1e-300)
+    with mpmath.workdps(40):
+        direct = mpmath.mpf(0)
+        for term, a_k in zip(form.terms, spec.a):
+            pf = term.prefactor
+            expo = pf.exp_arg - F(x) * F(x) / 2 + a_k * F(x)
+            direct += (
+                _mp(pf.r)
+                * (2 * mpmath.pi) ** (mpmath.mpf(pf.two_pi_half) / 2)
+                * _mp(term.poly(F(x)))
+                * mpmath.exp(_mp(expo))
+            )
+        direct = float(direct)
+    assert form(x) == pytest.approx(direct, rel=1e-12, abs=1e-300)

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multiortho import hermite as hm
 from multiortho import kernels as kn
+from multiortho import laguerre as lg
 from multiortho.core import ExactMathError, mi_chain
 from multiortho.hermite import HermiteSpec
 from multiortho.laguerre import LaguerreSpec
-from multiortho.quad import ContourError
+from multiortho.quad import ContourError, ConvergenceError
 
 H11 = HermiteSpec.of([1, -1], [1, 1])
 H21 = HermiteSpec.of([1, -1], [2, 1])
@@ -62,11 +64,9 @@ def test_eval_cd_pinned_values():
 def test_cd_quotient_numerator_consistency(x, y):
     """(x-y) * eval_cd recovers the bilinear numerator whichever way the
     difference is written; checked against the model's own components."""
-    from multiortho.hermite import eval_form
-
     K = kn.build_kernel("hermite", H21)
-    numerator = K.P(x) * eval_form(K.Q, y) - sum(
-        float(r) * pd(x) * eval_form(qu, y)
+    numerator = K.P(x) * K.Q(y) - sum(
+        float(r) * pd(x) * qu(y)
         for r, pd, qu in zip(K.ratios, K.P_down, K.Q_up)
     )
     lhs = (x - y) * kn.eval_cd(K, x, y)
@@ -137,24 +137,24 @@ def test_eval_sum_rejects_bad_chain():
 
 def test_contour_hermite_pinned():
     spec = HermiteSpec.of([0], [1])
-    got = kn.eval_contour_hermite(spec, 0.0, 0.0, 256)
+    got = kn.eval_contour("hermite", spec, 0.0, 0.0, nodes=256)
     assert got == pytest.approx(INV_ROOT_2PI, abs=1e-8)
 
 
 def test_contour_hermite_doubling_settles():
-    v256 = kn.eval_contour_hermite(H11, 0.4, -0.3, 256)
-    v512 = kn.eval_contour_hermite(H11, 0.4, -0.3, 512)
+    v256 = kn.eval_contour("hermite", H11, 0.4, -0.3, nodes=256)
+    v512 = kn.eval_contour("hermite", H11, 0.4, -0.3, nodes=512)
     assert abs(v512 - v256) < 1e-10
 
 
 def test_contour_hermite_imag_part_small():
-    val = kn.eval_contour_hermite_full(H11, 0.7, -1.1, 256)
+    val = hm._contour_complex(H11, 0.7, -1.1, 256, None)
     assert abs(val.imag) < 1e-10
 
 
 def test_contour_laguerre_pinned():
     spec = LaguerreSpec.of([1], [1], 0)
-    got = kn.eval_contour_laguerre(spec, 1.0, 1.0, 256)
+    got = kn.eval_contour("laguerre", spec, 1.0, 1.0, nodes=256)
     assert got == pytest.approx(math.exp(-1), abs=1e-8)
 
 
@@ -163,12 +163,12 @@ def test_contour_laguerre_conjugation_factor():
     spec = LaguerreSpec.of([1], [1], 1)
     K = kn.build_kernel("laguerre", spec)
     x, y = 1.0, 2.0
-    contour = kn.eval_contour_laguerre(spec, x, y, 256)
+    contour = kn.eval_contour("laguerre", spec, x, y, nodes=256)
     assert contour == pytest.approx((x / y) * kn.eval_cd(K, x, y), abs=1e-8)
 
 
 def test_contour_laguerre_imag_part_small():
-    val = kn.eval_contour_laguerre_full(L11_P1, 0.8, 2.3, 256)
+    val = lg._contour_complex(L11_P1, 0.8, 2.3, 256, None)
     assert abs(val.imag) < 1e-10
 
 
@@ -178,22 +178,33 @@ def test_contour_adaptive_dispatch():
     assert got == pytest.approx(kn.eval_cd(K, 1.2, -0.4), abs=1e-7)
 
 
+def test_contour_adaptive_reports_nonconvergence():
+    """The doubling loop stops at the cap and reports its last value,
+    delta and node count when the tolerance cannot be met."""
+    with pytest.raises(ConvergenceError) as err:
+        kn.eval_contour("hermite", H11, 1.2, -0.4, tol=0.0, cap=1024)
+    assert err.value.nodes == 1024
+    assert 0.0 <= err.value.delta < 1e-9
+    K = kn.build_kernel("hermite", H11)
+    assert err.value.best == pytest.approx(kn.eval_cd(K, 1.2, -0.4), abs=1e-7)
+
+
 def test_contour_geometry_validation():
-    geo = kn.HermiteContourGeometry.default_for(H11)
+    geo = hm.HermiteContourGeometry.default_for(H11)
     geo.validate(H11)
-    bad = kn.HermiteContourGeometry(geo.circle_center + geo.circle_radius, geo.circle_center, geo.circle_radius)
+    bad = hm.HermiteContourGeometry(geo.circle_center + geo.circle_radius, geo.circle_center, geo.circle_radius)
     with pytest.raises(ContourError):
         bad.validate(H11)
-    lgeo = kn.LaguerreContourGeometry.default_for(L11_P0)
+    lgeo = lg.LaguerreContourGeometry.default_for(L11_P0)
     lgeo.validate(L11_P0)
     with pytest.raises(ContourError):
-        kn.LaguerreContourGeometry(5.0, lgeo.outer_center, lgeo.outer_radius).validate(L11_P0)
+        lg.LaguerreContourGeometry(5.0, lgeo.outer_center, lgeo.outer_radius).validate(L11_P0)
 
 
 def test_contour_custom_geometry_consistent():
-    geo = kn.HermiteContourGeometry(-4.0, 0.0, 2.5)
+    geo = hm.HermiteContourGeometry(-4.0, 0.0, 2.5)
     K = kn.build_kernel("hermite", H11)
-    got = kn.eval_contour_hermite(H11, 0.5, 0.1, 512, geo)
+    got = kn.eval_contour("hermite", H11, 0.5, 0.1, nodes=512, geometry=geo)
     assert got == pytest.approx(kn.eval_cd(K, 0.5, 0.1), abs=1e-7)
 
 

@@ -1,7 +1,5 @@
-"""Contour and line quadrature: trapezoid circles, adaptive doubling, and
-Gauss rules built from scratch."""
+"""Gauss line rules built from scratch."""
 
-import cmath
 import math
 
 import numpy as np
@@ -9,93 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multiortho.quad import (
-    MAX_LINE_NODES,
-    ContourError,
-    ContourSpec,
-    ConvergenceError,
-    adaptive_double,
-    circle_nodes,
-    line_rule_nodes,
-    pairwise_sum,
-    trapezoid_circle,
-)
+from multiortho.quad import MAX_LINE_NODES, line_rule_nodes
 from oracles import gamma_moment_oracle, gaussian_moment_oracle
-
-TWO_PI_I = 2j * math.pi
-UNIT = ContourSpec("circle", 0j, 1.0, 64)
-
-
-# ---------------------------------------------------------------------------
-# contour specs and trapezoid rule
-
-
-def test_contour_spec_validation():
-    with pytest.raises(ContourError):
-        ContourSpec("square", 0j, 1.0, 64)
-    with pytest.raises(ContourError):
-        ContourSpec("circle", 0j, -1.0, 64)
-    with pytest.raises(ContourError):
-        ContourSpec("circle", 0j, 1.0, 17)  # odd
-    with pytest.raises(ContourError):
-        ContourSpec("circle", 0j, 1.0, 8)  # too few
-
-
-def test_reciprocal_is_exact_for_any_even_count():
-    for n in (16, 20, 64, 250):
-        val = trapezoid_circle(lambda z: 1 / z, UNIT.with_nodes(n))
-        assert abs(val - TWO_PI_I) <= 2 * abs(TWO_PI_I) * 2.3e-16
-
-
-def test_exp_over_z_residue():
-    val = trapezoid_circle(lambda z: cmath.exp(z) / z, UNIT)
-    assert abs(val - TWO_PI_I) < 1e-12
-
-
-def test_analytic_integrand_vanishes():
-    for spec in (UNIT, ContourSpec("circle", 2 + 1j, 3.0, 32)):
-        assert abs(trapezoid_circle(lambda z: z, spec)) < 1e-12
-
-
-@given(st.integers(-4, 4), st.integers(1, 5))
-def test_laurent_monomials(k, scale):
-    """Only the z^-1 mode survives; all other integer powers integrate to 0."""
-    spec = ContourSpec("circle", 0j, float(scale), 64)
-    val = trapezoid_circle(lambda z: z**k, spec)
-    want = TWO_PI_I if k == -1 else 0j
-    assert abs(val - want) <= 1e-10 * max(1.0, float(scale) ** abs(k))
-
-
-def test_circle_nodes_geometry():
-    nodes = circle_nodes(ContourSpec("circle", 1 + 2j, 2.0, 32))
-    assert len(nodes) == 32
-    assert all(abs(abs(z - (1 + 2j)) - 2.0) < 1e-14 for z in nodes)
-
-
-def test_pairwise_sum_matches_fsum():
-    values = [complex((-1) ** i * i, i / 7) for i in range(1001)]
-    ref = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
-    assert abs(pairwise_sum(values) - ref) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# adaptive doubling
-
-
-def test_adaptive_converges_immediately_on_residue():
-    val, delta, nodes = adaptive_double(lambda z: 1 / z, UNIT.with_nodes(16), tol=1e-12)
-    assert abs(val - TWO_PI_I) < 1e-12
-    assert delta < 5e-15  # first doubling already agrees to rounding error
-    assert nodes == 32
-
-
-def test_adaptive_reports_nonconvergence_near_pole():
-    pole = 1.0 + 1e-3
-    with pytest.raises(ConvergenceError) as err:
-        adaptive_double(lambda z: 1 / (z - pole), UNIT.with_nodes(16), tol=1e-12, cap=4096)
-    assert err.value.nodes == 4096
-    assert err.value.delta > 1e-12
-    assert err.value.best is not None
 
 
 # ---------------------------------------------------------------------------
