@@ -11,7 +11,13 @@ worst contour error over the grid decays toward the closed form.  With
 import argparse
 import sys
 
-from multiortho.cli import _build_spec, _fields_doc, _merge_config, _parse_grid
+from multiortho.cli import (
+    _build_spec,
+    _fields_doc,
+    _join_leading_minus,
+    _merge_config,
+    _parse_grid,
+)
 from multiortho.core import mi_chain
 from multiortho.kernels import build_kernel, eval_cd, eval_contour, eval_sum
 from multiortho.presets import standard_grid, standard_specs
@@ -37,7 +43,8 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", default=None, help="lo:hi:count, used for both axes")
     parser.add_argument("--node-counts", default="64,128,256,512,1024")
     parser.add_argument("--out", help="write the per-point CSV here")
-    args = parser.parse_args(argv)
+    tokens = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_join_leading_minus(tokens))
 
     family, spec = build_spec(args)
     axis = standard_grid(family) if args.grid is None else _parse_grid(args.grid, axes=1)[0]

@@ -15,8 +15,10 @@ import sys
 from multiortho.cli import (
     DEFAULT_BIN_COUNT,
     DEFAULT_BIN_RANGE,
+    _VALUE_FLAGS,
     _build_spec,
     _fields_doc,
+    _join_leading_minus,
     _merge_config,
     _parse_axis,
 )
@@ -46,7 +48,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=20260814)
     parser.add_argument("--bins", default=None, help="lo:hi:count histogram geometry")
     parser.add_argument("--out", help="write the largest-S histogram CSV here")
-    args = parser.parse_args(argv)
+    tokens = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_join_leading_minus(tokens, _VALUE_FLAGS + ("--bins",)))
 
     family, spec = build_spec(args)
     if args.bins is None:

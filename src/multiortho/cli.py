@@ -626,14 +626,14 @@ def _parser() -> argparse.ArgumentParser:
 _VALUE_FLAGS = ("--a", "--beta", "--n", "--grid", "--points")
 
 
-def _join_leading_minus(argv: list[str]) -> list[str]:
-    """Rewrite ["--grid", "-3:3:5"] as ["--grid=-3:3:5"] so values that
-    start with a minus sign survive argparse."""
+def _join_leading_minus(argv: list[str], flags: Sequence[str] = _VALUE_FLAGS) -> list[str]:
+    """Rewrite ["--grid", "-3:3:5"] as ["--grid=-3:3:5"] for each of flags,
+    so values that start with a minus sign survive argparse."""
     out: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        if tok in flags and i + 1 < len(argv) and argv[i + 1].startswith("-"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

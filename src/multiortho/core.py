@@ -13,7 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 RationalLike = Union[Fraction, int, str, float]
 
@@ -558,10 +561,6 @@ class LaguerreWeight:
     beta: Fraction
     p: int
 
-    def log_at(self, x: float) -> float:
-        # excludes the x^p factor, which is applied polynomially
-        return -float(self.beta) * x
-
 
 @dataclass(frozen=True)
 class LinearFormTerm:
@@ -583,9 +582,35 @@ class LinearForm:
 
     terms: tuple[LinearFormTerm, ...]
 
-    def __call__(self, x: float) -> float:
-        x = float(x)
+    def __call__(self, x):
+        """Q at a float x, or at each element of a float ndarray x.  The array
+        path maps math.exp and Python's ** over the elements, because numpy's
+        exp and power can differ from them in the last ulp; each element is
+        then the scalar value bit for bit."""
+        if isinstance(x, np.ndarray):
+            exp, power = _map_exp, _map_pow
+        else:
+            x = float(x)
+            exp, power = math.exp, pow
         total = 0.0
+        for poly, scale, shift, offset, p in self._float_terms:
+            if p is None:
+                expo = -0.5 * (x - shift) * (x - shift) + offset
+            else:
+                expo = offset + shift * x
+                scale *= power(x, p)
+            total += scale * poly(x) * exp(expo)
+        return total
+
+    @cached_property
+    def _float_terms(self) -> tuple:
+        """(poly, scale, shift, offset, p) per nonzero term, converted to
+        float once.  A Hermite term (p None) is
+        scale * poly(x) * exp(-(x - shift)^2 / 2 + offset), with
+        offset = exp_arg + a^2/2, which is exactly 0 for constructed forms
+        (the general fold keeps hand-built forms right); a half-line term is
+        scale * x^p * poly(x) * exp(offset + shift * x), shift = -beta."""
+        out = []
         for t in self.terms:
             if t.poly.is_zero:
                 continue
@@ -594,14 +619,20 @@ class LinearForm:
             scale = float(pf.r) * TWO_PI ** (h // 2)
             if h % 2:
                 scale *= math.sqrt(TWO_PI)
-            if isinstance(t.weight, HermiteWeight):
-                a = float(t.weight.a)
-                # exp_arg + a^2/2 is exactly 0 for constructed forms; keep the
-                # general fold so hand-built forms evaluate correctly too
-                residue = float(pf.exp_arg + t.weight.a * t.weight.a / 2)
-                expo = -0.5 * (x - a) * (x - a) + residue
+            w = t.weight
+            if isinstance(w, HermiteWeight):
+                out.append((t.poly, scale, float(w.a), float(pf.exp_arg + w.a * w.a / 2), None))
             else:
-                expo = float(pf.exp_arg) + t.weight.log_at(x)
-                scale *= x ** t.weight.p
-            total += scale * t.poly(x) * math.exp(expo)
-        return total
+                out.append((t.poly, scale, -float(w.beta), float(pf.exp_arg), w.p))
+        return tuple(out)
+
+
+def _elementwise(f, nargs: int):
+    """f applied to each element of its float ndarray arguments as Python
+    floats, returning a float ndarray."""
+    ufunc = np.frompyfunc(f, nargs, 1)
+    return lambda *args: ufunc(*args).astype(float)
+
+
+_map_exp = _elementwise(math.exp, 1)
+_map_pow = _elementwise(pow, 2)

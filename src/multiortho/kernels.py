@@ -157,15 +157,28 @@ def eval_cd(K: KernelModel, x: float, y: float) -> float:
     x, y = float(x), float(y)
     _check_domain(K.spec, x, y)
     if abs(x - y) < DIAGONAL_EPS:
-        t = 0.5 * (x + y)
-        val = K.dP(t) * K.Q(t)
-        for r, dPd, Qu in zip(K.ratios, K.dP_down, K.Q_up):
-            val -= float(r) * dPd(t) * Qu(t)
-        return val
+        return _diagonal_limit(K, 0.5 * (x + y))
     num = K.P(x) * K.Q(y)
     for r, Pd, Qu in zip(K.ratios, K.P_down, K.Q_up):
         num -= float(r) * Pd(x) * Qu(y)
     return num / (x - y)
+
+
+def eval_cd_diagonal(K: KernelModel, t):
+    """K(t, t) at each point of the float ndarray t, in one array pass over
+    the exact ingredients; element i is eval_cd(K, t[i], t[i]) bit for bit."""
+    if t.size:
+        lo = float(t.min())
+        _check_domain(K.spec, lo, lo)
+    return _diagonal_limit(K, t)
+
+
+def _diagonal_limit(K: KernelModel, t):
+    """dN/dx at x = y = t, for a float t or elementwise over a float ndarray."""
+    val = K.dP(t) * K.Q(t)
+    for r, dPd, Qu in zip(K.ratios, K.dP_down, K.Q_up):
+        val = val - float(r) * dPd(t) * Qu(t)
+    return val
 
 
 # ---------------------------------------------------------------------------

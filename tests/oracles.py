@@ -8,7 +8,8 @@ elimination, sharing no series/residue machinery with the package:
   Gamma by integration by parts),
 - type II polynomials as solutions of the orthogonality linear system,
 - type I coefficient vectors as solutions of the moment linear system,
-- classical monic three-term recurrences for the m = 1 reductions.
+- classical monic three-term recurrences for the m = 1 reductions,
+- Hermitian eigenvalues by cyclic complex Jacobi rotations.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 Poly = list[Fraction]  # ascending coefficients
 
@@ -206,3 +209,57 @@ def laguerre_recurrence_oracle(beta: Fraction, p: int, degree: int) -> Poly:
         nxt = padd(pmul([-b_k, Fraction(1)], cur), pscale(prev, -c_k))
         prev, cur = cur, nxt
     return cur
+
+
+# ---------------------------------------------------------------------------
+# Hermitian eigenvalues
+
+JACOBI_TOL = 1e-12
+
+
+def jacobi_eigenvalues(A: np.ndarray) -> np.ndarray:
+    """Cyclic complex Jacobi on a Hermitian matrix (trusted input), the
+    independent oracle for the samplers' LAPACK eigensolve.
+
+    Each rotation phases the pivot entry real, then applies the classical
+    symmetric rotation that annihilates it; sweeps repeat until the
+    off-diagonal Frobenius norm falls below JACOBI_TOL times the matrix
+    norm.  Returns eigenvalues sorted ascending.
+    """
+    n = A.shape[0]
+    if n == 1:
+        return A.real.ravel().copy()
+    A = A.copy()
+    scale = float(np.linalg.norm(A.ravel()))
+    if scale == 0.0:
+        return np.zeros(n)
+    for _ in range(40):
+        off = A.copy()
+        off[np.diag_indices(n)] = 0.0
+        if float(np.linalg.norm(off.ravel())) <= JACOBI_TOL * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                r = abs(apq)
+                if r <= 1e-300:
+                    continue
+                phase = apq / r
+                tau = (A[q, q].real - A[p, p].real) / (2.0 * r)
+                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                # columns: A <- A U, with U = [[c, s], [-s e^{-i phi}, c e^{-i phi}]]
+                col_p = c * A[:, p] - s * np.conj(phase) * A[:, q]
+                col_q = s * A[:, p] + c * np.conj(phase) * A[:, q]
+                A[:, p], A[:, q] = col_p, col_q
+                # rows: A <- U* A
+                row_p = c * A[p, :] - s * phase * A[q, :]
+                row_q = s * A[p, :] + c * phase * A[q, :]
+                A[p, :], A[q, :] = row_p, row_q
+                A[p, q] = 0.0
+                A[q, p] = 0.0
+    else:
+        raise RuntimeError("Jacobi sweep limit reached without convergence")
+    lam = np.sort(A.diagonal().real)
+    return lam

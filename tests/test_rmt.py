@@ -1,5 +1,5 @@
-"""Matrix-ensemble samplers, the Jacobi eigensolver, and the chi-square
-density comparison."""
+"""Matrix-ensemble samplers against the Jacobi oracle, their Philox
+substreams and chunking, and the chi-square density comparison."""
 
 import math
 
@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiortho import rmt
+from multiortho.core import ExactMathError
 from multiortho.hermite import HermiteSpec
-from multiortho.kernels import build_kernel
+from multiortho.kernels import build_kernel, eval_cd
 from multiortho.laguerre import LaguerreSpec
+from oracles import jacobi_eigenvalues
 
 H11 = HermiteSpec.of([1, -1], [1, 1])
 L11 = LaguerreSpec.of([1, 2], [1, 1], 0)
@@ -26,16 +28,16 @@ def laguerre_cfg(spec, samples, seed):
 
 
 # ---------------------------------------------------------------------------
-# eigensolver
+# Jacobi oracle
 
 
 def test_eigen_diagonal():
-    vals = rmt._jacobi_eigenvalues(np.diag([2.0, 3.0]).astype(complex))
+    vals = jacobi_eigenvalues(np.diag([2.0, 3.0]).astype(complex))
     assert list(vals) == pytest.approx([2, 3])
 
 
 def test_eigen_offdiagonal():
-    vals = rmt._jacobi_eigenvalues(np.array([[0, 1], [1, 0]], dtype=complex))
+    vals = jacobi_eigenvalues(np.array([[0, 1], [1, 0]], dtype=complex))
     assert list(vals) == pytest.approx([-1, 1], abs=1e-12)
 
 
@@ -43,7 +45,7 @@ def test_eigen_trace_and_frobenius_oracle():
     rng = np.random.Generator(np.random.Philox(key=11))
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     M = 0.5 * (z + z.conj().T)
-    vals = rmt._jacobi_eigenvalues(M)
+    vals = jacobi_eigenvalues(M)
     assert vals.sum() == pytest.approx(np.trace(M).real, abs=1e-10)
     assert (vals**2).sum() == pytest.approx(np.linalg.norm(M, "fro") ** 2, abs=1e-10)
     assert np.all(np.diff(vals) >= 0)
@@ -63,7 +65,7 @@ def test_eigen_matches_trace_identities(seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     M = 0.5 * (z + z.conj().T)
-    vals = rmt._jacobi_eigenvalues(M)
+    vals = jacobi_eigenvalues(M)
     assert vals.sum() == pytest.approx(np.trace(M).real, abs=1e-9)
     assert (vals**2).sum() == pytest.approx((np.abs(M) ** 2).sum(), abs=1e-9)
 
@@ -119,6 +121,78 @@ def test_substreams_are_independent_of_batch_split():
     assert np.array_equal(big[:10], small)
 
 
+def _rebuilt_matrix(family, spec, seed, index):
+    """Sample `index` rebuilt from a jumped Philox and the documented draw order."""
+    g = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    d = spec.n.weight
+    if family == "hermite":
+        diag = g.standard_normal(d)
+        iu, ju = np.triu_indices(d, k=1)
+        z = g.standard_normal(2 * iu.size) * math.sqrt(0.5)
+        M = np.zeros((d, d), dtype=complex)
+        M[iu, ju] = z[: iu.size] + 1j * z[iu.size :]
+        M += M.conj().T
+        M[np.diag_indices(d)] = diag + np.repeat([float(a) for a in spec.a], list(spec.n))
+        return M
+    cols = d + spec.p
+    z = g.standard_normal(2 * d * cols) * math.sqrt(0.5)
+    X = (z[: d * cols] + 1j * z[d * cols :]).reshape(d, cols)
+    X /= np.sqrt(np.repeat([float(b) for b in spec.beta], list(spec.n)))[:, None]
+    M = X @ X.conj().T
+    return 0.5 * (M + M.conj().T)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        hermite_cfg(HermiteSpec.of([1, -1], [2, 1]), 3000, 17),
+        hermite_cfg(HermiteSpec.of(["1/2", -1, 2], [3, 3, 2]), 300, 18),
+        laguerre_cfg(LaguerreSpec.of([1, 2], [1, 1], 1), 3000, 19),
+        laguerre_cfg(LaguerreSpec.of([1, 2, 3], [2, 2, 1], 3), 300, 20),
+    ],
+    ids=["gue-3", "gue-8", "wishart-2", "wishart-5"],
+)
+def test_sampler_rows_match_jacobi_oracle(cfg):
+    batch = rmt.SAMPLERS[cfg.family](cfg)
+    rows = np.random.default_rng(cfg.seed).choice(cfg.samples, 12, replace=False)
+    for i in [0, cfg.samples - 1, *rows]:
+        want = jacobi_eigenvalues(_rebuilt_matrix(cfg.family, cfg.spec, cfg.seed, int(i)))
+        if cfg.family == "laguerre":
+            want = np.maximum(want, 0.0)
+        assert np.allclose(batch[i], want, rtol=0, atol=1e-10), i
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9, 20260814, 2**64 - 1, 2**128 - 1])
+def test_counter_stream_matches_jumped(seed):
+    streams = rmt.Substreams(seed)
+    for i in [*range(2001), 2**63 - 1, 2**63, 2**64 - 1]:
+        jumped = np.random.Philox(key=seed).jumped(i)
+        g = streams.at(i)
+        got, want = streams.bit_generator.state, jumped.state
+        assert np.array_equal(got["state"]["counter"], want["state"]["counter"]), i
+        assert np.array_equal(got["state"]["key"], want["state"]["key"]), i
+        for field in ("buffer_pos", "has_uint32", "uinteger"):
+            assert got[field] == want[field], (i, field)
+        assert np.array_equal(g.standard_normal(5), np.random.Generator(jumped).standard_normal(5))
+
+
+@pytest.mark.parametrize("family", ["hermite", "laguerre"])
+def test_chunk_boundaries_do_not_change_rows(family, monkeypatch):
+    cfg = hermite_cfg(H11, 50, 7) if family == "hermite" else laguerre_cfg(L11, 50, 7)
+    sampler = rmt.SAMPLERS[family]
+    whole = sampler(cfg)
+    d = cfg.spec.n.weight
+    per_sample = 16 * d * d if family == "hermite" else 16 * d * (2 * d + cfg.spec.p)
+    assert rmt.CHUNK_BYTES // per_sample > cfg.samples  # one chunk by default
+    for size in (1, 7, 49):
+        monkeypatch.setattr(rmt, "CHUNK_BYTES", size * per_sample)
+        chunks = list(rmt._chunks(cfg.samples, per_sample))
+        assert max(stop - start for start, stop in chunks) == size
+        rows = np.concatenate([np.arange(start, stop) for start, stop in chunks])
+        assert np.array_equal(rows, np.arange(cfg.samples)), size
+        assert np.array_equal(sampler(cfg), whole), size
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         rmt.EnsembleConfig("hermite", L11, 10, 0, (-4.0, 4.0), 40)
@@ -152,6 +226,50 @@ def test_predicted_masses_sum_to_one_over_support():
     edges = np.linspace(-8, 8, 161)
     masses = rmt.predicted_bin_masses(K, edges)
     assert float(masses.sum()) == pytest.approx(1.0, abs=1e-6)
+
+
+def _scalar_bin_masses(K, edges):
+    """The bin masses by one eval_cd call per Gauss node."""
+    nodes = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
+    weights = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
+    masses = np.empty(edges.size - 1)
+    for b in range(masses.size):
+        lo, hi = float(edges[b]), float(edges[b + 1])
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        acc = 0.0
+        for u, gw in zip(nodes, weights):
+            acc += gw * eval_cd(K, mid + half * u, mid + half * u)
+        masses[b] = acc * half / K.spec.n.weight
+    return masses
+
+
+@pytest.mark.parametrize("bins", [7, 40, 160])
+@pytest.mark.parametrize(
+    "family, spec, bin_range",
+    [
+        ("hermite", HermiteSpec.of([1, -1], [2, 1]), (-4.0, 4.0)),
+        ("hermite", HermiteSpec.of(["1/2", -1, 2], [3, 3, 2]), (-5.0, 5.0)),
+        ("laguerre", LaguerreSpec.of([1, 2], [1, 1], 0), (0.05, 6.0)),
+        ("laguerre", LaguerreSpec.of([1, 2], [2, 1], 1), (0.05, 8.0)),
+        ("laguerre", LaguerreSpec.of(["1/2", 2], [1, 2], 3), (0.01, 20.0)),
+    ],
+    ids=["h21", "h332", "l-p0", "l-p1", "l-p3"],
+)
+def test_bin_masses_match_scalar_loop_bitwise(family, spec, bin_range, bins):
+    K = build_kernel(family, spec)
+    edges = np.linspace(*bin_range, bins + 1)
+    got = rmt.predicted_bin_masses(K, edges)
+    want = _scalar_bin_masses(K, edges)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_bin_masses_half_line_domain():
+    K = build_kernel("laguerre", L11)
+    for masses in (rmt.predicted_bin_masses, _scalar_bin_masses):
+        with pytest.raises(ExactMathError, match="half-line"):
+            masses(K, np.linspace(-0.5, 6.0, 41))
+        with pytest.raises(ExactMathError, match="half-line"):
+            masses(K, np.array([-0.5, 0.5, 1.0]))  # a node at exactly 0
 
 
 def test_density_comparison_pass_and_determinism():

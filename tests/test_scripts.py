@@ -23,6 +23,24 @@ def test_kernel_grid_smoke(capsys):
     assert lines[2].split()[0] == "64"
 
 
+def test_kernel_grid_joins_leading_minus_value(capsys):
+    main = _main("kernel_grid")
+    assert main(["--node-counts", "64", "--grid=-2:2:3"]) == 0
+    joined = capsys.readouterr().out
+    assert main(["--node-counts", "64", "--grid", "-2:2:3"]) == 0
+    assert capsys.readouterr().out == joined
+
+
+def test_simulate_density_joins_leading_minus_value(capsys):
+    main = _main("simulate_density")
+    args = ["--samples-list", "200", "--a", "-1,1"]
+    assert main([*args, "--bins=-4:4:8"]) == 0
+    joined = capsys.readouterr().out
+    assert main([*args, "--bins", "-4:4:8"]) == 0
+    assert capsys.readouterr().out == joined
+    assert "bins -4:4:8" in joined
+
+
 def test_simulate_density_smoke(capsys, tmp_path):
     out = tmp_path / "hist.csv"
     code = _main("simulate_density")(
