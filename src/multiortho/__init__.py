@@ -17,8 +17,6 @@ from .core import (
     SeriesOrderMismatchError,
     SingularExpansionError,
     as_fraction,
-    gamma_moment,
-    gaussian_moment,
     mi_chain,
 )
 from .hermite import HermiteSpec
@@ -40,8 +38,6 @@ __all__ = [
     "SeriesOrderMismatchError",
     "SingularExpansionError",
     "as_fraction",
-    "gamma_moment",
-    "gaussian_moment",
     "mi_chain",
 ]
 

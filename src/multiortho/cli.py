@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -105,6 +106,14 @@ def _parse_int(value: Any) -> int:
     return int(value)
 
 
+def _parse_finite(value: Any) -> float:
+    """A float that is neither nan nor infinite (JSON has no such numbers)."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise UsageError(f"expected a finite number, got {value!r}")
+    return x
+
+
 def _parse_list(value: Any, convert: Callable[[Any], Any]) -> tuple:
     if isinstance(value, str):
         value = [s for s in value.split(",") if s.strip()]
@@ -144,12 +153,12 @@ def _merge_config(args: argparse.Namespace) -> JobConfig:
         "a": lambda v: _parse_list(v, _parse_rational),
         "beta": lambda v: _parse_list(v, _parse_rational),
         "n": lambda v: _parse_list(v, _parse_int),
-        "points": lambda v: _parse_list(v, float),
+        "points": lambda v: _parse_list(v, _parse_finite),
         "p": _parse_int,
         "nodes": _parse_int,
         "samples": _parse_int,
         "seed": _parse_int,
-        "tolerance": float,
+        "tolerance": _parse_finite,
         "family": str,
         "grid": str,
         "out": str,

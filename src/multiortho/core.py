@@ -1,5 +1,6 @@
 """Exact arithmetic foundation: multi-indices, rational polynomials,
-truncated power series with polynomial coefficients, and scaled constants.
+truncated power series with polynomial coefficients, scaled constants, and
+the weights with their exact moment sequences.
 
 Everything here is immutable and exact.  Rational scalars are
 ``fractions.Fraction`` (unbounded integers, canonical reduced form), so
@@ -274,14 +275,12 @@ class RatPoly:
     def derivative(self) -> "RatPoly":
         return RatPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
-    def shift(self, c: RationalLike) -> "RatPoly":
-        """Compose with x + c: returns q(x) = p(x + c), exactly."""
-        c = as_fraction(c)
-        result = RatPoly.zero()
-        xc = RatPoly.of([c, 1])
-        for coeff in reversed(self.coeffs):
-            result = result * xc + RatPoly.constant(coeff)
-        return result
+    def dot(self, moments: Sequence[Fraction]) -> Fraction:
+        """sum_i coeff_i * moments[i]: the value at this polynomial of the
+        linear functional whose moment sequence is moments, exactly."""
+        if len(moments) < len(self.coeffs):
+            raise ExactMathError(f"{len(moments)} moments for a degree-{self.degree} polynomial")
+        return sum((c * m for c, m in zip(self.coeffs, moments)), Fraction(0))
 
     def __call__(self, x):
         """Horner evaluation: exact for Fraction/int input, float otherwise."""
@@ -515,51 +514,46 @@ class ScaledConstant:
 
 
 # ---------------------------------------------------------------------------
-# exact weight moments
-
-
-def gaussian_moment(j: int) -> Fraction:
-    """(1/sqrt(2*pi)) * integral of u^j * exp(-u^2/2) du over R.
-
-    Zero for odd j; the double factorial (j-1)!! for even j ((-1)!! = 1).
-    """
-    if j < 0:
-        raise ExactMathError("moment order must be >= 0")
-    if j % 2:
-        return Fraction(0)
-    val = 1
-    for i in range(1, j, 2):
-        val *= i
-    return Fraction(val)
-
-
-def gamma_moment(j: int, beta: RationalLike) -> Fraction:
-    """integral of u^j * exp(-beta*u) du over (0, inf) = j! / beta^(j+1)."""
-    if j < 0:
-        raise ExactMathError("moment order must be >= 0")
-    beta = as_fraction(beta)
-    if beta <= 0:
-        raise ExactMathError(f"exponential rate must be > 0, got {beta}")
-    return Fraction(math.factorial(j)) / beta ** (j + 1)
-
-
-# ---------------------------------------------------------------------------
 # weighted linear forms sum_k prefactor_k * poly_k(x) * w_k(x)
 
 
 @dataclass(frozen=True)
 class HermiteWeight:
-    """w(x) = exp(-x^2/2 + a*x) on the real line."""
+    """w(x) = exp(-x^2/2 + a*x) on the real line.
+
+    integral(x^j w(x) dx) = scale * moments(...)[j] with
+    scale = sqrt(2*pi) * e^(a^2/2) and moments E[(Z + a)^j], Z ~ N(0, 1).
+    """
 
     a: Fraction
+
+    @property
+    def scale(self) -> ScaledConstant:
+        return ScaledConstant.of(1, 1, self.a * self.a / 2)
+
+    def moments(self, count: int) -> list[Fraction]:
+        """E[(Z + a)^j] for j < count, by m_{j+1} = a*m_j + j*m_{j-1}."""
+        m = [Fraction(1), self.a]
+        for j in range(1, count - 1):
+            m.append(self.a * m[j] + j * m[j - 1])
+        return m[:count]
 
 
 @dataclass(frozen=True)
 class LaguerreWeight:
-    """w(x) = x^p * exp(-beta*x) on (0, inf)."""
+    """w(x) = x^p * exp(-beta*x) on (0, inf); its moments
+    integral(x^j w(x) dx) = (j+p)! / beta^(j+p+1) are rational (scale 1)."""
 
     beta: Fraction
     p: int
+
+    scale = ScaledConstant.one()
+
+    def moments(self, count: int) -> list[Fraction]:
+        return [
+            Fraction(math.factorial(j + self.p)) / self.beta ** (j + self.p + 1)
+            for j in range(count)
+        ]
 
 
 @dataclass(frozen=True)
@@ -581,6 +575,19 @@ class LinearForm:
     """
 
     terms: tuple[LinearFormTerm, ...]
+
+    def moments(self, count: int) -> list[Fraction]:
+        """integral(x^j Q(x) dx) for j < count, exactly: each term's
+        coefficients dotted with its weight's moments from j on, times
+        prefactor * scale, which must be rational (ScaleMismatchError)."""
+        out = [Fraction(0)] * count
+        for t in self.terms:
+            if t.poly.is_zero:
+                continue
+            c = (t.prefactor * t.weight.scale).as_fraction()
+            mom = t.weight.moments(len(t.poly.coeffs) + count)
+            out = [v + c * t.poly.dot(mom[j:]) for j, v in enumerate(out)]
+        return out
 
     def __call__(self, x):
         """Q at a float x, or at each element of a float ndarray x.  The array

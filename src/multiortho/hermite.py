@@ -8,9 +8,9 @@ integral(x^(|n|-1) Q) = 1.
 
 Both are built exactly: type II from the Gaussian moment expansion of
 prod_k (x - a_k + v)^{n_k}, type I from a residue expansion around each a_k
-carried out in truncated power series.  All verification integrals reduce to
-rational arithmetic because every term carries the same sqrt(2*pi) * e^(a^2/2)
-factor, which cancels against the prefactors.
+carried out in truncated power series.  The weights' exact moments
+(``core.HermiteWeight``) turn every verification integral into rational
+arithmetic: each type I prefactor cancels its weight's sqrt(2*pi) * e^(a^2/2).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .core import (
     ScaledConstant,
     SingularExpansionError,
     as_fraction,
-    gaussian_moment,
 )
 from .quad import MAX_LINE_NODES, ContourError, LineRule, bilinear_sum, line_rule_nodes
 
@@ -68,6 +67,10 @@ class HermiteSpec:
     def m(self) -> int:
         return self.n.m
 
+    @property
+    def weights(self) -> tuple[HermiteWeight, ...]:
+        return tuple(HermiteWeight(a_k) for a_k in self.a)
+
     def with_n(self, n: MultiIndex) -> "HermiteSpec":
         return replace(self, n=n)
 
@@ -92,9 +95,10 @@ def type_ii_poly(spec: HermiteSpec) -> RatPoly:
             factor = PolySeries.of(T, [RatPoly.of([-a_k, 1]), RatPoly.one()])
             prod = prod * factor**n_k
     P = RatPoly.zero()
+    moments = HermiteWeight(Fraction(0)).moments(T + 1)
     for j in range(0, T + 1, 2):
         sign = -1 if (j // 2) % 2 else 1
-        P = P + prod.coeff_at(j).scale(sign * gaussian_moment(j))
+        P = P + prod.coeff_at(j).scale(sign * moments[j])
     if P.degree != T or not P.is_monic:
         raise ExactMathError("type II construction lost monicity")  # unreachable
     return P
@@ -130,20 +134,6 @@ def type_i_form(spec: HermiteSpec) -> LinearForm:
     return LinearForm(tuple(terms))
 
 
-def gaussian_weight_integral(poly: RatPoly, a: RationalLike) -> Fraction:
-    """integral(poly(x) * w_a(x) dx) / (sqrt(2*pi) * e^(a^2/2)), exactly.
-
-    Substituting x = y + a turns the weight into the standard Gaussian, so
-    the normalized integral is a finite sum of Gaussian moments.
-    """
-    a = as_fraction(a)
-    shifted = poly.shift(a)
-    return sum(
-        (c * gaussian_moment(i) for i, c in enumerate(shifted.coeffs) if c != 0),
-        Fraction(0),
-    )
-
-
 def norm_constant(spec: HermiteSpec, k: int) -> ScaledConstant:
     """Closed form of h_k = integral(P(x) x^{n_k} w_k(x) dx):
     sqrt(2*pi) * n_k! * e^(a_k^2/2) * prod_{l != k} (a_k - a_l)^{n_l}."""
@@ -156,61 +146,12 @@ def norm_constant(spec: HermiteSpec, k: int) -> ScaledConstant:
     return ScaledConstant.of(r, 1, a_k * a_k / 2)
 
 
-def norm_constant_from_moments(spec: HermiteSpec, k: int, P: RatPoly) -> ScaledConstant:
-    """h_k recomputed from the moment engine; equals norm_constant exactly."""
-    spec.n._check_component(k)
-    a_k = spec.a[k]
-    r = gaussian_weight_integral(P * RatPoly.monomial(spec.n[k]), a_k)
-    return ScaledConstant.of(r, 1, a_k * a_k / 2)
-
-
 def norm_ratio(spec: HermiteSpec, k: int) -> Fraction:
     """Closed-form ratio h_k(n) / h_k(n - e_k) = n_k."""
     spec.n._check_component(k)
     if spec.n[k] == 0:
         raise ExactMathError("ratio needs n_k >= 1")
     return Fraction(spec.n[k])
-
-
-def moment_norm_ratio(spec: HermiteSpec, k: int, P: RatPoly, P_down: RatPoly) -> Fraction:
-    """h_k(n) / h_k(n - e_k) from the moment engine, given the type II
-    polynomials at n and n - e_k; also asserts the closed form of h_k(n)."""
-    h_top = norm_constant_from_moments(spec, k, P)
-    h_low = norm_constant_from_moments(spec.with_n(spec.n.drop(k)), k, P_down)
-    if norm_constant(spec, k) != h_top:
-        raise ExactMathError("closed-form h disagrees with moment h")  # unreachable
-    return (h_top / h_low).as_fraction()
-
-
-def type_ii_residuals(P: RatPoly, spec: HermiteSpec) -> list[Fraction]:
-    """Normalized orthogonality integrals, k ascending then j = 0 .. n_k - 1.
-    All must vanish exactly for the type II polynomial."""
-    out = []
-    for k, (a_k, n_k) in enumerate(zip(spec.a, spec.n)):
-        for j in range(n_k):
-            out.append(gaussian_weight_integral(P * RatPoly.monomial(j), a_k))
-    return out
-
-
-def form_integral(form: LinearForm, poly: RatPoly) -> Fraction:
-    """Exact integral(poly(x) * Q(x) dx) for a constructed Hermite form.
-
-    Each term is rational: the term's sqrt(2*pi) e^(a_k^2/2) cancels the
-    constructed prefactor's (2*pi)^(-1/2) e^(-a_k^2/2)."""
-    v = Fraction(0)
-    for t in form.terms:
-        if t.poly.is_zero or poly.is_zero:
-            continue
-        pf = t.prefactor
-        if pf.two_pi_half != -1 or pf.exp_arg != -t.weight.a * t.weight.a / 2:
-            raise ExactMathError("unexpected prefactor scale on a Hermite term")
-        v += pf.r * gaussian_weight_integral(t.poly * poly, t.weight.a)
-    return v
-
-
-def type_i_conditions(form: LinearForm, spec: HermiteSpec) -> list[Fraction]:
-    """Exact values of integral(x^j Q dx) for j = 0 .. |n| - 1."""
-    return [form_integral(form, RatPoly.monomial(j)) for j in range(spec.n.weight)]
 
 
 def trace_rule(spec: HermiteSpec, nodes: int) -> LineRule:

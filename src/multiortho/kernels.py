@@ -28,7 +28,7 @@ from typing import Sequence, Union
 
 from . import hermite as _hermite
 from . import laguerre as _laguerre
-from .core import ExactMathError, LinearForm, MultiIndex, RatPoly, mi_chain
+from .core import ExactMathError, LinearForm, MultiIndex, RatPoly, ScaledConstant, mi_chain
 from .hermite import HermiteSpec
 from .laguerre import LaguerreSpec
 from .quad import ContourError, ConvergenceError
@@ -36,7 +36,8 @@ from .quad import ContourError, ConvergenceError
 Spec = Union[HermiteSpec, LaguerreSpec]
 
 # The family table: each spec class names its family, and each family
-# module exposes the same construction, moment, trace-rule and contour names.
+# module exposes the same construction, closed-form h, trace-rule and
+# contour names.
 FAMILIES = {HermiteSpec.family: _hermite, LaguerreSpec.family: _laguerre}
 
 # Below this separation the CD quotient switches to its analytic limit.
@@ -71,6 +72,36 @@ def _type1(spec: Spec) -> LinearForm:
 
 
 # ---------------------------------------------------------------------------
+# exact integrals: coefficient dot products with the weights' moments
+
+
+def type_ii_residuals(P: RatPoly, spec: Spec) -> list[Fraction]:
+    """integral(P(x) x^j w_k(x) dx) / scale_k, k ascending then
+    j = 0 .. n_k - 1.  All must vanish exactly for the type II polynomial."""
+    out = []
+    for w, n_k in zip(spec.weights, spec.n):
+        mom = w.moments(len(P.coeffs) + n_k)
+        out.extend(P.dot(mom[j:]) for j in range(n_k))
+    return out
+
+
+def moment_norm_constant(spec: Spec, k: int, P: RatPoly) -> ScaledConstant:
+    """h_k = integral(P(x) x^{n_k} w_k(x) dx) from w_k's moments, given the
+    type II polynomial P of spec."""
+    w, n_k = spec.weights[k], spec.n[k]
+    return w.scale * P.dot(w.moments(len(P.coeffs) + n_k)[n_k:])
+
+
+def moment_norm_ratio(spec: Spec, k: int, P: RatPoly, P_down: RatPoly) -> Fraction:
+    """h_k(n) / h_k(n - e_k) from the moments, given the type II polynomials
+    at n and n - e_k; also asserts the family's closed form of h_k(n)."""
+    h_top = moment_norm_constant(spec, k, P)
+    if FAMILIES[spec.family].norm_constant(spec, k) != h_top:
+        raise ExactMathError("closed-form h disagrees with moment h")  # unreachable
+    return (h_top / moment_norm_constant(spec.with_n(spec.n.drop(k)), k, P_down)).as_fraction()
+
+
+# ---------------------------------------------------------------------------
 # Christoffel-Darboux model
 
 
@@ -100,7 +131,8 @@ def build_kernel(family: str, spec: Spec) -> KernelModel:
 
     The closed-form ratio (n_k for the Gaussian family,
     n_k (|n| + p) / beta_k^2 for the half-line family) is checked against
-    the ratio of moment-based normalization constants before use.
+    the ratio of moment-based normalization constants before use, and the
+    closed form of h_k(n) against its moment value.
     """
     fam = family_module(family, spec)
     n = spec.n
@@ -119,7 +151,7 @@ def build_kernel(family: str, spec: Spec) -> KernelModel:
         P_down.append(Pd)
         Q_up.append(_type1(spec_up))
         closed = fam.norm_ratio(spec, k)
-        moment_ratio = fam.moment_norm_ratio(spec, k, P, Pd)
+        moment_ratio = moment_norm_ratio(spec, k, P, Pd)
         if moment_ratio != closed:
             raise ExactMathError(
                 f"normalization ratio mismatch for component {k}: "
@@ -316,16 +348,16 @@ def check_biorthogonality(
     """Exact matrix integral(p_i(x) q_j(x) dx), which must be the identity.
 
     p_i is the type II polynomial at chain[i], q_j the type I form at
-    chain[j+1]; all integrals reduce to rational moment sums.
+    chain[j+1]; each entry is p_i's coefficients dotted with q_j's moments.
     """
-    mod = family_module(family, spec)
+    family_module(family, spec)
     if chain is None:
         chain = mi_chain(spec.n)
     _check_chain(chain, spec.n)
     w = spec.n.weight
     polys = [_type2(spec.with_n(chain[i])) for i in range(w)]
-    forms = [_type1(spec.with_n(chain[j + 1])) for j in range(w)]
-    return [[mod.form_integral(q, p) for q in forms] for p in polys]
+    moments = [_type1(spec.with_n(chain[j + 1])).moments(w) for j in range(w)]
+    return [[p.dot(m) for m in moments] for p in polys]
 
 
 def kernel_trace(K: KernelModel, nodes: int = 200) -> float:
@@ -335,6 +367,5 @@ def kernel_trace(K: KernelModel, nodes: int = 200) -> float:
     weight decay is divided out analytically; the exact value is |n|.
     """
     rule = FAMILIES[K.spec.family].trace_rule(K.spec, nodes)
-    return math.fsum(
-        w * eval_cd(K, xi, xi) for xi, w in zip(rule.nodes, rule.lifted) if w != 0.0
-    )
+    keep = rule.lifted != 0.0
+    return math.fsum(rule.lifted[keep] * eval_cd_diagonal(K, rule.nodes[keep]))

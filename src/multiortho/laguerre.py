@@ -5,7 +5,8 @@ Type II comes from a single residue at s = 0 of
 e^{xs} s^{-(|n|+p+1)} prod_k (s - beta_k)^{n_k}; type I from residues at
 each beta_k, carried out in truncated power series.  Unlike the Hermite
 family there are no transcendental prefactors: every coefficient is a
-plain rational, and all verification integrals are sums of gamma moments.
+plain rational, and every verification integral is a dot product with the
+weights' gamma moments (``core.LaguerreWeight``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .core import (
     ScaledConstant,
     SingularExpansionError,
     as_fraction,
-    gamma_moment,
 )
 from .quad import ContourError, LineRule, bilinear_sum, line_rule_nodes
 
@@ -68,6 +68,10 @@ class LaguerreSpec:
     @property
     def m(self) -> int:
         return self.n.m
+
+    @property
+    def weights(self) -> tuple[LaguerreWeight, ...]:
+        return tuple(LaguerreWeight(beta_k, self.p) for beta_k in self.beta)
 
     def with_n(self, n: MultiIndex) -> "LaguerreSpec":
         return replace(self, n=n)
@@ -126,19 +130,20 @@ def type_i_form(spec: LaguerreSpec) -> LinearForm:
     return LinearForm(tuple(terms))
 
 
-def half_line_integral(poly: RatPoly, beta: RationalLike, p: int) -> Fraction:
-    """integral(poly(x) * x^p * e^{-beta x} dx) over (0, inf), exactly."""
-    beta = as_fraction(beta)
-    return sum(
-        (c * gamma_moment(i + p, beta) for i, c in enumerate(poly.coeffs) if c != 0),
-        Fraction(0),
-    )
+def norm_constant(spec: LaguerreSpec, k: int) -> ScaledConstant:
+    """Closed form of h_k = integral(P(x) x^{n_k} w_k(x) dx), a plain rational:
+    n_k! (|n|+p)! / beta_k^(|n|+p+1+n_k) * prod_{l != k} (1 - beta_k/beta_l)^{n_l}.
 
-
-def norm_constant(spec: LaguerreSpec, k: int, P: RatPoly) -> Fraction:
-    """h_k = integral(P(x) x^{n_k} w_k(x) dx), a plain rational."""
+    The Laplace transform of P(x) x^p is (|n|+p)! prod_l (1 - s/beta_l)^{n_l}
+    / s^(|n|+p+1) (its numerator vanishes to order n_l at each beta_l), and
+    h_k is (-d/ds)^{n_k} of it at s = beta_k."""
     spec.n._check_component(k)
-    return half_line_integral(P * RatPoly.monomial(spec.n[k]), spec.beta[k], spec.p)
+    wp, beta_k, n_k = spec.n.weight + spec.p, spec.beta[k], spec.n[k]
+    r = Fraction(math.factorial(n_k) * math.factorial(wp)) / beta_k ** (wp + 1 + n_k)
+    for l, (beta_l, n_l) in enumerate(zip(spec.beta, spec.n)):
+        if l != k:
+            r *= (1 - beta_k / beta_l) ** n_l
+    return ScaledConstant.of(r)
 
 
 def norm_ratio(spec: LaguerreSpec, k: int) -> Fraction:
@@ -147,39 +152,6 @@ def norm_ratio(spec: LaguerreSpec, k: int) -> Fraction:
     if spec.n[k] == 0:
         raise ExactMathError("ratio needs n_k >= 1")
     return spec.n[k] * (spec.n.weight + spec.p) / spec.beta[k] ** 2
-
-
-def moment_norm_ratio(spec: LaguerreSpec, k: int, P: RatPoly, P_down: RatPoly) -> Fraction:
-    """h_k(n) / h_k(n - e_k) from the moment engine, given the type II
-    polynomials at n and n - e_k."""
-    return norm_constant(spec, k, P) / norm_constant(spec.with_n(spec.n.drop(k)), k, P_down)
-
-
-def type_ii_residuals(P: RatPoly, spec: LaguerreSpec) -> list[Fraction]:
-    """Orthogonality integrals, k ascending then j = 0 .. n_k - 1.
-    All must vanish exactly for the type II polynomial."""
-    out = []
-    for k, (beta_k, n_k) in enumerate(zip(spec.beta, spec.n)):
-        for j in range(n_k):
-            out.append(half_line_integral(P * RatPoly.monomial(j), beta_k, spec.p))
-    return out
-
-
-def form_integral(form: LinearForm, poly: RatPoly) -> Fraction:
-    """Exact integral(poly(x) * Q(x) dx) over (0, inf)."""
-    v = Fraction(0)
-    for t in form.terms:
-        if t.poly.is_zero or poly.is_zero:
-            continue
-        v += t.prefactor.as_fraction() * half_line_integral(
-            t.poly * poly, t.weight.beta, t.weight.p
-        )
-    return v
-
-
-def type_i_conditions(form: LinearForm, spec: LaguerreSpec) -> list[Fraction]:
-    """Exact values of integral(x^j Q dx) for j = 0 .. |n| - 1."""
-    return [form_integral(form, RatPoly.monomial(j)) for j in range(spec.n.weight)]
 
 
 def trace_rule(spec: LaguerreSpec, nodes: int) -> LineRule:

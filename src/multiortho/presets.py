@@ -80,7 +80,7 @@ def verify_battery(family: str, spec) -> list[CheckResult]:
 
     def check_type2() -> CheckResult:
         P = mod.type_ii_poly(spec)
-        res = mod.type_ii_residuals(P, spec)
+        res = _kernels.type_ii_residuals(P, spec)
         ok = all(v == 0 for v in res) and P.degree == spec.n.weight and P.is_monic
         return CheckResult(
             "type-ii-orthogonality",
@@ -91,7 +91,7 @@ def verify_battery(family: str, spec) -> list[CheckResult]:
 
     def check_type1() -> CheckResult:
         form = mod.type_i_form(spec)
-        vec = mod.type_i_conditions(form, spec)
+        vec = form.moments(spec.n.weight)
         want = [0] * (spec.n.weight - 1) + [1]
         ok = [int(v) if v.denominator == 1 else v for v in vec] == want
         degs_ok = all(

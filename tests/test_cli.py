@@ -186,6 +186,25 @@ def test_kernel_nonpositive_tolerance_exit_2(capsys, tolerance):
     assert "tolerance" in err
 
 
+HERMITE_11 = ("--family", "hermite", "--a", "1,-1", "--n", "1,1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("correlate", *HERMITE_11, "--points", "nan,1"),
+        ("correlate", *HERMITE_11, "--points", "0.5,-inf"),
+        ("kernel", *HERMITE_11, "--grid", "0:1:2", "--tolerance", "inf"),
+    ],
+    ids=["points-nan", "points-minus-inf", "tolerance-inf"],
+)
+def test_non_finite_number_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_kernel_laguerre_positivity_exit_2(capsys):
     code, _, err = run(
         capsys,
@@ -428,6 +447,24 @@ def test_config_integer_fields_not_truncated(capsys, tmp_path, fields):
     assert code == 2
     assert out == ""
     assert "expected an integer" in err
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("correlate", {"points": [0.5, float("nan")]}),
+        ("correlate", {"points": ["1", "inf"]}),
+        ("kernel", {"tolerance": float("inf"), "grid": "0:1:2"}),
+    ],
+    ids=["points-nan", "points-inf-string", "tolerance-inf"],
+)
+def test_config_non_finite_number_exit_2(capsys, tmp_path, command, fields):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"family": "hermite", "a": [1, -1], "n": [1, 1], **fields}))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_out_writes_file(capsys, tmp_path):

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 
 from multiortho.core import (
     ExactMathError,
+    HermiteWeight,
+    LaguerreWeight,
+    LinearForm,
+    LinearFormTerm,
     MultiIndex,
     PolySeries,
     RatPoly,
@@ -18,11 +22,9 @@ from multiortho.core import (
     SeriesOrderMismatchError,
     SingularExpansionError,
     as_fraction,
-    gamma_moment,
-    gaussian_moment,
     mi_chain,
 )
-from oracles import gamma_moment_oracle, gaussian_moment_oracle
+from oracles import gamma_moment_oracle, shifted_gaussian_moment
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
 small_polys = st.lists(rationals, min_size=0, max_size=6).map(RatPoly.of)
@@ -91,7 +93,10 @@ def test_poly_examples():
     xp1 = RatPoly.of([1, 1])
     assert xm1 * xp1 == RatPoly.of([-1, 0, 1])
     assert RatPoly.of([-2, 0, 1]).derivative() == RatPoly.of([0, 2])
-    assert RatPoly.of([0, 0, 1]).shift(1) == RatPoly.of([1, 2, 1])
+    assert RatPoly.of([1, 2, 3]).dot([F(1, 2), 1, 5, 7]) == F(35, 2)
+    assert RatPoly.zero().dot([]) == 0
+    with pytest.raises(ExactMathError):
+        RatPoly.of([1, 2, 3]).dot([1, 1])  # too few moments
 
 
 def test_poly_canonical_and_calls():
@@ -107,11 +112,6 @@ def test_poly_ring_axioms(p, q, r):
     assert (p + q) * r == p * r + q * r
     assert p * q == q * p
     assert p - p == RatPoly.zero()
-
-
-@given(small_polys, rationals, rationals)
-def test_shift_is_composition(p, c, x):
-    assert p.shift(c)(x) == p(x + c)
 
 
 @given(small_polys, small_polys)
@@ -212,25 +212,47 @@ def test_scaled_constant_mul_div_roundtrip(r, h, q):
 
 
 def test_gaussian_moment_examples():
-    assert gaussian_moment(0) == 1
-    assert gaussian_moment(1) == 0
-    assert gaussian_moment(4) == 3
+    assert HermiteWeight(F(0)).moments(5) == [1, 0, 1, 0, 3]
+    assert HermiteWeight(F(2)).moments(3) == [1, 2, 5]  # E[(Z+2)^2] = 1 + 4
+    assert HermiteWeight(F(1, 2)).scale == ScaledConstant.of(1, 1, F(1, 8))
+    assert HermiteWeight(F(1)).moments(0) == []
 
 
 def test_gamma_moment_examples():
-    assert gamma_moment(0, 1) == 1
-    assert gamma_moment(1, 1) == 1
-    assert gamma_moment(3, 2) == F(6, 16)
+    assert LaguerreWeight(F(1), 0).moments(2) == [1, 1]
+    assert LaguerreWeight(F(2), 0).moments(4)[3] == F(6, 16)
+    assert LaguerreWeight(F(2), 1).moments(3) == [F(1, 4), F(1, 4), F(3, 8)]
+    assert LaguerreWeight(F(2), 1).scale == ScaledConstant.one()
 
 
-@given(st.integers(0, 20))
-def test_gaussian_moment_matches_oracle(j):
-    assert gaussian_moment(j) == gaussian_moment_oracle(j)
+@given(st.integers(0, 20), st.fractions(min_value=-4, max_value=4, max_denominator=8))
+def test_gaussian_moment_matches_oracle(count, a):
+    assert HermiteWeight(a).moments(count) == [shifted_gaussian_moment(j, a) for j in range(count)]
 
 
-@given(st.integers(0, 15), st.fractions(min_value=F(1, 8), max_value=8, max_denominator=16))
-def test_gamma_moment_matches_oracle(j, beta):
-    assert gamma_moment(j, beta) == gamma_moment_oracle(j, beta)
+@given(
+    st.integers(0, 15),
+    st.fractions(min_value=F(1, 8), max_value=8, max_denominator=16),
+    st.integers(0, 3),
+)
+def test_gamma_moment_matches_oracle(count, beta, p):
+    assert LaguerreWeight(beta, p).moments(count) == [
+        gamma_moment_oracle(j + p, beta) for j in range(count)
+    ]
+
+
+def test_form_moments_reject_wrong_prefactor_scale():
+    """A Hermite term integrates to a rational only when its prefactor
+    cancels the weight's sqrt(2*pi) * e^(a^2/2)."""
+    weight = HermiteWeight(F(1))
+
+    def form(prefactor):
+        return LinearForm((LinearFormTerm(0, prefactor, RatPoly.one(), weight),))
+
+    assert form(ScaledConstant.of(1, -1, F(-1, 2))).moments(3) == [1, 1, 2]
+    for prefactor in (ScaledConstant.of(1, -1, 0), ScaledConstant.of(1, 0, F(-1, 2))):
+        with pytest.raises(ScaleMismatchError):
+            form(prefactor).moments(3)
 
 
 @given(st.floats(-1e6, 1e6, allow_nan=False))

@@ -9,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multiortho import hermite as hm
-from multiortho.core import ExactMathError, RatPoly, ScaledConstant
+from multiortho.core import ExactMathError, HermiteWeight, RatPoly, ScaledConstant
 from multiortho.hermite import HermiteSpec
+from multiortho.kernels import moment_norm_constant, type_ii_residuals
 from oracles import (
     hermite_recurrence_oracle,
     shifted_gaussian_moment,
@@ -87,11 +88,11 @@ def test_type_ii_m1_is_classical(a, deg):
 
 def test_residual_examples():
     spec = HermiteSpec.of([0], [2])
-    assert hm.type_ii_residuals(RatPoly.of([-1, 0, 1]), spec) == [0, 0]
+    assert type_ii_residuals(RatPoly.of([-1, 0, 1]), spec) == [0, 0]
     spec2 = HermiteSpec.of([1, -1], [1, 1])
-    assert hm.type_ii_residuals(RatPoly.of([-2, 0, 1]), spec2) == [0, 0]
+    assert type_ii_residuals(RatPoly.of([-2, 0, 1]), spec2) == [0, 0]
     # negative control: the wrong polynomial leaves a nonzero residual
-    assert any(v != 0 for v in hm.type_ii_residuals(RatPoly.of([-1, 0, 1]), spec2))
+    assert any(v != 0 for v in type_ii_residuals(RatPoly.of([-1, 0, 1]), spec2))
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +118,11 @@ def test_type_i_examples():
 
 def test_type_i_condition_examples():
     spec = HermiteSpec.of([0], [1])
-    assert hm.type_i_conditions(hm.type_i_form(spec), spec) == [1]
+    assert hm.type_i_form(spec).moments(1) == [1]
     spec2 = HermiteSpec.of([1, -1], [1, 1])
-    assert hm.type_i_conditions(hm.type_i_form(spec2), spec2) == [0, 1]
+    assert hm.type_i_form(spec2).moments(2) == [0, 1]
     spec3 = HermiteSpec.of([0], [2])
-    assert hm.type_i_conditions(hm.type_i_form(spec3), spec3) == [0, 1]
+    assert hm.type_i_form(spec3).moments(2) == [0, 1]
 
 
 @given(_spec_strategy())
@@ -129,7 +130,7 @@ def test_type_i_matches_oracle(spec):
     _assert_type_i_matches_oracle(spec)
     form = hm.type_i_form(spec)
     w = spec.n.weight
-    assert hm.type_i_conditions(form, spec) == [0] * (w - 1) + [1]
+    assert form.moments(w) == [0] * (w - 1) + [1]
     for term, n_k in zip(form.terms, spec.n):
         assert term.poly.degree <= n_k - 1
 
@@ -138,7 +139,7 @@ def test_type_i_zero_component():
     spec = HermiteSpec.of([0, 2], [2, 0])
     form = hm.type_i_form(spec)
     assert form.terms[1].poly.is_zero
-    assert hm.type_i_conditions(form, spec) == [0, 1]
+    assert form.moments(2) == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +155,17 @@ def test_norm_constant_examples():
 
 def test_norm_constant_from_moments_examples():
     spec = HermiteSpec.of([0], [1])
-    assert hm.norm_constant_from_moments(spec, 0, RatPoly.x()) == ScaledConstant.of(1, 1, 0)
+    assert moment_norm_constant(spec, 0, RatPoly.x()) == ScaledConstant.of(1, 1, 0)
     spec2 = HermiteSpec.of([1, -1], [1, 1])
     P2 = RatPoly.of([-2, 0, 1])
-    assert hm.norm_constant_from_moments(spec2, 0, P2) == ScaledConstant.of(2, 1, F(1, 2))
+    assert moment_norm_constant(spec2, 0, P2) == ScaledConstant.of(2, 1, F(1, 2))
 
 
 @given(_spec_strategy())
 def test_norm_closed_form_equals_moments(spec):
     P = hm.type_ii_poly(spec)
     for k in range(spec.n.m):
-        assert hm.norm_constant(spec, k) == hm.norm_constant_from_moments(spec, k, P)
+        assert hm.norm_constant(spec, k) == moment_norm_constant(spec, k, P)
 
 
 @given(_spec_strategy())
@@ -188,7 +189,7 @@ def test_norm_ratio_is_component(spec):
 def test_gaussian_weight_integral_matches_oracle(coeffs, a):
     poly = RatPoly.of(coeffs)
     expected = sum(c * shifted_gaussian_moment(j, a) for j, c in enumerate(poly.coeffs))
-    assert hm.gaussian_weight_integral(poly, a) == expected
+    assert poly.dot(HermiteWeight(a).moments(len(poly.coeffs))) == expected
 
 
 def test_eval_form_examples():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from multiortho import hermite as hm
 from multiortho import kernels as kn
 from multiortho import laguerre as lg
-from multiortho.core import ExactMathError, mi_chain
+from multiortho.core import CHAIN_STRATEGIES, ExactMathError, mi_chain
 from multiortho.hermite import HermiteSpec
 from multiortho.laguerre import LaguerreSpec
 from multiortho.quad import ContourError, ConvergenceError
@@ -267,3 +267,87 @@ def test_kernel_trace_standard_specs():
     ):
         K = kn.build_kernel(family, spec)
         assert kn.kernel_trace(K) == pytest.approx(spec.n.weight, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "family, spec",
+    [
+        ("hermite", H21),
+        ("hermite", HermiteSpec.of(["1/2", -1, 2], [3, 3, 2])),
+        ("laguerre", L11_P0),
+        ("laguerre", LaguerreSpec.of([1, 2], [2, 1], 1)),
+        ("laguerre", LaguerreSpec.of(["1/2", 2], [1, 2], 3)),
+    ],
+    ids=["h21", "h332", "l-p0", "l-p1", "l-p3"],
+)
+def test_kernel_trace_matches_scalar_loop_bitwise(family, spec):
+    """The one-pass trace equals the fsum of scalar eval_cd terms to the bit."""
+    K = kn.build_kernel(family, spec)
+    rule = kn.FAMILIES[family].trace_rule(spec, 200)
+    want = math.fsum(
+        w * kn.eval_cd(K, x, x) for x, w in zip(rule.nodes, rule.lifted) if w != 0.0
+    )
+    assert kn.kernel_trace(K) == want
+
+
+# ---------------------------------------------------------------------------
+# exact CD identity: the numerator block of each weight is (x - y) C_k
+
+
+def _nonzero(block):
+    return {key: v for key, v in block.items() if v != 0}
+
+
+def _weight_blocks(products, m):
+    """Per weight k, the sum of factor * p(x) * A_k(y) over (factor, p, form)
+    as {(i, j): coefficient of x^i y^j}.  Each prefactor is made rational by
+    its weight's scale, so block k multiplies w_k(y) / scale_k."""
+    blocks = [{} for _ in range(m)]
+    for factor, p, form in products:
+        for k, t in enumerate(form.terms):
+            c = factor * (t.prefactor * t.weight.scale).as_fraction()
+            for i, u in enumerate(p.coeffs):
+                for j, v in enumerate(t.poly.coeffs):
+                    blocks[k][i, j] = blocks[k].get((i, j), 0) + c * u * v
+    return [_nonzero(b) for b in blocks]
+
+
+def _times_x_minus_y(block):
+    out = {}
+    for (i, j), v in block.items():
+        out[i + 1, j] = out.get((i + 1, j), 0) + v
+        out[i, j + 1] = out.get((i, j + 1), 0) - v
+    return _nonzero(out)
+
+
+@pytest.mark.parametrize(
+    "family, spec",
+    [
+        ("hermite", H21),
+        ("hermite", HermiteSpec.of(["1/2", -1, 2], [2, 3, 1])),
+        ("laguerre", L11_P1),
+        ("laguerre", LaguerreSpec.of(["1/2", 2, 3], [2, 2, 1], 2)),
+    ],
+    ids=["h21", "h231", "l11-p1", "l221-p2"],
+)
+def test_cd_numerator_is_x_minus_y_times_chain_sum_exactly(family, spec):
+    """K(x, y) = sum_k w_k(y) C_k(x, y): C_k from the chain sum is the same
+    for both chain strategies, and the CD numerator block B_k of
+    P(x) Q(y) - sum_l ratio_l P_down_l(x) Q_up_l(y) equals (x - y) C_k."""
+    fam = kn.FAMILIES[family]
+    K = kn.build_kernel(family, spec)
+    B = _weight_blocks(
+        [(1, K.P, K.Q)] + [(-r, Pd, Qu) for r, Pd, Qu in zip(K.ratios, K.P_down, K.Q_up)],
+        spec.m,
+    )
+    chain_sums = []
+    for strategy in CHAIN_STRATEGIES:
+        chain = [spec.with_n(c) for c in mi_chain(spec.n, strategy)]
+        products = [
+            (1, fam.type_ii_poly(lo), fam.type_i_form(hi)) for lo, hi in zip(chain, chain[1:])
+        ]
+        chain_sums.append(_weight_blocks(products, spec.m))
+    assert chain_sums[0] == chain_sums[1]
+    for Bk, Ck in zip(B, chain_sums[0]):
+        assert Ck
+        assert Bk == _times_x_minus_y(Ck)

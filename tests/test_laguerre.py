@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multiortho import laguerre as lg
-from multiortho.core import ExactMathError, RatPoly
+from multiortho.core import ExactMathError, LaguerreWeight, RatPoly, ScaledConstant
+from multiortho.kernels import moment_norm_constant, type_ii_residuals
 from multiortho.laguerre import LaguerreSpec
 from oracles import (
     gamma_moment_oracle,
@@ -73,10 +74,10 @@ def test_type_ii_m1_is_classical(beta, p, deg):
 
 
 def test_residual_examples():
-    assert lg.type_ii_residuals(RatPoly.of([-1, 1]), LaguerreSpec.of([1], [1], 0)) == [0]
-    assert lg.type_ii_residuals(RatPoly.of([-2, 1]), LaguerreSpec.of([1], [1], 1)) == [0]
+    assert type_ii_residuals(RatPoly.of([-1, 1]), LaguerreSpec.of([1], [1], 0)) == [0]
+    assert type_ii_residuals(RatPoly.of([-2, 1]), LaguerreSpec.of([1], [1], 1)) == [0]
     # negative control: integral of (x-1)*x*e^(-x) = 2! - 1! = 1
-    assert lg.type_ii_residuals(RatPoly.of([-1, 1]), LaguerreSpec.of([1], [1], 1)) == [1]
+    assert type_ii_residuals(RatPoly.of([-1, 1]), LaguerreSpec.of([1], [1], 1)) == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +110,11 @@ def test_type_i_condition_examples():
         LaguerreSpec.of([1], [1], 0),
         LaguerreSpec.of([2], [1], 1),
     ):
-        assert lg.type_i_conditions(lg.type_i_form(spec), spec) == [1]
+        assert lg.type_i_form(spec).moments(1) == [1]
     spec2 = LaguerreSpec.of([1, 2], [1, 1], 0)
-    assert lg.type_i_conditions(lg.type_i_form(spec2), spec2) == [0, 1]
+    assert lg.type_i_form(spec2).moments(2) == [0, 1]
     spec3 = LaguerreSpec.of([1], [2], 0)
-    assert lg.type_i_conditions(lg.type_i_form(spec3), spec3) == [0, 1]
+    assert lg.type_i_form(spec3).moments(2) == [0, 1]
 
 
 @given(_spec_strategy())
@@ -126,7 +127,7 @@ def test_type_i_matches_oracle(spec):
             continue
         assert (term.poly * term.prefactor.as_fraction()).coeffs == tuple(vec)
     w = spec.n.weight
-    assert lg.type_i_conditions(form, spec) == [0] * (w - 1) + [1]
+    assert form.moments(w) == [0] * (w - 1) + [1]
     for term, n_k in zip(form.terms, spec.n):
         assert term.poly.degree <= n_k - 1
 
@@ -135,7 +136,7 @@ def test_type_i_zero_component():
     spec = LaguerreSpec.of([1, 3], [0, 2], 1)
     form = lg.type_i_form(spec)
     assert form.terms[0].poly.is_zero
-    assert lg.type_i_conditions(form, spec) == [0, 1]
+    assert form.moments(2) == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +145,18 @@ def test_type_i_zero_component():
 
 def test_norm_examples():
     spec = LaguerreSpec.of([1], [1], 0)
-    assert lg.norm_constant(spec, 0, RatPoly.of([-1, 1])) == 1
+    assert moment_norm_constant(spec, 0, RatPoly.of([-1, 1])) == ScaledConstant.one()
     spec0 = LaguerreSpec.of([1], [0], 0)
-    assert lg.norm_constant(spec0, 0, RatPoly.one()) == 1
+    assert moment_norm_constant(spec0, 0, RatPoly.one()) == ScaledConstant.one()
+    assert lg.norm_constant(spec, 0) == lg.norm_constant(spec0, 0) == ScaledConstant.one()
     assert lg.norm_ratio(spec, 0) == 1
+
+
+@given(_spec_strategy())
+def test_norm_closed_form_equals_moments(spec):
+    P = lg.type_ii_poly(spec)
+    for k in range(spec.n.m):
+        assert lg.norm_constant(spec, k) == moment_norm_constant(spec, k, P)
 
 
 @given(_spec_strategy())
@@ -158,7 +167,8 @@ def test_norm_ratio_closed_form(spec):
             continue
         down = spec.with_n(spec.n.drop(k))
         Pd = lg.type_ii_poly(down)
-        ratio = lg.norm_constant(spec, k, P) / lg.norm_constant(down, k, Pd)
+        ratio = moment_norm_constant(spec, k, P) / moment_norm_constant(down, k, Pd)
+        ratio = ratio.as_fraction()
         assert ratio == lg.norm_ratio(spec, k)
         assert ratio == F(spec.n[k] * (spec.n.weight + spec.p)) / spec.beta[k] ** 2
 
@@ -175,4 +185,4 @@ def test_norm_ratio_closed_form(spec):
 def test_half_line_integral_matches_oracle(coeffs, beta, p):
     poly = RatPoly.of(coeffs)
     expected = sum(c * gamma_moment_oracle(j + p, beta) for j, c in enumerate(poly.coeffs))
-    assert lg.half_line_integral(poly, beta, p) == expected
+    assert poly.dot(LaguerreWeight(beta, p).moments(len(poly.coeffs))) == expected
