@@ -10,11 +10,9 @@ from .core import (
     LinearForm,
     LinearFormTerm,
     MultiIndex,
-    PolySeries,
     RatPoly,
     ScaledConstant,
     ScaleMismatchError,
-    SeriesOrderMismatchError,
     SingularExpansionError,
     as_fraction,
     mi_chain,
@@ -31,11 +29,9 @@ __all__ = [
     "LinearForm",
     "LinearFormTerm",
     "MultiIndex",
-    "PolySeries",
     "RatPoly",
     "ScaledConstant",
     "ScaleMismatchError",
-    "SeriesOrderMismatchError",
     "SingularExpansionError",
     "as_fraction",
     "mi_chain",

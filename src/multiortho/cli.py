@@ -114,6 +114,12 @@ def _parse_finite(value: Any) -> float:
     return x
 
 
+def _require_finite(where: str, *values: float) -> None:
+    """Refuse to print a value that overflowed the float routes."""
+    if not all(math.isfinite(v) for v in values):
+        raise OverflowError(f"{where} is not finite")
+
+
 def _parse_list(value: Any, convert: Callable[[Any], Any]) -> tuple:
     if isinstance(value, str):
         value = [s for s in value.split(",") if s.strip()]
@@ -437,6 +443,7 @@ def cmd_kernel(cfg: JobConfig) -> int:
                 # report the contour value in the CD normalization so the
                 # agreement column is directly meaningful
                 ct *= (float(y) / float(x)) ** p
+            _require_finite(f"kernel at x={float(x)}, y={float(y)}", cd, s, ct)
             diff = abs(cd - ct)
             rows.append([_fmt(x), _fmt(y), _fmt(cd), _fmt(s), _fmt(ct), _fmt(diff)])
             json_rows.append(
@@ -465,6 +472,8 @@ def cmd_density(cfg: JobConfig) -> int:
     _check_positive_grid(family, xs)
     K = _kernels.build_kernel(family, spec)
     values = [_kernels.eval_cd(K, float(x), float(x)) for x in xs]
+    for x, v in zip(xs, values):
+        _require_finite(f"density at x={float(x)}", v)
     if cfg.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -557,6 +566,7 @@ def cmd_correlate(cfg: JobConfig) -> int:
     _check_positive_grid(family, np.asarray(points))
     K = _kernels.build_kernel(family, spec)
     det = _kernels.correlation_det(K, points)
+    _require_finite(f"determinant at points {points}", det)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "correlate",
@@ -567,6 +577,7 @@ def cmd_correlate(cfg: JobConfig) -> int:
     }
     if getattr(spec, "p", 0):
         conj = _kernels.correlation_det(K, points, conjugated=True)
+        _require_finite(f"conjugated determinant at points {points}", conj)
         doc["conjugated_determinant"] = conj
         scale = max(abs(det), abs(conj), 1e-300)
         doc["conjugation_relative_difference"] = abs(det - conj) / scale
@@ -675,6 +686,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except OverflowError as exc:
+        print(f"error: float overflow: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (ExactMathError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

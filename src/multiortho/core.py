@@ -1,6 +1,6 @@
 """Exact arithmetic foundation: multi-indices, rational polynomials,
-truncated power series with polynomial coefficients, scaled constants, and
-the weights with their exact moment sequences.
+truncated scalar power series, scaled constants, and the weights with
+their exact moment sequences.
 
 Everything here is immutable and exact.  Rational scalars are
 ``fractions.Fraction`` (unbounded integers, canonical reduced form), so
@@ -30,10 +30,6 @@ RATIONALIZE_MAX_DENOMINATOR = 10**12
 
 class ExactMathError(ValueError):
     """Base class for violations of exact-layer contracts."""
-
-
-class SeriesOrderMismatchError(ExactMathError):
-    """Arithmetic between truncated series of different orders."""
 
 
 class SingularExpansionError(ExactMathError):
@@ -188,21 +184,6 @@ class RatPoly:
     def one(cls) -> "RatPoly":
         return cls((Fraction(1),))
 
-    @classmethod
-    def x(cls) -> "RatPoly":
-        return cls((Fraction(0), Fraction(1)))
-
-    @classmethod
-    def constant(cls, c: RationalLike) -> "RatPoly":
-        return cls((as_fraction(c),))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: RationalLike = 1) -> "RatPoly":
-        c = as_fraction(coeff)
-        if c == 0:
-            return cls.zero()
-        return cls((Fraction(0),) * degree + (c,))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -294,145 +275,27 @@ class RatPoly:
             acc = acc * x + float(c)
         return acc
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            terms.append(f"{c}" if i == 0 else f"{c}*x^{i}")
-        return " + ".join(terms)
-
 
 # ---------------------------------------------------------------------------
-# truncated power series with RatPoly coefficients
+# truncated scalar power series in tau, as lists of Fractions
 
-@dataclass(frozen=True)
-class PolySeries:
-    """Power series in tau, truncated at order T, whose coefficients are
-    RatPoly in x.  The residue-calculus workhorse: products drop every term
-    of order > T, so coefficient extraction at order <= T is exact.
-    """
 
-    order: int
-    coeffs: tuple[RatPoly, ...]
+def power_series(c: RationalLike, e: int, order: int) -> list[Fraction]:
+    """(c + tau)^e for any integer e, truncated after tau^order: the
+    coefficients binom(e, j) * c^(e - j), by the ratio of consecutive terms,
+    which needs a nonzero base c (SingularExpansionError otherwise)."""
+    c = as_fraction(c)
+    if c == 0:
+        raise SingularExpansionError(f"cannot expand (0 + tau)^({e}) around tau = 0")
+    out = [c**e]
+    for j in range(order):
+        out.append(out[j] * (e - j) / ((j + 1) * c))
+    return out
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ExactMathError("series truncation order must be >= 0")
-        coeffs = tuple(self.coeffs)
-        if len(coeffs) != self.order + 1:
-            raise ExactMathError(
-                f"series of order {self.order} needs {self.order + 1} coefficients, "
-                f"got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
 
-    @classmethod
-    def of(cls, order: int, coeffs: Iterable[RatPoly]) -> "PolySeries":
-        cs = list(coeffs)
-        if len(cs) > order + 1:
-            raise ExactMathError("more coefficients than the truncation order admits")
-        cs += [RatPoly.zero()] * (order + 1 - len(cs))
-        return cls(order, tuple(cs))
-
-    @classmethod
-    def zero(cls, order: int) -> "PolySeries":
-        return cls.of(order, [])
-
-    @classmethod
-    def one(cls, order: int) -> "PolySeries":
-        return cls.of(order, [RatPoly.one()])
-
-    @classmethod
-    def binomial(cls, c: RationalLike, m: int, order: int) -> "PolySeries":
-        """(c + tau)^m for integer m >= 0, truncated."""
-        if m < 0:
-            raise ExactMathError("binomial exponent must be >= 0; use binomial_inverse")
-        c = as_fraction(c)
-        coeffs = [
-            RatPoly.constant(math.comb(m, j) * c ** (m - j))
-            for j in range(min(m, order) + 1)
-        ]
-        return cls.of(order, coeffs)
-
-    @classmethod
-    def binomial_inverse(cls, c: RationalLike, n: int, order: int) -> "PolySeries":
-        """(c + tau)^(-n) for integer n >= 1, truncated; requires c != 0."""
-        c = as_fraction(c)
-        if c == 0:
-            raise SingularExpansionError("cannot expand (0 + tau)^(-n) around tau = 0")
-        if n < 1:
-            raise ExactMathError("inverse binomial exponent must be >= 1")
-        coeffs = [
-            RatPoly.constant((-1) ** j * math.comb(n + j - 1, j) * c ** (-n - j))
-            for j in range(order + 1)
-        ]
-        return cls.of(order, coeffs)
-
-    @classmethod
-    def exp_linear_quadratic(
-        cls, alpha: RatPoly, gamma: RationalLike, order: int
-    ) -> "PolySeries":
-        """exp(alpha(x)*tau + gamma*tau^2), truncated.
-
-        Coefficients follow from S' = (alpha + 2*gamma*tau)*S:
-        (j+1) c_{j+1} = alpha*c_j + 2*gamma*c_{j-1}.
-        """
-        gamma = as_fraction(gamma)
-        coeffs = [RatPoly.one()]
-        for j in range(order):
-            nxt = alpha * coeffs[j]
-            if j >= 1:
-                nxt = nxt + coeffs[j - 1].scale(2 * gamma)
-            coeffs.append(nxt.scale(Fraction(1, j + 1)))
-        return cls(order, tuple(coeffs))
-
-    def coeff_at(self, j: int) -> RatPoly:
-        if not 0 <= j <= self.order:
-            raise ExactMathError(f"order-{self.order} series has no tau^{j} term")
-        return self.coeffs[j]
-
-    def _check_order(self, other: "PolySeries") -> None:
-        if self.order != other.order:
-            raise SeriesOrderMismatchError(
-                f"series orders differ: {self.order} vs {other.order}"
-            )
-
-    def __add__(self, other: "PolySeries") -> "PolySeries":
-        self._check_order(other)
-        return PolySeries(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __mul__(self, other: "PolySeries") -> "PolySeries":
-        self._check_order(other)
-        out = [RatPoly.zero() for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return PolySeries(self.order, tuple(out))
-
-    def scale(self, c: RationalLike) -> "PolySeries":
-        return PolySeries(self.order, tuple(p.scale(c) for p in self.coeffs))
-
-    def __pow__(self, exponent: int) -> "PolySeries":
-        if exponent < 0:
-            raise ExactMathError("series powers must be >= 0")
-        result = PolySeries.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+def series_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    """Product of two power series truncated at the same order."""
+    return [sum((a[j] * b[i - j] for j in range(i + 1)), Fraction(0)) for i in range(len(a))]
 
 
 # ---------------------------------------------------------------------------

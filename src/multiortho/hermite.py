@@ -6,11 +6,13 @@ Type I: polynomials A_k, deg A_k <= n_k - 1, such that
 Q(x) = sum_k A_k(x) w_k(x) has integral(x^j Q) = 0 for j < |n| - 1 and
 integral(x^(|n|-1) Q) = 1.
 
-Both are built exactly: type II from the Gaussian moment expansion of
-prod_k (x - a_k + v)^{n_k}, type I from a residue expansion around each a_k
-carried out in truncated power series.  The weights' exact moments
-(``core.HermiteWeight``) turn every verification integral into rational
-arithmetic: each type I prefactor cancels its weight's sqrt(2*pi) * e^(a^2/2).
+Both are built exactly.  Type II is the heat flow exp(-D^2/2) applied to
+prod_k (x - a_k)^{n_k}.  Type I takes the residue at each a_k: the
+coefficient of tau^(n_k - 1) in sum_j He_j(x - a_k) tau^j / j! times the
+scalar series prod_{l != k} (a_k - a_l + tau)^(-n_l).  The weights' exact
+moments (``core.HermiteWeight``) turn every verification integral into
+rational arithmetic: each type I prefactor cancels its weight's
+sqrt(2*pi) * e^(a^2/2).
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ from .core import (
     LinearForm,
     LinearFormTerm,
     MultiIndex,
-    PolySeries,
     RatPoly,
     RationalLike,
     ScaledConstant,
     SingularExpansionError,
     as_fraction,
+    power_series,
+    series_mul,
 )
 from .quad import MAX_LINE_NODES, ContourError, LineRule, bilinear_sum, line_rule_nodes
 
@@ -84,22 +87,17 @@ class HermiteSpec:
 def type_ii_poly(spec: HermiteSpec) -> RatPoly:
     """Monic type II polynomial of degree |n|, exactly.
 
-    Expand prod_k (x - a_k + v)^{n_k} = sum_j c_j(x) v^j and pair v^j with
-    the normalized Gaussian moment of order j (i^j from the vertical line of
-    integration turns even moments into (-1)^(j/2) (j-1)!!).
+    P(x) = E[R(x + iZ)] with R = prod_k (x - a_k)^{n_k} and Z ~ N(0, 1) is
+    the heat flow exp(-D^2/2) R = sum_j (-1/2)^j / j! * R^(2j).
     """
-    T = spec.n.weight
-    prod = PolySeries.one(T)
+    R = RatPoly.one()
     for a_k, n_k in zip(spec.a, spec.n):
-        if n_k:
-            factor = PolySeries.of(T, [RatPoly.of([-a_k, 1]), RatPoly.one()])
-            prod = prod * factor**n_k
-    P = RatPoly.zero()
-    moments = HermiteWeight(Fraction(0)).moments(T + 1)
-    for j in range(0, T + 1, 2):
-        sign = -1 if (j // 2) % 2 else 1
-        P = P + prod.coeff_at(j).scale(sign * moments[j])
-    if P.degree != T or not P.is_monic:
+        R = R * RatPoly.of([-a_k, 1]) ** n_k
+    P, D2j = RatPoly.zero(), R
+    for j in range(spec.n.weight // 2 + 1):
+        P = P + D2j.scale(Fraction(-1, 2) ** j / math.factorial(j))
+        D2j = D2j.derivative().derivative()
+    if P.degree != spec.n.weight or not P.is_monic:
         raise ExactMathError("type II construction lost monicity")  # unreachable
     return P
 
@@ -107,10 +105,11 @@ def type_ii_poly(spec: HermiteSpec) -> RatPoly:
 def type_i_form(spec: HermiteSpec) -> LinearForm:
     """Type I form Q = sum_k A_k w_k with A_k = c_k * Ahat_k.
 
-    Around t = a_k + tau the residue data is the truncated series
-    exp((x - a_k) tau - tau^2/2) * prod_{l != k} ((a_k - a_l) + tau)^(-n_l);
-    Ahat_k is (n_k - 1)! times its tau^(n_k - 1) coefficient and the
-    prefactor c_k = (1/(n_k-1)!) * (2*pi)^(-1/2) * e^(-a_k^2/2).
+    Around t = a_k + tau the residue data is
+    exp((x - a_k) tau - tau^2/2) * d(tau), d = prod_{l != k} ((a_k - a_l) + tau)^(-n_l),
+    and the exponential is sum_j He_j(x - a_k) tau^j / j!.  Ahat_k is
+    (n_k - 1)! times the tau^(n_k - 1) coefficient and the prefactor is
+    c_k = (1/(n_k-1)!) * (2*pi)^(-1/2) * e^(-a_k^2/2).
     """
     if spec.n.weight < 1:
         raise ExactMathError("type I needs |n| >= 1")
@@ -124,11 +123,17 @@ def type_i_form(spec: HermiteSpec) -> LinearForm:
             )
             continue
         T = n_k - 1
-        series = PolySeries.exp_linear_quadratic(RatPoly.of([-a_k, 1]), Fraction(-1, 2), T)
+        d = power_series(1, 0, T)
         for l, (a_l, n_l) in enumerate(zip(spec.a, spec.n)):
-            if l != k and n_l:
-                series = series * PolySeries.binomial_inverse(a_k - a_l, n_l, T)
-        a_hat = series.coeff_at(T).scale(math.factorial(T))
+            if l != k:
+                d = series_mul(d, power_series(a_k - a_l, -n_l, T))
+        u = RatPoly.of([-a_k, 1])
+        he = [RatPoly.one(), u]  # He_j(x - a_k): He_{j+1} = u He_j - j He_{j-1}
+        for j in range(1, T):
+            he.append(u * he[j] - he[j - 1].scale(j))
+        a_hat = RatPoly.zero()
+        for j in range(T + 1):
+            a_hat = a_hat + he[j].scale(d[T - j] * math.perm(T, T - j))  # T!/j!
         prefactor = ScaledConstant.of(Fraction(1, math.factorial(T)), -1, q)
         terms.append(LinearFormTerm(k, prefactor, a_hat, HermiteWeight(a_k)))
     return LinearForm(tuple(terms))

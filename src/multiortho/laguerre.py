@@ -3,7 +3,8 @@ on (0, inf), with a shared exponent p >= 0 and pairwise distinct rates.
 
 Type II comes from a single residue at s = 0 of
 e^{xs} s^{-(|n|+p+1)} prod_k (s - beta_k)^{n_k}; type I from residues at
-each beta_k, carried out in truncated power series.  Unlike the Hermite
+each beta_k, where e^{-x tau} times one scalar power series gives each
+coefficient of A_k in closed form.  Unlike the Hermite
 family there are no transcendental prefactors: every coefficient is a
 plain rational, and every verification integral is a dot product with the
 weights' gamma moments (``core.LaguerreWeight``).
@@ -24,12 +25,13 @@ from .core import (
     LinearForm,
     LinearFormTerm,
     MultiIndex,
-    PolySeries,
     RatPoly,
     RationalLike,
     ScaledConstant,
     SingularExpansionError,
     as_fraction,
+    power_series,
+    series_mul,
 )
 from .quad import ContourError, LineRule, bilinear_sum, line_rule_nodes
 
@@ -101,10 +103,10 @@ def type_ii_poly(spec: LaguerreSpec) -> RatPoly:
 def type_i_form(spec: LaguerreSpec) -> LinearForm:
     """Type I form Q = sum_k A_k(x) x^p e^{-beta_k x} with plain rational A_k.
 
-    Around t = beta_k + tau the residue data is
-    e^{-x tau} (beta_k + tau)^{|n|+p-1} prod_{l != k} ((beta_k - beta_l) + tau)^(-n_l);
-    A_k is -(prod_l (-beta_l)^{n_l} / (|n|+p-1)!) times its tau^(n_k - 1)
-    coefficient.
+    Around t = beta_k + tau the residue data is e^{-x tau} d(tau) with
+    d = (beta_k + tau)^{|n|+p-1} prod_{l != k} ((beta_k - beta_l) + tau)^(-n_l);
+    A_k is scale = -(prod_l (-beta_l)^{n_l} / (|n|+p-1)!) times its
+    tau^(n_k - 1) coefficient, so [x^j] A_k = scale * d_{n_k-1-j} * (-1)^j / j!.
     """
     w, p = spec.n.weight, spec.p
     if w < 1:
@@ -120,12 +122,11 @@ def type_i_form(spec: LaguerreSpec) -> LinearForm:
             terms.append(LinearFormTerm(k, ScaledConstant.one(), RatPoly.zero(), weight))
             continue
         T = n_k - 1
-        series = PolySeries.exp_linear_quadratic(RatPoly.of([0, -1]), 0, T)
-        series = series * PolySeries.binomial(beta_k, w + p - 1, T)
+        d = power_series(beta_k, w + p - 1, T)
         for l, (beta_l, n_l) in enumerate(zip(spec.beta, spec.n)):
-            if l != k and n_l:
-                series = series * PolySeries.binomial_inverse(beta_k - beta_l, n_l, T)
-        a_k = series.coeff_at(T).scale(scale)
+            if l != k:
+                d = series_mul(d, power_series(beta_k - beta_l, -n_l, T))
+        a_k = RatPoly.of([scale * d[T - j] * (-1) ** j / math.factorial(j) for j in range(T + 1)])
         terms.append(LinearFormTerm(k, ScaledConstant.one(), a_k, weight))
     return LinearForm(tuple(terms))
 

@@ -222,6 +222,43 @@ def test_kernel_laguerre_positivity_exit_2(capsys):
     assert "positive" in err
 
 
+HERMITE_21 = ("--family", "hermite", "--a", "1,-1", "--n", "2,1")
+LAGUERRE_11_P2 = ("--family", "laguerre", "--beta", "1,2", "--n", "1,1", "--p", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (("density", *HERMITE_21, "--grid=-1e200:1e200:3", "--format", "json"), "x=-1e+200"),
+        (("density", *HERMITE_21, "--grid=-1e200:1e200:3"), "x=-1e+200"),
+        (("correlate", *HERMITE_21, "--points", "1e200,1"), "[1e+200, 1.0]"),
+    ],
+    ids=["density-json", "density-csv", "correlate"],
+)
+def test_non_finite_result_exit_1(capsys, argv, where):
+    """A float kernel that overflows to nan is refused, naming the point."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "not finite" in err and where in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", *HERMITE_21, "--grid=40:40:1,0:0:1", "--nodes", "64"),
+        ("density", *LAGUERRE_11_P2, "--grid=1e200:1e200:1"),
+        ("correlate", *LAGUERRE_11_P2, "--points", "1e200,1"),
+    ],
+    ids=["kernel", "density", "correlate"],
+)
+def test_overflow_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: float overflow")
+
+
 # ---------------------------------------------------------------------------
 # density
 

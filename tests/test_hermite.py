@@ -107,13 +107,13 @@ def test_type_i_examples():
 
     form2 = hm.type_i_form(HermiteSpec.of([0], [2]))
     (term2,) = form2.terms
-    assert term2.poly * term2.prefactor.r == RatPoly.x()
+    assert term2.poly * term2.prefactor.r == RatPoly.of([0, 1])
 
     # frozen from the moment-system oracle: scaled vectors (1/2) and (-1/2)
     form3 = hm.type_i_form(HermiteSpec.of([1, -1], [1, 1]))
     t1, t2 = form3.terms
-    assert t1.poly * t1.prefactor.r == RatPoly.constant(F(1, 2))
-    assert t2.poly * t2.prefactor.r == RatPoly.constant(F(-1, 2))
+    assert t1.poly * t1.prefactor.r == RatPoly.of([F(1, 2)])
+    assert t2.poly * t2.prefactor.r == RatPoly.of([F(-1, 2)])
 
 
 def test_type_i_condition_examples():
@@ -155,7 +155,7 @@ def test_norm_constant_examples():
 
 def test_norm_constant_from_moments_examples():
     spec = HermiteSpec.of([0], [1])
-    assert moment_norm_constant(spec, 0, RatPoly.x()) == ScaledConstant.of(1, 1, 0)
+    assert moment_norm_constant(spec, 0, RatPoly.of([0, 1])) == ScaledConstant.of(1, 1, 0)
     spec2 = HermiteSpec.of([1, -1], [1, 1])
     P2 = RatPoly.of([-2, 0, 1])
     assert moment_norm_constant(spec2, 0, P2) == ScaledConstant.of(2, 1, F(1, 2))

@@ -320,6 +320,14 @@ def _times_x_minus_y(block):
     return _nonzero(out)
 
 
+def _chain_sum_blocks(family, spec, strategy="round-robin"):
+    """C_k of K(x, y) = sum_k w_k(y) C_k(x, y), from the chain sum."""
+    fam = kn.FAMILIES[family]
+    chain = [spec.with_n(c) for c in mi_chain(spec.n, strategy)]
+    products = [(1, fam.type_ii_poly(lo), fam.type_i_form(hi)) for lo, hi in zip(chain, chain[1:])]
+    return _weight_blocks(products, spec.m)
+
+
 @pytest.mark.parametrize(
     "family, spec",
     [
@@ -334,20 +342,44 @@ def test_cd_numerator_is_x_minus_y_times_chain_sum_exactly(family, spec):
     """K(x, y) = sum_k w_k(y) C_k(x, y): C_k from the chain sum is the same
     for both chain strategies, and the CD numerator block B_k of
     P(x) Q(y) - sum_l ratio_l P_down_l(x) Q_up_l(y) equals (x - y) C_k."""
-    fam = kn.FAMILIES[family]
     K = kn.build_kernel(family, spec)
     B = _weight_blocks(
         [(1, K.P, K.Q)] + [(-r, Pd, Qu) for r, Pd, Qu in zip(K.ratios, K.P_down, K.Q_up)],
         spec.m,
     )
-    chain_sums = []
-    for strategy in CHAIN_STRATEGIES:
-        chain = [spec.with_n(c) for c in mi_chain(spec.n, strategy)]
-        products = [
-            (1, fam.type_ii_poly(lo), fam.type_i_form(hi)) for lo, hi in zip(chain, chain[1:])
-        ]
-        chain_sums.append(_weight_blocks(products, spec.m))
+    chain_sums = [_chain_sum_blocks(family, spec, strategy) for strategy in CHAIN_STRATEGIES]
     assert chain_sums[0] == chain_sums[1]
     for Bk, Ck in zip(B, chain_sums[0]):
         assert Ck
         assert Bk == _times_x_minus_y(Ck)
+
+
+def _shifted_derivative(block, a_k):
+    """(d/dx + d/dy + a_k - y) applied to a block {(i, j): coefficient}."""
+    out = {}
+    for (i, j), v in block.items():
+        for key, c in (((i - 1, j), i * v), ((i, j - 1), j * v), ((i, j), a_k * v), ((i, j + 1), -v)):
+            out[key] = out.get(key, 0) + c
+    return _nonzero(out)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        H21,
+        HermiteSpec.of(["1/2", -1, 2], [2, 3, 1]),
+        HermiteSpec.of([0, "4/3", "5/4"], [1, 2, 2]),
+    ],
+    ids=["h21", "h231", "h122"],
+)
+def test_derivative_identity_exactly(spec):
+    """(d/dx + d/dy) K(x, y) = -sum_l ratio_l P_down_l(x) Q_up_l(y), weight
+    by weight: d/dy w_k = (a_k - y) w_k, so block k of the right side is
+    (d/dx + d/dy + a_k - y) C_k."""
+    K = kn.build_kernel("hermite", spec)
+    rhs = _weight_blocks(
+        [(-r, Pd, Qu) for r, Pd, Qu in zip(K.ratios, K.P_down, K.Q_up)], spec.m
+    )
+    for a_k, Ck, Rk in zip(spec.a, _chain_sum_blocks("hermite", spec), rhs):
+        assert Rk
+        assert _shifted_derivative(Ck, a_k) == Rk

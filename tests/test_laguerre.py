@@ -91,7 +91,7 @@ def test_type_i_examples():
 
     form2 = lg.type_i_form(LaguerreSpec.of([2], [1], 1))
     (term2,) = form2.terms
-    assert term2.poly * term2.prefactor.as_fraction() == RatPoly.constant(4)
+    assert term2.poly * term2.prefactor.as_fraction() == RatPoly.of([4])
 
     # frozen from the moment-system oracle: A_1 = x - 1
     form3 = lg.type_i_form(LaguerreSpec.of([1], [2], 0))
@@ -101,8 +101,8 @@ def test_type_i_examples():
     # frozen from the moment-system oracle: A_1 = 2, A_2 = -4
     form4 = lg.type_i_form(LaguerreSpec.of([1, 2], [1, 1], 0))
     t1, t2 = form4.terms
-    assert t1.poly * t1.prefactor.as_fraction() == RatPoly.constant(2)
-    assert t2.poly * t2.prefactor.as_fraction() == RatPoly.constant(-4)
+    assert t1.poly * t1.prefactor.as_fraction() == RatPoly.of([2])
+    assert t2.poly * t2.prefactor.as_fraction() == RatPoly.of([-4])
 
 
 def test_type_i_condition_examples():
