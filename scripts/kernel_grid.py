@@ -17,6 +17,7 @@ from multiortho.cli import (
     _join_leading_minus,
     _merge_config,
     _parse_grid,
+    run_guarded,
 )
 from multiortho.core import mi_chain
 from multiortho.kernels import build_kernel, eval_cd, eval_contour, eval_sum
@@ -44,8 +45,10 @@ def main(argv=None) -> int:
     parser.add_argument("--node-counts", default="64,128,256,512,1024")
     parser.add_argument("--out", help="write the per-point CSV here")
     tokens = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_join_leading_minus(tokens))
+    return run_guarded(run, parser.parse_args(_join_leading_minus(tokens)))
 
+
+def run(args) -> int:
     family, spec = build_spec(args)
     axis = standard_grid(family) if args.grid is None else _parse_grid(args.grid, axes=1)[0]
     node_counts = [int(v) for v in args.node_counts.split(",")]

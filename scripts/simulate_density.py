@@ -21,6 +21,7 @@ from multiortho.cli import (
     _join_leading_minus,
     _merge_config,
     _parse_axis,
+    run_guarded,
 )
 from multiortho.kernels import build_kernel
 from multiortho.presets import standard_specs
@@ -50,7 +51,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the largest-S histogram CSV here")
     tokens = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_join_leading_minus(tokens, _VALUE_FLAGS + ("--bins",)))
+    return run_guarded(run, args)
 
+
+def run(args) -> int:
     family, spec = build_spec(args)
     if args.bins is None:
         (lo, hi), bins = DEFAULT_BIN_RANGE[family], DEFAULT_BIN_COUNT

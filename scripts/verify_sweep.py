@@ -22,6 +22,7 @@ import sys
 import time
 from fractions import Fraction
 
+from multiortho.cli import run_guarded
 from multiortho.core import ExactMathError
 from multiortho.hermite import HermiteSpec
 from multiortho.kernels import (
@@ -97,8 +98,10 @@ def main(argv=None) -> int:
     parser.add_argument("--rate-pool", default="1/2,1,2,3")
     parser.add_argument("--skip-battery", action="store_true", help="exact sweep only")
     parser.add_argument("--out", help="write a JSON summary here")
-    args = parser.parse_args(argv)
+    return run_guarded(run, parser.parse_args(argv))
 
+
+def run(args) -> int:
     start = time.perf_counter()
     failures = []
     counts = {"hermite": 0, "laguerre": 0}

@@ -433,17 +433,21 @@ def cmd_kernel(cfg: JobConfig) -> int:
     json_rows = []
     for x in xs:
         for y in ys:
-            cd = _kernels.eval_cd(K, float(x), float(y))
-            s = _kernels.eval_sum(family, spec, chain, float(x), float(y))
-            if cfg.nodes is not None:
-                ct = _kernels.eval_contour(family, spec, float(x), float(y), nodes=cfg.nodes)
-            else:
-                ct = _kernels.eval_contour(family, spec, float(x), float(y), tol=tol)
-            if p:
-                # report the contour value in the CD normalization so the
-                # agreement column is directly meaningful
-                ct *= (float(y) / float(x)) ** p
-            _require_finite(f"kernel at x={float(x)}, y={float(y)}", cd, s, ct)
+            where = f"kernel at x={float(x)}, y={float(y)}"
+            try:
+                cd = _kernels.eval_cd(K, float(x), float(y))
+                s = _kernels.eval_sum(family, spec, chain, float(x), float(y))
+                if cfg.nodes is not None:
+                    ct = _kernels.eval_contour(family, spec, float(x), float(y), nodes=cfg.nodes)
+                else:
+                    ct = _kernels.eval_contour(family, spec, float(x), float(y), tol=tol)
+                if p:
+                    # report the contour value in the CD normalization so the
+                    # agreement column is directly meaningful
+                    ct *= (float(y) / float(x)) ** p
+            except OverflowError as exc:
+                raise OverflowError(f"{where}: {exc}") from exc
+            _require_finite(where, cd, s, ct)
             diff = abs(cd - ct)
             rows.append([_fmt(x), _fmt(y), _fmt(cd), _fmt(s), _fmt(ct), _fmt(diff)])
             json_rows.append(
@@ -662,25 +666,11 @@ def _join_leading_minus(argv: list[str], flags: Sequence[str] = _VALUE_FLAGS) ->
     return out
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = _parser()
-    tokens = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(_join_leading_minus(tokens))
+def run_guarded(command: Callable[..., int], *args: Any) -> int:
+    """command(*args), with the package's errors turned into an "error:" line
+    on stderr and the exit code they map to."""
     try:
-        cfg = _merge_config(args)
-        if args.command == "poly":
-            return cmd_poly(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, sweep=args.sweep, inject_fault=args.inject_fault)
-        if args.command == "kernel":
-            return cmd_kernel(cfg)
-        if args.command == "density":
-            return cmd_density(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "correlate":
-            return cmd_correlate(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        return command(*args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -693,6 +683,30 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ExactMathError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def _run(args: argparse.Namespace) -> int:
+    cfg = _merge_config(args)
+    if args.command == "poly":
+        return cmd_poly(cfg)
+    if args.command == "verify":
+        return cmd_verify(cfg, sweep=args.sweep, inject_fault=args.inject_fault)
+    if args.command == "kernel":
+        return cmd_kernel(cfg)
+    if args.command == "density":
+        return cmd_density(cfg)
+    if args.command == "simulate":
+        return cmd_simulate(cfg)
+    if args.command == "correlate":
+        return cmd_correlate(cfg)
+    raise UsageError(f"unknown command {args.command!r}")
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = _parser()
+    tokens = list(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args(_join_leading_minus(tokens))
+    return run_guarded(_run, args)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,10 @@
 Circles use the periodic trapezoid rule, which is spectrally accurate for
 analytic integrands.  Lines carrying a Gaussian (exp(-u^2/2)) or exponential
 (exp(-beta*u)) weight use Gauss rules built from the classical orthonormal
-three-term recurrences: Sturm bisection on the recurrence brackets every
-root, Newton iteration converges each node to 1e-15, and weights come from
-the Christoffel sums evaluated with overflow-safe rescaling.
+three-term recurrences (Golub & Welsch, Math. Comp. 23, 1969): the nodes are
+the eigenvalues of the symmetric tridiagonal Jacobi matrix, polished by one
+Newton step on the recurrence, and the weights come from the Christoffel
+sums evaluated in log space with overflow-safe rescaling.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import numpy as np
 from .core import ExactMathError, as_fraction
 
 MAX_LINE_NODES = 512
-NEWTON_TOL = 1e-15
-_STALL_TOL = 1e-11
 # rescale recurrence state beyond this bound so squares stay representable;
 # Newton ratios are scale invariant and the tracked log-scale keeps the
 # Christoffel sums meaningful
@@ -92,44 +91,12 @@ def _jacobi_coeffs(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * np.arange(n) + 1.0, np.arange(1.0, n)
 
 
-def _eigen_count(diag: np.ndarray, off2: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Sturm count: number of Jacobi-matrix eigenvalues < lam, vectorized.
-    A zero pivot counts as negative (the boundary case lam == eigenvalue)."""
-    d = diag[0] - lam
-    d = np.where(d == 0.0, -1e-300, d)
-    count = (d < 0).astype(np.int64)
-    for j in range(1, diag.size):
-        d = diag[j] - lam - off2[j - 1] / d
-        d = np.where(d == 0.0, -1e-300, d)
-        count += d < 0
-    return count
-
-
-def _bracket_nodes(kind: str, n: int) -> np.ndarray:
-    """Initial node guesses: bisection on the Sturm count, one lane per root."""
-    diag, off = _jacobi_coeffs(kind, n)
-    off2 = off * off
-    pad = np.zeros(n)
-    if n > 1:
-        pad[:-1] += np.abs(off)
-        pad[1:] += np.abs(off)
-    lo = np.full(n, float(np.min(diag - pad)))
-    hi = np.full(n, float(np.max(diag + pad)))
-    ks = np.arange(n)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        above = _eigen_count(diag, off2, mid) > ks
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        if np.all(hi - lo <= 1e-12 * (1.0 + np.abs(lo))):
-            break
-    return 0.5 * (lo + hi)
-
-
 def _poly_eval(kind: str, n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate (p_n, p_n', log of the Christoffel sum) at x, vectorized,
     rescaling lanes whose recurrence values grow past the overflow guard."""
     x = np.asarray(x, dtype=float)
+    a, off = _jacobi_coeffs(kind, n + 1)
+    b = np.concatenate(([0.0], off))
     p = np.full_like(x, (2.0 * math.pi) ** -0.25 if kind == "gaussian" else 1.0)
     pm = np.zeros_like(x)
     dp = np.zeros_like(x)
@@ -137,12 +104,8 @@ def _poly_eval(kind: str, n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     ssq = p * p
     logs = np.zeros_like(x)
     for j in range(n):
-        if kind == "gaussian":
-            aj, bj, bj1 = 0.0, math.sqrt(j), math.sqrt(j + 1.0)
-        else:
-            aj, bj, bj1 = 2.0 * j + 1.0, float(j), float(j + 1)
-        p, pm = ((x - aj) * p - bj * pm) / bj1, p
-        dp, dpm = ((x - aj) * dp + pm - bj * dpm) / bj1, dp
+        p, pm = ((x - a[j]) * p - b[j] * pm) / b[j + 1], p
+        dp, dpm = ((x - a[j]) * dp + pm - b[j] * dpm) / b[j + 1], dp
         if j < n - 1:
             ssq = ssq + p * p
         big = np.abs(p) > _RESCALE_AT
@@ -155,38 +118,12 @@ def _poly_eval(kind: str, n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _gauss_rule(kind: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    z = _bracket_nodes(kind, n)
-    best = np.full(n, np.inf)
-    zbest = z.copy()
-    stalled = np.zeros(n, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
-    for _ in range(60):
-        p, dp, _ = _poly_eval(kind, n, z)
-        step = np.where(done, 0.0, p / dp)
-        znew = z - step
-        absstep = np.abs(step)
-        tolv = NEWTON_TOL * (1.0 + np.abs(znew))
-        improved = absstep < best
-        zbest = np.where(improved & ~done, znew, zbest)
-        best = np.where(improved & ~done, absstep, best)
-        stalled = np.where(improved | done, 0, stalled + 1)
-        # Accept a lane once its step is below tolerance, or once three
-        # consecutive iterations fail to shrink an already-tiny step (the
-        # iterate is oscillating on the double-precision roundoff floor).
-        done = done | (absstep <= tolv) | (
-            (stalled >= 3) & (best <= _STALL_TOL * (1.0 + np.abs(znew)))
-        )
-        z = np.where(done, zbest, znew)
-        if done.all():
-            break
-    else:
-        raise ConvergenceError(
-            f"Newton did not converge for {kind} rule N={n}",
-            zbest,
-            float(np.max(best[~done])),
-            n,
-        )
-    z = zbest
+    """Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix; one
+    Newton step on p_n polishes them to the recurrence's own roots."""
+    diag, off = _jacobi_coeffs(kind, n)
+    z = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    p, dp, _ = _poly_eval(kind, n, z)
+    z = z - p / dp
     if kind == "gaussian":
         z[np.abs(z) < 1e-13] = 0.0
     _, _, log_ssq = _poly_eval(kind, n, z)

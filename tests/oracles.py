@@ -9,7 +9,8 @@ elimination, sharing no series/residue machinery with the package:
 - type II polynomials as solutions of the orthogonality linear system,
 - type I coefficient vectors as solutions of the moment linear system,
 - classical monic three-term recurrences for the m = 1 reductions,
-- Hermitian eigenvalues by cyclic complex Jacobi rotations.
+- Hermitian eigenvalues by cyclic complex Jacobi rotations,
+- Gauss nodes by 40-digit Newton steps on the monic He_n / L_n recurrences.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+import mpmath
 import numpy as np
 
 Poly = list[Fraction]  # ascending coefficients
@@ -263,3 +265,29 @@ def jacobi_eigenvalues(A: np.ndarray) -> np.ndarray:
         raise RuntimeError("Jacobi sweep limit reached without convergence")
     lam = np.sort(A.diagonal().real)
     return lam
+
+
+# ---------------------------------------------------------------------------
+# Gauss nodes
+
+
+def gauss_node_oracle(kind: str, n: int, guesses: Sequence[float]) -> list[mpmath.mpf]:
+    """Roots of the monic degree-n orthogonal polynomial as mpmath numbers:
+    three Newton steps at 40 digits from the given float guesses, with p and
+    p' from the monic three-term recurrence
+
+      "gaussian"    (He, weight e^{-x^2/2}):  p_{j+1} = x p_j - j p_{j-1}
+      "exponential" (L, weight e^{-x}):       p_{j+1} = (x - 2j - 1) p_j - j^2 p_{j-1}.
+    """
+    roots = []
+    with mpmath.workdps(40):
+        for guess in guesses:
+            x = mpmath.mpf(guess)
+            for _ in range(3):
+                p, pm, dp, dpm = mpmath.mpf(1), 0, 0, 0
+                for j in range(n):
+                    u, b = (x, j) if kind == "gaussian" else (x - (2 * j + 1), j * j)
+                    p, pm, dp, dpm = u * p - b * pm, p, u * dp + p - b * dpm, dp
+                x -= p / dp
+            roots.append(x)
+    return roots

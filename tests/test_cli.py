@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -257,6 +260,22 @@ def test_overflow_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: float overflow")
+
+
+def test_kernel_overflow_names_the_point(capsys):
+    code, out, err = run(capsys, "kernel", *HERMITE_21, "--grid=36:36:1,0:0:1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: float overflow: kernel at x=36.0, y=0.0: ")
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy.stats costs ~1 s to import; the CLI defers it to the chi-square."""
+    probe = "import sys, multiortho.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,20 @@ def test_type_ii_m1_is_classical(a, deg):
     assert P.coeffs == tuple(hermite_recurrence_oracle(a, deg))
 
 
+@given(_spec_strategy())
+def test_nearest_neighbour_recurrence_exactly(spec):
+    """P_{n+e_k} = (x - a_k) P_n - sum_j n_j P_{n-e_j} for every k (Van Assche,
+    J. Approx. Theory 163 (2011)), as an equality of exact polynomials."""
+    P = hm.type_ii_poly(spec)
+    lower = RatPoly.zero()
+    for j, n_j in enumerate(spec.n):
+        if n_j:
+            lower = lower + hm.type_ii_poly(spec.with_n(spec.n.drop(j))).scale(n_j)
+    for k, a_k in enumerate(spec.a):
+        up = hm.type_ii_poly(spec.with_n(spec.n.bump(k)))
+        assert up == RatPoly.of([-a_k, 1]) * P - lower
+
+
 def test_residual_examples():
     spec = HermiteSpec.of([0], [2])
     assert type_ii_residuals(RatPoly.of([-1, 0, 1]), spec) == [0, 0]

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multiortho.quad import MAX_LINE_NODES, line_rule_nodes
-from oracles import gamma_moment_oracle, gaussian_moment_oracle
+from oracles import gamma_moment_oracle, gauss_node_oracle, gaussian_moment_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -86,3 +86,19 @@ def test_max_size_rules_high_degree():
     got = float(np.sum(rule.weights * rule.nodes**j))
     want = float(gaussian_moment_oracle(j)) * math.sqrt(2 * math.pi)
     assert got == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("kind, bound", [("gaussian", 2e-15), ("exponential", 2e-12)])
+def test_max_size_nodes_match_high_precision_roots(kind, bound):
+    """Twenty nodes of each 512-node rule (the three smallest, the three
+    largest, the two middle ones and a spread between) against the roots of
+    the monic He_512 / L_512 refined by Newton at 40 digits."""
+    n = MAX_LINE_NODES
+    nodes = line_rule_nodes(kind, n).nodes
+    picks = np.unique(
+        np.r_[0:3, n // 2 - 1 : n // 2 + 1, np.linspace(0, n - 1, 14).round().astype(int), n - 3 : n]
+    )
+    roots = gauss_node_oracle(kind, n, nodes[picks])
+    rel = [float(abs((z - r) / r)) for z, r in zip(nodes[picks], roots)]
+    assert len(rel) == 20
+    assert max(rel) <= bound

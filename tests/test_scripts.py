@@ -4,6 +4,8 @@ inputs."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -61,3 +63,18 @@ def test_verify_sweep_smoke(capsys):
     assert code == 0
     assert lines[0].startswith("exact sweep: 60 hermite + 114 laguerre specs, 0 failures")
     assert lines[-1] == "overall: pass"
+
+
+@pytest.mark.parametrize(
+    "name, argv, code, message",
+    [
+        ("kernel_grid", ["--grid=1,0", "--node-counts", "32"], 2, "error: --grid takes one range"),
+        ("kernel_grid", ["--grid=1e200:1e200:1", "--node-counts", "32"], 1, "error: float overflow: "),
+        ("simulate_density", ["--family", "laguerre", "--p", "-1"], 2, "error: invalid spec: "),
+        ("verify_sweep", ["--shift-pool", "1,x", "--skip-battery"], 2, "error: Invalid literal"),
+    ],
+    ids=["kernel_grid-usage", "kernel_grid-overflow", "simulate_density-usage", "verify_sweep-usage"],
+)
+def test_script_errors_exit_with_error_line(capsys, name, argv, code, message):
+    assert _main(name)(argv) == code
+    assert capsys.readouterr().err.splitlines()[-1].startswith(message)
