@@ -17,10 +17,11 @@ from multiortho.cli import (
     _join_leading_minus,
     _merge_config,
     _parse_grid,
+    kernel_point,
     run_guarded,
 )
 from multiortho.core import mi_chain
-from multiortho.kernels import build_kernel, eval_cd, eval_contour, eval_sum
+from multiortho.kernels import build_kernel
 from multiortho.presets import standard_grid, standard_specs
 
 
@@ -55,11 +56,6 @@ def run(args) -> int:
 
     K = build_kernel(family, spec)
     chain = mi_chain(spec.n)
-    p = getattr(spec, "p", 0)
-
-    def contour_as_cd(x, y, nodes):
-        value = eval_contour(family, spec, x, y, nodes=nodes)
-        return value * (y / x) ** p if p else value
 
     print(f"spec: {family} {spec}")
     print("nodes  max|cd-contour|   max|cd-sum|")
@@ -67,9 +63,9 @@ def run(args) -> int:
         worst_ct = worst_sum = 0.0
         for x in axis:
             for y in axis:
-                cd = eval_cd(K, x, y)
-                worst_ct = max(worst_ct, abs(cd - contour_as_cd(x, y, nodes)))
-                worst_sum = max(worst_sum, abs(cd - eval_sum(family, spec, chain, x, y)))
+                cd, sm, ct = kernel_point(K, chain, float(x), float(y), nodes=nodes)
+                worst_ct = max(worst_ct, abs(cd - ct))
+                worst_sum = max(worst_sum, abs(cd - sm))
         print(f"{nodes:5d}  {worst_ct:15.3e}  {worst_sum:12.3e}")
 
     if args.out:
@@ -78,9 +74,7 @@ def run(args) -> int:
             handle.write("x,y,cd,sum,contour,|cd-contour|\n")
             for x in axis:
                 for y in axis:
-                    cd = eval_cd(K, x, y)
-                    sm = eval_sum(family, spec, chain, x, y)
-                    ct = contour_as_cd(x, y, nodes)
+                    cd, sm, ct = kernel_point(K, chain, float(x), float(y), nodes=nodes)
                     handle.write(
                         f"{x:.17g},{y:.17g},{cd:.17g},{sm:.17g},{ct:.17g},{abs(cd-ct):.17g}\n"
                     )

@@ -414,6 +414,27 @@ def cmd_verify(cfg: JobConfig, sweep: bool, inject_fault: bool) -> int:
     return EXIT_OK if all_passed else EXIT_FAIL
 
 
+def kernel_point(
+    K: _kernels.KernelModel, chain: Sequence[MultiIndex], x: float, y: float, **contour: Any
+) -> tuple[float, float, float]:
+    """(cd, sum, contour) at (x, y), the contour value (eval_contour with the
+    given keywords) in the CD normalization so the three compare directly.
+    An overflow or a non-finite value raises OverflowError naming the point."""
+    spec = K.spec
+    where = f"kernel at x={x}, y={y}"
+    try:
+        cd = _kernels.eval_cd(K, x, y)
+        s = _kernels.eval_sum(spec.family, spec, chain, x, y)
+        ct = _kernels.eval_contour(spec.family, spec, x, y, **contour)
+        p = getattr(spec, "p", 0)
+        if p:
+            ct *= (y / x) ** p
+    except OverflowError as exc:
+        raise OverflowError(f"{where}: {exc}") from exc
+    _require_finite(where, cd, s, ct)
+    return cd, s, ct
+
+
 def cmd_kernel(cfg: JobConfig) -> int:
     family, spec = _build_spec(cfg)
     if cfg.grid is not None:
@@ -427,27 +448,12 @@ def cmd_kernel(cfg: JobConfig) -> int:
         raise UsageError(f"--tolerance must be a positive number, got {tol}")
     K = _kernels.build_kernel(family, spec)
     chain = mi_chain(spec.n)
-    p = getattr(spec, "p", 0)
 
     rows = []
     json_rows = []
     for x in xs:
         for y in ys:
-            where = f"kernel at x={float(x)}, y={float(y)}"
-            try:
-                cd = _kernels.eval_cd(K, float(x), float(y))
-                s = _kernels.eval_sum(family, spec, chain, float(x), float(y))
-                if cfg.nodes is not None:
-                    ct = _kernels.eval_contour(family, spec, float(x), float(y), nodes=cfg.nodes)
-                else:
-                    ct = _kernels.eval_contour(family, spec, float(x), float(y), tol=tol)
-                if p:
-                    # report the contour value in the CD normalization so the
-                    # agreement column is directly meaningful
-                    ct *= (float(y) / float(x)) ** p
-            except OverflowError as exc:
-                raise OverflowError(f"{where}: {exc}") from exc
-            _require_finite(where, cd, s, ct)
+            cd, s, ct = kernel_point(K, chain, float(x), float(y), nodes=cfg.nodes, tol=tol)
             diff = abs(cd - ct)
             rows.append([_fmt(x), _fmt(y), _fmt(cd), _fmt(s), _fmt(ct), _fmt(diff)])
             json_rows.append(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import ClassVar, Iterable
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -168,12 +168,24 @@ def trace_rule(spec: HermiteSpec, nodes: int) -> LineRule:
 # double-contour kernel
 
 
+# The circle clears every shift by CIRCLE_MARGIN; the line stays at least
+# LINE_GAP away from the circle.  Line nodes whose factor is below
+# LINE_TERM_FLOOR times the largest are dropped: their terms lie far below
+# the rounding error of the largest term.
+CIRCLE_MARGIN = 1.0
+LINE_GAP = 0.5
+LINE_TERM_FLOOR = 1e-30
+
+
 @dataclass(frozen=True)
 class HermiteContourGeometry:
     """Vertical line Re s = line_abscissa paired with a circle |t - c| = r.
 
-    The line must lie strictly left of the circle and the circle must
-    enclose every shift parameter a_k.
+    The circle must enclose every shift parameter a_k.  The line factor
+    times the circle factor is exp((t-x)^2/2 - (t-y)^2/2) (the products
+    over the shifts cancel), which is entire, so the line may pass on
+    either side of the circle with no residue term; it must only not cut
+    or touch it.
     """
 
     line_abscissa: float
@@ -181,23 +193,79 @@ class HermiteContourGeometry:
     circle_radius: float
 
     @classmethod
-    def default_for(cls, spec: HermiteSpec) -> "HermiteContourGeometry":
+    def at(cls, spec: HermiteSpec, x: float) -> "HermiteContourGeometry":
+        """The geometry for kernel argument x: the circle clears the shifts
+        by CIRCLE_MARGIN, and the line runs through x, where the Gaussian
+        factor exp((s-x)^2/2) has its saddle, when that clears the circle by
+        LINE_GAP; otherwise it runs at that gap on the circle's nearer side."""
         a = [float(v) for v in spec.a]
         lo, hi = min(a), max(a)
-        return cls(lo - 2.0, 0.5 * (lo + hi), 0.5 * (hi - lo) + 1.0)
+        c, r = 0.5 * (lo + hi), 0.5 * (hi - lo) + CIRCLE_MARGIN
+        reach = r + LINE_GAP
+        sigma = x if abs(x - c) >= reach else c + math.copysign(reach, x - c)
+        return cls(sigma, c, r)
 
     def validate(self, spec: HermiteSpec) -> None:
         if self.circle_radius <= 0.0:
             raise ContourError("circle radius must be positive")
-        if self.line_abscissa >= self.circle_center - self.circle_radius:
+        if abs(self.line_abscissa - self.circle_center) <= self.circle_radius:
             raise ContourError(
-                "vertical line must lie strictly left of the circle "
-                f"(abscissa {self.line_abscissa}, circle reaches "
-                f"{self.circle_center - self.circle_radius})"
+                "vertical line must not cut or touch the circle "
+                f"(abscissa {self.line_abscissa}, circle spans "
+                f"[{self.circle_center - self.circle_radius}, {self.circle_center + self.circle_radius}])"
             )
         for a_k in spec.a:
             if abs(float(a_k) - self.circle_center) >= self.circle_radius:
                 raise ContourError(f"shift parameter {a_k} is not inside the circle")
+
+
+def contour_levels(
+    spec: HermiteSpec,
+    x: float,
+    y: float,
+    nodes: int,
+    geometry: HermiteContourGeometry | None,
+) -> Iterator[complex]:
+    """Double-contour kernel values at nodes, 2*nodes, 4*nodes, ... circle
+    nodes (geometry None: ``HermiteContourGeometry.at(spec, x)``).
+
+    The vertical-line direction substitutes s = sigma + i u, so the Gaussian
+    factor exp((s-x)^2/2) splits into exp((sigma-x)^2/2) * exp(iu(sigma-x))
+    times the Gaussian weight absorbed by the line rule, which keeps the
+    first level's min(nodes, MAX_LINE_NODES) nodes less the weightless
+    tail.  The circle direction uses the trapezoid rule, and the levels are
+    nested: level 2N adds the N new circle nodes theta = 2 pi (j + 1/2) / N
+    to level N's node sum.
+    """
+    geom = geometry if geometry is not None else HermiteContourGeometry.at(spec, x)
+    geom.validate(spec)
+    sigma, c, rho = geom.line_abscissa, geom.circle_center, geom.circle_radius
+    line = line_rule_nodes("gaussian", min(nodes, MAX_LINE_NODES))
+    u = line.nodes
+    s = sigma + 1j * u
+    A = line.weights * np.exp(1j * u * (sigma - x))
+    for a_k, n_k in zip(spec.a, spec.n):
+        if n_k:
+            A = A * (s - float(a_k)) ** n_k
+    # Line nodes deep in the Gaussian tail carry no weight; a non-finite A
+    # keeps every node, so the level value turns non-finite too.
+    keep = ~(np.abs(A) < LINE_TERM_FLOOR * np.abs(A).max())
+    A, s = A[keep], s[keep]
+
+    def circle_sum(theta: np.ndarray) -> complex:
+        t = c + rho * np.exp(1j * theta)
+        B = (t - c) * np.exp(-0.5 * (t - y) ** 2)
+        for a_k, n_k in zip(spec.a, spec.n):
+            if n_k:
+                B = B / (t - float(a_k)) ** n_k
+        return bilinear_sum(A, s, t, B)
+
+    factor = math.exp(0.5 * (sigma - x) ** 2) / (2.0 * math.pi)
+    total = circle_sum(2.0 * math.pi * np.arange(nodes) / nodes)
+    while True:
+        yield factor * total / nodes
+        total += circle_sum(2.0 * math.pi * (np.arange(nodes) + 0.5) / nodes)
+        nodes *= 2
 
 
 def _contour_complex(
@@ -207,29 +275,7 @@ def _contour_complex(
     nodes: int,
     geometry: HermiteContourGeometry | None,
 ) -> complex:
-    """Double-contour kernel value; the imaginary part is a pure
-    discretization diagnostic (the kernel is real on real inputs).
-
-    The vertical-line direction substitutes s = sigma + i u so the Gaussian
-    factor exp((s-x)^2/2) splits into exp((sigma-x)^2/2) * exp(iu(sigma-x))
-    times the Gaussian weight absorbed by the line rule; the circle
-    direction uses the trapezoid rule.  The line rule saturates at
-    MAX_LINE_NODES while the circle keeps refining.
-    """
-    geom = geometry if geometry is not None else HermiteContourGeometry.default_for(spec)
-    geom.validate(spec)
-    sigma, c, rho = geom.line_abscissa, geom.circle_center, geom.circle_radius
-    line = line_rule_nodes("gaussian", min(nodes, MAX_LINE_NODES))
-    u = line.nodes
-    s = sigma + 1j * u
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    t = c + rho * np.exp(1j * theta)
-
-    A = line.weights * np.exp(1j * u * (sigma - x))
-    B = (t - c) * np.exp(-0.5 * (t - y) ** 2)
-    for a_k, n_k in zip(spec.a, spec.n):
-        if n_k:
-            A = A * (s - float(a_k)) ** n_k
-            B = B / (t - float(a_k)) ** n_k
-    factor = math.exp(0.5 * (sigma - x) ** 2) / (2.0 * math.pi * nodes)
-    return factor * bilinear_sum(A, s, t, B)
+    """Double-contour kernel value at one node count, the first of
+    ``contour_levels``; the imaginary part is a pure discretization
+    diagnostic (the kernel is real on real inputs)."""
+    return next(contour_levels(spec, x, y, nodes, geometry))

@@ -8,9 +8,12 @@ The kernel of the determinantal eigenvalue process is computed as
    branch on the diagonal;
 2. the biorthogonal sum K(x, y) = sum_j P_{c_j}(x) Q_{c_{j+1}}(y) along a
    monotone chain of multi-indices (``eval_sum``);
-3. a double-contour quadrature (vertical line x circle for the Gaussian
-   family, circle x circle for the half-line family), spectrally accurate
-   in the node count (``eval_contour``).
+3. a double-contour quadrature, spectrally accurate in the node count
+   (``eval_contour``): for the Gaussian family a vertical line through x
+   (or beside the circle, on either side) times a circle around the
+   shifts; for the half-line family two concentric circles around the
+   rates, whose node sum is one FFT convolution.  Both take the node count
+   up by nested doubling.
 
 All polynomial ingredients are exact rationals; floats appear only at the
 final evaluation step.  The module also provides the derivative identity
@@ -25,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
+
+import numpy as np
 
 from . import hermite as _hermite
 from . import laguerre as _laguerre
@@ -261,34 +266,45 @@ def eval_contour(
     cap: int = CONTOUR_CAP_NODES,
 ) -> float:
     """Double-contour kernel value (real part): vertical line x circle for
-    the Gaussian family, circle x circle for the half-line family, whose
-    contour normalization differs from the CD kernel by x^p y^(-p).
+    the Gaussian family, concentric circles for the half-line family, whose
+    contour normalization differs from the CD kernel by x^p y^(-p).  The
+    geometry defaults to the family's per-point one (``geometry=None``).
 
-    With an explicit node count this is a single evaluation.  With
-    nodes=None it doubles from CONTOUR_START_NODES until two successive
-    values differ by less than tol, raising ConvergenceError (carrying the
-    best value) if the cap is reached first.
+    The values come from the family's ``contour_levels``, one per node
+    doubling.  With an explicit node count this is its first level.  With
+    nodes=None the levels start at CONTOUR_START_NODES and the value is the
+    first one within tol of the level before, raising ConvergenceError
+    (carrying the best value) if the cap is reached first.  A non-finite
+    level raises OverflowError.
     """
-    contour = family_module(family, spec)._contour_complex
+    levels = family_module(family, spec).contour_levels
     x, y = float(x), float(y)
     _check_domain(spec, x, y)
-    if nodes is not None:
-        if nodes < 16 or nodes % 2:
-            raise ContourError(f"node count must be even and >= 16, got {nodes}")
-        return contour(spec, x, y, nodes, geometry).real
-    n = CONTOUR_START_NODES
-    prev = contour(spec, x, y, n, geometry).real
-    delta = math.inf
-    while n < cap:
-        n *= 2
-        cur = contour(spec, x, y, n, geometry).real
-        delta = abs(cur - prev)
-        if delta < tol:
-            return cur
-        prev = cur
+    if nodes is not None and (nodes < 16 or nodes % 2):
+        raise ContourError(f"node count must be even and >= 16, got {nodes}")
+    n = CONTOUR_START_NODES if nodes is None else nodes
+    with np.errstate(all="ignore"):
+        values = (_finite_real(v) for v in levels(spec, x, y, n, geometry))
+        prev = next(values)
+        if nodes is not None:
+            return prev
+        delta = math.inf
+        while n < cap:
+            n *= 2
+            cur = next(values)
+            delta = abs(cur - prev)
+            if delta < tol:
+                return cur
+            prev = cur
     raise ConvergenceError(
         f"contour kernel did not settle below {tol} by {cap} nodes", prev, delta, cap
     )
+
+
+def _finite_real(value: complex) -> float:
+    if not math.isfinite(value.real):
+        raise OverflowError("contour kernel value is not finite")
+    return value.real
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import ClassVar, Iterable
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .core import (
     power_series,
     series_mul,
 )
-from .quad import ContourError, LineRule, bilinear_sum, line_rule_nodes
+from .quad import ContourError, LineRule, concentric_sum, line_rule_nodes
 
 # The weights live on (0, inf): kernel arguments must be > 0.
 HALF_LINE = True
@@ -164,37 +164,93 @@ def trace_rule(spec: LaguerreSpec, nodes: int) -> LineRule:
 # double-contour kernel
 
 
+# Candidate radii, tried per (x, y) on SEARCH_NODES nodes: the t-radius is
+# a step times the centre, and the s-radius a step times the t-radius.
+RADIUS_STEPS = np.array([1.25, 1.5, 2.0, 3.0])
+SEARCH_NODES = 64
+
+
 @dataclass(frozen=True)
 class LaguerreContourGeometry:
-    """Two disjoint counterclockwise circles: one of radius inner_radius
-    around the origin (inside Re s < min beta), and one around the rates,
-    kept in the right half-plane away from the origin."""
+    """Two concentric counterclockwise circles around center: the t-circle
+    of radius inner_radius encloses every rate, and the s-circle of radius
+    outer_radius encloses 0 and the t-circle.
 
+    The s-factor f(s) = e^{xs} s^{-(|n|+p)} prod_k (s - beta_k)^{n_k} and the
+    t-factor g(t) = e^{-yt} t^{|n|+p} / prod_k (t - beta_k)^{n_k} multiply to
+    e^{(x-y)t}, which is entire, so the s-circle may enclose the t-circle
+    with no residue term.
+    """
+
+    center: float
     inner_radius: float
-    outer_center: float
     outer_radius: float
 
     @classmethod
-    def default_for(cls, spec: LaguerreSpec) -> "LaguerreContourGeometry":
-        b = [float(v) for v in spec.beta]
-        lo, hi = min(b), max(b)
-        return cls(0.5 * lo, 0.5 * (lo + hi), 0.5 * (hi - lo) + 0.25 * lo)
+    def at(cls, spec: LaguerreSpec, x: float, y: float) -> "LaguerreContourGeometry":
+        """The geometry for the kernel arguments (x, y): both circles around
+        half the largest rate, which keeps the s-circle's reach to the
+        right, where e^{xs} peaks, at its least, with the candidate radii
+        whose term mass sum|A| * sum|B| / (R - rho) on SEARCH_NODES nodes is
+        smallest (the node sum's rounding error scales with it)."""
+        c = 0.5 * float(max(spec.beta))
+        rho = c * RADIUS_STEPS
+        R = rho[:, None] * RADIUS_STEPS
+        A, B = _node_factors(spec, x, y, c, rho[:, None, None], R[:, :, None], SEARCH_NODES)
+        mass = np.abs(A).sum(-1) * np.abs(B).sum(-1) / (R - rho[:, None])
+        i, j = np.unravel_index(np.argmin(mass), mass.shape)
+        return cls(c, float(rho[i]), float(R[i, j]))
 
     def validate(self, spec: LaguerreSpec) -> None:
-        bmin = min(float(v) for v in spec.beta)
-        if not 0.0 < self.inner_radius < bmin:
-            raise ContourError(
-                f"inner radius must lie in (0, min rate) = (0, {bmin}), got {self.inner_radius}"
-            )
-        if self.outer_radius <= 0.0:
-            raise ContourError("outer radius must be positive")
-        if self.outer_center - self.outer_radius <= 0.0:
-            raise ContourError("outer circle must stay in the right half-plane, away from 0")
-        if self.outer_center - self.outer_radius <= self.inner_radius:
-            raise ContourError("the two circles must be disjoint")
         for b_k in spec.beta:
-            if abs(float(b_k) - self.outer_center) >= self.outer_radius:
-                raise ContourError(f"rate {b_k} is not inside the outer circle")
+            if abs(float(b_k) - self.center) >= self.inner_radius:
+                raise ContourError(f"rate {b_k} is not inside the inner circle")
+        if self.outer_radius <= max(self.inner_radius, abs(self.center)):
+            raise ContourError(
+                "outer circle must enclose 0 and the inner circle "
+                f"(radius {self.outer_radius} around {self.center}, inner radius {self.inner_radius})"
+            )
+
+
+def _node_factors(spec: LaguerreSpec, x: float, y: float, c: float, rho, R, nodes: int):
+    """A = (s - c) f(s) at s = c + R w^i and B = (t - c) g(t) at
+    t = c + rho w^j, w = e^{2 pi i / nodes}; rho and R broadcast against the
+    trailing node axis."""
+    w = np.exp(2j * math.pi * np.arange(nodes) / nodes)
+    ds, dt = R * w, rho * w
+    s, t = c + ds, c + dt
+    wp = spec.n.weight + spec.p
+    A = ds * np.exp(x * s) * s ** (-wp)
+    B = dt * np.exp(-y * t) * t**wp
+    for b_k, n_k in zip(spec.beta, spec.n):
+        if n_k:
+            A = A * (s - float(b_k)) ** n_k
+            B = B / (t - float(b_k)) ** n_k
+    return A, B
+
+
+def contour_levels(
+    spec: LaguerreSpec,
+    x: float,
+    y: float,
+    nodes: int,
+    geometry: LaguerreContourGeometry | None,
+) -> Iterator[complex]:
+    """Double-contour kernel values at nodes, 2*nodes, 4*nodes, ... nodes per
+    circle (geometry None: ``LaguerreContourGeometry.at(spec, x, y)``).
+
+    Both directions are trapezoid rules on the concentric circles, and each
+    level's node sum is ``concentric_sum``, O(N log N).  Note the contour
+    normalization differs from the CD kernel by the factor x^p y^(-p); they
+    agree exactly when p = 0.
+    """
+    geom = geometry if geometry is not None else LaguerreContourGeometry.at(spec, x, y)
+    geom.validate(spec)
+    c, rho, R = geom.center, geom.inner_radius, geom.outer_radius
+    while True:
+        A, B = _node_factors(spec, x, y, c, rho, R, nodes)
+        yield concentric_sum(A, B, rho / R, R) / (nodes * nodes)
+        nodes *= 2
 
 
 def _contour_complex(
@@ -204,26 +260,7 @@ def _contour_complex(
     nodes: int,
     geometry: LaguerreContourGeometry | None,
 ) -> complex:
-    """Double-contour kernel value; the imaginary part is a pure
-    discretization diagnostic.
-
-    Both directions are trapezoid rules on circles.  Note the contour
-    normalization differs from the CD kernel by the factor x^p y^(-p);
-    they agree exactly when p = 0.
-    """
-    geom = geometry if geometry is not None else LaguerreContourGeometry.default_for(spec)
-    geom.validate(spec)
-    r, c, rho = geom.inner_radius, geom.outer_center, geom.outer_radius
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    s = r * np.exp(1j * theta)
-    t = c + rho * np.exp(1j * theta)
-    wp = spec.n.weight + spec.p
-
-    A = s * np.exp(x * s) * s ** (-wp)
-    B = (t - c) * np.exp(-y * t) * t**wp
-    for b_k, n_k in zip(spec.beta, spec.n):
-        if n_k:
-            A = A * (s - float(b_k)) ** n_k
-            B = B / (t - float(b_k)) ** n_k
-    factor = 1.0 / (nodes * nodes)
-    return factor * bilinear_sum(A, s, t, B)
+    """Double-contour kernel value at one node count, the first of
+    ``contour_levels``; the imaginary part is a pure discretization
+    diagnostic."""
+    return next(contour_levels(spec, x, y, nodes, geometry))

@@ -1,12 +1,14 @@
 """Quadrature primitives for the double-contour kernel integrals.
 
 Circles use the periodic trapezoid rule, which is spectrally accurate for
-analytic integrands.  Lines carrying a Gaussian (exp(-u^2/2)) or exponential
-(exp(-beta*u)) weight use Gauss rules built from the classical orthonormal
-three-term recurrences (Golub & Welsch, Math. Comp. 23, 1969): the nodes are
-the eigenvalues of the symmetric tridiagonal Jacobi matrix, polished by one
-Newton step on the recurrence, and the weights come from the Christoffel
-sums evaluated in log space with overflow-safe rescaling.
+analytic integrands; on two concentric circles the double node sum is one
+FFT convolution (``concentric_sum``).  Lines carrying a Gaussian
+(exp(-u^2/2)) or exponential (exp(-beta*u)) weight use Gauss rules built
+from the classical orthonormal three-term recurrences (Golub & Welsch,
+Math. Comp. 23, 1969): the nodes are the eigenvalues of the symmetric
+tridiagonal Jacobi matrix, polished by one Newton step on the recurrence,
+and the weights come from the Christoffel sums evaluated in log space with
+overflow-safe rescaling.
 """
 
 from __future__ import annotations
@@ -56,6 +58,20 @@ def bilinear_sum(A: np.ndarray, s: np.ndarray, t: np.ndarray, B: np.ndarray) -> 
         block = 1.0 / (s[:, None] - t[None, j0 : j0 + cols])
         total += complex(A @ block @ B[j0 : j0 + cols])
     return total
+
+
+def concentric_sum(A: np.ndarray, B: np.ndarray, q: float, R: float) -> complex:
+    """sum_{i,j} A[i] * B[j] / (s[i] - t[j]) for N equispaced nodes on two
+    concentric circles, s_i = c + R w^i and t_j = c + rho w^j with
+    w = e^{2 pi i / N} and q = rho / R < 1, in O(N log N).
+
+    Expanding 1/(s_i - t_j) = sum_m q^m w^{m(j-i) - i} / R and folding m mod
+    N gives sum_{k<N} q^k Ahat[(k+1) mod N] Bchk[k] / (R (1 - q^N)), with
+    Ahat = fft(A) and Bchk = N * ifft(B).
+    """
+    N = A.size
+    terms = q ** np.arange(N) * np.roll(np.fft.fft(A), -1) * (N * np.fft.ifft(B))
+    return complex(terms.sum()) / (R * (1.0 - q**N))
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def test_non_finite_result_exit_1(capsys, argv, where):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("kernel", *HERMITE_21, "--grid=40:40:1,0:0:1", "--nodes", "64"),
+        ("kernel", *HERMITE_21, "--grid=1e200:1e200:1,0:0:1", "--nodes", "64"),
         ("density", *LAGUERRE_11_P2, "--grid=1e200:1e200:1"),
         ("correlate", *LAGUERRE_11_P2, "--points", "1e200,1"),
     ],
@@ -263,10 +263,19 @@ def test_overflow_exit_1(capsys, argv):
 
 
 def test_kernel_overflow_names_the_point(capsys):
-    code, out, err = run(capsys, "kernel", *HERMITE_21, "--grid=36:36:1,0:0:1")
+    code, out, err = run(capsys, "kernel", *HERMITE_21, "--grid=1e200:1e200:1,0:0:1")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: float overflow: kernel at x=36.0, y=0.0: ")
+    assert err.startswith("error: float overflow: kernel at x=1e+200, y=0.0: ")
+
+
+def test_kernel_far_from_the_shifts(capsys):
+    """With the line through x the contour stays finite and accurate far
+    from the shifts, where a line left of the circle overflowed."""
+    code, out, err = run(capsys, "kernel", *HERMITE_21, "--grid=36:36:1,0:0:1", "--format", "json")
+    assert code == 0, err
+    (row,) = json.loads(out)["rows"]
+    assert abs(row["cd"] - row["contour"]) <= 1e-7
 
 
 def test_cli_import_loads_no_scipy():

@@ -15,7 +15,9 @@ from multiortho import laguerre as lg
 from multiortho.core import CHAIN_STRATEGIES, ExactMathError, mi_chain
 from multiortho.hermite import HermiteSpec
 from multiortho.laguerre import LaguerreSpec
-from multiortho.quad import ContourError, ConvergenceError
+from multiortho.presets import standard_grid
+from multiortho.quad import ContourError, ConvergenceError, bilinear_sum, concentric_sum
+from oracles import cd_kernel_oracle
 
 H11 = HermiteSpec.of([1, -1], [1, 1])
 H21 = HermiteSpec.of([1, -1], [2, 1])
@@ -190,15 +192,15 @@ def test_contour_adaptive_reports_nonconvergence():
 
 
 def test_contour_geometry_validation():
-    geo = hm.HermiteContourGeometry.default_for(H11)
+    geo = hm.HermiteContourGeometry.at(H11, 0.0)
     geo.validate(H11)
     bad = hm.HermiteContourGeometry(geo.circle_center + geo.circle_radius, geo.circle_center, geo.circle_radius)
     with pytest.raises(ContourError):
         bad.validate(H11)
-    lgeo = lg.LaguerreContourGeometry.default_for(L11_P0)
+    lgeo = lg.LaguerreContourGeometry.at(L11_P0, 1.0, 1.0)
     lgeo.validate(L11_P0)
     with pytest.raises(ContourError):
-        lg.LaguerreContourGeometry(5.0, lgeo.outer_center, lgeo.outer_radius).validate(L11_P0)
+        lg.LaguerreContourGeometry(lgeo.center, lgeo.inner_radius, 1.0).validate(L11_P0)
 
 
 def test_contour_custom_geometry_consistent():
@@ -206,6 +208,73 @@ def test_contour_custom_geometry_consistent():
     K = kn.build_kernel("hermite", H11)
     got = kn.eval_contour("hermite", H11, 0.5, 0.1, nodes=512, geometry=geo)
     assert got == pytest.approx(kn.eval_cd(K, 0.5, 0.1), abs=1e-7)
+
+
+@pytest.mark.parametrize("N", [64, 512])
+def test_concentric_sum_matches_bilinear_sum(N):
+    """The FFT convolution is the node sum over two concentric circles."""
+    rng = np.random.default_rng(N)
+    A = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    B = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    c, rho, R = 1.5, 2.0, 3.0
+    w = np.exp(2j * np.pi * np.arange(N) / N)
+    direct = bilinear_sum(A, c + R * w, c + rho * w, B)
+    assert abs(concentric_sum(A, B, rho / R, R) - direct) <= 1e-14 * abs(direct)
+
+
+def test_contour_nested_level_matches_fresh_evaluation():
+    """Level 2N adds the odd circle nodes to level N's sum; that is the
+    2N-node evaluation."""
+    spec = HermiteSpec.of([1, -2, -1], [1, 4, 2])
+    levels = hm.contour_levels(spec, 3.0, 0.0, 512, None)
+    next(levels)
+    nested = next(levels)
+    fresh = hm._contour_complex(spec, 3.0, 0.0, 1024, None)
+    assert abs(nested - fresh) <= 1e-14 * abs(fresh)
+
+
+def _spec(family, params, n, p):
+    return HermiteSpec.of(params, n) if family == "hermite" else LaguerreSpec.of(params, n, p)
+
+
+def _contour_as_cd(spec, x, y, **kwargs):
+    ct = kn.eval_contour(spec.family, spec, x, y, **kwargs)
+    p = getattr(spec, "p", 0)
+    return ct * (y / x) ** p if p else ct
+
+
+@pytest.mark.parametrize(
+    "family, params, n, p",
+    [("hermite", (1, -1), (12, 12), 0), ("laguerre", (1, 2), (8, 8), 1)],
+    ids=["hermite-12-12", "laguerre-8-8-p1"],
+)
+def test_contour_against_reference(family, params, n, p):
+    """512-node contour values (in the CD normalization) against the 60-digit
+    CD reference on the 5x5 standard grid."""
+    spec = _spec(family, params, n, p)
+    grid = [float(v) for v in standard_grid(family)]
+    for x in grid:
+        for y in grid:
+            ct = _contour_as_cd(spec, x, y, nodes=512)
+            assert abs(ct - cd_kernel_oracle(family, params, n, p, x, y)) <= 1e-9, (x, y)
+
+
+@pytest.mark.parametrize(
+    "family, params, n, p, x, y",
+    [
+        ("laguerre", (1, 2, 3), (1, 1, 6), 2, 0.5, 0.5),
+        ("laguerre", (1, 2, 3), (1, 1, 6), 2, 0.5, 1.5),
+        ("hermite", (1, -2, -1), (1, 4, 2), 0, 3.0, -3.0),
+        ("hermite", (1, -2, -1), (1, 4, 2), 0, 3.0, -1.5),
+        ("hermite", (1, -2, -1), (1, 4, 2), 0, 3.0, 0.0),
+        ("hermite", (1, -2, -1), (1, 4, 2), 0, 3.0, 1.5),
+    ],
+)
+def test_contour_adaptive_settles_where_fixed_geometry_failed(family, params, n, p, x, y):
+    """Points where the fixed geometries did not settle or settled wrong."""
+    spec = _spec(family, params, n, p)
+    ct = _contour_as_cd(spec, x, y)
+    assert abs(ct - cd_kernel_oracle(family, params, n, p, x, y)) <= 1e-7
 
 
 # ---------------------------------------------------------------------------

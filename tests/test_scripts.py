@@ -70,10 +70,22 @@ def test_verify_sweep_smoke(capsys):
     [
         ("kernel_grid", ["--grid=1,0", "--node-counts", "32"], 2, "error: --grid takes one range"),
         ("kernel_grid", ["--grid=1e200:1e200:1", "--node-counts", "32"], 1, "error: float overflow: "),
+        (
+            "kernel_grid",
+            ["--family", "laguerre", "--grid=2000:2000:1", "--node-counts", "32"],
+            1,
+            "error: float overflow: kernel at x=2000.0, y=2000.0",
+        ),
         ("simulate_density", ["--family", "laguerre", "--p", "-1"], 2, "error: invalid spec: "),
         ("verify_sweep", ["--shift-pool", "1,x", "--skip-battery"], 2, "error: Invalid literal"),
     ],
-    ids=["kernel_grid-usage", "kernel_grid-overflow", "simulate_density-usage", "verify_sweep-usage"],
+    ids=[
+        "kernel_grid-usage",
+        "kernel_grid-overflow",
+        "kernel_grid-non-finite",
+        "simulate_density-usage",
+        "verify_sweep-usage",
+    ],
 )
 def test_script_errors_exit_with_error_line(capsys, name, argv, code, message):
     assert _main(name)(argv) == code
