@@ -235,7 +235,8 @@ def contour_levels(
     first level's min(nodes, MAX_LINE_NODES) nodes less the weightless
     tail.  The circle direction uses the trapezoid rule, and the levels are
     nested: level 2N adds the N new circle nodes theta = 2 pi (j + 1/2) / N
-    to level N's node sum.
+    to level N's node sum.  The imaginary part is a pure discretization
+    diagnostic (the kernel is real on real inputs).
     """
     geom = geometry if geometry is not None else HermiteContourGeometry.at(spec, x)
     geom.validate(spec)
@@ -247,8 +248,8 @@ def contour_levels(
     for a_k, n_k in zip(spec.a, spec.n):
         if n_k:
             A = A * (s - float(a_k)) ** n_k
-    # Line nodes deep in the Gaussian tail carry no weight; a non-finite A
-    # keeps every node, so the level value turns non-finite too.
+    # Line nodes deep in the Gaussian tail carry no weight.  Non-finite
+    # entries of A are never dropped, so the level value turns non-finite.
     keep = ~(np.abs(A) < LINE_TERM_FLOOR * np.abs(A).max())
     A, s = A[keep], s[keep]
 
@@ -266,16 +267,3 @@ def contour_levels(
         yield factor * total / nodes
         total += circle_sum(2.0 * math.pi * (np.arange(nodes) + 0.5) / nodes)
         nodes *= 2
-
-
-def _contour_complex(
-    spec: HermiteSpec,
-    x: float,
-    y: float,
-    nodes: int,
-    geometry: HermiteContourGeometry | None,
-) -> complex:
-    """Double-contour kernel value at one node count, the first of
-    ``contour_levels``; the imaginary part is a pure discretization
-    diagnostic (the kernel is real on real inputs)."""
-    return next(contour_levels(spec, x, y, nodes, geometry))

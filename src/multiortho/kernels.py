@@ -11,9 +11,10 @@ The kernel of the determinantal eigenvalue process is computed as
 3. a double-contour quadrature, spectrally accurate in the node count
    (``eval_contour``): for the Gaussian family a vertical line through x
    (or beside the circle, on either side) times a circle around the
-   shifts; for the half-line family two concentric circles around the
-   rates, whose node sum is one FFT convolution.  Both take the node count
-   up by nested doubling.
+   shifts; for the half-line family a circle around 0 and one around the
+   rates (nested either way or disjoint), which a Moebius map sends to two
+   circles around 0, where the node sum is one FFT convolution.  Both
+   take the node count up by nested doubling.
 
 All polynomial ingredients are exact rationals; floats appear only at the
 final evaluation step.  The module also provides the derivative identity
@@ -266,9 +267,10 @@ def eval_contour(
     cap: int = CONTOUR_CAP_NODES,
 ) -> float:
     """Double-contour kernel value (real part): vertical line x circle for
-    the Gaussian family, concentric circles for the half-line family, whose
+    the Gaussian family, two circles for the half-line family, whose
     contour normalization differs from the CD kernel by x^p y^(-p).  The
-    geometry defaults to the family's per-point one (``geometry=None``).
+    geometry defaults to the family's per-point one (``geometry=None``),
+    chosen for the starting node count.
 
     The values come from the family's ``contour_levels``, one per node
     doubling.  With an explicit node count this is its first level.  With

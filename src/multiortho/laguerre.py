@@ -164,64 +164,171 @@ def trace_rule(spec: LaguerreSpec, nodes: int) -> LineRule:
 # double-contour kernel
 
 
-# Candidate radii, tried per (x, y) on SEARCH_NODES nodes: the t-radius is
-# a step times the centre, and the s-radius a step times the t-radius.
+# Candidate circle pairs, scored per point on SEARCH_NODES nodes (see
+# ``LaguerreContourGeometry.at``).  RADIUS_STEPS scale the radii of the
+# pairs around half the largest rate, SADDLE_STEPS shrink the s-circle
+# inside a t-circle around 0 towards the saddle of e^{xs} s^{-(|n|+p)},
+# and DISJOINT_S and DISJOINT_GAP (fractions of the smallest rate) give the
+# s-circle around 0 and the t-circle's margin around the rates.
 RADIUS_STEPS = np.array([1.25, 1.5, 2.0, 3.0])
+SADDLE_STEPS = np.array([1.25, 2.0, 4.0, 8.0, 16.0, 32.0])
+DISJOINT_S = np.array([0.0625, 0.125, 0.25, 0.5])
+DISJOINT_GAP = np.array([0.1, 0.25, 0.4])
 SEARCH_NODES = 64
 
 
 @dataclass(frozen=True)
 class LaguerreContourGeometry:
-    """Two concentric counterclockwise circles around center: the t-circle
-    of radius inner_radius encloses every rate, and the s-circle of radius
-    outer_radius encloses 0 and the t-circle.
+    """Two counterclockwise circles, |s - s_center| = s_radius enclosing 0
+    and |t - t_center| = t_radius enclosing every rate, nested either way
+    or disjoint; they must not cut or touch.
 
     The s-factor f(s) = e^{xs} s^{-(|n|+p)} prod_k (s - beta_k)^{n_k} and the
     t-factor g(t) = e^{-yt} t^{|n|+p} / prod_k (t - beta_k)^{n_k} multiply to
-    e^{(x-y)t}, which is entire, so the s-circle may enclose the t-circle
-    with no residue term.
+    e^{(x-y)t}, which is entire, so the circles may lie either way round
+    with no residue term.  Any such pair belongs to one coaxal family: a
+    Moebius map sends both circles to circles around 0 (``_coaxal``), where
+    the trapezoid node sum is one FFT convolution (``quad.concentric_sum``).
     """
 
-    center: float
-    inner_radius: float
-    outer_radius: float
+    s_center: float
+    s_radius: float
+    t_center: float
+    t_radius: float
 
     @classmethod
-    def at(cls, spec: LaguerreSpec, x: float, y: float) -> "LaguerreContourGeometry":
-        """The geometry for the kernel arguments (x, y): both circles around
-        half the largest rate, which keeps the s-circle's reach to the
-        right, where e^{xs} peaks, at its least, with the candidate radii
-        whose term mass sum|A| * sum|B| / (R - rho) on SEARCH_NODES nodes is
-        smallest (the node sum's rounding error scales with it)."""
-        c = 0.5 * float(max(spec.beta))
-        rho = c * RADIUS_STEPS
-        R = rho[:, None] * RADIUS_STEPS
-        A, B = _node_factors(spec, x, y, c, rho[:, None, None], R[:, :, None], SEARCH_NODES)
-        mass = np.abs(A).sum(-1) * np.abs(B).sum(-1) / (R - rho[:, None])
-        i, j = np.unravel_index(np.argmin(mass), mass.shape)
-        return cls(c, float(rho[i]), float(R[i, j]))
+    def at(cls, spec: LaguerreSpec, x: float, y: float, nodes: int) -> "LaguerreContourGeometry":
+        """The geometry for the kernel arguments (x, y) at the given node
+        count: the candidate pair (``_candidates``) with the smallest
+        estimated error, all found from one SEARCH_NODES-node pass.
+
+        The estimate is the term mass sum|a| sum|b| / |r_s - r_t| of the
+        mapped node sum (its rounding error scales with it) times eps plus
+        the trapezoid rule's relative aliasing error at nodes nodes.  That
+        is the larger of the relative difference of the h- and 2h-node sums
+        (the nodes nest, h = min(nodes, SEARCH_NODES / 2)) to the power
+        nodes / h, and ``_alias_ratio`` to the power nodes.
+        """
+        h = min(nodes, SEARCH_NODES // 2)
+        circles = _candidates(spec)
+        lam, mu, r_s, r_t, _ = _coaxal(*circles)
+        a, b = _node_factors(spec, x, y, *(v[:, None] for v in (lam, mu, r_s, r_t)), SEARCH_NODES)
+        scale = np.abs(1.0 - lam * mu)
+        mass = scale * np.abs(a).sum(-1) * np.abs(b).sum(-1) / np.abs(r_s - r_t) / SEARCH_NODES**2
+
+        def level(n: int) -> np.ndarray:
+            step = SEARCH_NODES // n
+            return scale * concentric_sum(a[:, ::step], b[:, ::step], r_s, r_t) / n**2
+
+        measured = np.minimum(np.abs(level(2 * h) - level(h)) / mass, 1.0) ** (nodes / h)
+        alias = np.maximum(measured, _alias_ratio(spec, lam, mu, r_s, r_t) ** nodes)
+        score = mass * (np.finfo(float).eps + alias)
+        i = np.argmin(np.where(np.isnan(score), np.inf, score))
+        return cls(*(float(v[i]) for v in circles))
 
     def validate(self, spec: LaguerreSpec) -> None:
-        for b_k in spec.beta:
-            if abs(float(b_k) - self.center) >= self.inner_radius:
-                raise ContourError(f"rate {b_k} is not inside the inner circle")
-        if self.outer_radius <= max(self.inner_radius, abs(self.center)):
+        if self.s_radius <= 0.0 or self.t_radius <= 0.0:
+            raise ContourError("circle radii must be positive")
+        if abs(self.s_center) >= self.s_radius:
             raise ContourError(
-                "outer circle must enclose 0 and the inner circle "
-                f"(radius {self.outer_radius} around {self.center}, inner radius {self.inner_radius})"
+                f"the s-circle must enclose 0 (centre {self.s_center}, radius {self.s_radius})"
+            )
+        for b_k in spec.beta:
+            if abs(float(b_k) - self.t_center) >= self.t_radius:
+                raise ContourError(f"rate {b_k} is not inside the t-circle")
+        d = abs(self.t_center - self.s_center)
+        if abs(self.s_radius - self.t_radius) <= d <= self.s_radius + self.t_radius:
+            raise ContourError(
+                "the circles must not cut or touch "
+                f"(s: radius {self.s_radius} around {self.s_center}, "
+                f"t: radius {self.t_radius} around {self.t_center})"
             )
 
 
-def _node_factors(spec: LaguerreSpec, x: float, y: float, c: float, rho, R, nodes: int):
-    """A = (s - c) f(s) at s = c + R w^i and B = (t - c) g(t) at
-    t = c + rho w^j, w = e^{2 pi i / nodes}; rho and R broadcast against the
-    trailing node axis."""
+def _candidates(spec: LaguerreSpec) -> tuple[np.ndarray, ...]:
+    """(s_center, s_radius, t_center, t_radius) arrays of the candidate
+    pairs: the t-circle inside the s-circle, both around half the largest
+    rate (where the s-circle's reach to the right, where e^{xs} peaks, is
+    least); the s-circle inside a t-circle, both around 0 (for x large
+    against y); and disjoint circles, the s-circle around 0 (for x and y
+    both large, where e^{xs} and e^{-yt} must both stay small)."""
+    b = [float(v) for v in spec.beta]
+    lo, hi = min(b), max(b)
+    c = 0.5 * hi
+    t_out = np.repeat(c * RADIUS_STEPS, RADIUS_STEPS.size)
+    s_out = t_out * np.tile(RADIUS_STEPS, RADIUS_STEPS.size)
+    t_in = np.repeat(hi * RADIUS_STEPS, SADDLE_STEPS.size)
+    s_in = t_in / np.tile(SADDLE_STEPS, RADIUS_STEPS.size)
+    s_dis = np.repeat(lo * DISJOINT_S, DISJOINT_GAP.size)
+    t_dis = 0.5 * (hi - lo) + lo * np.tile(DISJOINT_GAP, DISJOINT_S.size)
+    s_center = np.concatenate([np.full(t_out.size, c), np.zeros(t_in.size + s_dis.size)])
+    t_center = np.concatenate(
+        [np.full(t_out.size, c), np.zeros(t_in.size), np.full(s_dis.size, 0.5 * (lo + hi))]
+    )
+    s_radius = np.concatenate([s_out, s_in, s_dis])
+    return s_center, s_radius, t_center, np.concatenate([t_out, t_in, t_dis])
+
+
+def _coaxal(s_center, s_radius, t_center, t_radius) -> tuple[np.ndarray, ...]:
+    """The Moebius map u = (s - lam) / (1 - mu s) that sends the s-circle and
+    the t-circle (nested or disjoint, broadcast arrays) to circles around 0:
+    lam is the limit point of the pair inside the s-circle and 1/mu the
+    other one (mu = 0 for concentric circles, whose map is the shift by
+    their centre).  Returns lam, mu, the radii r_s and r_t of the images,
+    and the t image's orientation, -1 where the inside of the t-circle (it
+    holds 1/mu when the circles are disjoint) maps to the outside."""
+    sc, sr, tc, tr = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (s_center, s_radius, t_center, t_radius))
+    )
+    concentric = tc == sc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # The limit points p, p' are inverse to each other in both circles:
+        # (p - sc)(p' - sc) = sr^2 and (p - tc)(p' - tc) = tr^2.
+        total = (sr * sr - tr * tr + tc * tc - sc * sc) / (tc - sc)
+        product = sr * sr + sc * total - sc * sc
+        far = 0.5 * (total + np.copysign(np.sqrt(total * total - 4.0 * product), total))
+        near = product / far
+        near_in_s = np.abs(near - sc) < sr
+        lam = np.where(concentric, sc, np.where(near_in_s, near, far))
+        mu = np.where(concentric, 0.0, 1.0 / np.where(near_in_s, far, near))
+    r_s = np.abs((sc + sr - lam) / (1.0 - mu * (sc + sr)))
+    r_t = np.abs((tc + tr - lam) / (1.0 - mu * (tc + tr)))
+    sign = np.where(np.abs(lam - tc) < tr, 1.0, -1.0)
+    return lam, mu, r_s, r_t, sign
+
+
+def _alias_ratio(spec: LaguerreSpec, lam, mu, r_s, r_t) -> np.ndarray:
+    """Largest ratio, over the singular points of the mapped integrands, of
+    the smaller to the larger of |u| and the radius of the circle they meet:
+    the pole s = t (each circle against the other), s = 0 (u = -lam), the
+    rates, and s = infinity (u = -1/mu).  The trapezoid rule's error falls
+    like this ratio to the node count."""
+
+    def ratio(p, r):
+        return np.minimum(p, r) / np.maximum(p, r)
+
+    with np.errstate(divide="ignore"):
+        at_inf = 1.0 / np.abs(mu)
+    worst = np.maximum.reduce(
+        [ratio(r_t, r_s), ratio(np.abs(lam), r_s), ratio(at_inf, r_s), ratio(at_inf, r_t)]
+    )
+    for b_k in spec.beta:
+        worst = np.maximum(worst, ratio(np.abs((float(b_k) - lam) / (1.0 - mu * float(b_k))), r_t))
+    return worst
+
+
+def _node_factors(spec: LaguerreSpec, x: float, y: float, lam, mu, r_s, r_t, nodes: int):
+    """a = f(s) u / (1 + mu u) at u = r_s w^i and b = g(t) v / (1 + mu v) at
+    v = r_t w^j, w = e^{2 pi i / nodes}, where s = (u + lam) / (1 + mu u) and
+    t likewise; the map's parameters broadcast against the trailing node
+    axis."""
     w = np.exp(2j * math.pi * np.arange(nodes) / nodes)
-    ds, dt = R * w, rho * w
-    s, t = c + ds, c + dt
+    u, v = r_s * w, r_t * w
+    ju, jv = 1.0 + mu * u, 1.0 + mu * v
+    s, t = (u + lam) / ju, (v + lam) / jv
     wp = spec.n.weight + spec.p
-    A = ds * np.exp(x * s) * s ** (-wp)
-    B = dt * np.exp(-y * t) * t**wp
+    A = u / ju * np.exp(x * s) * s ** (-wp)
+    B = v / jv * np.exp(-y * t) * t**wp
     for b_k, n_k in zip(spec.beta, spec.n):
         if n_k:
             A = A * (s - float(b_k)) ** n_k
@@ -237,30 +344,23 @@ def contour_levels(
     geometry: LaguerreContourGeometry | None,
 ) -> Iterator[complex]:
     """Double-contour kernel values at nodes, 2*nodes, 4*nodes, ... nodes per
-    circle (geometry None: ``LaguerreContourGeometry.at(spec, x, y)``).
+    circle (geometry None: ``LaguerreContourGeometry.at(spec, x, y, nodes)``).
 
-    Both directions are trapezoid rules on the concentric circles, and each
-    level's node sum is ``concentric_sum``, O(N log N).  Note the contour
-    normalization differs from the CD kernel by the factor x^p y^(-p); they
-    agree exactly when p = 0.
+    With s = S(u), t = S(v) for the Moebius map S of ``_coaxal``,
+    ds dt / (s - t) = (1 - lam mu) du dv / ((1 + mu u)(1 + mu v)(u - v)), so
+    both directions are trapezoid rules on the image circles around 0, and
+    each level's node sum is ``concentric_sum``, O(N log N).  Note the
+    contour normalization differs from the CD kernel by the factor
+    x^p y^(-p); they agree exactly when p = 0.  The imaginary part is a pure
+    discretization diagnostic.
     """
-    geom = geometry if geometry is not None else LaguerreContourGeometry.at(spec, x, y)
+    geom = geometry if geometry is not None else LaguerreContourGeometry.at(spec, x, y, nodes)
     geom.validate(spec)
-    c, rho, R = geom.center, geom.inner_radius, geom.outer_radius
+    lam, mu, r_s, r_t, sign = (
+        float(v) for v in _coaxal(geom.s_center, geom.s_radius, geom.t_center, geom.t_radius)
+    )
+    scale = sign * (1.0 - lam * mu)
     while True:
-        A, B = _node_factors(spec, x, y, c, rho, R, nodes)
-        yield concentric_sum(A, B, rho / R, R) / (nodes * nodes)
+        a, b = _node_factors(spec, x, y, lam, mu, r_s, r_t, nodes)
+        yield scale * complex(concentric_sum(a, b, r_s, r_t)) / (nodes * nodes)
         nodes *= 2
-
-
-def _contour_complex(
-    spec: LaguerreSpec,
-    x: float,
-    y: float,
-    nodes: int,
-    geometry: LaguerreContourGeometry | None,
-) -> complex:
-    """Double-contour kernel value at one node count, the first of
-    ``contour_levels``; the imaginary part is a pure discretization
-    diagnostic."""
-    return next(contour_levels(spec, x, y, nodes, geometry))

@@ -1,8 +1,8 @@
 """Quadrature primitives for the double-contour kernel integrals.
 
 Circles use the periodic trapezoid rule, which is spectrally accurate for
-analytic integrands; on two concentric circles the double node sum is one
-FFT convolution (``concentric_sum``).  Lines carrying a Gaussian
+analytic integrands; on two circles around one centre the double node sum
+is one FFT convolution (``concentric_sum``).  Lines carrying a Gaussian
 (exp(-u^2/2)) or exponential (exp(-beta*u)) weight use Gauss rules built
 from the classical orthonormal three-term recurrences (Golub & Welsch,
 Math. Comp. 23, 1969): the nodes are the eigenvalues of the symmetric
@@ -60,18 +60,26 @@ def bilinear_sum(A: np.ndarray, s: np.ndarray, t: np.ndarray, B: np.ndarray) -> 
     return total
 
 
-def concentric_sum(A: np.ndarray, B: np.ndarray, q: float, R: float) -> complex:
+def concentric_sum(A: np.ndarray, B: np.ndarray, r_s, r_t) -> np.ndarray:
     """sum_{i,j} A[i] * B[j] / (s[i] - t[j]) for N equispaced nodes on two
-    concentric circles, s_i = c + R w^i and t_j = c + rho w^j with
-    w = e^{2 pi i / N} and q = rho / R < 1, in O(N log N).
+    circles around 0, s_i = r_s w^i and t_j = r_t w^j with
+    w = e^{2 pi i / N} and r_s != r_t, in O(N log N).  The nodes run along
+    the last axis; the radii broadcast against the leading ones.
 
-    Expanding 1/(s_i - t_j) = sum_m q^m w^{m(j-i) - i} / R and folding m mod
-    N gives sum_{k<N} q^k Ahat[(k+1) mod N] Bchk[k] / (R (1 - q^N)), with
-    Ahat = fft(A) and Bchk = N * ifft(B).
+    For r_s > r_t, expanding 1/(s_i - t_j) = sum_m q^m w^{m(j-i) - i} / r_s
+    with q = r_t / r_s and folding m mod N gives
+    sum_{k<N} q^k Ahat[(k+1) mod N] Bchk[k] / (r_s (1 - q^N)), with
+    Ahat = fft(A) and Bchk = N * ifft(B); for r_s < r_t the roles swap and
+    the sign flips.
     """
-    N = A.size
-    terms = q ** np.arange(N) * np.roll(np.fft.fft(A), -1) * (N * np.fft.ifft(B))
-    return complex(terms.sum()) / (R * (1.0 - q**N))
+    r_s, r_t = np.asarray(r_s, dtype=float), np.asarray(r_t, dtype=float)
+    swap = (r_s < r_t)[..., None]
+    A, B = np.where(swap, B, A), np.where(swap, A, B)
+    R = np.maximum(r_s, r_t)
+    q = np.minimum(r_s, r_t) / R
+    N = A.shape[-1]
+    terms = q[..., None] ** np.arange(N) * np.roll(np.fft.fft(A), -1, axis=-1) * (N * np.fft.ifft(B))
+    return np.where(swap[..., 0], -1.0, 1.0) * terms.sum(-1) / (R * (1.0 - q**N))
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,18 @@ def test_kernel_far_from_the_shifts(capsys):
     assert abs(row["cd"] - row["contour"]) <= 1e-7
 
 
+def test_kernel_laguerre_large_x(capsys):
+    """Large x picks a small s-circle; a circle around the rates' circle
+    meets e^{xs} at e^{12 * 2} and more and did not settle."""
+    code, out, err = run(
+        capsys, "kernel", "--family", "laguerre", "--beta", "1,2", "--n", "1,1",
+        "--grid=12:12:1,0.5:0.5:1", "--format", "json",
+    )
+    assert code == 0, err
+    (row,) = json.loads(out)["rows"]
+    assert abs(row["cd"] - row["contour"]) <= 1e-9
+
+
 def test_cli_import_loads_no_scipy():
     """scipy.stats costs ~1 s to import; the CLI defers it to the chi-square."""
     probe = "import sys, multiortho.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

@@ -150,7 +150,7 @@ def test_contour_hermite_doubling_settles():
 
 
 def test_contour_hermite_imag_part_small():
-    val = hm._contour_complex(H11, 0.7, -1.1, 256, None)
+    val = next(hm.contour_levels(H11, 0.7, -1.1, 256, None))
     assert abs(val.imag) < 1e-10
 
 
@@ -170,7 +170,7 @@ def test_contour_laguerre_conjugation_factor():
 
 
 def test_contour_laguerre_imag_part_small():
-    val = lg._contour_complex(L11_P1, 0.8, 2.3, 256, None)
+    val = next(lg.contour_levels(L11_P1, 0.8, 2.3, 256, None))
     assert abs(val.imag) < 1e-10
 
 
@@ -197,10 +197,52 @@ def test_contour_geometry_validation():
     bad = hm.HermiteContourGeometry(geo.circle_center + geo.circle_radius, geo.circle_center, geo.circle_radius)
     with pytest.raises(ContourError):
         bad.validate(H11)
-    lgeo = lg.LaguerreContourGeometry.at(L11_P0, 1.0, 1.0)
+    lgeo = lg.LaguerreContourGeometry.at(L11_P0, 1.0, 1.0, 512)
     lgeo.validate(L11_P0)
     with pytest.raises(ContourError):
-        lg.LaguerreContourGeometry(lgeo.center, lgeo.inner_radius, 1.0).validate(L11_P0)
+        lg.LaguerreContourGeometry(lgeo.s_center, lgeo.s_radius, lgeo.t_center, 1.0).validate(L11_P0)
+
+
+@pytest.mark.parametrize(
+    "circles",
+    [(0.0, 0.5, 1.5, 0.75), (0.0, 0.25, 0.0, 2.5), (1.0, 3.0, 1.0, 1.25), (-0.5, 4.0, 1.5, 1.0)],
+    ids=["disjoint", "s-inside", "t-inside", "t-inside-off-centre"],
+)
+def test_contour_laguerre_circle_pairs_agree_with_cd(circles):
+    """Disjoint and nested circle pairs, either way round, give the same
+    kernel: the Moebius map to circles around 0 keeps the node sum exact."""
+    geo = lg.LaguerreContourGeometry(*circles)
+    K = kn.build_kernel("laguerre", L11_P0)
+    got = kn.eval_contour("laguerre", L11_P0, 0.7, 1.9, nodes=256, geometry=geo)
+    assert got == pytest.approx(kn.eval_cd(K, 0.7, 1.9), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "circles",
+    [(0.0, 0.5, 1.5, 1.0), (0.0, 0.5, 1.5, 0.4), (0.6, 0.5, 1.5, 0.75), (0.0, 2.0, 0.0, 2.0)],
+    ids=["touching", "rate-outside", "zero-outside", "equal"],
+)
+def test_contour_laguerre_geometry_rejected(circles):
+    with pytest.raises(ContourError):
+        lg.LaguerreContourGeometry(*circles).validate(L11_P0)
+
+
+def test_contour_laguerre_mapped_sum_matches_direct_node_sum():
+    """The mapped FFT sum is the double node sum at the preimages of the
+    equispaced image nodes, summed directly."""
+    spec, x, y, N = LaguerreSpec.of([1, 2], [2, 1], 1), 3.0, 2.0, 128
+    geo = lg.LaguerreContourGeometry(0.0, 0.5, 1.5, 0.75)
+    lam, mu, r_s, r_t, sign = (float(v) for v in lg._coaxal(0.0, 0.5, 1.5, 0.75))
+    w = np.exp(2j * np.pi * np.arange(N) / N)
+    s = (r_s * w + lam) / (1 + mu * r_s * w)
+    t = (r_t * w + lam) / (1 + mu * r_t * w)
+    ds = (1 - lam * mu) / (1 + mu * r_s * w) ** 2 * r_s * w
+    dt = sign * (1 - lam * mu) / (1 + mu * r_t * w) ** 2 * r_t * w
+    f = np.exp(x * s) * s ** -4 * (s - 1) ** 2 * (s - 2)
+    g = np.exp(-y * t) * t**4 / ((t - 1) ** 2 * (t - 2))
+    direct = bilinear_sum(f * ds, s, t, g * dt) / N**2
+    got = next(lg.contour_levels(spec, x, y, N, geo))
+    assert abs(got - direct) <= 1e-14 * abs(direct)
 
 
 def test_contour_custom_geometry_consistent():
@@ -212,14 +254,18 @@ def test_contour_custom_geometry_consistent():
 
 @pytest.mark.parametrize("N", [64, 512])
 def test_concentric_sum_matches_bilinear_sum(N):
-    """The FFT convolution is the node sum over two concentric circles."""
+    """The FFT convolution is the node sum over two circles around 0,
+    either one the larger, also row by row on stacked node values."""
     rng = np.random.default_rng(N)
     A = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     B = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    c, rho, R = 1.5, 2.0, 3.0
     w = np.exp(2j * np.pi * np.arange(N) / N)
-    direct = bilinear_sum(A, c + R * w, c + rho * w, B)
-    assert abs(concentric_sum(A, B, rho / R, R) - direct) <= 1e-14 * abs(direct)
+    radii = [(3.0, 2.0), (2.0, 3.0)]
+    batched = concentric_sum(np.stack([A, A]), np.stack([B, B]), *np.array(radii).T)
+    for (r_s, r_t), got in zip(radii, batched):
+        direct = bilinear_sum(A, r_s * w, r_t * w, B)
+        assert abs(concentric_sum(A, B, r_s, r_t) - direct) <= 1e-14 * abs(direct)
+        assert got == concentric_sum(A, B, r_s, r_t)
 
 
 def test_contour_nested_level_matches_fresh_evaluation():
@@ -229,7 +275,7 @@ def test_contour_nested_level_matches_fresh_evaluation():
     levels = hm.contour_levels(spec, 3.0, 0.0, 512, None)
     next(levels)
     nested = next(levels)
-    fresh = hm._contour_complex(spec, 3.0, 0.0, 1024, None)
+    fresh = next(hm.contour_levels(spec, 3.0, 0.0, 1024, None))
     assert abs(nested - fresh) <= 1e-14 * abs(fresh)
 
 
@@ -257,6 +303,42 @@ def test_contour_against_reference(family, params, n, p):
         for y in grid:
             ct = _contour_as_cd(spec, x, y, nodes=512)
             assert abs(ct - cd_kernel_oracle(family, params, n, p, x, y)) <= 1e-9, (x, y)
+
+
+@pytest.mark.parametrize(
+    "n, p, tol",
+    [((1, 1), 1, 1e-9), ((8, 8), 1, 1e-8)],
+    ids=["1-1-p1", "8-8-p1"],
+)
+def test_contour_laguerre_64_nodes_against_reference(n, p, tol):
+    """At 64 nodes the geometry search weighs the trapezoid rule's aliasing
+    at that node count, not only the rounding of the node sum."""
+    spec = LaguerreSpec.of((1, 2), n, p)
+    grid = [float(v) for v in standard_grid("laguerre")]
+    for x in grid:
+        for y in grid:
+            ct = _contour_as_cd(spec, x, y, nodes=64)
+            assert abs(ct - cd_kernel_oracle("laguerre", (1, 2), n, p, x, y)) <= tol, (x, y)
+
+
+@pytest.mark.parametrize(
+    "n, p, x, y",
+    [
+        ((1, 1), 0, 12.0, 0.5),
+        ((1, 1), 0, 12.0, 12.0),
+        ((1, 1), 0, 30.0, 0.5),
+        ((1, 1), 0, 30.0, 30.0),
+        ((8, 8), 1, 12.0, 0.5),
+        ((8, 8), 1, 12.0, 12.0),
+    ],
+)
+def test_contour_laguerre_large_arguments(n, p, x, y):
+    """Large x needs the s-circle small (inside the t-circle, or beside it
+    when y is large too): a circle around the t-circle meets e^{xs} at
+    e^{x max beta} or more."""
+    spec = LaguerreSpec.of((1, 2), n, p)
+    ct = _contour_as_cd(spec, x, y)
+    assert abs(ct - cd_kernel_oracle("laguerre", (1, 2), n, p, x, y)) <= 1e-9
 
 
 @pytest.mark.parametrize(
