@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernels as _kernels
 from . import rmt as _rmt
-from .core import ExactMathError, MultiIndex, RatPoly, ScaledConstant, as_fraction, mi_chain
+from .core import MultiIndex, RatPoly, ScaledConstant, as_fraction, mi_chain
 from .quad import ConvergenceError
 from .hermite import HermiteSpec
 from .laguerre import LaguerreSpec
@@ -147,7 +147,7 @@ def _load_config_file(path: str) -> dict[str, Any]:
 def _merge_config(args: argparse.Namespace) -> JobConfig:
     """Config file values first, command-line flags override."""
     raw: dict[str, Any] = {}
-    if getattr(args, "config", None):
+    if args.config:
         raw.update(_load_config_file(args.config))
     for key in _CONFIG_FILE_KEYS:
         flag = getattr(args, key, None)
@@ -202,7 +202,7 @@ def _build_spec(cfg: JobConfig):
         if cfg.a is not None:
             raise UsageError("--a does not apply to the laguerre family")
         return "laguerre", LaguerreSpec.of(cfg.beta, cfg.n, cfg.p or 0)
-    except (ExactMathError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         if isinstance(exc, UsageError):
             raise
         raise UsageError(f"invalid spec: {exc}") from exc
@@ -368,6 +368,9 @@ def _check_doc(res: CheckResult, zero_timings: bool) -> dict[str, Any]:
 
 def cmd_verify(cfg: JobConfig, sweep: bool, inject_fault: bool) -> int:
     if sweep:
+        given = [f"--{k}" for k in ("a", "beta", "n", "p") if getattr(cfg, k) is not None]
+        if given:
+            raise UsageError(f"--sweep runs the standard specs and takes no {'/'.join(given)}")
         families = [cfg.family] if cfg.family else list(_kernels.FAMILIES)
         if any(f not in _kernels.FAMILIES for f in families):
             raise UsageError("--family must be hermite or laguerre")
@@ -414,27 +417,6 @@ def cmd_verify(cfg: JobConfig, sweep: bool, inject_fault: bool) -> int:
     return EXIT_OK if all_passed else EXIT_FAIL
 
 
-def kernel_point(
-    K: _kernels.KernelModel, chain: Sequence[MultiIndex], x: float, y: float, **contour: Any
-) -> tuple[float, float, float]:
-    """(cd, sum, contour) at (x, y), the contour value (eval_contour with the
-    given keywords) in the CD normalization so the three compare directly.
-    An overflow or a non-finite value raises OverflowError naming the point."""
-    spec = K.spec
-    where = f"kernel at x={x}, y={y}"
-    try:
-        cd = _kernels.eval_cd(K, x, y)
-        s = _kernels.eval_sum(spec.family, spec, chain, x, y)
-        ct = _kernels.eval_contour(spec.family, spec, x, y, **contour)
-        p = getattr(spec, "p", 0)
-        if p:
-            ct *= (y / x) ** p
-    except OverflowError as exc:
-        raise OverflowError(f"{where}: {exc}") from exc
-    _require_finite(where, cd, s, ct)
-    return cd, s, ct
-
-
 def cmd_kernel(cfg: JobConfig) -> int:
     family, spec = _build_spec(cfg)
     if cfg.grid is not None:
@@ -453,7 +435,7 @@ def cmd_kernel(cfg: JobConfig) -> int:
     json_rows = []
     for x in xs:
         for y in ys:
-            cd, s, ct = kernel_point(K, chain, float(x), float(y), nodes=cfg.nodes, tol=tol)
+            cd, s, ct = _kernels.kernel_point(K, chain, float(x), float(y), cfg.nodes, tol)
             diff = abs(cd - ct)
             rows.append([_fmt(x), _fmt(y), _fmt(cd), _fmt(s), _fmt(ct), _fmt(diff)])
             json_rows.append(
@@ -656,39 +638,20 @@ def _parser() -> argparse.ArgumentParser:
 _VALUE_FLAGS = ("--a", "--beta", "--n", "--grid", "--points")
 
 
-def _join_leading_minus(argv: list[str], flags: Sequence[str] = _VALUE_FLAGS) -> list[str]:
-    """Rewrite ["--grid", "-3:3:5"] as ["--grid=-3:3:5"] for each of flags,
-    so values that start with a minus sign survive argparse."""
+def _join_leading_minus(argv: list[str]) -> list[str]:
+    """Rewrite ["--grid", "-3:3:5"] as ["--grid=-3:3:5"] for each of
+    _VALUE_FLAGS, so values that start with a minus sign survive argparse."""
     out: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in flags and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        if tok in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
             out.append(tok)
             i += 1
     return out
-
-
-def run_guarded(command: Callable[..., int], *args: Any) -> int:
-    """command(*args), with the package's errors turned into an "error:" line
-    on stderr and the exit code they map to."""
-    try:
-        return command(*args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except OverflowError as exc:
-        print(f"error: float overflow: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (ExactMathError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -712,7 +675,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _parser()
     tokens = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(_join_leading_minus(tokens))
-    return run_guarded(_run, args)
+    try:
+        return _run(args)
+    except ValueError as exc:  # UsageError and ExactMathError among them
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except OverflowError as exc:
+        print(f"error: float overflow: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -262,22 +262,20 @@ def eval_contour(
     x: float,
     y: float,
     nodes: int | None = None,
-    geometry=None,
     tol: float = CONTOUR_DOUBLING_TOL,
-    cap: int = CONTOUR_CAP_NODES,
 ) -> float:
     """Double-contour kernel value (real part): vertical line x circle for
     the Gaussian family, two circles for the half-line family, whose
     contour normalization differs from the CD kernel by x^p y^(-p).  The
-    geometry defaults to the family's per-point one (``geometry=None``),
-    chosen for the starting node count.
+    geometry is the family's per-point one, chosen for the starting node
+    count.
 
     The values come from the family's ``contour_levels``, one per node
     doubling.  With an explicit node count this is its first level.  With
     nodes=None the levels start at CONTOUR_START_NODES and the value is the
     first one within tol of the level before, raising ConvergenceError
-    (carrying the best value) if the cap is reached first.  A non-finite
-    level raises OverflowError.
+    (carrying the best value) if CONTOUR_CAP_NODES is reached first.  A
+    non-finite level raises OverflowError.
     """
     levels = family_module(family, spec).contour_levels
     x, y = float(x), float(y)
@@ -286,27 +284,53 @@ def eval_contour(
         raise ContourError(f"node count must be even and >= 16, got {nodes}")
     n = CONTOUR_START_NODES if nodes is None else nodes
     with np.errstate(all="ignore"):
-        values = (_finite_real(v) for v in levels(spec, x, y, n, geometry))
+        values = (_finite_real(v) for v in levels(spec, x, y, n, None))
         prev = next(values)
         if nodes is not None:
             return prev
         delta = math.inf
-        while n < cap:
+        while n < CONTOUR_CAP_NODES:
             n *= 2
             cur = next(values)
             delta = abs(cur - prev)
             if delta < tol:
                 return cur
             prev = cur
-    raise ConvergenceError(
-        f"contour kernel did not settle below {tol} by {cap} nodes", prev, delta, cap
-    )
+    raise ConvergenceError(f"contour kernel did not settle below {tol} by {n} nodes", prev, delta, n)
 
 
 def _finite_real(value: complex) -> float:
     if not math.isfinite(value.real):
         raise OverflowError("contour kernel value is not finite")
     return value.real
+
+
+def kernel_point(
+    K: KernelModel,
+    chain: Sequence[MultiIndex],
+    x: float,
+    y: float,
+    nodes: int | None = None,
+    tol: float = CONTOUR_DOUBLING_TOL,
+) -> tuple[float, float, float]:
+    """(cd, sum, contour) at (x, y), the contour value (eval_contour at the
+    given nodes and tol) times (y / x)^p into the CD normalization so the
+    three compare directly.  An overflow or a non-finite value raises
+    OverflowError naming the point."""
+    spec = K.spec
+    where = f"kernel at x={x}, y={y}"
+    try:
+        cd = eval_cd(K, x, y)
+        s = eval_sum(spec.family, spec, chain, x, y)
+        ct = eval_contour(spec.family, spec, x, y, nodes, tol)
+        p = getattr(spec, "p", 0)
+        if p:
+            ct *= (y / x) ** p
+    except OverflowError as exc:
+        raise OverflowError(f"{where}: {exc}") from exc
+    if not all(math.isfinite(v) for v in (cd, s, ct)):
+        raise OverflowError(f"{where} is not finite")
+    return cd, s, ct
 
 
 # ---------------------------------------------------------------------------

@@ -128,14 +128,10 @@ def verify_battery(family: str, spec) -> list[CheckResult]:
         grid = standard_grid(family)
         chains = [mi_chain(spec.n, s) for s in CHAIN_STRATEGIES]
         worst_sum = worst_contour = worst_chain = 0.0
-        p = getattr(spec, "p", 0)
         for x in grid:
             for y in grid:
-                cd = _kernels.eval_cd(K, x, y)
-                sums = [_kernels.eval_sum(family, spec, c, x, y) for c in chains]
-                ct = _kernels.eval_contour(family, spec, x, y, nodes=512)
-                if p:
-                    ct *= (y / x) ** p
+                cd, sm, ct = _kernels.kernel_point(K, chains[0], float(x), float(y), nodes=512)
+                sums = [sm] + [_kernels.eval_sum(family, spec, c, x, y) for c in chains[1:]]
                 worst_sum = max(worst_sum, abs(cd - sums[0]))
                 worst_chain = max(worst_chain, max(abs(s - sums[0]) for s in sums))
                 worst_contour = max(worst_contour, abs(cd - ct))

@@ -109,6 +109,20 @@ def test_verify_inject_fault(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
+    [["--family", "hermite", "--a", "5", "--n", "9"], ["--beta", "1"], ["--p", "0"]],
+    ids=["a-n", "beta", "p"],
+)
+def test_verify_sweep_refuses_spec_flags(capsys, flags):
+    """--sweep checks the standard specs only, so a spec it would not check
+    is a usage error, not a pass."""
+    code, out, err = run(capsys, "verify", "--sweep", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --sweep runs the standard specs")
+
+
+@pytest.mark.parametrize(
+    "flags",
     [["--family", "hermite", "--a", "1,-1", "--n", "1,1"], ["--sweep"]],
     ids=["single", "sweep"],
 )
@@ -208,6 +222,13 @@ def test_non_finite_number_exit_2(capsys, argv):
     assert "finite" in err
 
 
+def test_density_grid_takes_one_range_exit_2(capsys):
+    code, out, err = run(capsys, "density", *HERMITE_11, "--grid=1,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --grid takes one range")
+
+
 def test_kernel_laguerre_positivity_exit_2(capsys):
     code, _, err = run(
         capsys,
@@ -226,6 +247,7 @@ def test_kernel_laguerre_positivity_exit_2(capsys):
 
 
 HERMITE_21 = ("--family", "hermite", "--a", "1,-1", "--n", "2,1")
+LAGUERRE_11 = ("--family", "laguerre", "--beta", "1,2", "--n", "1,1")
 LAGUERRE_11_P2 = ("--family", "laguerre", "--beta", "1,2", "--n", "1,1", "--p", "2")
 
 
@@ -235,8 +257,9 @@ LAGUERRE_11_P2 = ("--family", "laguerre", "--beta", "1,2", "--n", "1,1", "--p", 
         (("density", *HERMITE_21, "--grid=-1e200:1e200:3", "--format", "json"), "x=-1e+200"),
         (("density", *HERMITE_21, "--grid=-1e200:1e200:3"), "x=-1e+200"),
         (("correlate", *HERMITE_21, "--points", "1e200,1"), "[1e+200, 1.0]"),
+        (("kernel", *LAGUERRE_11, "--grid=2000:2000:1", "--nodes", "32"), "x=2000.0, y=2000.0"),
     ],
-    ids=["density-json", "density-csv", "correlate"],
+    ids=["density-json", "density-csv", "correlate", "kernel"],
 )
 def test_non_finite_result_exit_1(capsys, argv, where):
     """A float kernel that overflows to nan is refused, naming the point."""

@@ -184,8 +184,8 @@ def test_contour_adaptive_reports_nonconvergence():
     """The doubling loop stops at the cap and reports its last value,
     delta and node count when the tolerance cannot be met."""
     with pytest.raises(ConvergenceError) as err:
-        kn.eval_contour("hermite", H11, 1.2, -0.4, tol=0.0, cap=1024)
-    assert err.value.nodes == 1024
+        kn.eval_contour("hermite", H11, 1.2, -0.4, tol=0.0)
+    assert err.value.nodes == kn.CONTOUR_CAP_NODES
     assert 0.0 <= err.value.delta < 1e-9
     K = kn.build_kernel("hermite", H11)
     assert err.value.best == pytest.approx(kn.eval_cd(K, 1.2, -0.4), abs=1e-7)
@@ -213,7 +213,7 @@ def test_contour_laguerre_circle_pairs_agree_with_cd(circles):
     kernel: the Moebius map to circles around 0 keeps the node sum exact."""
     geo = lg.LaguerreContourGeometry(*circles)
     K = kn.build_kernel("laguerre", L11_P0)
-    got = kn.eval_contour("laguerre", L11_P0, 0.7, 1.9, nodes=256, geometry=geo)
+    got = next(lg.contour_levels(L11_P0, 0.7, 1.9, 256, geo)).real
     assert got == pytest.approx(kn.eval_cd(K, 0.7, 1.9), abs=1e-12)
 
 
@@ -248,7 +248,7 @@ def test_contour_laguerre_mapped_sum_matches_direct_node_sum():
 def test_contour_custom_geometry_consistent():
     geo = hm.HermiteContourGeometry(-4.0, 0.0, 2.5)
     K = kn.build_kernel("hermite", H11)
-    got = kn.eval_contour("hermite", H11, 0.5, 0.1, nodes=512, geometry=geo)
+    got = next(hm.contour_levels(H11, 0.5, 0.1, 512, geo)).real
     assert got == pytest.approx(kn.eval_cd(K, 0.5, 0.1), abs=1e-7)
 
 
