@@ -8,10 +8,15 @@ Commands
     simulate   Monte Carlo eigenvalue histogram vs kernel prediction
     correlate  determinant of [K(x_i, x_j)] at given points
 
+Every command reads the spec flags (SPEC_FLAGS) and --config; COMMANDS
+names the rest, and FLAGS converts each.  A --config file holds the same
+keys as the command's flags, switches aside.
+
 Exit codes: 0 success, 1 verification/statistical failure, 2 usage or
-configuration error.  Rational values cross this boundary as "num/den"
-strings; floats are printed with 17 significant digits.  File outputs are
-deterministic for a fixed config and seed.
+configuration error, a flag or config key the command does not read among
+them.  Rational values cross this boundary as "num/den" strings; floats are
+printed with 17 significant digits.  File outputs are deterministic for a
+fixed config and seed.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, fields
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,34 +55,7 @@ class UsageError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    """Validated job description; mirrors the JSON config file schema.
-
-    Rationals (entries of a/beta) are Fraction; the JSON file carries them
-    as "num/den" strings or integers.  Unknown file fields are rejected.
-    """
-
-    command: str
-    family: str | None = None
-    a: tuple[Fraction, ...] | None = None
-    beta: tuple[Fraction, ...] | None = None
-    n: tuple[int, ...] | None = None
-    p: int | None = None
-    grid: str | None = None
-    nodes: int | None = None
-    samples: int | None = None
-    seed: int | None = None
-    out: str | None = None
-    format: str = "csv"
-    points: tuple[float, ...] | None = None
-    tolerance: float | None = None
-
-
-_CONFIG_FILE_KEYS = tuple(f.name for f in fields(JobConfig) if f.name != "command")
+# flags and config
 
 
 def _rational_str(q: Fraction) -> str:
@@ -114,21 +92,75 @@ def _parse_finite(value: Any) -> float:
     return x
 
 
+def _parse_text(value: Any) -> str:
+    """A string as given; a JSON null or number is refused, not stringified."""
+    if not isinstance(value, str):
+        raise UsageError(f"expected a string, got {value!r}")
+    return value
+
+
+def _parse_format(value: Any) -> str:
+    if value not in ("csv", "json"):
+        raise UsageError(f"unknown format {value!r} (expected csv or json)")
+    return value
+
+
 def _require_finite(where: str, *values: float) -> None:
     """Refuse to print a value that overflowed the float routes."""
     if not all(math.isfinite(v) for v in values):
         raise OverflowError(f"{where} is not finite")
 
 
-def _parse_list(value: Any, convert: Callable[[Any], Any]) -> tuple:
-    if isinstance(value, str):
-        value = [s for s in value.split(",") if s.strip()]
-    if not isinstance(value, (list, tuple)) or not value:
-        raise UsageError(f"expected a non-empty comma-separated list, got {value!r}")
-    return tuple(convert(v) for v in value)
+def _list_of(convert: Callable[[Any], Any]) -> Callable[[Any], tuple]:
+    """A non-empty list from a comma-separated flag or a JSON array."""
+
+    def parse(value: Any) -> tuple:
+        if isinstance(value, str):
+            value = [s for s in value.split(",") if s.strip()]
+        if not isinstance(value, (list, tuple)) or not value:
+            raise UsageError(f"expected a non-empty comma-separated list, got {value!r}")
+        return tuple(convert(v) for v in value)
+
+    return parse
 
 
-def _load_config_file(path: str) -> dict[str, Any]:
+class Flag(NamedTuple):
+    """One converter for a flag's command-line string and its config-file
+    value; a flag without one is a command-line switch."""
+
+    convert: Callable[[Any], Any] | None
+    help: str
+
+
+FLAGS = {
+    "family": Flag(_parse_text, "hermite or laguerre"),
+    "a": Flag(_list_of(_parse_rational), "comma-separated rationals (hermite shifts)"),
+    "beta": Flag(_list_of(_parse_rational), "comma-separated positive rationals (laguerre rates)"),
+    "n": Flag(_list_of(_parse_int), "comma-separated non-negative integers (multi-index)"),
+    "p": Flag(_parse_int, "laguerre exponent offset (default 0)"),
+    "sweep": Flag(None, "run the standard spec battery"),
+    "grid": Flag(
+        _parse_text, "xmin:xmax:count[,ymin:ymax:count]; for simulate, count is the bin count"
+    ),
+    "nodes": Flag(
+        _parse_int,
+        f"even contour node count, 16 to {_kernels.CONTOUR_CAP_NODES} (default adaptive)",
+    ),
+    "tolerance": Flag(_parse_finite, "adaptive contour tolerance"),
+    "samples": Flag(_parse_int, "Monte Carlo sample count"),
+    "seed": Flag(_parse_int, "RNG seed"),
+    "points": Flag(_list_of(_parse_finite), "comma-separated evaluation points"),
+    "format": Flag(_parse_format, "csv (text for poly) or json"),
+    "out": Flag(_parse_text, "output path (default stdout)"),
+}
+
+# Every command reads these; COMMANDS lists the rest.
+SPEC_FLAGS = ("family", "a", "beta", "n", "p")
+
+SPECS = {cls.family: cls for cls in (HermiteSpec, LaguerreSpec)}
+
+
+def _load_config_file(path: str, keys: Sequence[str]) -> dict[str, Any]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -138,73 +170,46 @@ def _load_config_file(path: str) -> dict[str, Any]:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = sorted(set(raw).difference(_CONFIG_FILE_KEYS))
+    unknown = sorted(set(raw).difference(keys))
     if unknown:
         raise UsageError(f"unknown config fields: {', '.join(unknown)}")
     return raw
 
 
-def _merge_config(args: argparse.Namespace) -> JobConfig:
-    """Config file values first, command-line flags override."""
-    raw: dict[str, Any] = {}
-    if args.config:
-        raw.update(_load_config_file(args.config))
-    for key in _CONFIG_FILE_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            raw[key] = flag
-
-    cfg = JobConfig(command=args.command)
-    converters: dict[str, Callable[[Any], Any]] = {
-        "a": lambda v: _parse_list(v, _parse_rational),
-        "beta": lambda v: _parse_list(v, _parse_rational),
-        "n": lambda v: _parse_list(v, _parse_int),
-        "points": lambda v: _parse_list(v, _parse_finite),
-        "p": _parse_int,
-        "nodes": _parse_int,
-        "samples": _parse_int,
-        "seed": _parse_int,
-        "tolerance": _parse_finite,
-        "family": str,
-        "grid": str,
-        "out": str,
-        "format": str,
-    }
-    updates: dict[str, Any] = {}
+def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The command's flags, each converted once through FLAGS: config file
+    values first, command-line flags override.  The file takes the
+    command's flags but not its switches."""
+    names = (*SPEC_FLAGS, *COMMANDS[args.command].flags)
+    keys = [k for k in names if FLAGS[k].convert is not None]
+    raw = _load_config_file(args.config, keys) if args.config else {}
+    raw.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
+    cfg = argparse.Namespace(command=args.command, **{k: getattr(args, k) for k in names})
     for key, value in raw.items():
         try:
-            updates[key] = converters[key](value)
+            setattr(cfg, key, FLAGS[key].convert(value))
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad value for {key!r}: {exc}") from exc
-    cfg = replace(cfg, **updates)
-    if cfg.format not in ("csv", "json"):
-        raise UsageError(f"unknown format {cfg.format!r} (expected csv or json)")
     return cfg
 
 
-def _build_spec(cfg: JobConfig):
-    """Family + validated spec from a config; exit-code-2 errors on misuse."""
-    if cfg.family not in ("hermite", "laguerre"):
+def _build_spec(cfg: argparse.Namespace):
+    """Family + validated spec from the spec flags; exit-code-2 errors on
+    a flag the family's spec lacks or a missing field without default."""
+    spec_cls = SPECS.get(cfg.family)
+    if spec_cls is None:
         raise UsageError("--family must be hermite or laguerre")
-    if cfg.n is None:
-        raise UsageError("--n is required")
+    params = {f.name: f for f in fields(spec_cls)}
+    for key in SPEC_FLAGS[1:]:
+        is_given = getattr(cfg, key) is not None
+        if is_given and key not in params:
+            raise UsageError(f"--{key} does not apply to the {cfg.family} family")
+        if not is_given and key in params and params[key].default is MISSING:
+            raise UsageError(f"--{key} is required for the {cfg.family} family")
+    given = {k: getattr(cfg, k) for k in params if getattr(cfg, k) is not None}
     try:
-        if cfg.family == "hermite":
-            if cfg.a is None:
-                raise UsageError("--a is required for the hermite family")
-            if cfg.beta is not None:
-                raise UsageError("--beta does not apply to the hermite family")
-            if cfg.p not in (None, 0):
-                raise UsageError("--p does not apply to the hermite family")
-            return "hermite", HermiteSpec.of(cfg.a, cfg.n)
-        if cfg.beta is None:
-            raise UsageError("--beta is required for the laguerre family")
-        if cfg.a is not None:
-            raise UsageError("--a does not apply to the laguerre family")
-        return "laguerre", LaguerreSpec.of(cfg.beta, cfg.n, cfg.p or 0)
+        return cfg.family, spec_cls.of(**given)
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, UsageError):
-            raise
         raise UsageError(f"invalid spec: {exc}") from exc
 
 
@@ -277,6 +282,17 @@ def _fields_doc(obj) -> dict[str, Any]:
     return {f.name: _doc_value(getattr(obj, f.name)) for f in fields(obj)}
 
 
+def _spec_doc(command: str, spec, **rest: Any) -> dict[str, Any]:
+    """The JSON document of a one-spec command: the common header, then rest."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "family": spec.family,
+        "parameters": _fields_doc(spec),
+        **rest,
+    }
+
+
 def _spec_label(spec) -> str:
     params = _fields_doc(spec)
     inner = " ".join(f"{k}={','.join(map(str, v)) if isinstance(v, list) else v}" for k, v in params.items())
@@ -306,7 +322,7 @@ def _coeff_strings(poly: RatPoly) -> list[str]:
     return [_rational_str(c) for c in poly.coeffs]
 
 
-def cmd_poly(cfg: JobConfig) -> int:
+def cmd_poly(cfg: argparse.Namespace) -> int:
     family, spec = _build_spec(cfg)
     mod = _kernels.FAMILIES[family]
     P = mod.type_ii_poly(spec)
@@ -322,23 +338,18 @@ def cmd_poly(cfg: JobConfig) -> int:
                 "coefficients_ascending": _coeff_strings(term.poly),
             }
         )
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "poly",
-        "family": family,
-        "parameters": _fields_doc(spec),
-        "type_ii": {
-            "degree": P.degree,
-            "coefficients_ascending": _coeff_strings(P),
-        },
-        "type_i": type_i_docs,
-    }
+    doc = _spec_doc(
+        "poly",
+        spec,
+        type_ii={"degree": P.degree, "coefficients_ascending": _coeff_strings(P)},
+        type_i=type_i_docs,
+    )
     if cfg.format == "json":
         _emit(_json_text(doc), cfg.out)
         return EXIT_OK
 
     lines = [f"family: {family}"]
-    for key, value in _fields_doc(spec).items():
+    for key, value in doc["parameters"].items():
         lines.append(f"{key}: {','.join(map(str, value)) if isinstance(value, list) else value}")
     lines.append(f"type II monic polynomial, degree {P.degree}")
     lines.append(f"  coefficients (ascending): {', '.join(_coeff_strings(P)) or '0'}")
@@ -366,9 +377,9 @@ def _check_doc(res: CheckResult, zero_timings: bool) -> dict[str, Any]:
     }
 
 
-def cmd_verify(cfg: JobConfig, sweep: bool, inject_fault: bool) -> int:
-    if sweep:
-        given = [f"--{k}" for k in ("a", "beta", "n", "p") if getattr(cfg, k) is not None]
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    if cfg.sweep:
+        given = [f"--{k}" for k in SPEC_FLAGS[1:] if getattr(cfg, k) is not None]
         if given:
             raise UsageError(f"--sweep runs the standard specs and takes no {'/'.join(given)}")
         families = [cfg.family] if cfg.family else list(_kernels.FAMILIES)
@@ -383,13 +394,7 @@ def cmd_verify(cfg: JobConfig, sweep: bool, inject_fault: bool) -> int:
     spec_docs = []
     all_passed = True
     for family, spec in jobs:
-        results = list(verify_battery(family, spec))
-        if inject_fault:
-            results.append(
-                CheckResult(
-                    "injected-fault", False, "synthetic failure requested via --inject-fault"
-                )
-            )
+        results = verify_battery(family, spec)
         ok = all(r.passed for r in results)
         all_passed = all_passed and ok
         label = _spec_label(spec)
@@ -417,7 +422,7 @@ def cmd_verify(cfg: JobConfig, sweep: bool, inject_fault: bool) -> int:
     return EXIT_OK if all_passed else EXIT_FAIL
 
 
-def cmd_kernel(cfg: JobConfig) -> int:
+def cmd_kernel(cfg: argparse.Namespace) -> int:
     family, spec = _build_spec(cfg)
     if cfg.grid is not None:
         xs, ys = _parse_grid(cfg.grid, axes=2)
@@ -442,20 +447,13 @@ def cmd_kernel(cfg: JobConfig) -> int:
                 {"x": float(x), "y": float(y), "cd": cd, "sum": s, "contour": ct, "abs_diff": diff}
             )
     if cfg.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "kernel",
-            "family": family,
-            "parameters": _fields_doc(spec),
-            "rows": json_rows,
-        }
-        _emit(_json_text(doc), cfg.out)
+        _emit(_json_text(_spec_doc("kernel", spec, rows=json_rows)), cfg.out)
     else:
         _emit(_csv(["x", "y", "cd", "sum", "contour", "|cd-contour|"], rows), cfg.out)
     return EXIT_OK
 
 
-def cmd_density(cfg: JobConfig) -> int:
+def cmd_density(cfg: argparse.Namespace) -> int:
     family, spec = _build_spec(cfg)
     if cfg.grid is not None:
         (xs,) = _parse_grid(cfg.grid, axes=1)
@@ -467,21 +465,15 @@ def cmd_density(cfg: JobConfig) -> int:
     for x, v in zip(xs, values):
         _require_finite(f"density at x={float(x)}", v)
     if cfg.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "density",
-            "family": family,
-            "parameters": _fields_doc(spec),
-            "rows": [{"x": float(x), "density": v} for x, v in zip(xs, values)],
-        }
-        _emit(_json_text(doc), cfg.out)
+        rows = [{"x": float(x), "density": v} for x, v in zip(xs, values)]
+        _emit(_json_text(_spec_doc("density", spec, rows=rows)), cfg.out)
     else:
         rows = [[_fmt(x), _fmt(v)] for x, v in zip(xs, values)]
         _emit(_csv(["x", "density"], rows), cfg.out)
     return EXIT_OK
 
 
-def cmd_simulate(cfg: JobConfig) -> int:
+def cmd_simulate(cfg: argparse.Namespace) -> int:
     family, spec = _build_spec(cfg)
     if cfg.out is None:
         raise UsageError("simulate writes its per-bin CSV to --out; the flag is required")
@@ -531,26 +523,24 @@ def cmd_simulate(cfg: JobConfig) -> int:
         ),
         cfg.out,
     )
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
-        "family": family,
-        "parameters": _fields_doc(spec),
-        "samples": samples,
-        "seed": cfg.seed,
-        "bin_range": [bin_range[0], bin_range[1]],
-        "bin_count": bin_count,
-        "chi_square": comparison.chi_square,
-        "dof": comparison.dof,
-        "threshold": comparison.threshold,
-        "verdict": comparison.verdict,
-        "csv": cfg.out,
-    }
+    doc = _spec_doc(
+        "simulate",
+        spec,
+        samples=samples,
+        seed=cfg.seed,
+        bin_range=[bin_range[0], bin_range[1]],
+        bin_count=bin_count,
+        chi_square=comparison.chi_square,
+        dof=comparison.dof,
+        threshold=comparison.threshold,
+        verdict=comparison.verdict,
+        csv=cfg.out,
+    )
     sys.stdout.write(_json_text(doc))
     return EXIT_OK if comparison.verdict == "pass" else EXIT_FAIL
 
 
-def cmd_correlate(cfg: JobConfig) -> int:
+def cmd_correlate(cfg: argparse.Namespace) -> int:
     family, spec = _build_spec(cfg)
     if not cfg.points:
         raise UsageError("--points is required (comma-separated evaluation points)")
@@ -559,14 +549,7 @@ def cmd_correlate(cfg: JobConfig) -> int:
     K = _kernels.build_kernel(family, spec)
     det = _kernels.correlation_det(K, points)
     _require_finite(f"determinant at points {points}", det)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "correlate",
-        "family": family,
-        "parameters": _fields_doc(spec),
-        "points": points,
-        "determinant": det,
-    }
+    doc = _spec_doc("correlate", spec, points=points, determinant=det)
     if getattr(spec, "p", 0):
         conj = _kernels.correlation_det(K, points, conjugated=True)
         _require_finite(f"conjugated determinant at points {points}", conj)
@@ -581,23 +564,30 @@ def cmd_correlate(cfg: JobConfig) -> int:
 # argument parsing
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file mirroring JobConfig; flags override")
-    sub.add_argument("--family", choices=["hermite", "laguerre"])
-    sub.add_argument("--a", help="comma-separated rationals (hermite shifts)")
-    sub.add_argument("--beta", help="comma-separated positive rationals (laguerre rates)")
-    sub.add_argument("--n", help="comma-separated non-negative integers (multi-index)")
-    sub.add_argument("--p", type=int, help="laguerre exponent offset (default 0)")
-    sub.add_argument("--out", help="output path (default stdout)")
-    sub.add_argument("--format", choices=["csv", "json"], help="output format where applicable")
-    sub.add_argument("--seed", type=int, help="RNG seed (simulate)")
-    sub.add_argument("--nodes", type=int, help="contour node count (default adaptive)")
-    sub.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    sub.add_argument(
-        "--grid",
-        help="xmin:xmax:count[,ymin:ymax:count]; for simulate, count is the bin count",
-    )
-    sub.add_argument("--tolerance", type=float, help="adaptive contour tolerance")
+class Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    flags: tuple[str, ...]  # besides SPEC_FLAGS and --config
+
+
+COMMANDS = {
+    "poly": Command(cmd_poly, "print exact type II / type I coefficients", ("format", "out")),
+    "verify": Command(cmd_verify, "run the cross-check battery", ("sweep", "format", "out")),
+    "kernel": Command(
+        cmd_kernel,
+        "kernel grid in all three forms (CSV)",
+        ("grid", "nodes", "tolerance", "format", "out"),
+    ),
+    "density": Command(cmd_density, "one-point density grid (CSV)", ("grid", "format", "out")),
+    "simulate": Command(
+        cmd_simulate,
+        "Monte Carlo histogram vs kernel prediction",
+        ("grid", "samples", "seed", "out"),
+    ),
+    "correlate": Command(
+        cmd_correlate, "correlation determinant at given points", ("points", "out")
+    ),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -606,32 +596,15 @@ def _parser() -> argparse.ArgumentParser:
         description="multiple orthogonal polynomials, correlation kernels, and checks",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("poly", help="print exact type II / type I coefficients")
-    _add_common(sp)
-
-    sv = subs.add_parser("verify", help="run the cross-check battery")
-    _add_common(sv)
-    sv.add_argument("--sweep", action="store_true", help="run the standard spec battery")
-    sv.add_argument(
-        "--inject-fault",
-        action="store_true",
-        help="append a synthetic failing check (harness self-test)",
-    )
-
-    sk = subs.add_parser("kernel", help="kernel grid in all three forms (CSV)")
-    _add_common(sk)
-
-    sd = subs.add_parser("density", help="one-point density grid (CSV)")
-    _add_common(sd)
-
-    ss = subs.add_parser("simulate", help="Monte Carlo histogram vs kernel prediction")
-    _add_common(ss)
-
-    sc = subs.add_parser("correlate", help="correlation determinant at given points")
-    _add_common(sc)
-    sc.add_argument("--points", help="comma-separated evaluation points")
-
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        sub.add_argument("--config", help="JSON object of this command's flags; flags override it")
+        for key in (*SPEC_FLAGS, *command.flags):
+            flag = FLAGS[key]
+            if flag.convert is None:
+                sub.add_argument(f"--{key}", action="store_true", help=flag.help)
+            else:
+                sub.add_argument(f"--{key}", help=flag.help)
     return parser
 
 
@@ -654,29 +627,12 @@ def _join_leading_minus(argv: list[str]) -> list[str]:
     return out
 
 
-def _run(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
-    if args.command == "poly":
-        return cmd_poly(cfg)
-    if args.command == "verify":
-        return cmd_verify(cfg, sweep=args.sweep, inject_fault=args.inject_fault)
-    if args.command == "kernel":
-        return cmd_kernel(cfg)
-    if args.command == "density":
-        return cmd_density(cfg)
-    if args.command == "simulate":
-        return cmd_simulate(cfg)
-    if args.command == "correlate":
-        return cmd_correlate(cfg)
-    raise UsageError(f"unknown command {args.command!r}")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _parser()
     tokens = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(_join_leading_minus(tokens))
     try:
-        return _run(args)
+        return COMMANDS[args.command].run(_merge_config(args))
     except ValueError as exc:  # UsageError and ExactMathError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -271,7 +271,8 @@ def eval_contour(
     count.
 
     The values come from the family's ``contour_levels``, one per node
-    doubling.  With an explicit node count this is its first level.  With
+    doubling.  With an explicit node count, which the cap bounds too, this
+    is its first level.  With
     nodes=None the levels start at CONTOUR_START_NODES and the value is the
     first one within tol of the level before, raising ConvergenceError
     (carrying the best value) if CONTOUR_CAP_NODES is reached first.  A
@@ -282,6 +283,8 @@ def eval_contour(
     _check_domain(spec, x, y)
     if nodes is not None and (nodes < 16 or nodes % 2):
         raise ContourError(f"node count must be even and >= 16, got {nodes}")
+    if nodes is not None and nodes > CONTOUR_CAP_NODES:
+        raise ContourError(f"node count must be <= {CONTOUR_CAP_NODES}, got {nodes}")
     n = CONTOUR_START_NODES if nodes is None else nodes
     with np.errstate(all="ignore"):
         values = (_finite_real(v) for v in levels(spec, x, y, n, None))

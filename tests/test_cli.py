@@ -9,10 +9,15 @@ import sys
 import numpy as np
 import pytest
 
+from multiortho import cli
 from multiortho.cli import main
 from multiortho.hermite import HermiteSpec
 from multiortho.kernels import build_kernel, eval_cd
 from multiortho.laguerre import LaguerreSpec
+from multiortho.presets import CheckResult
+
+
+HERMITE_11 = ("--family", "hermite", "--a", "1,-1", "--n", "1,1")
 
 
 def run(capsys, *argv):
@@ -83,21 +88,15 @@ def test_verify_sweep_passes(capsys):
     assert "laguerre" in out and "hermite" in out
 
 
-def test_verify_inject_fault(capsys, tmp_path):
+def test_verify_inject_fault(capsys, tmp_path, monkeypatch):
+    battery = cli.verify_battery
+
+    def failing_battery(family, spec):
+        return [*battery(family, spec), CheckResult("injected-fault", False, "synthetic failure")]
+
+    monkeypatch.setattr(cli, "verify_battery", failing_battery)
     report = tmp_path / "report.json"
-    code, out, _ = run(
-        capsys,
-        "verify",
-        "--family",
-        "hermite",
-        "--a",
-        "1,-1",
-        "--n",
-        "1,1",
-        "--inject-fault",
-        "--out",
-        str(report),
-    )
+    code, out, _ = run(capsys, "verify", *HERMITE_11, "--out", str(report))
     assert code == 1
     assert "overall: fail" in out
     doc = json.loads(report.read_text())
@@ -201,9 +200,6 @@ def test_kernel_nonpositive_tolerance_exit_2(capsys, tolerance):
     assert code == 2
     assert out == ""
     assert "tolerance" in err
-
-
-HERMITE_11 = ("--family", "hermite", "--a", "1,-1", "--n", "1,1")
 
 
 @pytest.mark.parametrize(
@@ -549,6 +545,18 @@ def test_config_integer_fields_not_truncated(capsys, tmp_path, fields):
     assert "expected an integer" in err
 
 
+@pytest.mark.parametrize("out", [None, 7], ids=["null", "number"])
+def test_config_out_must_be_a_string(capsys, tmp_path, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"family": "hermite", "a": [0], "n": [2], "out": out}))
+    code, stdout, err = run(capsys, "poly", "--config", str(cfg))
+    assert code == 2
+    assert stdout == ""
+    assert "expected a string" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+
 @pytest.mark.parametrize(
     "command, fields",
     [
@@ -588,3 +596,66 @@ def test_out_writes_file(capsys, tmp_path):
     body = target.read_text().strip().split("\n")
     assert body[0] == "x,density"
     assert float(body[1].split(",")[1]) == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# flags each command reads
+
+
+def exit_code(argv):
+    """main's exit code; argparse refuses a flag by raising SystemExit(2)."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", *HERMITE_11, "--nodes", "16", "--grid=0:1:0", "--tolerance", "-1"),
+        ("poly", *HERMITE_11, "--grid", "0:1:2"),
+        ("density", *HERMITE_11, "--nodes", "16"),
+        ("simulate", *HERMITE_11, "--seed", "1", "--out", "unused.csv", "--format", "json"),
+        ("correlate", *HERMITE_11, "--points", "1", "--format", "csv"),
+        ("kernel", *HERMITE_11, "--samples", "10"),
+        ("kernel", "--config", "points.json"),
+    ],
+    ids=["verify", "poly-grid", "density-nodes", "simulate-format", "correlate-format",
+         "kernel-samples", "kernel-config-points"],
+)
+def test_unread_flag_exit_2(capsys, tmp_path, monkeypatch, argv):
+    """A flag or config key the command does not read is refused, not ignored."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "points.json").write_text(
+        json.dumps({"family": "hermite", "a": [1, -1], "n": [1, 1], "points": [1.0]})
+    )
+    assert exit_code(list(argv)) == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "unused.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poly", *HERMITE_11, "--p", "0"),
+        ("poly", "--family", "gauss", "--a", "1", "--n", "1"),
+        ("poly", *HERMITE_11, "--format", "xml"),
+        ("kernel", *HERMITE_11, "--nodes", "abc"),
+    ],
+    ids=["hermite-p-0", "family", "format", "integer"],
+)
+def test_bad_spec_or_value_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec", [HERMITE_11, LAGUERRE_11], ids=["hermite", "laguerre"])
+def test_kernel_nodes_above_cap_exit_2(capsys, spec):
+    """One cap bounds the explicit node count and the adaptive doubling."""
+    code, out, err = run(capsys, "kernel", *spec, "--grid=1:1:1", "--nodes", "16384")
+    assert code == 2
+    assert out == ""
+    assert err == "error: node count must be <= 8192, got 16384\n"
