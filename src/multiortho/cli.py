@@ -461,7 +461,7 @@ def cmd_density(cfg: argparse.Namespace) -> int:
         xs = standard_grid(family, count=101)
     _check_positive_grid(family, xs)
     K = _kernels.build_kernel(family, spec)
-    values = [_kernels.eval_cd(K, float(x), float(x)) for x in xs]
+    values = _kernels.eval_cd_diagonal(K, xs).tolist()
     for x, v in zip(xs, values):
         _require_finite(f"density at x={float(x)}", v)
     if cfg.format == "json":

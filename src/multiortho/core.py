@@ -264,16 +264,23 @@ class RatPoly:
         return sum((c * m for c, m in zip(self.coeffs, moments)), Fraction(0))
 
     def __call__(self, x):
-        """Horner evaluation: exact for Fraction/int input, float otherwise."""
+        """Horner evaluation: exact for Fraction/int input, float otherwise
+        (a float or, elementwise, a float ndarray).  The float path reads
+        the coefficients as floats, converted once per polynomial."""
         if isinstance(x, (Fraction, int)) and not isinstance(x, bool):
             acc = Fraction(0)
             for c in reversed(self.coeffs):
                 acc = acc * x + c
             return acc
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        for c in self._float_coeffs:
+            acc = acc * x + c
         return acc
+
+    @cached_property
+    def _float_coeffs(self) -> tuple[float, ...]:
+        """float(c) for each coefficient, highest degree first."""
+        return tuple(float(c) for c in reversed(self.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,12 @@ The kernel of the determinantal eigenvalue process is computed as
    take the node count up by nested doubling.
 
 All polynomial ingredients are exact rationals; floats appear only at the
-final evaluation step.  The module also provides the derivative identity
-check, correlation determinants, exact biorthogonality matrices, and the
-trace rule integral(K(x,x) dx) = |n|.
+final evaluation step, which reads float data derived once per exact
+object (each polynomial's coefficients, each kernel's ratios) and the
+chain's (P, Q) factor pairs, looked up once per spec and chain.  The
+module also provides the derivative identity check, correlation
+determinants, exact biorthogonality matrices, and the trace rule
+integral(K(x,x) dx) = |n|.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -130,6 +133,11 @@ class KernelModel:
     dP: RatPoly
     dP_down: tuple[RatPoly, ...]
 
+    @cached_property
+    def _float_ratios(self) -> tuple[float, ...]:
+        """float(r) for each ratio, converted once per kernel."""
+        return tuple(float(r) for r in self.ratios)
+
 
 @lru_cache(maxsize=None)
 def build_kernel(family: str, spec: Spec) -> KernelModel:
@@ -196,27 +204,34 @@ def eval_cd(K: KernelModel, x: float, y: float) -> float:
     _check_domain(K.spec, x, y)
     if abs(x - y) < DIAGONAL_EPS:
         return _diagonal_limit(K, 0.5 * (x + y))
-    num = K.P(x) * K.Q(y)
-    for r, Pd, Qu in zip(K.ratios, K.P_down, K.Q_up):
-        num -= float(r) * Pd(x) * Qu(y)
-    return num / (x - y)
+    return _numerator(K, K.P(x) * K.Q(y), K.P_down, x, y) / (x - y)
+
+
+def _numerator(K: KernelModel, lead, P_down: Sequence[RatPoly], x, y):
+    """lead minus ratio_k * P_down[k](x) * Q_up_k(y) for each k in turn, at
+    floats or elementwise over float ndarrays.  eval_cd passes P(x) Q(y)
+    and K.P_down (the numerator N), the diagonal limit P'(t) Q(t) and
+    K.dP_down (dN/dx at x = y = t), check_dxdy_identity 0.0 and K.P_down
+    (N - P(x) Q(y))."""
+    for r, Pd, Qu in zip(K._float_ratios, P_down, K.Q_up):
+        lead = lead - r * Pd(x) * Qu(y)
+    return lead
 
 
 def eval_cd_diagonal(K: KernelModel, t):
     """K(t, t) at each point of the float ndarray t, in one array pass over
-    the exact ingredients; element i is eval_cd(K, t[i], t[i]) bit for bit."""
+    the exact ingredients; element i is eval_cd(K, t[i], t[i]) bit for bit,
+    and an overflow to inf or nan warns no more than it does there."""
     if t.size:
         lo = float(t.min())
         _check_domain(K.spec, lo, lo)
-    return _diagonal_limit(K, t)
+    with np.errstate(all="ignore"):
+        return _diagonal_limit(K, t)
 
 
 def _diagonal_limit(K: KernelModel, t):
     """dN/dx at x = y = t, for a float t or elementwise over a float ndarray."""
-    val = K.dP(t) * K.Q(t)
-    for r, dPd, Qu in zip(K.ratios, K.dP_down, K.Q_up):
-        val = val - float(r) * dPd(t) * Qu(t)
-    return val
+    return _numerator(K, K.dP(t) * K.Q(t), K.dP_down, t, t)
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +249,32 @@ def _check_chain(chain: Sequence[MultiIndex], n: MultiIndex) -> None:
             raise ExactMathError(f"chain step {prev} -> {cur} is not a unit increment")
 
 
+@lru_cache(maxsize=None)
+def _chain_factors(
+    spec: Spec, chain: tuple[MultiIndex, ...]
+) -> tuple[tuple[RatPoly, LinearForm], ...]:
+    """(P_{chain[j]}, Q_{chain[j+1]}) for j < |n|, after checking the chain
+    (a bad chain raises and is not cached, so every call refuses it)."""
+    _check_chain(chain, spec.n)
+    return tuple(
+        (_type2(spec.with_n(chain[j])), _type1(spec.with_n(chain[j + 1])))
+        for j in range(spec.n.weight)
+    )
+
+
 def eval_sum(family: str, spec: Spec, chain: Sequence[MultiIndex], x: float, y: float) -> float:
     """Biorthogonal sum sum_{j<|n|} P_{chain[j]}(x) * Q_{chain[j+1]}(y).
 
-    Every factor is built exactly (and cached), then evaluated in float.
-    The value is chain-independent; the chain only reindexes the same span.
+    Every factor is built exactly (and cached, as are the factor pairs of
+    each spec and chain), then evaluated in float.  The value is
+    chain-independent; the chain only reindexes the same span.
     """
     family_module(family, spec)
-    _check_chain(chain, spec.n)
+    factors = _chain_factors(spec, tuple(chain))
     x, y = float(x), float(y)
     _check_domain(spec, x, y)
     total = 0.0
-    for j in range(spec.n.weight):
-        p = _type2(spec.with_n(chain[j]))
-        q = _type1(spec.with_n(chain[j + 1]))
+    for p, q in factors:
         total += p(x) * q(y)
     return total
 
@@ -354,10 +381,8 @@ def check_dxdy_identity(
     D = (eval_cd(K, x + h, y) - eval_cd(K, x - h, y)) / (2.0 * h)
     D += (eval_cd(K, x, y + h) - eval_cd(K, x, y - h)) / (2.0 * h)
     first = (x - y) * eval_cd(K, x, y) - K.P(x) * K.Q(y)
-    second = 0.0
-    for r, Pd, Qu in zip(K.ratios, K.P_down, K.Q_up):
-        second += float(r) * Pd(x) * Qu(y)
-    return abs(D - first), abs(D + second)
+    second = _numerator(K, 0.0, K.P_down, x, y)
+    return abs(D - first), abs(D - second)
 
 
 def correlation_det(K: KernelModel, points: Sequence[float], conjugated: bool = False) -> float:
@@ -398,11 +423,9 @@ def check_biorthogonality(
     family_module(family, spec)
     if chain is None:
         chain = mi_chain(spec.n)
-    _check_chain(chain, spec.n)
-    w = spec.n.weight
-    polys = [_type2(spec.with_n(chain[i])) for i in range(w)]
-    moments = [_type1(spec.with_n(chain[j + 1])).moments(w) for j in range(w)]
-    return [[p.dot(m) for m in moments] for p in polys]
+    factors = _chain_factors(spec, tuple(chain))
+    moments = [q.moments(spec.n.weight) for _, q in factors]
+    return [[p.dot(m) for m in moments] for p, _ in factors]
 
 
 def kernel_trace(K: KernelModel, nodes: int = 200) -> float:

@@ -343,6 +343,26 @@ def test_density_integrates_to_weight(capsys):
     assert integral == pytest.approx(2.0, rel=0.02)
 
 
+@pytest.mark.parametrize(
+    "spec, spec_flags",
+    [
+        (HermiteSpec.of([1, -1, 2], [3, 3, 2]), ("--a", "1,-1,2", "--n", "3,3,2")),
+        (LaguerreSpec.of([1, 2], [2, 3], 1), ("--beta", "1,2", "--n", "2,3", "--p", "1")),
+    ],
+    ids=["hermite", "laguerre"],
+)
+def test_density_is_eval_cd_on_the_diagonal_bitwise(capsys, spec, spec_flags):
+    """On its default grid, density prints eval_cd(K, x, x) to the bit."""
+    code, out, _ = run(capsys, "density", "--family", spec.family, *spec_flags, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 101
+    K = build_kernel(spec.family, spec)
+    got = np.array([row["density"] for row in rows])
+    want = np.array([eval_cd(K, row["x"], row["x"]) for row in rows])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 def test_density_laguerre_integrates(capsys):
     code, out, _ = run(
         capsys,

@@ -4,6 +4,7 @@ scalar series, scaled constants, and weight moments."""
 from fractions import Fraction as F
 
 import math
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -105,6 +106,28 @@ def test_poly_canonical_and_calls():
     p = RatPoly.of([F(1, 3), 2])
     assert p(F(1, 2)) == F(4, 3)
     assert p(0.5) == pytest.approx(4 / 3)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@given(small_polys, st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5))
+def test_float_evaluation_is_reference_horner_bitwise(p, xs):
+    """Float evaluation, scalar and ndarray, is Horner over float(c) from the
+    highest degree down, bit for bit."""
+
+    def horner(x):
+        acc = 0.0
+        for c in reversed(p.coeffs):
+            acc = acc * x + float(c)
+        return acc
+
+    want = _bits([horner(x) for x in xs])
+    assert _bits([p(x) for x in xs]) == want
+    arr = np.array(xs)
+    # the zero polynomial evaluates to the scalar 0.0
+    assert _bits(np.broadcast_to(p(arr), arr.shape)) == want
 
 
 @given(small_polys, small_polys, small_polys)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from multiortho import hermite as hm
 from multiortho import kernels as kn
 from multiortho import laguerre as lg
-from multiortho.core import CHAIN_STRATEGIES, ExactMathError, mi_chain
+from multiortho.core import CHAIN_STRATEGIES, ExactMathError, MultiIndex, mi_chain
 from multiortho.hermite import HermiteSpec
 from multiortho.laguerre import LaguerreSpec
 from multiortho.presets import standard_grid
@@ -25,6 +25,10 @@ L11_P0 = LaguerreSpec.of([1, 2], [1, 1], 0)
 L11_P1 = LaguerreSpec.of([1, 2], [1, 1], 1)
 
 INV_ROOT_2PI = 1 / math.sqrt(2 * math.pi)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +133,44 @@ def test_sum_agrees_with_cd():
 
 
 def test_eval_sum_rejects_bad_chain():
-    with pytest.raises(ExactMathError):
-        kn.eval_sum("hermite", H11, [H11.n], 0.0, 0.0)  # no chain back to 0
+    """A bad chain is refused on every call, not only the first."""
+    zero, n = MultiIndex.zeros(2), H11.n
+    for chain in ([n], [zero, zero, n], (zero, MultiIndex.of([1, 0]), MultiIndex.of([2, 0]))):
+        for _ in range(2):
+            with pytest.raises(ExactMathError):
+                kn.eval_sum("hermite", H11, chain, 0.0, 0.0)
+
+
+def _reference_sum(spec, chain, x, y):
+    total = 0.0
+    for j in range(spec.n.weight):
+        p = kn._type2(spec.with_n(chain[j]))
+        q = kn._type1(spec.with_n(chain[j + 1]))
+        total += p(x) * q(y)
+    return total
+
+
+@pytest.mark.parametrize("strategy", CHAIN_STRATEGIES)
+@pytest.mark.parametrize(
+    "family, spec",
+    [
+        ("hermite", HermiteSpec.of([0], [12])),
+        ("hermite", HermiteSpec.of([1, -1], [7, 5])),
+        ("hermite", HermiteSpec.of(["1/2", -1, 2], [5, 4, 3])),
+        ("laguerre", LaguerreSpec.of([1, 2], [8, 4], 1)),
+        ("laguerre", LaguerreSpec.of(["1/2", 2, 3], [3, 4, 5], 2)),
+    ],
+    ids=["h12", "h75", "h543", "l84-p1", "l345-p2"],
+)
+def test_eval_sum_matches_reference_loop_bitwise(family, spec, strategy):
+    """eval_sum equals the loop that builds each chain step's factors on
+    the spot, bit for bit, with the chain given as a list or a tuple."""
+    chain = mi_chain(spec.n, strategy)
+    grid = standard_grid(family)
+    pts = [(x, y) for x in grid for y in grid]
+    want = _bits([_reference_sum(spec, chain, x, y) for x, y in pts])
+    assert _bits([kn.eval_sum(family, spec, chain, x, y) for x, y in pts]) == want
+    assert _bits([kn.eval_sum(family, spec, tuple(chain), x, y) for x, y in pts]) == want
 
 
 # ---------------------------------------------------------------------------
