@@ -4,9 +4,15 @@ their exact moment sequences.
 
 Everything here is immutable and exact.  Rational scalars are
 ``fractions.Fraction`` (unbounded integers, canonical reduced form), so
-polynomial and series arithmetic is reproducible bit for bit.  Floating
-point enters only through the explicit evaluation hooks used by the
-numeric layers.
+polynomial and series arithmetic is reproducible bit for bit.  The hot
+arithmetic (polynomial and series products, dot products with moments,
+the moments of a linear form) runs on integer numerators over one common
+denominator (``RatVec``): each polynomial caches that form of its
+coefficients, and each weight's moment sequence comes in that form from
+a module-level cache.  An operation is then one integer sum per result
+and one Fraction at the end, the same canonical Fraction that Fraction
+arithmetic gives.  Floating point enters only through the explicit
+evaluation hooks used by the numeric layers.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -148,6 +155,57 @@ def mi_chain(n: MultiIndex, strategy: str = "round-robin") -> list[MultiIndex]:
 
 
 # ---------------------------------------------------------------------------
+# rationals over one common denominator
+
+
+@dataclass(frozen=True, eq=False)
+class RatVec:
+    """An immutable sequence of rationals nums[i] / den, integer numerators
+    over one positive common denominator.  Indexing gives a Fraction,
+    slicing a RatVec over the same denominator, and a RatVec equals any
+    list, tuple or RatVec of the same rational values."""
+
+    nums: tuple[int, ...]
+    den: int
+
+    @classmethod
+    def of(cls, values: Iterable[RationalLike]) -> "RatVec":
+        """values over their least common denominator; a RatVec as it is."""
+        if isinstance(values, RatVec):
+            return values
+        fracs = [as_fraction(v) for v in values]
+        den = math.lcm(*(f.denominator for f in fracs))
+        return cls(tuple(f.numerator * (den // f.denominator) for f in fracs), den)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RatVec(self.nums[index], self.den)
+        return Fraction(self.nums[index], self.den)
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return (Fraction(v, self.den) for v in self.nums)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (RatVec, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
+    """The first count coefficients of the product of the integer
+    sequences a and b (ascending), one integer sum each."""
+    rb, last = b[::-1], len(b) - 1
+    out = []
+    for k in range(count):
+        lo = max(0, k - last)
+        out.append(sum(map(mul, a[lo : k + 1], rb[last - k + lo :])))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # dense rational polynomials
 
 
@@ -177,6 +235,11 @@ class RatPoly:
         return cls(tuple(as_fraction(c) for c in coeffs))
 
     @classmethod
+    def over(cls, nums: Iterable[int], den: int) -> "RatPoly":
+        """The polynomial with coefficients nums[i] / den, ascending."""
+        return cls(tuple(Fraction(c, den) for c in nums))
+
+    @classmethod
     def zero(cls) -> "RatPoly":
         return cls(())
 
@@ -202,9 +265,6 @@ class RatPoly:
     def is_monic(self) -> bool:
         return not self.is_zero and self.leading == 1
 
-    def coeff(self, j: int) -> Fraction:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else Fraction(0)
-
     def __add__(self, other: "RatPoly") -> "RatPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -225,13 +285,8 @@ class RatPoly:
             return self.scale(other)
         if self.is_zero or other.is_zero:
             return RatPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(tuple(out))
+        a, b = self.vec, other.vec
+        return RatPoly.over(_convolve(a.nums, b.nums, len(a) + len(b) - 1), a.den * b.den)
 
     def __rmul__(self, other: RationalLike) -> "RatPoly":
         return self.scale(other)
@@ -240,28 +295,18 @@ class RatPoly:
         c = as_fraction(c)
         return RatPoly(tuple(c * v for v in self.coeffs))
 
-    def __pow__(self, exponent: int) -> "RatPoly":
-        if exponent < 0:
-            raise ExactMathError("polynomial powers must be >= 0")
-        result = RatPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def derivative(self) -> "RatPoly":
         return RatPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
-    def dot(self, moments: Sequence[Fraction]) -> Fraction:
+    def dot(self, moments: Union[RatVec, Sequence[RationalLike]]) -> Fraction:
         """sum_i coeff_i * moments[i]: the value at this polynomial of the
-        linear functional whose moment sequence is moments, exactly."""
+        linear functional whose moment sequence is moments, exactly, as one
+        integer sum over the product of the two common denominators."""
+        moments = RatVec.of(moments)
         if len(moments) < len(self.coeffs):
             raise ExactMathError(f"{len(moments)} moments for a degree-{self.degree} polynomial")
-        return sum((c * m for c, m in zip(self.coeffs, moments)), Fraction(0))
+        p = self.vec
+        return Fraction(sum(map(mul, p.nums, moments.nums)), p.den * moments.den)
 
     def __call__(self, x):
         """Horner evaluation: exact for Fraction/int input, float otherwise
@@ -282,27 +327,51 @@ class RatPoly:
         """float(c) for each coefficient, highest degree first."""
         return tuple(float(c) for c in reversed(self.coeffs))
 
+    @cached_property
+    def vec(self) -> RatVec:
+        """The coefficients (ascending) over their least common denominator."""
+        return RatVec.of(self.coeffs)
+
 
 # ---------------------------------------------------------------------------
-# truncated scalar power series in tau, as lists of Fractions
+# truncated scalar power series in tau, as RatVecs
 
 
-def power_series(c: RationalLike, e: int, order: int) -> list[Fraction]:
+def power_series(c: RationalLike, e: int, order: int) -> RatVec:
     """(c + tau)^e for any integer e, truncated after tau^order: the
-    coefficients binom(e, j) * c^(e - j), by the ratio of consecutive terms,
-    which needs a nonzero base c (SingularExpansionError otherwise)."""
+    coefficients binom(e, j) * c^(e - j), which for e < 0 need a nonzero
+    base c (SingularExpansionError otherwise).  With c = u/v they are
+    binom(e, j) u^(e-j) v^j / v^e for e >= 0 and, for e < 0,
+    binom(e, j) v^(j-e) u^(order-j) / u^(order-e)."""
     c = as_fraction(c)
-    if c == 0:
+    if c == 0 and e < 0:
         raise SingularExpansionError(f"cannot expand (0 + tau)^({e}) around tau = 0")
-    out = [c**e]
-    for j in range(order):
-        out.append(out[j] * (e - j) / ((j + 1) * c))
-    return out
+    u, v = c.numerator, c.denominator
+    if e >= 0:
+        nums = [math.comb(e, j) * u ** (e - j) * v**j for j in range(min(e, order) + 1)]
+        return RatVec(tuple(nums) + (0,) * (order - e), v**e)
+    if u < 0:
+        u, v = -u, -v  # keeps the denominator positive
+    # binom(e, j) = (-1)^j binom(j - e - 1, j)
+    nums = [(-1) ** j * math.comb(j - e - 1, j) * v ** (j - e) * u ** (order - j) for j in range(order + 1)]
+    return RatVec(tuple(nums), u ** (order - e))
 
 
-def series_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+def series_mul(a: Sequence[RationalLike], b: Sequence[RationalLike]) -> RatVec:
     """Product of two power series truncated at the same order."""
-    return [sum((a[j] * b[i - j] for j in range(i + 1)), Fraction(0)) for i in range(len(a))]
+    a, b = RatVec.of(a), RatVec.of(b)
+    return RatVec(tuple(_convolve(a.nums, b.nums, len(a))), a.den * b.den)
+
+
+def root_product(roots: Sequence[Fraction], powers: Sequence[int]) -> RatVec:
+    """prod_k (x - roots[k])^powers[k], ascending: each factor is the
+    series (-roots[k] + x)^powers[k], which its own order makes exact."""
+    nums, den = [1], 1
+    for root, n in zip(roots, powers):
+        factor = power_series(-root, n, n)
+        nums = _convolve(nums, factor.nums, len(nums) + n)
+        den *= factor.den
+    return RatVec(tuple(nums), den)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +470,9 @@ class HermiteWeight:
     def scale(self) -> ScaledConstant:
         return ScaledConstant.of(1, 1, self.a * self.a / 2)
 
-    def moments(self, count: int) -> list[Fraction]:
-        """E[(Z + a)^j] for j < count, by m_{j+1} = a*m_j + j*m_{j-1}."""
-        m = [Fraction(1), self.a]
-        for j in range(1, count - 1):
-            m.append(self.a * m[j] + j * m[j - 1])
-        return m[:count]
+    def moments(self, count: int) -> RatVec:
+        """E[(Z + a)^j] for j < count."""
+        return _hermite_moments(self.a, count)
 
 
 @dataclass(frozen=True)
@@ -419,11 +485,34 @@ class LaguerreWeight:
 
     scale = ScaledConstant.one()
 
-    def moments(self, count: int) -> list[Fraction]:
-        return [
-            Fraction(math.factorial(j + self.p)) / self.beta ** (j + self.p + 1)
-            for j in range(count)
-        ]
+    def moments(self, count: int) -> RatVec:
+        return _laguerre_moments(self.beta, self.p, count)
+
+
+@lru_cache(maxsize=None)
+def _hermite_moments(a: Fraction, count: int) -> RatVec:
+    """E[(Z + a)^j] for j < count over the denominator v^(count-1), a = u/v.
+    E[(Z + a)^j] = N_j / v^j with N_{j+1} = u*N_j + j*v^2*N_{j-1}, from
+    m_{j+1} = a*m_j + j*m_{j-1}."""
+    u, v = a.numerator, a.denominator
+    nums = [1, u]
+    for j in range(1, count - 1):
+        nums.append(u * nums[j] + j * v * v * nums[j - 1])
+    top = max(count - 1, 0)
+    return RatVec(tuple(num * v ** (top - j) for j, num in enumerate(nums[:count])), v**top)
+
+
+@lru_cache(maxsize=None)
+def _laguerre_moments(beta: Fraction, p: int, count: int) -> RatVec:
+    """(j+p)! / beta^(j+p+1) for j < count over the denominator
+    u^(count+p), beta = u/v: the numerators (j+p)! v^(j+p+1) u^(count-1-j)."""
+    u, v = beta.numerator, beta.denominator
+    out, fact, v_pow = [], math.factorial(p), v ** (p + 1)
+    for j in range(count):
+        out.append(fact * v_pow * u ** (count - 1 - j))
+        fact *= j + p + 1
+        v_pow *= v
+    return RatVec(tuple(out), u ** (count + p))
 
 
 @dataclass(frozen=True)
@@ -446,18 +535,23 @@ class LinearForm:
 
     terms: tuple[LinearFormTerm, ...]
 
-    def moments(self, count: int) -> list[Fraction]:
+    def moments(self, count: int) -> RatVec:
         """integral(x^j Q(x) dx) for j < count, exactly: each term's
-        coefficients dotted with its weight's moments from j on, times
-        prefactor * scale, which must be rational (ScaleMismatchError)."""
-        out = [Fraction(0)] * count
+        coefficients correlated with its weight's moments from j on, times
+        prefactor * scale, which must be rational (ScaleMismatchError).
+        The terms are summed in integers over one common denominator."""
+        parts = []
         for t in self.terms:
             if t.poly.is_zero:
                 continue
             c = (t.prefactor * t.weight.scale).as_fraction()
-            mom = t.weight.moments(len(t.poly.coeffs) + count)
-            out = [v + c * t.poly.dot(mom[j:]) for j, v in enumerate(out)]
-        return out
+            poly = t.poly.vec
+            mom = t.weight.moments(len(poly) + count)
+            corr = [sum(map(mul, poly.nums, mom.nums[j:])) for j in range(count)]
+            parts.append((c.numerator, c.denominator * poly.den * mom.den, corr))
+        den = math.lcm(*(d for _, d, _ in parts))
+        parts = [(c * (den // d), corr) for c, d, corr in parts]
+        return RatVec(tuple(sum(c * corr[j] for c, corr in parts) for j in range(count)), den)
 
     def __call__(self, x):
         """Q at a float x, or at each element of a float ndarray x.  The array

@@ -36,6 +36,7 @@ from .core import (
     SingularExpansionError,
     as_fraction,
     power_series,
+    root_product,
     series_mul,
 )
 from .quad import MAX_LINE_NODES, ContourError, LineRule, bilinear_sum, line_rule_nodes
@@ -88,15 +89,21 @@ def type_ii_poly(spec: HermiteSpec) -> RatPoly:
     """Monic type II polynomial of degree |n|, exactly.
 
     P(x) = E[R(x + iZ)] with R = prod_k (x - a_k)^{n_k} and Z ~ N(0, 1) is
-    the heat flow exp(-D^2/2) R = sum_j (-1/2)^j / j! * R^(2j).
+    the heat flow exp(-D^2/2) R = sum_j (-1/2)^j / j! * R^(2j), taken
+    coefficient by coefficient on R's integer numerators.
     """
-    R = RatPoly.one()
-    for a_k, n_k in zip(spec.a, spec.n):
-        R = R * RatPoly.of([-a_k, 1]) ** n_k
-    P, D2j = RatPoly.zero(), R
-    for j in range(spec.n.weight // 2 + 1):
-        P = P + D2j.scale(Fraction(-1, 2) ** j / math.factorial(j))
-        D2j = D2j.derivative().derivative()
+    R = root_product(spec.a, spec.n.parts)
+    r = R.nums
+    heat = []
+    for i in range(len(r)):
+        # [x^i] is sum_j c_j r_{i+2j} / den, c_j = (-1)^j (i+2j)! / (i! j! 2^j),
+        # an integer (binom(i+2j, i) (2j-1)!!)
+        total, c = 0, 1
+        for j, r_j in enumerate(r[i::2]):
+            total += c * r_j
+            c = -c * (i + 2 * j + 1) * (i + 2 * j + 2) // (2 * j + 2)
+        heat.append(total)
+    P = RatPoly.over(heat, R.den)
     if P.degree != spec.n.weight or not P.is_monic:
         raise ExactMathError("type II construction lost monicity")  # unreachable
     return P
@@ -127,13 +134,24 @@ def type_i_form(spec: HermiteSpec) -> LinearForm:
         for l, (a_l, n_l) in enumerate(zip(spec.a, spec.n)):
             if l != k:
                 d = series_mul(d, power_series(a_k - a_l, -n_l, T))
-        u = RatPoly.of([-a_k, 1])
-        he = [RatPoly.one(), u]  # He_j(x - a_k): He_{j+1} = u He_j - j He_{j-1}
+        # h_j = v^j He_j(x - a_k), a_k = u/v, in integers:
+        # h_{j+1} = (v x - u) h_j - j v^2 h_{j-1}
+        u, v = a_k.numerator, a_k.denominator
+        he = [[1], [-u, v]]
         for j in range(1, T):
-            he.append(u * he[j] - he[j - 1].scale(j))
-        a_hat = RatPoly.zero()
+            h = [-u * c for c in he[j]] + [0]
+            for i, c in enumerate(he[j]):
+                h[i + 1] += v * c
+            for i, c in enumerate(he[j - 1]):
+                h[i] -= j * v * v * c
+            he.append(h)
+        # Ahat_k = sum_j He_j(x - a_k) d_{T-j} T!/j!, over the denominator v^T * den(d)
+        a_hat = [0] * (T + 1)
         for j in range(T + 1):
-            a_hat = a_hat + he[j].scale(d[T - j] * math.perm(T, T - j))  # T!/j!
+            f = d.nums[T - j] * v ** (T - j) * math.perm(T, T - j)
+            for i, c in enumerate(he[j]):
+                a_hat[i] += f * c
+        a_hat = RatPoly.over(a_hat, d.den * v**T)
         prefactor = ScaledConstant.of(Fraction(1, math.factorial(T)), -1, q)
         terms.append(LinearFormTerm(k, prefactor, a_hat, HermiteWeight(a_k)))
     return LinearForm(tuple(terms))

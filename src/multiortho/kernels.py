@@ -198,12 +198,14 @@ def eval_cd(K: KernelModel, x: float, y: float) -> float:
     N(x, y) = P(x) Q(y) - sum_k ratio_k P_down_k(x) Q_up_k(y).  Within
     DIAGONAL_EPS of the diagonal it returns the limit dN/dx evaluated at the
     midpoint: N vanishes on the diagonal, so K(x, x) = dN/dx |_{y=x}, which
-    needs only the exact polynomial derivatives of P and P_down.
+    needs only the exact polynomial derivatives of P and P_down.  The
+    midpoint is 0.5 * x + 0.5 * y, which stays finite for all finite x, y
+    and is 0.5 * (x + y) wherever x + y neither overflows nor goes subnormal.
     """
     x, y = float(x), float(y)
     _check_domain(K.spec, x, y)
     if abs(x - y) < DIAGONAL_EPS:
-        return _diagonal_limit(K, 0.5 * (x + y))
+        return _diagonal_limit(K, 0.5 * x + 0.5 * y)
     return _numerator(K, K.P(x) * K.Q(y), K.P_down, x, y) / (x - y)
 
 

@@ -31,6 +31,7 @@ from .core import (
     SingularExpansionError,
     as_fraction,
     power_series,
+    root_product,
     series_mul,
 )
 from .quad import ContourError, LineRule, concentric_sum, line_rule_nodes
@@ -87,14 +88,14 @@ def type_ii_poly(spec: LaguerreSpec) -> RatPoly:
     C = (|n|+p)! / prod_k (-beta_k)^{n_k}.
     """
     w, p = spec.n.weight, spec.p
-    G = RatPoly.one()
+    G = root_product(spec.beta, spec.n.parts)
     C = Fraction(math.factorial(w + p))
     for beta_k, n_k in zip(spec.beta, spec.n):
-        if n_k:
-            G = G * RatPoly.of([-beta_k, 1]) ** n_k
-            C /= (-beta_k) ** n_k
-    coeffs = [C * G.coeff(w - j) / math.factorial(j + p) for j in range(w + 1)]
-    P = RatPoly.of(coeffs)
+        C /= (-beta_k) ** n_k
+    den = C.denominator * G.den
+    P = RatPoly.of(
+        Fraction(C.numerator * G.nums[w - j], den * math.factorial(j + p)) for j in range(w + 1)
+    )
     if P.degree != w or not P.is_monic:
         raise ExactMathError("type II construction lost monicity")  # unreachable
     return P
@@ -126,7 +127,11 @@ def type_i_form(spec: LaguerreSpec) -> LinearForm:
         for l, (beta_l, n_l) in enumerate(zip(spec.beta, spec.n)):
             if l != k:
                 d = series_mul(d, power_series(beta_k - beta_l, -n_l, T))
-        a_k = RatPoly.of([scale * d[T - j] * (-1) ** j / math.factorial(j) for j in range(T + 1)])
+        den = scale.denominator * d.den
+        a_k = RatPoly.of(
+            Fraction(scale.numerator * d.nums[T - j] * (-1) ** j, den * math.factorial(j))
+            for j in range(T + 1)
+        )
         terms.append(LinearFormTerm(k, ScaledConstant.one(), a_k, weight))
     return LinearForm(tuple(terms))
 

@@ -17,18 +17,31 @@ from multiortho.core import (
     LinearFormTerm,
     MultiIndex,
     RatPoly,
+    RatVec,
     ScaledConstant,
     ScaleMismatchError,
     SingularExpansionError,
     as_fraction,
     mi_chain,
     power_series,
+    root_product,
     series_mul,
 )
 from oracles import gamma_moment_oracle, shifted_gaussian_moment
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
 small_polys = st.lists(rationals, min_size=0, max_size=6).map(RatPoly.of)
+
+# Zeros, negative values and pairwise coprime denominators (including a
+# large prime), so that common denominators are products, not just lcms
+# of small numbers.
+mixed_rationals = st.one_of(
+    st.just(F(0)),
+    rationals,
+    st.builds(F, st.integers(-60, 60), st.sampled_from([2, 3, 5, 7, 11, 13, 9973])),
+)
+mixed_polys = st.lists(mixed_rationals, min_size=0, max_size=7).map(RatPoly.of)
+nonzero_rationals = mixed_rationals.filter(lambda q: q != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +210,133 @@ def test_scaled_constant_algebra():
     with pytest.raises(ExactMathError):
         c.as_fraction()
     assert ScaledConstant.of(0, 5, 7).is_zero
+
+
+# ---------------------------------------------------------------------------
+# integer numerators against plain Fraction loops, compared with ==
+
+
+def _fraction_product(p, q):
+    if not p or not q:
+        return ()
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _fraction_dot(coeffs, moments):
+    total = F(0)
+    for c, m in zip(coeffs, moments):
+        total += c * m
+    return total
+
+
+def test_ratvec_examples():
+    v = RatVec.of([F(1, 2), F(-1, 3), 0])
+    assert (v.nums, v.den) == ((3, -2, 0), 6)
+    assert v == [F(1, 2), F(-1, 3), 0] and v[1] == F(-1, 3)
+    assert v[1:] == (F(-1, 3), 0) and v[1:].den == 6
+    assert RatVec.of([]) == [] and RatVec.of([]).den == 1
+    assert power_series(F(-2, 3), -2, 2).den > 0
+    assert root_product([F(1, 2), F(-3)], [2, 1]) == [F(3, 4), F(-11, 4), 2, 1]
+
+
+@given(mixed_polys, mixed_polys)
+def test_poly_product_matches_fraction_loop(p, q):
+    prod = p * q
+    assert prod.coeffs == _fraction_product(p.coeffs, q.coeffs)
+    assert all(type(c) is F for c in prod.coeffs)
+
+
+@given(st.lists(mixed_rationals, max_size=3), st.lists(st.integers(0, 4), min_size=3, max_size=3))
+def test_root_product_matches_fraction_loop(roots, powers):
+    want = (F(1),)
+    for r, n in zip(roots, powers):
+        for _ in range(n):
+            want = _fraction_product(want, (-r, F(1)))
+    assert root_product(roots, powers) == list(want)
+
+
+@given(mixed_polys, st.lists(mixed_rationals, max_size=10))
+def test_poly_dot_matches_fraction_loop(p, moments):
+    if len(moments) < len(p.coeffs):
+        for m in (moments, RatVec.of(moments)):
+            with pytest.raises(ExactMathError):
+                p.dot(m)
+        return
+    want = _fraction_dot(p.coeffs, moments)
+    assert p.dot(moments) == want
+    assert p.dot(RatVec.of(moments)) == want
+    assert type(p.dot(moments)) is F
+
+
+@given(st.lists(st.tuples(mixed_rationals, mixed_rationals), max_size=7))
+def test_series_mul_matches_fraction_loop(pairs):
+    a = [u for u, _ in pairs]
+    b = [v for _, v in pairs]
+    want = [_fraction_dot(a[: i + 1], b[i::-1]) for i in range(len(a))]
+    assert series_mul(a, b) == want
+    assert series_mul(RatVec.of(a), RatVec.of(b)) == want
+
+
+@given(nonzero_rationals, st.integers(-6, 6), st.integers(0, 6))
+def test_power_series_matches_fraction_loop(c, e, order):
+    want = [c**e]
+    for j in range(order):
+        want.append(want[j] * (e - j) / ((j + 1) * c))
+    got = power_series(c, e, order)
+    assert got == want and got.den > 0
+
+
+def _fraction_moments(weight, count):
+    """E[(Z + a)^j] by m_{j+1} = a m_j + j m_{j-1}, or (j+p)! / beta^(j+p+1)."""
+    if isinstance(weight, LaguerreWeight):
+        return [F(math.factorial(j + weight.p)) / weight.beta ** (j + weight.p + 1) for j in range(count)]
+    a = weight.a
+    out = [F(1), a]
+    for j in range(1, count - 1):
+        out.append(a * out[j] + j * out[j - 1])
+    return out[:count]
+
+
+@given(st.integers(0, 24), mixed_rationals)
+def test_gaussian_moments_match_fraction_loop(count, a):
+    weight = HermiteWeight(a)
+    assert weight.moments(count) == _fraction_moments(weight, count)
+
+
+@given(st.integers(0, 20), nonzero_rationals.map(abs), st.integers(0, 3))
+def test_gamma_moments_match_fraction_loop(count, beta, p):
+    weight = LaguerreWeight(beta, p)
+    assert weight.moments(count) == _fraction_moments(weight, count)
+
+
+def _term(weight, poly, r):
+    """A term whose prefactor times the weight's scale is the rational r."""
+    if isinstance(weight, HermiteWeight):
+        return LinearFormTerm(0, ScaledConstant.of(r, -1, -weight.a * weight.a / 2), poly, weight)
+    return LinearFormTerm(0, ScaledConstant.of(r), poly, weight)
+
+
+weights = st.one_of(
+    mixed_rationals.map(HermiteWeight),
+    st.builds(LaguerreWeight, nonzero_rationals.map(abs), st.integers(0, 2)),
+)
+
+
+@given(st.lists(st.tuples(weights, mixed_polys, mixed_rationals), max_size=3), st.integers(0, 6))
+def test_form_moments_match_fraction_loop(terms, count):
+    form = LinearForm(tuple(_term(*t) for t in terms))
+    want = [F(0)] * count
+    for weight, poly, r in terms:
+        if poly.is_zero:
+            continue
+        mom = _fraction_moments(weight, len(poly.coeffs) + count)
+        for j in range(count):
+            want[j] += r * _fraction_dot(poly.coeffs, mom[j:])
+    assert form.moments(count) == want
 
 
 @given(rationals, st.integers(-3, 3), rationals)

@@ -88,6 +88,32 @@ def test_diagonal_limit_matches_nearby_quotient():
         assert diag == pytest.approx(near, rel=1e-5)
 
 
+def _outcome(f, *args):
+    """The bits of f's float value, or the type of the exception it raised."""
+    try:
+        return _bits(np.ravel(f(*args)))
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "family, spec",
+    [("hermite", H21), ("laguerre", L11_P0), ("laguerre", LaguerreSpec.of([1, 2], [1, 1], 2))],
+    ids=["h21", "l-p0", "l-p2"],
+)
+def test_diagonal_array_pass_matches_eval_cd_bitwise(family, spec):
+    """eval_cd_diagonal at t is eval_cd(K, t, t), the same bits or the same
+    exception: at the nearby-quotient points, on the standard grid, and at
+    t = 1e308, where a midpoint 0.5 * (x + y) would overflow to inf."""
+    K = kn.build_kernel(family, spec)
+    points = [0.9, 1e308] + [float(t) for t in standard_grid(family, 11)]
+    if family == "hermite":
+        points += [-1.5, 0.0]
+    for t in points:
+        want = _outcome(kn.eval_cd, K, t, t)
+        assert _outcome(kn.eval_cd_diagonal, K, np.array([t])) == want, t
+
+
 def test_laguerre_domain_guard():
     KL = kn.build_kernel("laguerre", L11_P0)
     with pytest.raises(ExactMathError):
@@ -447,6 +473,27 @@ def test_biorthogonality_examples():
         assert M2 == [[1, 0], [0, 1]]
     M3 = kn.check_biorthogonality("laguerre", L11_P1)
     assert M3 == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "family, spec",
+    [
+        ("hermite", HermiteSpec.of([1, -1], [16, 16])),
+        ("hermite", HermiteSpec.of([1, -1, 2], [6, 6, 6])),
+        ("laguerre", LaguerreSpec.of([1, 2], [8, 8], 1)),
+    ],
+    ids=["h16-16", "h6-6-6", "l8-8-p1"],
+)
+def test_exact_layer_at_large_weight(family, spec):
+    """Where the float routes lose accuracy, the exact layer still holds
+    exactly: the biorthogonality matrix is the identity under both chain
+    strategies, and build_kernel's moment ratios equal the closed forms."""
+    K = kn.build_kernel(family, spec)
+    assert K.ratios == tuple(kn.FAMILIES[family].norm_ratio(spec, k) for k in range(spec.m))
+    w = spec.n.weight
+    identity = [[int(i == j) for j in range(w)] for i in range(w)]
+    for strategy in CHAIN_STRATEGIES:
+        assert kn.check_biorthogonality(family, spec, mi_chain(spec.n, strategy)) == identity
 
 
 def test_kernel_trace_standard_specs():
