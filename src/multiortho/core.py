@@ -3,16 +3,16 @@ truncated scalar power series, scaled constants, and the weights with
 their exact moment sequences.
 
 Everything here is immutable and exact.  Rational scalars are
-``fractions.Fraction`` (unbounded integers, canonical reduced form), so
-polynomial and series arithmetic is reproducible bit for bit.  The hot
-arithmetic (polynomial and series products, dot products with moments,
-the moments of a linear form) runs on integer numerators over one common
-denominator (``RatVec``): each polynomial caches that form of its
-coefficients, and each weight's moment sequence comes in that form from
-a module-level cache.  An operation is then one integer sum per result
-and one Fraction at the end, the same canonical Fraction that Fraction
-arithmetic gives.  Floating point enters only through the explicit
-evaluation hooks used by the numeric layers.
+``fractions.Fraction`` (unbounded integers, canonical reduced form).
+Sequences of rationals are integer numerators over one denominator: a
+``RatVec`` (series, moments, integer-coefficient products) or a
+``RatPoly``, whose denominator is the least common one, so each
+polynomial has one canonical form.  Series and root products, dot
+products with moments and the moments of a linear form are then one
+integer sum per result and one Fraction at the end, the same canonical
+Fraction that Fraction arithmetic gives, and each weight's moment
+sequence comes from a module-level cache.  Floating point enters only
+through the explicit evaluation hooks used by the numeric layers.
 """
 
 from __future__ import annotations
@@ -170,9 +170,7 @@ class RatVec:
 
     @classmethod
     def of(cls, values: Iterable[RationalLike]) -> "RatVec":
-        """values over their least common denominator; a RatVec as it is."""
-        if isinstance(values, RatVec):
-            return values
+        """values over their least common denominator."""
         fracs = [as_fraction(v) for v in values]
         den = math.lcm(*(f.denominator for f in fracs))
         return cls(tuple(f.numerator * (den // f.denominator) for f in fracs), den)
@@ -209,114 +207,69 @@ def _convolve(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
 # dense rational polynomials
 
 
-def _strip(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    last = len(coeffs)
-    while last > 0 and coeffs[last - 1] == 0:
-        last -= 1
-    return tuple(coeffs[:last])
-
-
 @dataclass(frozen=True)
 class RatPoly:
-    """Dense univariate polynomial with Fraction coefficients, ascending
-    order, canonical form (no trailing zeros; the zero polynomial is ()).
+    """Dense univariate polynomial with coefficients nums[i] / den, ascending:
+    integer numerators with no trailing zero over their least common
+    denominator den > 0 (gcd(den, *nums) == 1), so equal polynomials are
+    equal objects.  The zero polynomial is ((), 1); its degree is the
+    sentinel -1."""
 
-    degree() of the zero polynomial is the sentinel -1.
-    """
-
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        coeffs = _strip([as_fraction(c) for c in self.coeffs])
-        object.__setattr__(self, "coeffs", coeffs)
+        nums, den = list(self.nums), self.den
+        if den == 0:
+            raise ExactMathError("polynomial with denominator 0")
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        object.__setattr__(self, "nums", tuple(c // g for c in nums))
+        object.__setattr__(self, "den", den // g)
 
     @classmethod
     def of(cls, coeffs: Iterable[RationalLike]) -> "RatPoly":
-        return cls(tuple(as_fraction(c) for c in coeffs))
-
-    @classmethod
-    def over(cls, nums: Iterable[int], den: int) -> "RatPoly":
-        """The polynomial with coefficients nums[i] / den, ascending."""
-        return cls(tuple(Fraction(c, den) for c in nums))
+        v = RatVec.of(coeffs)
+        return cls(v.nums, v.den)
 
     @classmethod
     def zero(cls) -> "RatPoly":
         return cls(())
 
-    @classmethod
-    def one(cls) -> "RatPoly":
-        return cls((Fraction(1),))
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ExactMathError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return len(self.nums) - 1
 
     @property
     def is_monic(self) -> bool:
-        return not self.is_zero and self.leading == 1
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(tuple(out))
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
-    def __mul__(self, other: Union["RatPoly", RationalLike]) -> "RatPoly":
-        if not isinstance(other, RatPoly):
-            return self.scale(other)
-        if self.is_zero or other.is_zero:
-            return RatPoly.zero()
-        a, b = self.vec, other.vec
-        return RatPoly.over(_convolve(a.nums, b.nums, len(a) + len(b) - 1), a.den * b.den)
-
-    def __rmul__(self, other: RationalLike) -> "RatPoly":
-        return self.scale(other)
-
-    def scale(self, c: RationalLike) -> "RatPoly":
-        c = as_fraction(c)
-        return RatPoly(tuple(c * v for v in self.coeffs))
+        return not self.is_zero and self.nums[-1] == self.den
 
     def derivative(self) -> "RatPoly":
-        return RatPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return RatPoly(tuple(i * c for i, c in enumerate(self.nums) if i), self.den)
 
-    def dot(self, moments: Union[RatVec, Sequence[RationalLike]]) -> Fraction:
+    def dot(self, moments: RatVec) -> Fraction:
         """sum_i coeff_i * moments[i]: the value at this polynomial of the
         linear functional whose moment sequence is moments, exactly, as one
-        integer sum over the product of the two common denominators."""
-        moments = RatVec.of(moments)
-        if len(moments) < len(self.coeffs):
+        integer sum over the product of the two denominators."""
+        if len(moments) < len(self.nums):
             raise ExactMathError(f"{len(moments)} moments for a degree-{self.degree} polynomial")
-        p = self.vec
-        return Fraction(sum(map(mul, p.nums, moments.nums)), p.den * moments.den)
+        return Fraction(sum(map(mul, self.nums, moments.nums)), self.den * moments.den)
 
     def __call__(self, x):
-        """Horner evaluation: exact for Fraction/int input, float otherwise
-        (a float or, elementwise, a float ndarray).  The float path reads
-        the coefficients as floats, converted once per polynomial."""
-        if isinstance(x, (Fraction, int)) and not isinstance(x, bool):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
+        """Horner evaluation at a float or, elementwise, a float ndarray,
+        over the coefficients as floats, converted once per polynomial."""
         acc = 0.0
         for c in self._float_coeffs:
             acc = acc * x + c
@@ -324,13 +277,9 @@ class RatPoly:
 
     @cached_property
     def _float_coeffs(self) -> tuple[float, ...]:
-        """float(c) for each coefficient, highest degree first."""
-        return tuple(float(c) for c in reversed(self.coeffs))
-
-    @cached_property
-    def vec(self) -> RatVec:
-        """The coefficients (ascending) over their least common denominator."""
-        return RatVec.of(self.coeffs)
+        """Each coefficient as the nearest float, highest degree first (int
+        division is correctly rounded, as float(Fraction) is)."""
+        return tuple(c / self.den for c in reversed(self.nums))
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +306,8 @@ def power_series(c: RationalLike, e: int, order: int) -> RatVec:
     return RatVec(tuple(nums), u ** (order - e))
 
 
-def series_mul(a: Sequence[RationalLike], b: Sequence[RationalLike]) -> RatVec:
+def series_mul(a: RatVec, b: RatVec) -> RatVec:
     """Product of two power series truncated at the same order."""
-    a, b = RatVec.of(a), RatVec.of(b)
     return RatVec(tuple(_convolve(a.nums, b.nums, len(a))), a.den * b.den)
 
 
@@ -545,8 +493,8 @@ class LinearForm:
             if t.poly.is_zero:
                 continue
             c = (t.prefactor * t.weight.scale).as_fraction()
-            poly = t.poly.vec
-            mom = t.weight.moments(len(poly) + count)
+            poly = t.poly
+            mom = t.weight.moments(len(poly.nums) + count)
             corr = [sum(map(mul, poly.nums, mom.nums[j:])) for j in range(count)]
             parts.append((c.numerator, c.denominator * poly.den * mom.den, corr))
         den = math.lcm(*(d for _, d, _ in parts))

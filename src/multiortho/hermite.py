@@ -103,7 +103,7 @@ def type_ii_poly(spec: HermiteSpec) -> RatPoly:
             total += c * r_j
             c = -c * (i + 2 * j + 1) * (i + 2 * j + 2) // (2 * j + 2)
         heat.append(total)
-    P = RatPoly.over(heat, R.den)
+    P = RatPoly(tuple(heat), R.den)
     if P.degree != spec.n.weight or not P.is_monic:
         raise ExactMathError("type II construction lost monicity")  # unreachable
     return P
@@ -151,7 +151,7 @@ def type_i_form(spec: HermiteSpec) -> LinearForm:
             f = d.nums[T - j] * v ** (T - j) * math.perm(T, T - j)
             for i, c in enumerate(he[j]):
                 a_hat[i] += f * c
-        a_hat = RatPoly.over(a_hat, d.den * v**T)
+        a_hat = RatPoly(tuple(a_hat), d.den * v**T)
         prefactor = ScaledConstant.of(Fraction(1, math.factorial(T)), -1, q)
         terms.append(LinearFormTerm(k, prefactor, a_hat, HermiteWeight(a_k)))
     return LinearForm(tuple(terms))

@@ -89,7 +89,7 @@ def type_ii_residuals(P: RatPoly, spec: Spec) -> list[Fraction]:
     j = 0 .. n_k - 1.  All must vanish exactly for the type II polynomial."""
     out = []
     for w, n_k in zip(spec.weights, spec.n):
-        mom = w.moments(len(P.coeffs) + n_k)
+        mom = w.moments(len(P.nums) + n_k)
         out.extend(P.dot(mom[j:]) for j in range(n_k))
     return out
 
@@ -98,7 +98,7 @@ def moment_norm_constant(spec: Spec, k: int, P: RatPoly) -> ScaledConstant:
     """h_k = integral(P(x) x^{n_k} w_k(x) dx) from w_k's moments, given the
     type II polynomial P of spec."""
     w, n_k = spec.weights[k], spec.n[k]
-    return w.scale * P.dot(w.moments(len(P.coeffs) + n_k)[n_k:])
+    return w.scale * P.dot(w.moments(len(P.nums) + n_k)[n_k:])
 
 
 def moment_norm_ratio(spec: Spec, k: int, P: RatPoly, P_down: RatPoly) -> Fraction:
@@ -397,7 +397,9 @@ def correlation_det(K: KernelModel, points: Sequence[float], conjugated: bool = 
     pts = [float(v) for v in points]
     n = len(pts)
     p = getattr(K.spec, "p", 0) if conjugated else 0
-    a = [[eval_cd(K, xi, xj) * (xi / xj) ** p for xj in pts] for xi in pts]
+    a = [[eval_cd(K, xi, xj) for xj in pts] for xi in pts]
+    if p:
+        a = [[v * (xi / xj) ** p for v, xj in zip(row, pts)] for row, xi in zip(a, pts)]
     det = 1.0
     for col in range(n):
         piv = max(range(col, n), key=lambda row: abs(a[row][col]))

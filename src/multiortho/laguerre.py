@@ -92,9 +92,10 @@ def type_ii_poly(spec: LaguerreSpec) -> RatPoly:
     C = Fraction(math.factorial(w + p))
     for beta_k, n_k in zip(spec.beta, spec.n):
         C /= (-beta_k) ** n_k
-    den = C.denominator * G.den
-    P = RatPoly.of(
-        Fraction(C.numerator * G.nums[w - j], den * math.factorial(j + p)) for j in range(w + 1)
+    # [x^j] is C G_{w-j} / (j+p)!, over the denominator den(C) den(G) (w+p)!
+    P = RatPoly(
+        tuple(C.numerator * G.nums[w - j] * math.perm(w + p, w - j) for j in range(w + 1)),
+        C.denominator * G.den * math.factorial(w + p),
     )
     if P.degree != w or not P.is_monic:
         raise ExactMathError("type II construction lost monicity")  # unreachable
@@ -127,10 +128,11 @@ def type_i_form(spec: LaguerreSpec) -> LinearForm:
         for l, (beta_l, n_l) in enumerate(zip(spec.beta, spec.n)):
             if l != k:
                 d = series_mul(d, power_series(beta_k - beta_l, -n_l, T))
-        den = scale.denominator * d.den
-        a_k = RatPoly.of(
-            Fraction(scale.numerator * d.nums[T - j] * (-1) ** j, den * math.factorial(j))
-            for j in range(T + 1)
+        # [x^j] A_k = scale d_{T-j} (-1)^j / j!, over the denominator den(scale) den(d) T!
+        num = scale.numerator
+        a_k = RatPoly(
+            tuple(num * d.nums[T - j] * (-1) ** j * math.perm(T, T - j) for j in range(T + 1)),
+            scale.denominator * d.den * math.factorial(T),
         )
         terms.append(LinearFormTerm(k, ScaledConstant.one(), a_k, weight))
     return LinearForm(tuple(terms))

@@ -461,22 +461,15 @@ def test_simulate_requires_out_and_seed(capsys, tmp_path):
 
 
 def test_correlate_single_point_is_density(capsys):
-    code, out, _ = run(
-        capsys,
-        "correlate",
-        "--family",
-        "hermite",
-        "--a",
-        "1,-1",
-        "--n",
-        "1,1",
-        "--points",
-        "0.8",
-    )
-    assert code == 0
-    doc = json.loads(out)
+    """One point gives the density K(x, x); more give det[K(x_i, x_j)].
+    0 lies inside the Hermite support, so it is a valid point."""
     K = build_kernel("hermite", HermiteSpec.of([1, -1], [1, 1]))
-    assert doc["determinant"] == pytest.approx(eval_cd(K, 0.8, 0.8), rel=1e-14)
+    for points in ("0.8", "0", "0,0.8"):
+        code, out, _ = run(capsys, "correlate", *HERMITE_11, "--points", points)
+        assert code == 0
+        pts = [float(v) for v in points.split(",")]
+        want = np.linalg.det([[eval_cd(K, x, y) for y in pts] for x in pts])
+        assert json.loads(out)["determinant"] == pytest.approx(want, rel=1e-14)
 
 
 def test_correlate_duplicate_point_zero(capsys):

@@ -1,6 +1,8 @@
 """Correlation kernels: CD form, biorthogonal sum, contour quadrature, and
 the identities tying them together."""
 
+import hashlib
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -18,6 +20,7 @@ from multiortho.laguerre import LaguerreSpec
 from multiortho.presets import standard_grid
 from multiortho.quad import ContourError, ConvergenceError, bilinear_sum, concentric_sum
 from oracles import cd_kernel_oracle
+from test_acceptance import hermite_sweep, laguerre_sweep
 
 H11 = HermiteSpec.of([1, -1], [1, 1])
 H21 = HermiteSpec.of([1, -1], [2, 1])
@@ -494,6 +497,43 @@ def test_exact_layer_at_large_weight(family, spec):
     identity = [[int(i == j) for j in range(w)] for i in range(w)]
     for strategy in CHAIN_STRATEGIES:
         assert kn.check_biorthogonality(family, spec, mi_chain(spec.n, strategy)) == identity
+
+
+def _exact_outputs(spec):
+    """(name, values) of every exact output the package builds for spec."""
+    mod = kn.FAMILIES[spec.family]
+    yield "P", mod.type_ii_poly(spec).coeffs
+    form = mod.type_i_form(spec)
+    for t in form.terms:
+        c = t.prefactor
+        yield "A", (c.r, c.two_pi_half, c.exp_arg) + t.poly.coeffs
+    yield "Qm", tuple(form.moments(3))
+    yield "B", tuple(itertools.chain.from_iterable(kn.check_biorthogonality(spec.family, spec)))
+    if all(spec.n):
+        K = kn.build_kernel(spec.family, spec)
+        yield "ratios", K.ratios
+        yield "dP", K.dP.coeffs
+
+
+# SHA-256 of the exact outputs over the acceptance sweep and three large
+# specs: type II and type I coefficients, the type I prefactors, the first
+# Q moments, the biorthogonality matrices, and the kernel ratios and P'.
+# Frozen from the implementation that stored coefficients as Fraction
+# tuples; every later form must give the same Fractions.
+EXACT_OUTPUTS_SHA256 = "ad9233645472c3f6bb3816eb41805b762ab6978ddfdbbbfe8f9dfcf9988c6dbd"
+
+
+def test_exact_outputs_fingerprint():
+    large = (
+        HermiteSpec.of([1, -1], [16, 16]),
+        HermiteSpec.of([0, 1, 2], [6, 6, 6]),
+        LaguerreSpec.of([1, 2], [8, 8], 1),
+    )
+    digest = hashlib.sha256()
+    for spec in hermite_sweep() + laguerre_sweep() + large:
+        for name, values in _exact_outputs(spec):
+            digest.update((name + " " + " ".join(map(str, values)) + "\n").encode())
+    assert digest.hexdigest() == EXACT_OUTPUTS_SHA256
 
 
 def test_kernel_trace_standard_specs():
