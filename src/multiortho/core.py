@@ -12,7 +12,8 @@ products with moments and the moments of a linear form are then one
 integer sum per result and one Fraction at the end, the same canonical
 Fraction that Fraction arithmetic gives, and each weight's moment
 sequence comes from a module-level cache.  Floating point enters only
-through the explicit evaluation hooks used by the numeric layers.
+through the evaluation hooks ``RatPoly.__call__`` and ``FormTable``
+(linear forms over their shared weights, each exponential once per point).
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from itertools import repeat
 from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -502,29 +504,14 @@ class LinearForm:
         return RatVec(tuple(sum(c * corr[j] for c, corr in parts) for j in range(count)), den)
 
     def __call__(self, x):
-        """Q at a float x, or at each element of a float ndarray x.  The array
-        path maps math.exp and Python's ** over the elements, because numpy's
-        exp and power can differ from them in the last ulp; each element is
-        then the scalar value bit for bit."""
-        if isinstance(x, np.ndarray):
-            exp, power = _map_exp, _map_pow
-        else:
-            x = float(x)
-            exp, power = math.exp, pow
-        total = 0.0
-        for poly, scale, shift, offset, p in self._float_terms:
-            if p is None:
-                expo = -0.5 * (x - shift) * (x - shift) + offset
-            else:
-                expo = offset + shift * x
-                scale *= power(x, p)
-            total += scale * poly(x) * exp(expo)
-        return total
+        """Q at a float x, or at each element of a float ndarray x, through
+        this form's one-form FormTable."""
+        return self._table(x if isinstance(x, np.ndarray) else float(x))[0]
 
     @cached_property
     def _float_terms(self) -> tuple:
-        """(poly, scale, shift, offset, p) per nonzero term, converted to
-        float once.  A Hermite term (p None) is
+        """((shift, offset, p), scale, coefficients highest degree first) per
+        nonzero term, converted to float once.  A Hermite term (p None) is
         scale * poly(x) * exp(-(x - shift)^2 / 2 + offset), with
         offset = exp_arg + a^2/2, which is exactly 0 for constructed forms
         (the general fold keeps hand-built forms right); a half-line term is
@@ -540,18 +527,63 @@ class LinearForm:
                 scale *= math.sqrt(TWO_PI)
             w = t.weight
             if isinstance(w, HermiteWeight):
-                out.append((t.poly, scale, float(w.a), float(pf.exp_arg + w.a * w.a / 2), None))
+                weight = (float(w.a), float(pf.exp_arg + w.a * w.a / 2), None)
             else:
-                out.append((t.poly, scale, -float(w.beta), float(pf.exp_arg), w.p))
+                weight = (-float(w.beta), float(pf.exp_arg), w.p)
+            out.append((weight, scale, t.poly._float_coeffs))
         return tuple(out)
 
-
-def _elementwise(f, nargs: int):
-    """f applied to each element of its float ndarray arguments as Python
-    floats, returning a float ndarray."""
-    ufunc = np.frompyfunc(f, nargs, 1)
-    return lambda *args: ufunc(*args).astype(float)
+    @cached_property
+    def _table(self) -> "FormTable":
+        return FormTable.of([self._float_terms])
 
 
-_map_exp = _elementwise(math.exp, 1)
-_map_pow = _elementwise(pow, 2)
+@dataclass(frozen=True)
+class FormTable:
+    """Float evaluation data of linear forms over their shared weights: each
+    distinct weight (shift, offset, p) of LinearForm._float_terms once, and
+    per form one row (weight index, scale, coefficients) per nonzero term.
+    The forms of one kernel or one chain share their m weights, so an
+    evaluation computes each weight's exponential, and x^p, once."""
+
+    weights: tuple[tuple[float, float, Union[int, None]], ...]
+    forms: tuple[tuple[tuple[int, float, tuple[float, ...]], ...], ...]
+
+    @classmethod
+    def of(cls, forms: Iterable[Iterable[tuple]]) -> "FormTable":
+        """The table of forms given as LinearForm._float_terms rows."""
+        index: dict = {}
+        rows = [[(index.setdefault(w, len(index)), s, cs) for w, s, cs in form] for form in forms]
+        return cls(tuple(index), tuple(map(tuple, rows)))
+
+    def __call__(self, x) -> list:
+        """Each form's value at a float x, or elementwise at a float ndarray
+        x: the sum over its rows of scale * x^p * poly(x) * exp(...), with
+        poly(x) by Horner, in row order."""
+        array = isinstance(x, np.ndarray)
+        exp, power = (partial(_map, math.exp), partial(_map, pow)) if array else (math.exp, pow)
+        xps, exps = [], []  # x^0 and a Hermite weight's 1.0 are exact (scale * 1.0 is scale)
+        for shift, offset, p in self.weights:
+            if p is None:
+                xps.append(1.0)
+                exps.append(exp(-0.5 * (x - shift) * (x - shift) + offset))
+            else:
+                xps.append(power(x, p) if p else 1.0)
+                exps.append(exp(offset + shift * x))
+        values = []
+        for rows in self.forms:
+            total = 0.0
+            for i, scale, coeffs in rows:
+                acc = 0.0
+                for c in coeffs:
+                    acc = acc * x + c
+                total += scale * xps[i] * acc * exps[i]
+            values.append(total)
+        return values
+
+
+def _map(f, t: np.ndarray, *args) -> np.ndarray:
+    """f(v, *args) for each element v of t as a Python float, so each is the
+    scalar value bit for bit (numpy's exp and power can differ in the last ulp)."""
+    flat = t.ravel().tolist()
+    return np.fromiter(map(f, flat, *map(repeat, args)), float, t.size).reshape(t.shape)

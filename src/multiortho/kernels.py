@@ -17,12 +17,11 @@ The kernel of the determinantal eigenvalue process is computed as
    take the node count up by nested doubling.
 
 All polynomial ingredients are exact rationals; floats appear only at the
-final evaluation step, which reads float data derived once per exact
-object (each polynomial's coefficients, each kernel's ratios) and the
-chain's (P, Q) factor pairs, looked up once per spec and chain.  The
-module also provides the derivative identity check, correlation
-determinants, exact biorthogonality matrices, and the trace rule
-integral(K(x,x) dx) = |n|.
+final evaluation step, which reads one float table per kernel and one per
+spec and chain (a ``core.FormTable``: each weight's exponential once per
+point, then Horner over float coefficients).  The module also provides the
+derivative identity check, correlation determinants, exact
+biorthogonality matrices, and the trace rule integral(K(x,x) dx) = |n|.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import hermite as _hermite
 from . import laguerre as _laguerre
-from .core import ExactMathError, LinearForm, MultiIndex, RatPoly, ScaledConstant, mi_chain
+from .core import ExactMathError, FormTable, LinearForm, MultiIndex, RatPoly, ScaledConstant, mi_chain
 from .hermite import HermiteSpec
 from .laguerre import LaguerreSpec
 from .quad import ContourError, ConvergenceError
@@ -134,9 +133,11 @@ class KernelModel:
     dP_down: tuple[RatPoly, ...]
 
     @cached_property
-    def _float_ratios(self) -> tuple[float, ...]:
-        """float(r) for each ratio, converted once per kernel."""
-        return tuple(float(r) for r in self.ratios)
+    def _floats(self) -> tuple[FormTable, tuple[float, ...]]:
+        """The float evaluation table, built once per kernel: the FormTable
+        of Q_up[0], ..., Q_up[m-1], Q, and float(r) for each ratio."""
+        forms = FormTable.of(q._float_terms for q in self.Q_up + (self.Q,))
+        return forms, tuple(float(r) for r in self.ratios)
 
 
 @lru_cache(maxsize=None)
@@ -206,17 +207,23 @@ def eval_cd(K: KernelModel, x: float, y: float) -> float:
     _check_domain(K.spec, x, y)
     if abs(x - y) < DIAGONAL_EPS:
         return _diagonal_limit(K, 0.5 * x + 0.5 * y)
-    return _numerator(K, K.P(x) * K.Q(y), K.P_down, x, y) / (x - y)
+    return _numerator(K, K.P, K.P_down, x, y) / (x - y)
 
 
-def _numerator(K: KernelModel, lead, P_down: Sequence[RatPoly], x, y):
-    """lead minus ratio_k * P_down[k](x) * Q_up_k(y) for each k in turn, at
-    floats or elementwise over float ndarrays.  eval_cd passes P(x) Q(y)
-    and K.P_down (the numerator N), the diagonal limit P'(t) Q(t) and
-    K.dP_down (dN/dx at x = y = t), check_dxdy_identity 0.0 and K.P_down
-    (N - P(x) Q(y))."""
-    for r, Pd, Qu in zip(K._float_ratios, P_down, K.Q_up):
-        lead = lead - r * Pd(x) * Qu(y)
+def _numerator(K: KernelModel, P: RatPoly | None, P_down: Sequence[RatPoly], x, y):
+    """P(x) Q(y) (0.0 for P None) minus ratio_k * P_down[k](x) * Q_up_k(y)
+    for each k in turn, at floats or elementwise over float ndarrays.
+    eval_cd passes K.P and K.P_down (the numerator N), the diagonal limit
+    K.dP and K.dP_down (dN/dx at x = y = t), check_dxdy_identity None and
+    K.P_down (N - P(x) Q(y))."""
+    forms, ratios = K._floats
+    qs = forms(y)
+    lead = 0.0 if P is None else P(x) * qs[-1]
+    for r, Pd, q in zip(ratios, P_down, qs):
+        acc = 0.0
+        for c in Pd._float_coeffs:
+            acc = acc * x + c
+        lead = lead - r * acc * q
     return lead
 
 
@@ -233,7 +240,7 @@ def eval_cd_diagonal(K: KernelModel, t):
 
 def _diagonal_limit(K: KernelModel, t):
     """dN/dx at x = y = t, for a float t or elementwise over a float ndarray."""
-    return _numerator(K, K.dP(t) * K.Q(t), K.dP_down, t, t)
+    return _numerator(K, K.dP, K.dP_down, t, t)
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +271,35 @@ def _chain_factors(
     )
 
 
+@lru_cache(maxsize=None)
+def _chain_floats(spec: Spec, chain: tuple[MultiIndex, ...]) -> tuple:
+    """The float evaluation table of the chain's factors, built once per
+    spec and chain: the coefficients of each P_{chain[j]}, highest degree
+    first, and the FormTable of the Q_{chain[j+1]}."""
+    factors = _chain_factors(spec, chain)
+    return (
+        tuple(p._float_coeffs for p, _ in factors),
+        FormTable.of(q._float_terms for _, q in factors),
+    )
+
+
 def eval_sum(family: str, spec: Spec, chain: Sequence[MultiIndex], x: float, y: float) -> float:
     """Biorthogonal sum sum_{j<|n|} P_{chain[j]}(x) * Q_{chain[j+1]}(y).
 
-    Every factor is built exactly (and cached, as are the factor pairs of
+    Every factor is built exactly (and cached, as is the float table of
     each spec and chain), then evaluated in float.  The value is
     chain-independent; the chain only reindexes the same span.
     """
     family_module(family, spec)
-    factors = _chain_factors(spec, tuple(chain))
+    P, forms = _chain_floats(spec, tuple(chain))
     x, y = float(x), float(y)
     _check_domain(spec, x, y)
     total = 0.0
-    for p, q in factors:
-        total += p(x) * q(y)
+    for coeffs, q in zip(P, forms(y)):
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * x + c
+        total += acc * q
     return total
 
 
@@ -383,7 +405,7 @@ def check_dxdy_identity(
     D = (eval_cd(K, x + h, y) - eval_cd(K, x - h, y)) / (2.0 * h)
     D += (eval_cd(K, x, y + h) - eval_cd(K, x, y - h)) / (2.0 * h)
     first = (x - y) * eval_cd(K, x, y) - K.P(x) * K.Q(y)
-    second = _numerator(K, 0.0, K.P_down, x, y)
+    second = _numerator(K, None, K.P_down, x, y)
     return abs(D - first), abs(D - second)
 
 
@@ -392,14 +414,19 @@ def correlation_det(K: KernelModel, points: Sequence[float], conjugated: bool = 
 
     With conjugated=True the entries carry the extra (x_i / x_j)^p factor
     (half-line family); the determinant is unchanged because the factor is
-    a diagonal similarity.
+    a diagonal similarity.  It is applied through math.frexp of the points,
+    so no intermediate step overflows or underflows.
     """
     pts = [float(v) for v in points]
     n = len(pts)
     p = getattr(K.spec, "p", 0) if conjugated else 0
     a = [[eval_cd(K, xi, xj) for xj in pts] for xi in pts]
     if p:
-        a = [[v * (xi / xj) ** p for v, xj in zip(row, pts)] for row, xi in zip(a, pts)]
+        fr = [math.frexp(v) for v in pts]
+        a = [
+            [math.ldexp(v * (mi / mj) ** p, p * (ei - ej)) for v, (mj, ej) in zip(row, fr)]
+            for row, (mi, ei) in zip(a, fr)
+        ]
     det = 1.0
     for col in range(n):
         piv = max(range(col, n), key=lambda row: abs(a[row][col]))

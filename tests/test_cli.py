@@ -490,23 +490,27 @@ def test_correlate_duplicate_point_zero(capsys):
 
 
 def test_correlate_conjugation_reported(capsys):
-    code, out, _ = run(
-        capsys,
-        "correlate",
-        "--family",
-        "laguerre",
-        "--beta",
-        "1,2",
-        "--n",
-        "1,1",
-        "--p",
-        "1",
-        "--points",
-        "0.7,1.9",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["conjugation_relative_difference"] <= 1e-10
+    """At 0.5, 1e-320 the factor (x_i / x_j)^p is 5e319, past the float
+    range, while the conjugated entries and determinant are finite."""
+    for points in ("0.7,1.9", "0.5,1e-320"):
+        code, out, _ = run(
+            capsys,
+            "correlate",
+            "--family",
+            "laguerre",
+            "--beta",
+            "1,2",
+            "--n",
+            "1,1",
+            "--p",
+            "1",
+            "--points",
+            points,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert math.isfinite(doc["conjugated_determinant"])
+        assert doc["conjugation_relative_difference"] <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multiortho import hermite as hm
 from multiortho import kernels as kn
 from multiortho import laguerre as lg
-from multiortho.core import CHAIN_STRATEGIES, ExactMathError, MultiIndex, mi_chain
+from multiortho.core import CHAIN_STRATEGIES, ExactMathError, HermiteWeight, MultiIndex, mi_chain
 from multiortho.hermite import HermiteSpec
 from multiortho.laguerre import LaguerreSpec
 from multiortho.presets import standard_grid
@@ -200,6 +200,90 @@ def test_eval_sum_matches_reference_loop_bitwise(family, spec, strategy):
     want = _bits([_reference_sum(spec, chain, x, y) for x, y in pts])
     assert _bits([kn.eval_sum(family, spec, chain, x, y) for x, y in pts]) == want
     assert _bits([kn.eval_sum(family, spec, tuple(chain), x, y) for x, y in pts]) == want
+
+
+def _ref_horner(poly, x):
+    acc = 0.0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + float(c)
+    return acc
+
+
+def _ref_form(form, y):
+    """The type I form at y from its exact term data: per nonzero term,
+    r * (2 pi)^(h/2) * y^p * A_k(y) * exp(exponent), where the prefactor's
+    e^q joins the weight's exponent, summed over the terms in order."""
+    total = 0.0
+    for t in form.terms:
+        if t.poly.is_zero:
+            continue
+        pf, w = t.prefactor, t.weight
+        h = pf.two_pi_half
+        scale = float(pf.r) * (2 * math.pi) ** (h // 2)
+        if h % 2:
+            scale *= math.sqrt(2 * math.pi)
+        if isinstance(w, HermiteWeight):
+            a = float(w.a)
+            expo = -0.5 * (y - a) * (y - a) + float(pf.exp_arg + w.a * w.a / 2)
+            total += scale * _ref_horner(t.poly, y) * math.exp(expo)
+        else:
+            expo = float(pf.exp_arg) - float(w.beta) * y
+            total += scale * y**w.p * _ref_horner(t.poly, y) * math.exp(expo)
+    return total
+
+
+def _ref_cd(K, x, y):
+    """The CD quotient, or its diagonal limit at the midpoint, from the
+    model's exact polynomials and forms."""
+    if abs(x - y) < kn.DIAGONAL_EPS:
+        t = 0.5 * x + 0.5 * y
+        lead = _ref_horner(K.dP, t) * _ref_form(K.Q, t)
+        for r, pd, qu in zip(K.ratios, K.dP_down, K.Q_up):
+            lead = lead - float(r) * _ref_horner(pd, t) * _ref_form(qu, t)
+        return lead
+    lead = _ref_horner(K.P, x) * _ref_form(K.Q, y)
+    for r, pd, qu in zip(K.ratios, K.P_down, K.Q_up):
+        lead = lead - float(r) * _ref_horner(pd, x) * _ref_form(qu, y)
+    return lead / (x - y)
+
+
+@st.composite
+def _spec_and_points(draw):
+    family = draw(st.sampled_from(["hermite", "laguerre"]))
+    m = draw(st.integers(1, 3))
+    n = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    if family == "hermite":
+        pool = ["-2", "-1", "-1/2", "0", "1/3", "1", "2"]
+        a = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m, unique=True))
+        spec, points = HermiteSpec.of(a, n), st.floats(-4, 4)
+    else:
+        pool = ["1/2", "1", "3/2", "2", "3"]
+        beta = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m, unique=True))
+        spec, points = LaguerreSpec.of(beta, n, draw(st.integers(0, 2))), st.floats(0.05, 8)
+    return family, spec, draw(st.lists(points, min_size=1, max_size=3))
+
+
+@given(_spec_and_points())
+@example(("hermite", HermiteSpec.of(["1/2", -1, 2], [2, 3, 1]), [-1.3, 0.4, 2.2]))
+@example(("laguerre", LaguerreSpec.of(["1/2", 2, 3], [2, 2, 1], 2), [0.3, 1.7, 4.1]))
+def test_float_routes_match_term_formula_bitwise(case):
+    """eval_cd (off and on the diagonal), the type I form at a float and at
+    an ndarray, and eval_sum equal, bit for bit, loops written from the
+    exact term data, independently of the package's float evaluator."""
+    family, spec, pts = case
+    K = kn.build_kernel(family, spec)
+    chain = mi_chain(spec.n)
+    want_q = _bits([_ref_form(K.Q, x) for x in pts])
+    assert _bits([K.Q(x) for x in pts]) == want_q
+    assert _bits(K.Q(np.array(pts))) == want_q
+    for x in pts:
+        for y in pts:
+            assert _bits([kn.eval_cd(K, x, y)]) == _bits([_ref_cd(K, x, y)])
+            fam, want = kn.FAMILIES[family], 0.0
+            for lo, hi in zip(chain, chain[1:]):
+                p, q = fam.type_ii_poly(spec.with_n(lo)), fam.type_i_form(spec.with_n(hi))
+                want += _ref_horner(p, x) * _ref_form(q, y)
+            assert _bits([kn.eval_sum(family, spec, chain, x, y)]) == _bits([want])
 
 
 # ---------------------------------------------------------------------------
