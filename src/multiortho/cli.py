@@ -461,7 +461,17 @@ def cmd_density(cfg: argparse.Namespace) -> int:
         xs = standard_grid(family, count=101)
     _check_positive_grid(family, xs)
     K = _kernels.build_kernel(family, spec)
-    values = _kernels.eval_cd_diagonal(K, xs).tolist()
+    try:
+        values = _kernels.eval_cd_diagonal(K, xs).tolist()
+    except OverflowError as exc:
+        # The array pass raises without saying where (x^p overflows in
+        # pow); eval_cd at each point gives the same values, so find it.
+        for x in xs:
+            try:
+                _kernels.eval_cd(K, x, x)
+            except OverflowError:
+                raise OverflowError(f"density at x={float(x)} is not finite") from exc
+        raise
     for x, v in zip(xs, values):
         _require_finite(f"density at x={float(x)}", v)
     if cfg.format == "json":

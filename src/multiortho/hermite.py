@@ -12,7 +12,14 @@ coefficient of tau^(n_k - 1) in sum_j He_j(x - a_k) tau^j / j! times the
 scalar series prod_{l != k} (a_k - a_l + tau)^(-n_l).  The weights' exact
 moments (``core.HermiteWeight``) turn every verification integral into
 rational arithmetic: each type I prefactor cancels its weight's
-sqrt(2*pi) * e^(a^2/2).
+sqrt(2*pi) * e^(a^2/2).  Both constructors are cached per spec.
+
+Along a chain of indices the same objects follow one exact step per index.
+Up: P_{c+e_k} = (x - a_k) P_c - P_c' (``raise_type_ii``, from P_0 = 1).
+Down: Q_c = (2 pi)^(-1/2) (1/2 pi i) times the contour integral of
+e^{-(t-x)^2/2} / prod_l (t - a_l)^{c_l} around the shifts, and multiplying
+the integrand by (t - a_k) gives Q_{c-e_k}, whose terms' rational parts are
+A_l' + (a_l - a_k) A_l (``lower_type_i``).
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import ClassVar, Iterable, Iterator
+from functools import cached_property, lru_cache
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,6 +86,15 @@ class HermiteSpec:
     def with_n(self, n: MultiIndex) -> "HermiteSpec":
         return replace(self, n=n)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass field hash, computed once per spec: hashing a
+        Fraction runs Python code, and specs key the exact-layer caches."""
+        return hash((self.a, self.n))
+
     def require_distinct(self) -> None:
         if len(set(self.a)) != len(self.a):
             raise SingularExpansionError(
@@ -85,6 +102,7 @@ class HermiteSpec:
             )
 
 
+@lru_cache(maxsize=None)
 def type_ii_poly(spec: HermiteSpec) -> RatPoly:
     """Monic type II polynomial of degree |n|, exactly.
 
@@ -109,6 +127,7 @@ def type_ii_poly(spec: HermiteSpec) -> RatPoly:
     return P
 
 
+@lru_cache(maxsize=None)
 def type_i_form(spec: HermiteSpec) -> LinearForm:
     """Type I form Q = sum_k A_k w_k with A_k = c_k * Ahat_k.
 
@@ -154,6 +173,64 @@ def type_i_form(spec: HermiteSpec) -> LinearForm:
         a_hat = RatPoly(tuple(a_hat), d.den * v**T)
         prefactor = ScaledConstant.of(Fraction(1, math.factorial(T)), -1, q)
         terms.append(LinearFormTerm(k, prefactor, a_hat, HermiteWeight(a_k)))
+    return LinearForm(tuple(terms))
+
+
+# ---------------------------------------------------------------------------
+# chain steps
+
+
+def raise_type_ii(P: RatPoly, a_k: Fraction) -> RatPoly:
+    """P_{c+e_k} = (x - a_k) P_c - P_c' from P = P_c: the heat flow
+    exp(-D^2/2) turns multiplication by x into x - D.  One integer update
+    over the denominator v * den, a_k = u/v."""
+    u, v = a_k.numerator, a_k.denominator
+    out = [0] * (len(P.nums) + 1)
+    for i, c in enumerate(P.nums):
+        out[i] -= u * c
+        out[i + 1] += v * c
+        if i:
+            out[i - 1] -= v * i * c
+    return RatPoly(tuple(out), P.den * v)
+
+
+def type_ii_walk(spec: HermiteSpec, steps: Sequence[int]) -> Iterator[RatPoly]:
+    """The type II polynomials up a chain from the zero index, which raises
+    component steps[j] at step j: P_0 = 1, then ``raise_type_ii``."""
+    P = RatPoly((1,))
+    yield P
+    for k in steps:
+        P = raise_type_ii(P, spec.a[k])
+        yield P
+
+
+def lower_type_i(spec: HermiteSpec, c: Sequence[int], Q: LinearForm, k: int) -> LinearForm:
+    """Q_{c-e_k} from Q = Q_c, |c| >= 2.
+
+    Multiplying the integrand e^{-(t-x)^2/2} / prod_l (t - a_l)^{c_l} by
+    (t - a_k) lowers the index by e_k.  At t = a_l + tau the factor is
+    (a_l - a_k) + tau, and tau is d/dx of the residue's exponential, so
+    each term's rational part A_l = poly_l / (c_l - 1)! becomes
+    A_l' + (a_l - a_k) A_l.  The prefactor is re-split as 1/(c_l - 1)!
+    for the new c_l, and a term that reaches c_l = 0 gets the zero term."""
+    a_k, c_k = spec.a[k], c[k]
+    terms = []
+    for t in Q.terms:
+        nums, den = t.poly.nums, t.poly.den
+        deriv = [i * w for i, w in enumerate(nums) if i]
+        if t.k == k:
+            # A_k' alone, with (c_k - 2)! / (c_k - 1)! = 1 / (c_k - 1)
+            poly = RatPoly(tuple(deriv), den * (c_k - 1)) if c_k > 1 else RatPoly.zero()
+            r = Fraction(1, math.factorial(max(c_k - 2, 0)))
+            t = LinearFormTerm(k, ScaledConstant(r, -1, t.prefactor.exp_arg), poly, t.weight)
+        elif nums:
+            r = t.weight.a - a_k
+            u, v = r.numerator, r.denominator
+            out = [u * w for w in nums]
+            for i, w in enumerate(deriv):
+                out[i] += v * w
+            t = LinearFormTerm(t.k, t.prefactor, RatPoly(tuple(out), den * v), t.weight)
+        terms.append(t)
     return LinearForm(tuple(terms))
 
 

@@ -7,7 +7,10 @@ The kernel of the determinantal eigenvalue process is computed as
    built from exact polynomial data (``eval_cd``), with an analytic limit
    branch on the diagonal;
 2. the biorthogonal sum K(x, y) = sum_j P_{c_j}(x) Q_{c_{j+1}}(y) along a
-   monotone chain of multi-indices (``eval_sum``);
+   monotone chain of multi-indices (``eval_sum``), whose factors come from
+   one walk of the chain each way: P up from P_0 = 1 and Q down from Q_n,
+   one exact step per index through the family module's ``type_ii_walk``
+   and ``lower_type_i`` (see ``hermite`` and ``laguerre``);
 3. a double-contour quadrature, spectrally accurate in the node count
    (``eval_contour``): for the Gaussian family a vertical line through x
    (or beside the circle, on either side) times a circle around the
@@ -30,6 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Sequence, Union
 
 import numpy as np
@@ -47,6 +51,8 @@ Spec = Union[HermiteSpec, LaguerreSpec]
 # module exposes the same construction, closed-form h, trace-rule and
 # contour names.
 FAMILIES = {HermiteSpec.family: _hermite, LaguerreSpec.family: _laguerre}
+
+_PARTS = attrgetter("parts")
 
 # Below this separation the CD quotient switches to its analytic limit.
 DIAGONAL_EPS = 1e-8
@@ -67,16 +73,6 @@ def family_module(family: str, spec: Spec):
     if family != spec.family:
         raise ExactMathError(f"family {family!r} does not match spec type {type(spec).__name__}")
     return FAMILIES[family]
-
-
-@lru_cache(maxsize=None)
-def _type2(spec: Spec) -> RatPoly:
-    return FAMILIES[spec.family].type_ii_poly(spec)
-
-
-@lru_cache(maxsize=None)
-def _type1(spec: Spec) -> LinearForm:
-    return FAMILIES[spec.family].type_i_form(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +152,15 @@ def build_kernel(family: str, spec: Spec) -> KernelModel:
             raise DegenerateIndexError(
                 f"n[{k}] = 0: drop component {k} from the multi-index before building the kernel"
             )
-    P = _type2(spec)
-    Q = _type1(spec)
+    P = fam.type_ii_poly(spec)
+    Q = fam.type_i_form(spec)
     P_down, Q_up, ratios = [], [], []
     for k in range(n.m):
         spec_down = spec.with_n(n.drop(k))
         spec_up = spec.with_n(n.bump(k))
-        Pd = _type2(spec_down)
+        Pd = fam.type_ii_poly(spec_down)
         P_down.append(Pd)
-        Q_up.append(_type1(spec_up))
+        Q_up.append(fam.type_i_form(spec_up))
         closed = fam.norm_ratio(spec, k)
         moment_ratio = moment_norm_ratio(spec, k, P, Pd)
         if moment_ratio != closed:
@@ -247,15 +243,20 @@ def _diagonal_limit(K: KernelModel, t):
 # biorthogonal sum form
 
 
-def _check_chain(chain: Sequence[MultiIndex], n: MultiIndex) -> None:
+def _check_chain(chain: Sequence[MultiIndex], n: MultiIndex) -> list[int]:
+    """Check that chain runs from the zero index to n in unit steps, and
+    return the component each step raises."""
     if len(chain) != n.weight + 1:
         raise ExactMathError(f"chain length {len(chain)} != |n| + 1 = {n.weight + 1}")
-    if chain[0].weight != 0 or chain[-1] != n:
+    if chain[0] != MultiIndex.zeros(n.m) or chain[-1] != n:
         raise ExactMathError("chain must run from the zero index to n")
+    steps = []
     for prev, cur in zip(chain, chain[1:]):
         diff = [c - p for p, c in zip(prev, cur)]
-        if sorted(diff) != [0] * (n.m - 1) + [1]:
+        if len(cur) != n.m or sorted(diff) != [0] * (n.m - 1) + [1]:
             raise ExactMathError(f"chain step {prev} -> {cur} is not a unit increment")
+        steps.append(diff.index(1))
+    return steps
 
 
 @lru_cache(maxsize=None)
@@ -263,20 +264,33 @@ def _chain_factors(
     spec: Spec, chain: tuple[MultiIndex, ...]
 ) -> tuple[tuple[RatPoly, LinearForm], ...]:
     """(P_{chain[j]}, Q_{chain[j+1]}) for j < |n|, after checking the chain
-    (a bad chain raises and is not cached, so every call refuses it)."""
-    _check_chain(chain, spec.n)
-    return tuple(
-        (_type2(spec.with_n(chain[j])), _type1(spec.with_n(chain[j + 1])))
-        for j in range(spec.n.weight)
-    )
+    (a bad chain raises and is not cached, so every call refuses it).
+
+    The chain is walked once each way, one exact step per index: P up from
+    P_0 = 1 by the family's ``type_ii_walk``, Q down from Q_n =
+    ``type_i_form(spec)`` by its ``lower_type_i``.  The results equal the
+    family constructors' at each index; only Q_n comes from their cache,
+    and nothing built here goes into it."""
+    steps = _check_chain(chain, spec.n)
+    if not steps:
+        return ()
+    fam = FAMILIES[spec.family]
+    P = list(fam.type_ii_walk(spec, steps[:-1]))
+    Q = [fam.type_i_form(spec)]
+    c = list(spec.n.parts)
+    for k in reversed(steps[1:]):
+        Q.append(fam.lower_type_i(spec, c, Q[-1], k))
+        c[k] -= 1
+    return tuple(zip(P, reversed(Q)))
 
 
 @lru_cache(maxsize=None)
-def _chain_floats(spec: Spec, chain: tuple[MultiIndex, ...]) -> tuple:
+def _chain_floats(spec: Spec, chain: tuple[tuple[int, ...], ...]) -> tuple:
     """The float evaluation table of the chain's factors, built once per
-    spec and chain: the coefficients of each P_{chain[j]}, highest degree
-    first, and the FormTable of the Q_{chain[j+1]}."""
-    factors = _chain_factors(spec, chain)
+    spec and chain (given by each index's parts, whose hash runs no Python
+    code): the coefficients of each P_{chain[j]}, highest degree first,
+    and the FormTable of the Q_{chain[j+1]}."""
+    factors = _chain_factors(spec, tuple(map(MultiIndex, chain)))
     return (
         tuple(p._float_coeffs for p, _ in factors),
         FormTable.of(q._float_terms for _, q in factors),
@@ -291,7 +305,7 @@ def eval_sum(family: str, spec: Spec, chain: Sequence[MultiIndex], x: float, y: 
     chain-independent; the chain only reindexes the same span.
     """
     family_module(family, spec)
-    P, forms = _chain_floats(spec, tuple(chain))
+    P, forms = _chain_floats(spec, tuple(map(_PARTS, chain)))
     x, y = float(x), float(y)
     _check_domain(spec, x, y)
     total = 0.0

@@ -7,7 +7,17 @@ each beta_k, where e^{-x tau} times one scalar power series gives each
 coefficient of A_k in closed form.  Unlike the Hermite
 family there are no transcendental prefactors: every coefficient is a
 plain rational, and every verification integral is a dot product with the
-weights' gamma moments (``core.LaguerreWeight``).
+weights' gamma moments (``core.LaguerreWeight``).  Both constructors
+are cached per spec.
+
+Along a chain of indices the same objects follow one exact step per index.
+Up, the walk carries G_c = prod_l (s - beta_l)^{c_l}, multiplies it by
+(s - beta_k) and takes the residue at 0 again (``type_ii_walk``).  Down,
+Q_c is scale_c x^p (1/2 pi i) times the contour integral of
+e^{-xt} t^{|c|+p-1} / prod_l (t - beta_l)^{c_l} around the rates, and
+multiplying the integrand by (t - beta_k) / t gives Q_{c-e_k}, whose terms
+are ((|c|+p-1) / (-beta_k)) (A_l - beta_k sum_j A_l^(j) / beta_l^(j+1))
+(``lower_type_i``).
 """
 
 from __future__ import annotations
@@ -15,7 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import ClassVar, Iterable, Iterator
+from functools import cached_property, lru_cache
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,29 +90,40 @@ class LaguerreSpec:
     def with_n(self, n: MultiIndex) -> "LaguerreSpec":
         return replace(self, n=n)
 
+    def __hash__(self) -> int:
+        return self._hash
 
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass field hash, computed once per spec: hashing a
+        Fraction runs Python code, and specs key the exact-layer caches."""
+        return hash((self.beta, self.n, self.p))
+
+
+@lru_cache(maxsize=None)
 def type_ii_poly(spec: LaguerreSpec) -> RatPoly:
-    """Monic type II polynomial of degree |n|, exactly.
-
-    With G(s) = prod_k (s - beta_k)^{n_k}, the residue at s = 0 gives
-    P(x) = C * sum_j (x^j / (j+p)!) * [s^{|n|-j}] G(s),
-    C = (|n|+p)! / prod_k (-beta_k)^{n_k}.
-    """
-    w, p = spec.n.weight, spec.p
-    G = root_product(spec.beta, spec.n.parts)
-    C = Fraction(math.factorial(w + p))
-    for beta_k, n_k in zip(spec.beta, spec.n):
-        C /= (-beta_k) ** n_k
-    # [x^j] is C G_{w-j} / (j+p)!, over the denominator den(C) den(G) (w+p)!
-    P = RatPoly(
-        tuple(C.numerator * G.nums[w - j] * math.perm(w + p, w - j) for j in range(w + 1)),
-        C.denominator * G.den * math.factorial(w + p),
-    )
-    if P.degree != w or not P.is_monic:
+    """Monic type II polynomial of degree |n|, exactly: ``_residue_poly``
+    of G(s) = prod_k (s - beta_k)^{n_k}."""
+    P = _residue_poly(root_product(spec.beta, spec.n.parts).nums, spec.p)
+    if P.degree != spec.n.weight or not P.is_monic:
         raise ExactMathError("type II construction lost monicity")  # unreachable
     return P
 
 
+def _residue_poly(g: Sequence[int], p: int) -> RatPoly:
+    """The type II polynomial from the coefficients g of
+    G(s) = prod_k (s - beta_k)^{n_k}, ascending, over any common denominator.
+
+    The residue at s = 0 of e^{xs} s^{-(|n|+p+1)} G(s) gives
+    P(x) = C * sum_j (x^j / (j+p)!) * [s^{|n|-j}] G(s) with
+    C = (|n|+p)! / prod_k (-beta_k)^{n_k} = (|n|+p)! / G(0), so
+    [x^j] P = (|n|+p)! / (j+p)! * g_{|n|-j} / g_0 and the denominator cancels.
+    """
+    w = len(g) - 1
+    return RatPoly(tuple(g[w - j] * math.perm(w + p, w - j) for j in range(w + 1)), g[0])
+
+
+@lru_cache(maxsize=None)
 def type_i_form(spec: LaguerreSpec) -> LinearForm:
     """Type I form Q = sum_k A_k(x) x^p e^{-beta_k x} with plain rational A_k.
 
@@ -135,6 +157,55 @@ def type_i_form(spec: LaguerreSpec) -> LinearForm:
             scale.denominator * d.den * math.factorial(T),
         )
         terms.append(LinearFormTerm(k, ScaledConstant.one(), a_k, weight))
+    return LinearForm(tuple(terms))
+
+
+# ---------------------------------------------------------------------------
+# chain steps
+
+
+def type_ii_walk(spec: LaguerreSpec, steps: Sequence[int]) -> Iterator[RatPoly]:
+    """The type II polynomials up a chain from the zero index, which raises
+    component steps[j] at step j.  There is no first-order relation
+    between P_c and P_{c+e_k} alone, so the walk carries the integer
+    coefficients of G_c = prod_l (s - beta_l)^{c_l}, multiplies them by
+    v s - u (beta_k = u/v; the factor v cancels in ``_residue_poly``) and
+    applies ``_residue_poly`` at each index."""
+    g = [1]
+    yield _residue_poly(g, spec.p)
+    for k in steps:
+        u, v = spec.beta[k].numerator, spec.beta[k].denominator
+        g = [v * lo - u * hi for lo, hi in zip([0] + g, g + [0])]
+        yield _residue_poly(g, spec.p)
+
+
+def lower_type_i(spec: LaguerreSpec, c: Sequence[int], Q: LinearForm, k: int) -> LinearForm:
+    """Q_{c-e_k} from Q = Q_c, |c| >= 2.
+
+    Q_c is scale_c x^p (1/2 pi i) times the contour integral of
+    e^{-xt} t^{|c|+p-1} / prod_l (t - beta_l)^{c_l}, and lowering by e_k
+    multiplies the integrand by (t - beta_k) / t = 1 - beta_k / t, whose
+    expansion at t = beta_l + tau is 1 - beta_k sum_j (-tau)^j / beta_l^(j+1);
+    (-tau)^j is (d/dx)^j of the residue's e^{-x tau}.  With
+    scale_{c-e_k} = scale_c (|c|+p-1) / (-beta_k), each term's A_l becomes
+    ((|c|+p-1) / (-beta_k)) (A_l - beta_k T_l), T_l = sum_j A_l^(j) / beta_l^(j+1),
+    and T_l solves T_l = (A_l + T_l') / beta_l from the top degree down."""
+    W = sum(c) + spec.p - 1
+    uk, vk = spec.beta[k].numerator, spec.beta[k].denominator
+    terms = []
+    for t in Q.terms:
+        a, den = t.poly.nums, t.poly.den
+        if a:
+            # T_i = s_i u^i / (den u^(d+1)) with s_i = v (a_i u^(d-i) + (i+1) s_{i+1}), beta_l = u/v
+            u, v = t.weight.beta.numerator, t.weight.beta.denominator
+            d = len(a) - 1
+            s, out = 0, [0] * (d + 1)
+            for i in range(d, -1, -1):
+                s = v * (a[i] * u ** (d - i) + (i + 1) * s)
+                out[i] = -W * u**i * (vk * a[i] * u ** (d + 1 - i) - uk * s)
+            poly = RatPoly(tuple(out), uk * den * u ** (d + 1))
+            t = LinearFormTerm(t.k, t.prefactor, poly, t.weight)
+        terms.append(t)
     return LinearForm(tuple(terms))
 
 

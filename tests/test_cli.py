@@ -252,10 +252,11 @@ LAGUERRE_11_P2 = ("--family", "laguerre", "--beta", "1,2", "--n", "1,1", "--p", 
     [
         (("density", *HERMITE_21, "--grid=-1e200:1e200:3", "--format", "json"), "x=-1e+200"),
         (("density", *HERMITE_21, "--grid=-1e200:1e200:3"), "x=-1e+200"),
+        (("density", *LAGUERRE_11_P2, "--grid=1e308:1e308:1"), "x=1e+308"),
         (("correlate", *HERMITE_21, "--points", "1e200,1"), "[1e+200, 1.0]"),
         (("kernel", *LAGUERRE_11, "--grid=2000:2000:1", "--nodes", "32"), "x=2000.0, y=2000.0"),
     ],
-    ids=["density-json", "density-csv", "correlate", "kernel"],
+    ids=["density-json", "density-csv", "density-pow", "correlate", "kernel"],
 )
 def test_non_finite_result_exit_1(capsys, argv, where):
     """A float kernel that overflows to nan is refused, naming the point."""

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from multiortho import hermite as hm
@@ -101,6 +101,56 @@ def test_nearest_neighbour_recurrence_exactly(spec):
         for i, c in enumerate(P):
             want[i + 1] += c
         assert hm.type_ii_poly(spec.with_n(spec.n.bump(k))).coeffs == tuple(want)
+
+
+def _derivative(coeffs):
+    return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+@given(_spec_strategy())
+def test_raising_identity_exactly(spec):
+    """P_{n+e_k} = (x - a_k) P_n - P_n' for every k (the heat flow turns
+    multiplication by x into x - D), as an equality of exact polynomials,
+    written out here and by ``raise_type_ii``.  Negative control: with the
+    derivative's sign flipped it fails."""
+    P = hm.type_ii_poly(spec)
+    for k, a_k in enumerate(spec.a):
+        up = hm.type_ii_poly(spec.with_n(spec.n.bump(k)))
+        for sign in (-1, 1):
+            want = [F(0)] + list(P.coeffs)
+            for i, c in enumerate(P.coeffs):
+                want[i] -= a_k * c
+            for i, c in enumerate(_derivative(P.coeffs)):
+                want[i] += sign * c
+            assert (RatPoly.of(want) == up) == (sign == -1)
+        assert hm.raise_type_ii(P, a_k) == up
+
+
+@given(_spec_strategy())
+def test_lowering_identity_exactly(spec):
+    """Q_{n-e_k} from Q_n: each term's rational part A_l (prefactor times
+    polynomial) becomes A_l' + (a_l - a_k) A_l, as exact polynomials,
+    written out here, and ``lower_type_i`` gives the constructor's form.
+    Negative control: with the derivative's sign flipped it fails wherever
+    some A_l has a nonzero derivative."""
+    assume(spec.n.weight >= 2)
+    Q = hm.type_i_form(spec)
+    moves = any(t.poly.degree >= 1 for t in Q.terms)
+    for k, a_k in enumerate(spec.a):
+        if spec.n[k] == 0:
+            continue
+        down = hm.type_i_form(spec.with_n(spec.n.drop(k)))
+        want = [RatPoly.of([t.prefactor.r * c for c in t.poly.coeffs]) for t in down.terms]
+        for sign in (1, -1):
+            got = []
+            for t in Q.terms:
+                A = [t.prefactor.r * c for c in t.poly.coeffs]
+                new = [(t.weight.a - a_k) * c for c in A]
+                for i, c in enumerate(_derivative(A)):
+                    new[i] += sign * c
+                got.append(RatPoly.of(new))
+            assert (got == want) == (sign == 1 or not moves)
+        assert hm.lower_type_i(spec, spec.n.parts, Q, k) == down
 
 
 def test_residual_examples():

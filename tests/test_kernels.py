@@ -170,11 +170,39 @@ def test_eval_sum_rejects_bad_chain():
                 kn.eval_sum("hermite", H11, chain, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("strategy", CHAIN_STRATEGIES)
+def test_chain_walk_equals_constructors_exactly(strategy):
+    """Every (P, Q) pair of the chain walk equals the family constructors'
+    objects at that chain index, over the acceptance sweep and three large
+    specs."""
+    large = (
+        HermiteSpec.of([1, -1], [16, 16]),
+        HermiteSpec.of([0, 1, 2], [6, 6, 6]),
+        LaguerreSpec.of([1, 2], [8, 8], 1),
+    )
+    for spec in hermite_sweep() + laguerre_sweep() + large:
+        fam = kn.FAMILIES[spec.family]
+        chain = mi_chain(spec.n, strategy)
+        want = tuple(
+            (fam.type_ii_poly(spec.with_n(lo)), fam.type_i_form(spec.with_n(hi)))
+            for lo, hi in zip(chain, chain[1:])
+        )
+        assert kn._chain_factors(spec, tuple(chain)) == want, spec
+
+
+def test_spec_hash_is_the_field_hash():
+    """A spec computes its hash once; it is still the hash of its fields,
+    so an equal spec built apart keys the same cache entries."""
+    for spec, fields in ((H21, (H21.a, H21.n)), (L11_P1, (L11_P1.beta, L11_P1.n, L11_P1.p))):
+        assert hash(spec) == hash(fields) == hash(spec.with_n(MultiIndex(spec.n.parts)))
+
+
 def _reference_sum(spec, chain, x, y):
+    fam = kn.FAMILIES[spec.family]
     total = 0.0
     for j in range(spec.n.weight):
-        p = kn._type2(spec.with_n(chain[j]))
-        q = kn._type1(spec.with_n(chain[j + 1]))
+        p = fam.type_ii_poly(spec.with_n(chain[j]))
+        q = fam.type_i_form(spec.with_n(chain[j + 1]))
         total += p(x) * q(y)
     return total
 

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from multiortho import laguerre as lg
@@ -176,6 +176,37 @@ def test_norm_ratio_closed_form(spec):
         ratio = ratio.as_fraction()
         assert ratio == lg.norm_ratio(spec, k)
         assert ratio == F(spec.n[k] * (spec.n.weight + spec.p)) / spec.beta[k] ** 2
+
+
+@given(_spec_strategy())
+def test_lowering_identity_exactly(spec):
+    """Q_{n-e_k} from Q_n: each term's A_l becomes
+    ((|n|+p-1) / (-beta_k)) (A_l - beta_k sum_j A_l^(j) / beta_l^(j+1)), as
+    exact polynomials, written out here, and ``lower_type_i`` gives the
+    constructor's form.  Negative control: with the derivatives' signs
+    flipped ((-1)^j A_l^(j)) it fails wherever some A_l has degree >= 1."""
+    assume(spec.n.weight >= 2)
+    Q = lg.type_i_form(spec)
+    factor = spec.n.weight + spec.p - 1
+    moves = any(t.poly.degree >= 1 for t in Q.terms)
+    for k, beta_k in enumerate(spec.beta):
+        if spec.n[k] == 0:
+            continue
+        down = lg.type_i_form(spec.with_n(spec.n.drop(k)))
+        want = [t.poly for t in down.terms]
+        for sign in (1, -1):
+            got = []
+            for t in Q.terms:
+                A, beta_l = list(t.poly.coeffs), t.weight.beta
+                new = list(A)
+                j = 0
+                while A:
+                    for i, c in enumerate(A):
+                        new[i] -= sign**j * beta_k * c / beta_l ** (j + 1)
+                    A, j = [i * c for i, c in enumerate(A)][1:], j + 1
+                got.append(RatPoly.of([factor * c / -beta_k for c in new]))
+            assert (got == want) == (sign == 1 or not moves)
+        assert lg.lower_type_i(spec, spec.n.parts, Q, k) == down
 
 
 # ---------------------------------------------------------------------------
