@@ -1,19 +1,21 @@
 """Exact arithmetic foundation: multi-indices, rational polynomials,
-truncated scalar power series, scaled constants, and the weights with
-their exact moment sequences.
+truncated scalar power series, scaled constants, the weights with their
+exact moment sequences, and the one float evaluator of the kernels.
 
 Everything here is immutable and exact.  Rational scalars are
 ``fractions.Fraction`` (unbounded integers, canonical reduced form).
 Sequences of rationals are integer numerators over one denominator: a
 ``RatVec`` (series, moments, integer-coefficient products) or a
 ``RatPoly``, whose denominator is the least common one, so each
-polynomial has one canonical form.  Series and root products, dot
-products with moments and the moments of a linear form are then one
-integer sum per result and one Fraction at the end, the same canonical
-Fraction that Fraction arithmetic gives, and each weight's moment
-sequence comes from a module-level cache.  Floating point enters only
-through the evaluation hooks ``RatPoly.__call__`` and ``FormTable``
-(linear forms over their shared weights, each exponential once per point).
+polynomial has one canonical form.  Series products, dot products with
+moments and the moments of a linear form are then one integer sum per
+result and one Fraction at the end, the same canonical Fraction that
+Fraction arithmetic gives, and each weight's moment sequence comes from a
+module-level cache.  Floating point enters only through the evaluation
+hooks ``RatPoly.__call__`` and ``FormTable``, the one evaluator of
+sum_i c_i P_i(x) Q_i(y) over polynomials P_i and linear forms Q_i (each
+weight's exponential once per point); a linear form alone is its one row
+1 * 1 * Q.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ class SingularExpansionError(ExactMathError):
 
 
 class ScaleMismatchError(ExactMathError):
-    """Sum of scaled constants whose transcendental parts differ."""
+    """A scaled constant read as a rational while it carries a
+    transcendental part (``ScaledConstant.as_fraction``)."""
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -313,17 +316,6 @@ def series_mul(a: RatVec, b: RatVec) -> RatVec:
     return RatVec(tuple(_convolve(a.nums, b.nums, len(a))), a.den * b.den)
 
 
-def root_product(roots: Sequence[Fraction], powers: Sequence[int]) -> RatVec:
-    """prod_k (x - roots[k])^powers[k], ascending: each factor is the
-    series (-roots[k] + x)^powers[k], which its own order makes exact."""
-    nums, den = [1], 1
-    for root, n in zip(roots, powers):
-        factor = power_series(-root, n, n)
-        nums = _convolve(nums, factor.nums, len(nums) + n)
-        den *= factor.den
-    return RatVec(tuple(nums), den)
-
-
 # ---------------------------------------------------------------------------
 # scaled constants r * (2*pi)^(h/2) * exp(q)
 
@@ -331,8 +323,8 @@ def root_product(roots: Sequence[Fraction], powers: Sequence[int]) -> RatVec:
 @dataclass(frozen=True)
 class ScaledConstant:
     """Exact constant of the form r * (2*pi)^(h/2) * e^q with r, q rational
-    and h an integer.  Products and exact ratios are closed; sums are only
-    defined when the transcendental parts (h, q) agree.
+    and h an integer.  Products and exact ratios are closed; the value is a
+    rational (``as_fraction``) only when the transcendental parts vanish.
     """
 
     r: Fraction
@@ -370,9 +362,6 @@ class ScaledConstant:
             )
         return ScaledConstant(self.r * as_fraction(other), self.two_pi_half, self.exp_arg)
 
-    def __rmul__(self, other: RationalLike) -> "ScaledConstant":
-        return self * other
-
     def __truediv__(self, other: "ScaledConstant") -> "ScaledConstant":
         if other.is_zero:
             raise ExactMathError("division by the zero constant")
@@ -381,17 +370,6 @@ class ScaledConstant:
             self.two_pi_half - other.two_pi_half,
             self.exp_arg - other.exp_arg,
         )
-
-    def __add__(self, other: "ScaledConstant") -> "ScaledConstant":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if (self.two_pi_half, self.exp_arg) != (other.two_pi_half, other.exp_arg):
-            raise ScaleMismatchError(
-                "cannot add scaled constants with different transcendental parts"
-            )
-        return ScaledConstant(self.r + other.r, self.two_pi_half, self.exp_arg)
 
     def as_fraction(self) -> Fraction:
         """Exact rational value; defined only when the scale is trivial."""
@@ -504,9 +482,10 @@ class LinearForm:
         return RatVec(tuple(sum(c * corr[j] for c, corr in parts) for j in range(count)), den)
 
     def __call__(self, x):
-        """Q at a float x, or at each element of a float ndarray x, through
-        this form's one-form FormTable."""
-        return self._table(x if isinstance(x, np.ndarray) else float(x))[0]
+        """Q at a float x, or at each element of a float ndarray x: the
+        FormTable of the one row 1 * 1 * Q."""
+        x = x if isinstance(x, np.ndarray) else float(x)
+        return self._table(x, x)
 
     @cached_property
     def _float_terms(self) -> tuple:
@@ -535,51 +514,62 @@ class LinearForm:
 
     @cached_property
     def _table(self) -> "FormTable":
-        return FormTable.of([self._float_terms])
+        return FormTable.of([(1, RatPoly((1,)), self)])
 
 
 @dataclass(frozen=True)
 class FormTable:
-    """Float evaluation data of linear forms over their shared weights: each
-    distinct weight (shift, offset, p) of LinearForm._float_terms once, and
-    per form one row (weight index, scale, coefficients) per nonzero term.
-    The forms of one kernel or one chain share their m weights, so an
-    evaluation computes each weight's exponential, and x^p, once."""
+    """Float evaluation data of a bilinear sum sum_i c_i P_i(x) Q_i(y) of
+    polynomials P_i and linear forms Q_i: each distinct weight
+    (shift, offset, p) of the forms' ``LinearForm._float_terms`` once, and
+    per i one row (c_i, P_i's float coefficients highest degree first,
+    Q_i's terms as (weight index, scale, coefficients)).  The forms of one
+    kernel or one chain share their m weights, so an evaluation computes
+    each weight's exponential, and y^p, once."""
 
     weights: tuple[tuple[float, float, Union[int, None]], ...]
-    forms: tuple[tuple[tuple[int, float, tuple[float, ...]], ...], ...]
+    rows: tuple[tuple[float, tuple[float, ...], tuple[tuple[int, float, tuple[float, ...]], ...]], ...]
 
     @classmethod
-    def of(cls, forms: Iterable[Iterable[tuple]]) -> "FormTable":
-        """The table of forms given as LinearForm._float_terms rows."""
+    def of(cls, rows: Iterable[tuple[RationalLike, RatPoly, LinearForm]]) -> "FormTable":
+        """The table of the (c, P, Q) triples, in order."""
         index: dict = {}
-        rows = [[(index.setdefault(w, len(index)), s, cs) for w, s, cs in form] for form in forms]
-        return cls(tuple(index), tuple(map(tuple, rows)))
 
-    def __call__(self, x) -> list:
-        """Each form's value at a float x, or elementwise at a float ndarray
-        x: the sum over its rows of scale * x^p * poly(x) * exp(...), with
-        poly(x) by Horner, in row order."""
-        array = isinstance(x, np.ndarray)
+        def terms(Q: LinearForm) -> tuple:
+            return tuple((index.setdefault(w, len(index)), s, cs) for w, s, cs in Q._float_terms)
+
+        rows = tuple((float(c), P._float_coeffs, terms(Q)) for c, P, Q in rows)
+        return cls(tuple(index), rows)
+
+    def __call__(self, x, y):
+        """sum_i c_i P_i(x) Q_i(y) at floats x, y, or elementwise at float
+        ndarrays.  Q_i(y) is the sum from 0.0 over its terms of
+        scale * y^p * poly(y) * exp(...), P_i(x) is Horner's, and the
+        products (c_i P_i(x)) Q_i(y) are added in row order to -0.0, which
+        keeps each one's bits (-0.0 + v is v, signed zeros included)."""
+        array = isinstance(y, np.ndarray)
         exp, power = (partial(_map, math.exp), partial(_map, pow)) if array else (math.exp, pow)
-        xps, exps = [], []  # x^0 and a Hermite weight's 1.0 are exact (scale * 1.0 is scale)
+        yps, exps = [], []  # y^0 and a Hermite weight's 1.0 are exact (scale * 1.0 is scale)
         for shift, offset, p in self.weights:
             if p is None:
-                xps.append(1.0)
-                exps.append(exp(-0.5 * (x - shift) * (x - shift) + offset))
+                yps.append(1.0)
+                exps.append(exp(-0.5 * (y - shift) * (y - shift) + offset))
             else:
-                xps.append(power(x, p) if p else 1.0)
-                exps.append(exp(offset + shift * x))
-        values = []
-        for rows in self.forms:
-            total = 0.0
-            for i, scale, coeffs in rows:
+                yps.append(power(y, p) if p else 1.0)
+                exps.append(exp(offset + shift * y))
+        total = -0.0
+        for c, P, terms in self.rows:
+            q = 0.0
+            for i, scale, coeffs in terms:
                 acc = 0.0
-                for c in coeffs:
-                    acc = acc * x + c
-                total += scale * xps[i] * acc * exps[i]
-            values.append(total)
-        return values
+                for a in coeffs:
+                    acc = acc * y + a
+                q += scale * yps[i] * acc * exps[i]
+            acc = 0.0
+            for a in P:
+                acc = acc * x + a
+            total += c * acc * q
+        return total
 
 
 def _map(f, t: np.ndarray, *args) -> np.ndarray:

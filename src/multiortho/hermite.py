@@ -6,8 +6,10 @@ Type I: polynomials A_k, deg A_k <= n_k - 1, such that
 Q(x) = sum_k A_k(x) w_k(x) has integral(x^j Q) = 0 for j < |n| - 1 and
 integral(x^(|n|-1) Q) = 1.
 
-Both are built exactly.  Type II is the heat flow exp(-D^2/2) applied to
-prod_k (x - a_k)^{n_k}.  Type I takes the residue at each a_k: the
+Both are built exactly.  Type II is P_n(x) = E[prod_k (x + iZ - a_k)^{n_k}],
+Z ~ N(0, 1), so one more factor x + iZ - a_k is one exact step
+P -> (x - a_k) P - P', and P_n is n_k such steps in each component from
+P_0 = 1, on integer numerators.  Type I takes the residue at each a_k: the
 coefficient of tau^(n_k - 1) in sum_j He_j(x - a_k) tau^j / j! times the
 scalar series prod_{l != k} (a_k - a_l + tau)^(-n_l).  The weights' exact
 moments (``core.HermiteWeight``) turn every verification integral into
@@ -15,7 +17,7 @@ rational arithmetic: each type I prefactor cancels its weight's
 sqrt(2*pi) * e^(a^2/2).  Both constructors are cached per spec.
 
 Along a chain of indices the same objects follow one exact step per index.
-Up: P_{c+e_k} = (x - a_k) P_c - P_c' (``raise_type_ii``, from P_0 = 1).
+Up: P_{c+e_k} = (x - a_k) P_c - P_c' (``raise_type_ii``, the same step).
 Down: Q_c = (2 pi)^(-1/2) (1/2 pi i) times the contour integral of
 e^{-(t-x)^2/2} / prod_l (t - a_l)^{c_l} around the shifts, and multiplying
 the integrand by (t - a_k) gives Q_{c-e_k}, whose terms' rational parts are
@@ -44,7 +46,6 @@ from .core import (
     SingularExpansionError,
     as_fraction,
     power_series,
-    root_product,
     series_mul,
 )
 from .quad import MAX_LINE_NODES, ContourError, LineRule, bilinear_sum, line_rule_nodes
@@ -102,26 +103,32 @@ class HermiteSpec:
             )
 
 
+def _raise(nums: Sequence[int], a_k: Fraction) -> list[int]:
+    """The integer numerators of (x - a_k) P - P' over v times P's
+    denominator, from P's (a_k = u/v): E[iZ f(x + iZ)] = -E[f'(x + iZ)] for
+    Z ~ N(0, 1), so multiplying the integrand by x + iZ - a_k maps P to
+    (x - a_k) P - P'."""
+    u, v = a_k.numerator, a_k.denominator
+    out = [0] * (len(nums) + 1)
+    for i, c in enumerate(nums):
+        out[i] -= u * c
+        out[i + 1] += v * c
+        if i:
+            out[i - 1] -= v * i * c
+    return out
+
+
 @lru_cache(maxsize=None)
 def type_ii_poly(spec: HermiteSpec) -> RatPoly:
-    """Monic type II polynomial of degree |n|, exactly.
-
-    P(x) = E[R(x + iZ)] with R = prod_k (x - a_k)^{n_k} and Z ~ N(0, 1) is
-    the heat flow exp(-D^2/2) R = sum_j (-1/2)^j / j! * R^(2j), taken
-    coefficient by coefficient on R's integer numerators.
-    """
-    R = root_product(spec.a, spec.n.parts)
-    r = R.nums
-    heat = []
-    for i in range(len(r)):
-        # [x^i] is sum_j c_j r_{i+2j} / den, c_j = (-1)^j (i+2j)! / (i! j! 2^j),
-        # an integer (binom(i+2j, i) (2j-1)!!)
-        total, c = 0, 1
-        for j, r_j in enumerate(r[i::2]):
-            total += c * r_j
-            c = -c * (i + 2 * j + 1) * (i + 2 * j + 2) // (2 * j + 2)
-        heat.append(total)
-    P = RatPoly(tuple(heat), R.den)
+    """Monic type II polynomial of degree |n|, exactly: P_0 = 1 raised by
+    ``_raise`` n_k times in each component, on integer numerators over
+    prod_k v_k^{n_k} (a_k = u_k/v_k), then reduced once."""
+    nums, den = [1], 1
+    for a_k, n_k in zip(spec.a, spec.n):
+        for _ in range(n_k):
+            nums = _raise(nums, a_k)
+        den *= a_k.denominator**n_k
+    P = RatPoly(tuple(nums), den)
     if P.degree != spec.n.weight or not P.is_monic:
         raise ExactMathError("type II construction lost monicity")  # unreachable
     return P
@@ -181,17 +188,9 @@ def type_i_form(spec: HermiteSpec) -> LinearForm:
 
 
 def raise_type_ii(P: RatPoly, a_k: Fraction) -> RatPoly:
-    """P_{c+e_k} = (x - a_k) P_c - P_c' from P = P_c: the heat flow
-    exp(-D^2/2) turns multiplication by x into x - D.  One integer update
-    over the denominator v * den, a_k = u/v."""
-    u, v = a_k.numerator, a_k.denominator
-    out = [0] * (len(P.nums) + 1)
-    for i, c in enumerate(P.nums):
-        out[i] -= u * c
-        out[i + 1] += v * c
-        if i:
-            out[i - 1] -= v * i * c
-    return RatPoly(tuple(out), P.den * v)
+    """P_{c+e_k} = (x - a_k) P_c - P_c' from P = P_c: ``_raise`` on its
+    numerators, over the denominator v * den (a_k = u/v)."""
+    return RatPoly(tuple(_raise(P.nums, a_k)), P.den * a_k.denominator)
 
 
 def type_ii_walk(spec: HermiteSpec, steps: Sequence[int]) -> Iterator[RatPoly]:

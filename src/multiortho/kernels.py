@@ -20,11 +20,13 @@ The kernel of the determinantal eigenvalue process is computed as
    take the node count up by nested doubling.
 
 All polynomial ingredients are exact rationals; floats appear only at the
-final evaluation step, which reads one float table per kernel and one per
-spec and chain (a ``core.FormTable``: each weight's exponential once per
-point, then Horner over float coefficients).  The module also provides the
-derivative identity check, correlation determinants, exact
-biorthogonality matrices, and the trace rule integral(K(x,x) dx) = |n|.
+final evaluation step.  The cd numerator, its diagonal limit and the chain
+sum are each a bilinear sum sum_i c_i P_i(x) Q_i(y), evaluated by one
+``core.FormTable`` built once per kernel, or per spec and chain (each
+weight's exponential once per point, then Horner over float
+coefficients).  The module also provides the derivative identity check,
+correlation determinants, exact biorthogonality matrices, and the trace
+rule integral(K(x,x) dx) = |n|.
 """
 
 from __future__ import annotations
@@ -117,6 +119,8 @@ class KernelModel:
     P_down[k] has index n - e_k, Q_up[k] has index n + e_k, and ratios[k]
     is the exact normalization ratio h_n(k) / h_{n-e_k}(k).
     dP / dP_down are the formal derivatives used by the diagonal limit.
+    The float tables of the CD numerator and of its diagonal limit are
+    built once per kernel.
     """
 
     spec: Spec
@@ -129,11 +133,18 @@ class KernelModel:
     dP_down: tuple[RatPoly, ...]
 
     @cached_property
-    def _floats(self) -> tuple[FormTable, tuple[float, ...]]:
-        """The float evaluation table, built once per kernel: the FormTable
-        of Q_up[0], ..., Q_up[m-1], Q, and float(r) for each ratio."""
-        forms = FormTable.of(q._float_terms for q in self.Q_up + (self.Q,))
-        return forms, tuple(float(r) for r in self.ratios)
+    def _cd(self) -> FormTable:
+        """N(x, y) = P(x) Q(y) - sum_k ratio_k P_down_k(x) Q_up_k(y)."""
+        return FormTable.of([(1, self.P, self.Q), *self._down_terms(self.P_down)])
+
+    @cached_property
+    def _diag(self) -> FormTable:
+        """dN/dx, which at x = y = t is K(t, t): N vanishes on the diagonal."""
+        return FormTable.of([(1, self.dP, self.Q), *self._down_terms(self.dP_down)])
+
+    def _down_terms(self, P_down: Sequence[RatPoly]) -> list[tuple]:
+        """The rows (-ratio_k, P_down[k], Q_up_k) of the numerator's sum."""
+        return [(-r, p, q) for r, p, q in zip(self.ratios, P_down, self.Q_up)]
 
 
 @lru_cache(maxsize=None)
@@ -202,25 +213,9 @@ def eval_cd(K: KernelModel, x: float, y: float) -> float:
     x, y = float(x), float(y)
     _check_domain(K.spec, x, y)
     if abs(x - y) < DIAGONAL_EPS:
-        return _diagonal_limit(K, 0.5 * x + 0.5 * y)
-    return _numerator(K, K.P, K.P_down, x, y) / (x - y)
-
-
-def _numerator(K: KernelModel, P: RatPoly | None, P_down: Sequence[RatPoly], x, y):
-    """P(x) Q(y) (0.0 for P None) minus ratio_k * P_down[k](x) * Q_up_k(y)
-    for each k in turn, at floats or elementwise over float ndarrays.
-    eval_cd passes K.P and K.P_down (the numerator N), the diagonal limit
-    K.dP and K.dP_down (dN/dx at x = y = t), check_dxdy_identity None and
-    K.P_down (N - P(x) Q(y))."""
-    forms, ratios = K._floats
-    qs = forms(y)
-    lead = 0.0 if P is None else P(x) * qs[-1]
-    for r, Pd, q in zip(ratios, P_down, qs):
-        acc = 0.0
-        for c in Pd._float_coeffs:
-            acc = acc * x + c
-        lead = lead - r * acc * q
-    return lead
+        t = 0.5 * x + 0.5 * y
+        return K._diag(t, t)
+    return K._cd(x, y) / (x - y)
 
 
 def eval_cd_diagonal(K: KernelModel, t):
@@ -231,12 +226,7 @@ def eval_cd_diagonal(K: KernelModel, t):
         lo = float(t.min())
         _check_domain(K.spec, lo, lo)
     with np.errstate(all="ignore"):
-        return _diagonal_limit(K, t)
-
-
-def _diagonal_limit(K: KernelModel, t):
-    """dN/dx at x = y = t, for a float t or elementwise over a float ndarray."""
-    return _numerator(K, K.dP, K.dP_down, t, t)
+        return K._diag(t, t)
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +275,11 @@ def _chain_factors(
 
 
 @lru_cache(maxsize=None)
-def _chain_floats(spec: Spec, chain: tuple[tuple[int, ...], ...]) -> tuple:
-    """The float evaluation table of the chain's factors, built once per
-    spec and chain (given by each index's parts, whose hash runs no Python
-    code): the coefficients of each P_{chain[j]}, highest degree first,
-    and the FormTable of the Q_{chain[j+1]}."""
-    factors = _chain_factors(spec, tuple(map(MultiIndex, chain)))
-    return (
-        tuple(p._float_coeffs for p, _ in factors),
-        FormTable.of(q._float_terms for _, q in factors),
-    )
+def _chain_table(spec: Spec, chain: tuple[tuple[int, ...], ...]) -> FormTable:
+    """The FormTable of sum_j 1 * P_{chain[j]}(x) Q_{chain[j+1]}(y), built
+    once per spec and chain (given by each index's parts, whose hash runs
+    no Python code)."""
+    return FormTable.of((1, p, q) for p, q in _chain_factors(spec, tuple(map(MultiIndex, chain))))
 
 
 def eval_sum(family: str, spec: Spec, chain: Sequence[MultiIndex], x: float, y: float) -> float:
@@ -305,16 +290,10 @@ def eval_sum(family: str, spec: Spec, chain: Sequence[MultiIndex], x: float, y: 
     chain-independent; the chain only reindexes the same span.
     """
     family_module(family, spec)
-    P, forms = _chain_floats(spec, tuple(map(_PARTS, chain)))
+    table = _chain_table(spec, tuple(map(_PARTS, chain)))
     x, y = float(x), float(y)
     _check_domain(spec, x, y)
-    total = 0.0
-    for coeffs, q in zip(P, forms(y)):
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * x + c
-        total += acc * q
-    return total
+    return table(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +398,7 @@ def check_dxdy_identity(
     D = (eval_cd(K, x + h, y) - eval_cd(K, x - h, y)) / (2.0 * h)
     D += (eval_cd(K, x, y + h) - eval_cd(K, x, y - h)) / (2.0 * h)
     first = (x - y) * eval_cd(K, x, y) - K.P(x) * K.Q(y)
-    second = _numerator(K, None, K.P_down, x, y)
+    second = FormTable.of(K._down_terms(K.P_down))(x, y)
     return abs(D - first), abs(D - second)
 
 

@@ -2,7 +2,9 @@
 on (0, inf), with a shared exponent p >= 0 and pairwise distinct rates.
 
 Type II comes from a single residue at s = 0 of
-e^{xs} s^{-(|n|+p+1)} prod_k (s - beta_k)^{n_k}; type I from residues at
+e^{xs} s^{-(|n|+p+1)} G(s), G = prod_k (s - beta_k)^{n_k}, whose integer
+coefficients are built one factor (s - beta_k) at a time from G = 1
+(``_raise``); type I from residues at
 each beta_k, where e^{-x tau} times one scalar power series gives each
 coefficient of A_k in closed form.  Unlike the Hermite
 family there are no transcendental prefactors: every coefficient is a
@@ -12,7 +14,8 @@ are cached per spec.
 
 Along a chain of indices the same objects follow one exact step per index.
 Up, the walk carries G_c = prod_l (s - beta_l)^{c_l}, multiplies it by
-(s - beta_k) and takes the residue at 0 again (``type_ii_walk``).  Down,
+(s - beta_k) by the same step and takes the residue at 0 again
+(``type_ii_walk``).  Down,
 Q_c is scale_c x^p (1/2 pi i) times the contour integral of
 e^{-xt} t^{|c|+p-1} / prod_l (t - beta_l)^{c_l} around the rates, and
 multiplying the integrand by (t - beta_k) / t gives Q_{c-e_k}, whose terms
@@ -42,7 +45,6 @@ from .core import (
     SingularExpansionError,
     as_fraction,
     power_series,
-    root_product,
     series_mul,
 )
 from .quad import ContourError, LineRule, concentric_sum, line_rule_nodes
@@ -100,11 +102,24 @@ class LaguerreSpec:
         return hash((self.beta, self.n, self.p))
 
 
+def _raise(g: list[int], beta_k: Fraction) -> list[int]:
+    """The integer coefficients of G(s) (v s - u), ascending, from those of
+    G (beta_k = u/v): one more factor s - beta_k, up to the factor v, which
+    cancels in ``_residue_poly``."""
+    u, v = beta_k.numerator, beta_k.denominator
+    return [v * lo - u * hi for lo, hi in zip([0] + g, g + [0])]
+
+
 @lru_cache(maxsize=None)
 def type_ii_poly(spec: LaguerreSpec) -> RatPoly:
     """Monic type II polynomial of degree |n|, exactly: ``_residue_poly``
-    of G(s) = prod_k (s - beta_k)^{n_k}."""
-    P = _residue_poly(root_product(spec.beta, spec.n.parts).nums, spec.p)
+    of G(s) = prod_k (s - beta_k)^{n_k}, raised by ``_raise`` n_k times in
+    each component from G = 1."""
+    g = [1]
+    for beta_k, n_k in zip(spec.beta, spec.n):
+        for _ in range(n_k):
+            g = _raise(g, beta_k)
+    P = _residue_poly(g, spec.p)
     if P.degree != spec.n.weight or not P.is_monic:
         raise ExactMathError("type II construction lost monicity")  # unreachable
     return P
@@ -168,14 +183,12 @@ def type_ii_walk(spec: LaguerreSpec, steps: Sequence[int]) -> Iterator[RatPoly]:
     """The type II polynomials up a chain from the zero index, which raises
     component steps[j] at step j.  There is no first-order relation
     between P_c and P_{c+e_k} alone, so the walk carries the integer
-    coefficients of G_c = prod_l (s - beta_l)^{c_l}, multiplies them by
-    v s - u (beta_k = u/v; the factor v cancels in ``_residue_poly``) and
-    applies ``_residue_poly`` at each index."""
+    coefficients of G_c = prod_l (s - beta_l)^{c_l}, raises them by
+    ``_raise`` and applies ``_residue_poly`` at each index."""
     g = [1]
     yield _residue_poly(g, spec.p)
     for k in steps:
-        u, v = spec.beta[k].numerator, spec.beta[k].denominator
-        g = [v * lo - u * hi for lo, hi in zip([0] + g, g + [0])]
+        g = _raise(g, spec.beta[k])
         yield _residue_poly(g, spec.p)
 
 

@@ -275,6 +275,17 @@ def _ref_cd(K, x, y):
     return lead / (x - y)
 
 
+def _ref_dxdy(K, x, y, h):
+    """check_dxdy_identity's two residuals from the reference loops."""
+    D = (_ref_cd(K, x + h, y) - _ref_cd(K, x - h, y)) / (2.0 * h)
+    D += (_ref_cd(K, x, y + h) - _ref_cd(K, x, y - h)) / (2.0 * h)
+    first = (x - y) * _ref_cd(K, x, y) - _ref_horner(K.P, x) * _ref_form(K.Q, y)
+    second = 0.0
+    for r, pd, qu in zip(K.ratios, K.P_down, K.Q_up):
+        second = second - float(r) * _ref_horner(pd, x) * _ref_form(qu, y)
+    return abs(D - first), abs(D - second)
+
+
 @st.composite
 def _spec_and_points(draw):
     family = draw(st.sampled_from(["hermite", "laguerre"]))
@@ -294,10 +305,14 @@ def _spec_and_points(draw):
 @given(_spec_and_points())
 @example(("hermite", HermiteSpec.of(["1/2", -1, 2], [2, 3, 1]), [-1.3, 0.4, 2.2]))
 @example(("laguerre", LaguerreSpec.of(["1/2", 2, 3], [2, 2, 1], 2), [0.3, 1.7, 4.1]))
+@example(("hermite", HermiteSpec.of(["1/2", -1, 2], [2, 3, 1]), [-40.0, 0.5, 40.0]))
+@example(("laguerre", LaguerreSpec.of(["1/2", 2, 3], [2, 2, 1], 2), [0.3, 1.7, 1500.0]))
 def test_float_routes_match_term_formula_bitwise(case):
     """eval_cd (off and on the diagonal), the type I form at a float and at
-    an ndarray, and eval_sum equal, bit for bit, loops written from the
-    exact term data, independently of the package's float evaluator."""
+    an ndarray, eval_sum and, for the Gaussian family, check_dxdy_identity's
+    two residuals equal, bit for bit, loops written from the exact term
+    data, independently of the package's float evaluator.  The examples at
+    x = +-40 and x = 1500 are where the weights' exponentials underflow."""
     family, spec, pts = case
     K = kn.build_kernel(family, spec)
     chain = mi_chain(spec.n)
@@ -312,6 +327,9 @@ def test_float_routes_match_term_formula_bitwise(case):
                 p, q = fam.type_ii_poly(spec.with_n(lo)), fam.type_i_form(spec.with_n(hi))
                 want += _ref_horner(p, x) * _ref_form(q, y)
             assert _bits([kn.eval_sum(family, spec, chain, x, y)]) == _bits([want])
+            if family == "hermite":
+                got = kn.check_dxdy_identity(spec, x, y, 1e-4)
+                assert _bits(got) == _bits(_ref_dxdy(K, x, y, 1e-4))
 
 
 # ---------------------------------------------------------------------------
