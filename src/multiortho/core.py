@@ -11,11 +11,10 @@ polynomial has one canonical form.  Series products, dot products with
 moments and the moments of a linear form are then one integer sum per
 result and one Fraction at the end, the same canonical Fraction that
 Fraction arithmetic gives, and each weight's moment sequence comes from a
-module-level cache.  Floating point enters only through the evaluation
-hooks ``RatPoly.__call__`` and ``FormTable``, the one evaluator of
-sum_i c_i P_i(x) Q_i(y) over polynomials P_i and linear forms Q_i (each
-weight's exponential once per point); a linear form alone is its one row
-1 * 1 * Q.
+module-level cache.  Floating point enters only through ``FormTable``,
+the one evaluator of sum_i c_i P_i(x) Q_i(y) over polynomials P_i and
+linear forms Q_i (each weight's exponential once per point); a linear form
+alone is its one row 1 * 1 * Q.
 """
 
 from __future__ import annotations
@@ -271,14 +270,6 @@ class RatPoly:
         if len(moments) < len(self.nums):
             raise ExactMathError(f"{len(moments)} moments for a degree-{self.degree} polynomial")
         return Fraction(sum(map(mul, self.nums, moments.nums)), self.den * moments.den)
-
-    def __call__(self, x):
-        """Horner evaluation at a float or, elementwise, a float ndarray,
-        over the coefficients as floats, converted once per polynomial."""
-        acc = 0.0
-        for c in self._float_coeffs:
-            acc = acc * x + c
-        return acc
 
     @cached_property
     def _float_coeffs(self) -> tuple[float, ...]:

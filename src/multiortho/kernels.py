@@ -397,7 +397,7 @@ def check_dxdy_identity(
     x, y = float(x), float(y)
     D = (eval_cd(K, x + h, y) - eval_cd(K, x - h, y)) / (2.0 * h)
     D += (eval_cd(K, x, y + h) - eval_cd(K, x, y - h)) / (2.0 * h)
-    first = (x - y) * eval_cd(K, x, y) - K.P(x) * K.Q(y)
+    first = (x - y) * eval_cd(K, x, y) - FormTable.of([(1, K.P, K.Q)])(x, y)
     second = FormTable.of(K._down_terms(K.P_down))(x, y)
     return abs(D - first), abs(D - second)
 

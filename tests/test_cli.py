@@ -319,6 +319,23 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_simulate_runs_without_scipy(tmp_path):
+    """The Monte Carlo verdict needs no scipy: with every scipy import
+    blocked, simulate still computes its threshold and passes."""
+    probe = (
+        "import sys; sys.modules['scipy'] = None; from multiortho.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    args = ["simulate", "--family", "hermite", "--a", "1,-1", "--n", "2,1", "--seed", "1",
+            "--samples", "2000", "--out", str(tmp_path / "hist.csv")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert math.isfinite(doc["threshold"])
+    assert doc["verdict"] == "pass"
+
+
 # ---------------------------------------------------------------------------
 # density
 

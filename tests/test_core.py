@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from multiortho.core import (
     ExactMathError,
+    FormTable,
     HermiteWeight,
     LaguerreWeight,
     LinearForm,
@@ -116,7 +117,10 @@ def test_poly_canonical_and_calls():
     p = RatPoly.of([F(1, 3), 2])
     assert (p.nums, p.den) == ((1, 6), 3)
     assert p.coeffs == (F(1, 3), F(2)) and all(type(c) is F for c in p.coeffs)
-    assert p(0.5) == pytest.approx(4 / 3)
+    acc = 0.0
+    for c in p._float_coeffs:
+        acc = acc * 0.5 + c
+    assert acc == pytest.approx(4 / 3)
 
 
 def test_poly_canonical_form():
@@ -161,8 +165,9 @@ def _bits(values):
 
 @given(small_polys, st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5))
 def test_float_evaluation_is_reference_horner_bitwise(p, xs):
-    """Float evaluation, scalar and ndarray, is Horner over float(c) from the
-    highest degree down, bit for bit."""
+    """Float evaluation of a polynomial, the P side of a FormTable row, scalar
+    and ndarray, is Horner over float(c) from the highest degree down, bit
+    for bit.  The row's form is exp(-y^2/2), which is exactly 1.0 at y = 0."""
 
     def horner(x):
         acc = 0.0
@@ -170,11 +175,13 @@ def test_float_evaluation_is_reference_horner_bitwise(p, xs):
             acc = acc * x + float(c)
         return acc
 
+    one = LinearForm((LinearFormTerm(0, ScaledConstant.of(1), RatPoly.of([1]), HermiteWeight(F(0))),))
+    table = FormTable.of([(1, p, one)])
     want = _bits([horner(x) for x in xs])
-    assert _bits([p(x) for x in xs]) == want
+    assert _bits([table(x, 0.0) for x in xs]) == want
     arr = np.array(xs)
     # the zero polynomial evaluates to the scalar 0.0
-    assert _bits(np.broadcast_to(p(arr), arr.shape)) == want
+    assert _bits(np.broadcast_to(table(arr, 0.0), arr.shape)) == want
 
 
 @given(small_polys, small_polys)

@@ -74,8 +74,8 @@ def test_cd_quotient_numerator_consistency(x, y):
     """(x-y) * eval_cd recovers the bilinear numerator whichever way the
     difference is written; checked against the model's own components."""
     K = kn.build_kernel("hermite", H21)
-    numerator = K.P(x) * K.Q(y) - sum(
-        float(r) * pd(x) * qu(y)
+    numerator = _ref_horner(K.P, x) * K.Q(y) - sum(
+        float(r) * _ref_horner(pd, x) * qu(y)
         for r, pd, qu in zip(K.ratios, K.P_down, K.Q_up)
     )
     lhs = (x - y) * kn.eval_cd(K, x, y)
@@ -203,7 +203,7 @@ def _reference_sum(spec, chain, x, y):
     for j in range(spec.n.weight):
         p = fam.type_ii_poly(spec.with_n(chain[j]))
         q = fam.type_i_form(spec.with_n(chain[j + 1]))
-        total += p(x) * q(y)
+        total += _ref_horner(p, x) * q(y)
     return total
 
 

@@ -3,6 +3,7 @@ substreams and chunking, and the chi-square density comparison."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,35 @@ def test_config_validation():
 
 # ---------------------------------------------------------------------------
 # chi-square machinery
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.99])
+def test_chi2_quantile_matches_mpmath_root(p):
+    """Against a 40-digit root of Q(k/2, x/2) = 1 - p.  The regularized
+    upper gamma is monotone in x, so the bracket around the float value
+    holds the one root; p = 0.05 and 0.5 put the root in the series branch
+    of Q, and p = 0.99 in its continued-fraction branch."""
+    worst = 0.0
+    with mpmath.workdps(40):
+        target = 1 - mpmath.mpf(p)
+        for k in [*range(1, 201), 500, 1000]:
+            x = rmt.chi2_quantile(p, k)
+            root = mpmath.findroot(
+                lambda t: mpmath.gammainc(mpmath.mpf(k) / 2, t / 2, mpmath.inf, regularized=True) - target,
+                (mpmath.mpf(x) * 0.999, mpmath.mpf(x) * 1.001),
+                solver="anderson",
+            )
+            worst = max(worst, float(abs(x - root) / root))
+    assert worst <= 1e-14
+
+
+def test_chi2_quantile_rejects_bad_input():
+    with pytest.raises(ValueError, match="not in"):
+        rmt.chi2_quantile(1.0, 3)
+    with pytest.raises(ValueError, match="degree of freedom"):
+        rmt.chi2_quantile(0.5, 0)
+    with pytest.raises(ArithmeticError, match="underflows"):
+        rmt.chi2_quantile(1e-300, 1)  # the root is near 1e-600
 
 
 def test_chi_square_zero_on_identical():
