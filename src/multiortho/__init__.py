@@ -11,8 +11,6 @@ from .core import (
     LinearFormTerm,
     MultiIndex,
     RatPoly,
-    ScaledConstant,
-    ScaleMismatchError,
     SingularExpansionError,
     as_fraction,
     mi_chain,
@@ -30,8 +28,6 @@ __all__ = [
     "LinearFormTerm",
     "MultiIndex",
     "RatPoly",
-    "ScaledConstant",
-    "ScaleMismatchError",
     "SingularExpansionError",
     "as_fraction",
     "mi_chain",

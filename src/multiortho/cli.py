@@ -33,7 +33,7 @@ import numpy as np
 
 from . import kernels as _kernels
 from . import rmt as _rmt
-from .core import MultiIndex, RatPoly, ScaledConstant, as_fraction, mi_chain
+from .core import LinearFormTerm, MultiIndex, RatPoly, as_fraction, mi_chain
 from .quad import ConvergenceError
 from .hermite import HermiteSpec
 from .laguerre import LaguerreSpec
@@ -303,19 +303,15 @@ def _spec_label(spec) -> str:
 # commands
 
 
-def _prefactor_doc(c: ScaledConstant) -> dict[str, str | int]:
+def _prefactor_doc(term: LinearFormTerm) -> dict[str, str | int]:
+    """The term's prefactor r / Z as r * (2*pi)^(two_pi_half/2) * e^exp_arg,
+    Z being its weight's normalizing constant."""
+    w = term.weight
     return {
-        "rational": _rational_str(c.r),
-        "two_pi_half": c.two_pi_half,
-        "exp_arg": _rational_str(c.exp_arg),
+        "rational": _rational_str(term.prefactor),
+        "two_pi_half": -w.two_pi_half,
+        "exp_arg": _rational_str(-w.exp_arg),
     }
-
-
-def _prefactor_text(c: ScaledConstant) -> str:
-    return (
-        f"{_rational_str(c.r)} * (2*pi)^({c.two_pi_half}/2)"
-        f" * exp({_rational_str(c.exp_arg)})"
-    )
 
 
 def _coeff_strings(poly: RatPoly) -> list[str]:
@@ -329,12 +325,12 @@ def cmd_poly(cfg: argparse.Namespace) -> int:
     form = mod.type_i_form(spec)
 
     type_i_docs = []
-    for term in form.terms:
+    for k, term in enumerate(form.terms, 1):
         type_i_docs.append(
             {
-                "component": term.k + 1,
+                "component": k,
                 "weight": _fields_doc(term.weight),
-                "prefactor": _prefactor_doc(term.prefactor),
+                "prefactor": _prefactor_doc(term),
                 "coefficients_ascending": _coeff_strings(term.poly),
             }
         )
@@ -356,9 +352,11 @@ def cmd_poly(cfg: argparse.Namespace) -> int:
     lines.append("type I linear form, one term per weight")
     for td in type_i_docs:
         w = ", ".join(f"{k}={v}" for k, v in td["weight"].items())
-        term = form.terms[td["component"] - 1]
+        pf = td["prefactor"]
         lines.append(f"  component {td['component']} ({w}):")
-        lines.append(f"    prefactor: {_prefactor_text(term.prefactor)}")
+        lines.append(
+            f"    prefactor: {pf['rational']} * (2*pi)^({pf['two_pi_half']}/2) * exp({pf['exp_arg']})"
+        )
         lines.append(
             f"    coefficients (ascending): {', '.join(td['coefficients_ascending']) or '0'}"
         )

@@ -1,6 +1,7 @@
 """Exact arithmetic foundation: multi-indices, rational polynomials,
-truncated scalar power series, scaled constants, the weights with their
-exact moment sequences, and the one float evaluator of the kernels.
+truncated scalar power series, the weights with their exact moment
+sequences and normalizing constants, the weighted linear forms, and the one
+float evaluator of the kernels.
 
 Everything here is immutable and exact.  Rational scalars are
 ``fractions.Fraction`` (unbounded integers, canonical reduced form).
@@ -11,10 +12,15 @@ polynomial has one canonical form.  Series products, dot products with
 moments and the moments of a linear form are then one integer sum per
 result and one Fraction at the end, the same canonical Fraction that
 Fraction arithmetic gives, and each weight's moment sequence comes from a
-module-level cache.  Floating point enters only through ``FormTable``,
-the one evaluator of sum_i c_i P_i(x) Q_i(y) over polynomials P_i and
-linear forms Q_i (each weight's exponential once per point); a linear form
-alone is its one row 1 * 1 * Q.
+module-level cache.  Each weight has one normalizing constant Z, the unit
+its moments are measured in (moments(count)[j] = integral(x^j w(x) dx) / Z):
+sqrt(2*pi) * e^(a^2/2) = integral(w(x) dx) for a Gaussian weight and 1
+for a half-line weight, whose integrals are rational.  A type I prefactor
+is a rational in units of 1/Z and a norm constant one in units of Z, so
+every exact integral stays rational.  Floating point enters only through
+``FormTable``, the one evaluator of sum_i c_i P_i(x) Q_i(y) over
+polynomials P_i and linear forms Q_i (each weight's exponential once per
+point); a linear form alone is its one row 1 * 1 * Q.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import repeat
 from operator import mul
-from typing import Iterable, Iterator, Sequence, Union
+from typing import ClassVar, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -44,11 +50,6 @@ class ExactMathError(ValueError):
 
 class SingularExpansionError(ExactMathError):
     """Expansion around a singular point (zero base, coincident nodes)."""
-
-
-class ScaleMismatchError(ExactMathError):
-    """A scaled constant read as a rational while it carries a
-    transcendental part (``ScaledConstant.as_fraction``)."""
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -308,86 +309,25 @@ def series_mul(a: RatVec, b: RatVec) -> RatVec:
 
 
 # ---------------------------------------------------------------------------
-# scaled constants r * (2*pi)^(h/2) * exp(q)
-
-
-@dataclass(frozen=True)
-class ScaledConstant:
-    """Exact constant of the form r * (2*pi)^(h/2) * e^q with r, q rational
-    and h an integer.  Products and exact ratios are closed; the value is a
-    rational (``as_fraction``) only when the transcendental parts vanish.
-    """
-
-    r: Fraction
-    two_pi_half: int = 0
-    exp_arg: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        r = as_fraction(self.r)
-        h = int(self.two_pi_half)
-        q = as_fraction(self.exp_arg)
-        if r == 0:
-            h, q = 0, Fraction(0)  # canonical zero
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "two_pi_half", h)
-        object.__setattr__(self, "exp_arg", q)
-
-    @classmethod
-    def of(cls, r: RationalLike, two_pi_half: int = 0, exp_arg: RationalLike = 0) -> "ScaledConstant":
-        return cls(as_fraction(r), two_pi_half, as_fraction(exp_arg))
-
-    @classmethod
-    def one(cls) -> "ScaledConstant":
-        return cls(Fraction(1))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.r == 0
-
-    def __mul__(self, other: Union["ScaledConstant", RationalLike]) -> "ScaledConstant":
-        if isinstance(other, ScaledConstant):
-            return ScaledConstant(
-                self.r * other.r,
-                self.two_pi_half + other.two_pi_half,
-                self.exp_arg + other.exp_arg,
-            )
-        return ScaledConstant(self.r * as_fraction(other), self.two_pi_half, self.exp_arg)
-
-    def __truediv__(self, other: "ScaledConstant") -> "ScaledConstant":
-        if other.is_zero:
-            raise ExactMathError("division by the zero constant")
-        return ScaledConstant(
-            self.r / other.r,
-            self.two_pi_half - other.two_pi_half,
-            self.exp_arg - other.exp_arg,
-        )
-
-    def as_fraction(self) -> Fraction:
-        """Exact rational value; defined only when the scale is trivial."""
-        if not self.is_zero and (self.two_pi_half != 0 or self.exp_arg != 0):
-            raise ScaleMismatchError(
-                f"constant carries (2*pi)^({self.two_pi_half}/2) * e^({self.exp_arg})"
-            )
-        return self.r
-
-
-# ---------------------------------------------------------------------------
-# weighted linear forms sum_k prefactor_k * poly_k(x) * w_k(x)
+# weighted linear forms sum_k (prefactor_k / Z_k) * poly_k(x) * w_k(x)
 
 
 @dataclass(frozen=True)
 class HermiteWeight:
     """w(x) = exp(-x^2/2 + a*x) on the real line.
 
-    integral(x^j w(x) dx) = scale * moments(...)[j] with
-    scale = sqrt(2*pi) * e^(a^2/2) and moments E[(Z + a)^j], Z ~ N(0, 1).
+    integral(x^j w(x) dx) = integral(w(x) dx) * moments(...)[j] with
+    moments E[(Z + a)^j], Z ~ N(0, 1), and the normalizing constant
+    integral(w(x) dx) = (2*pi)^(two_pi_half/2) * e^exp_arg = sqrt(2*pi) * e^(a^2/2).
     """
 
     a: Fraction
 
+    two_pi_half: ClassVar[int] = 1
+
     @property
-    def scale(self) -> ScaledConstant:
-        return ScaledConstant.of(1, 1, self.a * self.a / 2)
+    def exp_arg(self) -> Fraction:
+        return self.a * self.a / 2
 
     def moments(self, count: int) -> RatVec:
         """E[(Z + a)^j] for j < count."""
@@ -397,12 +337,14 @@ class HermiteWeight:
 @dataclass(frozen=True)
 class LaguerreWeight:
     """w(x) = x^p * exp(-beta*x) on (0, inf); its moments
-    integral(x^j w(x) dx) = (j+p)! / beta^(j+p+1) are rational (scale 1)."""
+    integral(x^j w(x) dx) = (j+p)! / beta^(j+p+1) are rational, so its
+    normalizing constant (2*pi)^(two_pi_half/2) * e^exp_arg is 1."""
 
     beta: Fraction
     p: int
 
-    scale = ScaledConstant.one()
+    two_pi_half: ClassVar[int] = 0
+    exp_arg: ClassVar[Fraction] = Fraction(0)
 
     def moments(self, count: int) -> RatVec:
         return _laguerre_moments(self.beta, self.p, count)
@@ -436,34 +378,36 @@ def _laguerre_moments(beta: Fraction, p: int, count: int) -> RatVec:
 
 @dataclass(frozen=True)
 class LinearFormTerm:
-    k: int
-    prefactor: ScaledConstant
+    """(prefactor / Z) * poly(x) * w(x), with the prefactor a rational in
+    units of 1/Z, Z the weight's normalizing constant."""
+
+    prefactor: Fraction
     poly: RatPoly
     weight: Union[HermiteWeight, LaguerreWeight]
 
 
 @dataclass(frozen=True)
 class LinearForm:
-    """Q(x) = sum_k prefactor_k * poly_k(x) * w_k(x), one term per weight.
+    """Q(x) = sum_k (prefactor_k / Z_k) * poly_k(x) * w_k(x), one term per
+    weight, in component order; Z_k is w_k's normalizing constant.
 
-    Evaluation folds each prefactor's exponential into the weight exponent:
-    for a Hermite term with prefactor r * (2*pi)^(-1/2) * e^(-a^2/2) this
-    yields r * poly(x) * exp(-(x-a)^2/2) / sqrt(2*pi), which stays finite
-    where the naive product of huge and tiny factors would not.
+    A Hermite term r * poly(x) * w(x) / (sqrt(2*pi) * e^(a^2/2)) is
+    evaluated as r * poly(x) * exp(-(x-a)^2/2) / sqrt(2*pi), which stays
+    finite where the naive product of huge and tiny factors would not.
     """
 
     terms: tuple[LinearFormTerm, ...]
 
     def moments(self, count: int) -> RatVec:
         """integral(x^j Q(x) dx) for j < count, exactly: each term's
-        coefficients correlated with its weight's moments from j on, times
-        prefactor * scale, which must be rational (ScaleMismatchError).
-        The terms are summed in integers over one common denominator."""
+        coefficients correlated with its weight's moments from j on (the
+        integrals over Z), times its prefactor (in units of 1/Z).  The
+        terms are summed in integers over one common denominator."""
         parts = []
         for t in self.terms:
             if t.poly.is_zero:
                 continue
-            c = (t.prefactor * t.weight.scale).as_fraction()
+            c = t.prefactor
             poly = t.poly
             mom = t.weight.moments(len(poly.nums) + count)
             corr = [sum(map(mul, poly.nums, mom.nums[j:])) for j in range(count)]
@@ -480,26 +424,21 @@ class LinearForm:
 
     @cached_property
     def _float_terms(self) -> tuple:
-        """((shift, offset, p), scale, coefficients highest degree first) per
-        nonzero term, converted to float once.  A Hermite term (p None) is
-        scale * poly(x) * exp(-(x - shift)^2 / 2 + offset), with
-        offset = exp_arg + a^2/2, which is exactly 0 for constructed forms
-        (the general fold keeps hand-built forms right); a half-line term is
-        scale * x^p * poly(x) * exp(offset + shift * x), shift = -beta."""
+        """((shift, p), scale, coefficients highest degree first) per nonzero
+        term, converted to float once.  A Hermite term (p None) is
+        scale * poly(x) * exp(-(x - shift)^2 / 2), shift = a, with the
+        scale r / sqrt(2*pi) rounded as r * (2*pi)^-1 * sqrt(2*pi); a
+        half-line term is scale * x^p * poly(x) * exp(shift * x),
+        shift = -beta, with the scale r."""
         out = []
         for t in self.terms:
             if t.poly.is_zero:
                 continue
-            pf = t.prefactor
-            h = pf.two_pi_half
-            scale = float(pf.r) * TWO_PI ** (h // 2)
-            if h % 2:
-                scale *= math.sqrt(TWO_PI)
-            w = t.weight
+            w, scale = t.weight, float(t.prefactor)
             if isinstance(w, HermiteWeight):
-                weight = (float(w.a), float(pf.exp_arg + w.a * w.a / 2), None)
+                weight, scale = (float(w.a), None), scale * TWO_PI**-1 * math.sqrt(TWO_PI)
             else:
-                weight = (-float(w.beta), float(pf.exp_arg), w.p)
+                weight = (-float(w.beta), w.p)
             out.append((weight, scale, t.poly._float_coeffs))
         return tuple(out)
 
@@ -511,14 +450,14 @@ class LinearForm:
 @dataclass(frozen=True)
 class FormTable:
     """Float evaluation data of a bilinear sum sum_i c_i P_i(x) Q_i(y) of
-    polynomials P_i and linear forms Q_i: each distinct weight
-    (shift, offset, p) of the forms' ``LinearForm._float_terms`` once, and
-    per i one row (c_i, P_i's float coefficients highest degree first,
-    Q_i's terms as (weight index, scale, coefficients)).  The forms of one
-    kernel or one chain share their m weights, so an evaluation computes
-    each weight's exponential, and y^p, once."""
+    polynomials P_i and linear forms Q_i: each distinct weight (shift, p)
+    of the forms' ``LinearForm._float_terms`` once, and per i one row
+    (c_i, P_i's float coefficients highest degree first, Q_i's terms as
+    (weight index, scale, coefficients)).  The forms of one kernel or one
+    chain share their m weights, so an evaluation computes each weight's
+    exponential, and y^p, once."""
 
-    weights: tuple[tuple[float, float, Union[int, None]], ...]
+    weights: tuple[tuple[float, Union[int, None]], ...]
     rows: tuple[tuple[float, tuple[float, ...], tuple[tuple[int, float, tuple[float, ...]], ...]], ...]
 
     @classmethod
@@ -541,13 +480,13 @@ class FormTable:
         array = isinstance(y, np.ndarray)
         exp, power = (partial(_map, math.exp), partial(_map, pow)) if array else (math.exp, pow)
         yps, exps = [], []  # y^0 and a Hermite weight's 1.0 are exact (scale * 1.0 is scale)
-        for shift, offset, p in self.weights:
+        for shift, p in self.weights:
             if p is None:
                 yps.append(1.0)
-                exps.append(exp(-0.5 * (y - shift) * (y - shift) + offset))
+                exps.append(exp(-0.5 * (y - shift) * (y - shift)))
             else:
                 yps.append(power(y, p) if p else 1.0)
-                exps.append(exp(offset + shift * y))
+                exps.append(exp(shift * y))
         total = -0.0
         for c, P, terms in self.rows:
             q = 0.0

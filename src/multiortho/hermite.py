@@ -13,8 +13,10 @@ P_0 = 1, on integer numerators.  Type I takes the residue at each a_k: the
 coefficient of tau^(n_k - 1) in sum_j He_j(x - a_k) tau^j / j! times the
 scalar series prod_{l != k} (a_k - a_l + tau)^(-n_l).  The weights' exact
 moments (``core.HermiteWeight``) turn every verification integral into
-rational arithmetic: each type I prefactor cancels its weight's
-sqrt(2*pi) * e^(a^2/2).  Both constructors are cached per spec.
+rational arithmetic: each type I prefactor is a rational in units of
+1 / Z_k and each norm constant h_k one in units of Z_k, where
+Z_k = sqrt(2*pi) * e^(a_k^2/2) is w_k's normalizing constant.  Both
+constructors are cached per spec.
 
 Along a chain of indices the same objects follow one exact step per index.
 Up: P_{c+e_k} = (x - a_k) P_c - P_c' (``raise_type_ii``, the same step).
@@ -42,7 +44,6 @@ from .core import (
     MultiIndex,
     RatPoly,
     RationalLike,
-    ScaledConstant,
     SingularExpansionError,
     as_fraction,
     power_series,
@@ -142,18 +143,16 @@ def type_i_form(spec: HermiteSpec) -> LinearForm:
     exp((x - a_k) tau - tau^2/2) * d(tau), d = prod_{l != k} ((a_k - a_l) + tau)^(-n_l),
     and the exponential is sum_j He_j(x - a_k) tau^j / j!.  Ahat_k is
     (n_k - 1)! times the tau^(n_k - 1) coefficient and the prefactor is
-    c_k = (1/(n_k-1)!) * (2*pi)^(-1/2) * e^(-a_k^2/2).
+    c_k = (1/(n_k-1)!) * (2*pi)^(-1/2) * e^(-a_k^2/2), stored as the
+    rational 1/(n_k-1)! in units of 1 / Z_k.
     """
     if spec.n.weight < 1:
         raise ExactMathError("type I needs |n| >= 1")
     spec.require_distinct()
     terms = []
     for k, (a_k, n_k) in enumerate(zip(spec.a, spec.n)):
-        q = -a_k * a_k / 2
         if n_k == 0:
-            terms.append(
-                LinearFormTerm(k, ScaledConstant.of(1, -1, q), RatPoly.zero(), HermiteWeight(a_k))
-            )
+            terms.append(LinearFormTerm(Fraction(1), RatPoly.zero(), HermiteWeight(a_k)))
             continue
         T = n_k - 1
         d = power_series(1, 0, T)
@@ -178,8 +177,7 @@ def type_i_form(spec: HermiteSpec) -> LinearForm:
             for i, c in enumerate(he[j]):
                 a_hat[i] += f * c
         a_hat = RatPoly(tuple(a_hat), d.den * v**T)
-        prefactor = ScaledConstant.of(Fraction(1, math.factorial(T)), -1, q)
-        terms.append(LinearFormTerm(k, prefactor, a_hat, HermiteWeight(a_k)))
+        terms.append(LinearFormTerm(Fraction(1, math.factorial(T)), a_hat, HermiteWeight(a_k)))
     return LinearForm(tuple(terms))
 
 
@@ -214,35 +212,34 @@ def lower_type_i(spec: HermiteSpec, c: Sequence[int], Q: LinearForm, k: int) -> 
     for the new c_l, and a term that reaches c_l = 0 gets the zero term."""
     a_k, c_k = spec.a[k], c[k]
     terms = []
-    for t in Q.terms:
+    for l, t in enumerate(Q.terms):
         nums, den = t.poly.nums, t.poly.den
         deriv = [i * w for i, w in enumerate(nums) if i]
-        if t.k == k:
+        if l == k:
             # A_k' alone, with (c_k - 2)! / (c_k - 1)! = 1 / (c_k - 1)
             poly = RatPoly(tuple(deriv), den * (c_k - 1)) if c_k > 1 else RatPoly.zero()
-            r = Fraction(1, math.factorial(max(c_k - 2, 0)))
-            t = LinearFormTerm(k, ScaledConstant(r, -1, t.prefactor.exp_arg), poly, t.weight)
+            t = LinearFormTerm(Fraction(1, math.factorial(max(c_k - 2, 0))), poly, t.weight)
         elif nums:
             r = t.weight.a - a_k
             u, v = r.numerator, r.denominator
             out = [u * w for w in nums]
             for i, w in enumerate(deriv):
                 out[i] += v * w
-            t = LinearFormTerm(t.k, t.prefactor, RatPoly(tuple(out), den * v), t.weight)
+            t = LinearFormTerm(t.prefactor, RatPoly(tuple(out), den * v), t.weight)
         terms.append(t)
     return LinearForm(tuple(terms))
 
 
-def norm_constant(spec: HermiteSpec, k: int) -> ScaledConstant:
-    """Closed form of h_k = integral(P(x) x^{n_k} w_k(x) dx):
-    sqrt(2*pi) * n_k! * e^(a_k^2/2) * prod_{l != k} (a_k - a_l)^{n_l}."""
+def norm_constant(spec: HermiteSpec, k: int) -> Fraction:
+    """Closed form of h_k = integral(P(x) x^{n_k} w_k(x) dx) in units of
+    Z_k = sqrt(2*pi) * e^(a_k^2/2): n_k! * prod_{l != k} (a_k - a_l)^{n_l}."""
     spec.n._check_component(k)
     a_k = spec.a[k]
     r = Fraction(math.factorial(spec.n[k]))
     for l, (a_l, n_l) in enumerate(zip(spec.a, spec.n)):
         if l != k:
             r *= (a_k - a_l) ** n_l
-    return ScaledConstant.of(r, 1, a_k * a_k / 2)
+    return r
 
 
 def norm_ratio(spec: HermiteSpec, k: int) -> Fraction:

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import hermite as _hermite
 from . import laguerre as _laguerre
-from .core import ExactMathError, FormTable, LinearForm, MultiIndex, RatPoly, ScaledConstant, mi_chain
+from .core import ExactMathError, FormTable, LinearForm, MultiIndex, RatPoly, mi_chain
 from .hermite import HermiteSpec
 from .laguerre import LaguerreSpec
 from .quad import ContourError, ConvergenceError
@@ -82,8 +82,9 @@ def family_module(family: str, spec: Spec):
 
 
 def type_ii_residuals(P: RatPoly, spec: Spec) -> list[Fraction]:
-    """integral(P(x) x^j w_k(x) dx) / scale_k, k ascending then
-    j = 0 .. n_k - 1.  All must vanish exactly for the type II polynomial."""
+    """integral(P(x) x^j w_k(x) dx) / Z_k, Z_k w_k's normalizing constant,
+    k ascending then j = 0 .. n_k - 1.  All must vanish exactly for the
+    type II polynomial."""
     out = []
     for w, n_k in zip(spec.weights, spec.n):
         mom = w.moments(len(P.nums) + n_k)
@@ -91,11 +92,11 @@ def type_ii_residuals(P: RatPoly, spec: Spec) -> list[Fraction]:
     return out
 
 
-def moment_norm_constant(spec: Spec, k: int, P: RatPoly) -> ScaledConstant:
-    """h_k = integral(P(x) x^{n_k} w_k(x) dx) from w_k's moments, given the
-    type II polynomial P of spec."""
+def moment_norm_constant(spec: Spec, k: int, P: RatPoly) -> Fraction:
+    """h_k = integral(P(x) x^{n_k} w_k(x) dx) in units of w_k's normalizing
+    constant, from w_k's moments, given the type II polynomial P of spec."""
     w, n_k = spec.weights[k], spec.n[k]
-    return w.scale * P.dot(w.moments(len(P.nums) + n_k)[n_k:])
+    return P.dot(w.moments(len(P.nums) + n_k)[n_k:])
 
 
 def moment_norm_ratio(spec: Spec, k: int, P: RatPoly, P_down: RatPoly) -> Fraction:
@@ -104,7 +105,7 @@ def moment_norm_ratio(spec: Spec, k: int, P: RatPoly, P_down: RatPoly) -> Fracti
     h_top = moment_norm_constant(spec, k, P)
     if FAMILIES[spec.family].norm_constant(spec, k) != h_top:
         raise ExactMathError("closed-form h disagrees with moment h")  # unreachable
-    return (h_top / moment_norm_constant(spec.with_n(spec.n.drop(k)), k, P_down)).as_fraction()
+    return h_top / moment_norm_constant(spec.with_n(spec.n.drop(k)), k, P_down)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from .core import (
     MultiIndex,
     RatPoly,
     RationalLike,
-    ScaledConstant,
     SingularExpansionError,
     as_fraction,
     power_series,
@@ -158,7 +157,7 @@ def type_i_form(spec: LaguerreSpec) -> LinearForm:
     for k, (beta_k, n_k) in enumerate(zip(spec.beta, spec.n)):
         weight = LaguerreWeight(beta_k, p)
         if n_k == 0:
-            terms.append(LinearFormTerm(k, ScaledConstant.one(), RatPoly.zero(), weight))
+            terms.append(LinearFormTerm(Fraction(1), RatPoly.zero(), weight))
             continue
         T = n_k - 1
         d = power_series(beta_k, w + p - 1, T)
@@ -171,7 +170,7 @@ def type_i_form(spec: LaguerreSpec) -> LinearForm:
             tuple(num * d.nums[T - j] * (-1) ** j * math.perm(T, T - j) for j in range(T + 1)),
             scale.denominator * d.den * math.factorial(T),
         )
-        terms.append(LinearFormTerm(k, ScaledConstant.one(), a_k, weight))
+        terms.append(LinearFormTerm(Fraction(1), a_k, weight))
     return LinearForm(tuple(terms))
 
 
@@ -217,12 +216,12 @@ def lower_type_i(spec: LaguerreSpec, c: Sequence[int], Q: LinearForm, k: int) ->
                 s = v * (a[i] * u ** (d - i) + (i + 1) * s)
                 out[i] = -W * u**i * (vk * a[i] * u ** (d + 1 - i) - uk * s)
             poly = RatPoly(tuple(out), uk * den * u ** (d + 1))
-            t = LinearFormTerm(t.k, t.prefactor, poly, t.weight)
+            t = LinearFormTerm(t.prefactor, poly, t.weight)
         terms.append(t)
     return LinearForm(tuple(terms))
 
 
-def norm_constant(spec: LaguerreSpec, k: int) -> ScaledConstant:
+def norm_constant(spec: LaguerreSpec, k: int) -> Fraction:
     """Closed form of h_k = integral(P(x) x^{n_k} w_k(x) dx), a plain rational:
     n_k! (|n|+p)! / beta_k^(|n|+p+1+n_k) * prod_{l != k} (1 - beta_k/beta_l)^{n_l}.
 
@@ -235,7 +234,7 @@ def norm_constant(spec: LaguerreSpec, k: int) -> ScaledConstant:
     for l, (beta_l, n_l) in enumerate(zip(spec.beta, spec.n)):
         if l != k:
             r *= (1 - beta_k / beta_l) ** n_l
-    return ScaledConstant.of(r)
+    return r
 
 
 def norm_ratio(spec: LaguerreSpec, k: int) -> Fraction:

@@ -53,6 +53,98 @@ def test_poly_json_schema(capsys):
     assert doc["type_i"][0]["prefactor"]["two_pi_half"] == -1
 
 
+POLY_HERMITE_TEXT = """\
+family: hermite
+a: 1/2,-1
+n: 2,0
+type II monic polynomial, degree 2
+  coefficients (ascending): -3/4, -1, 1
+type I linear form, one term per weight
+  component 1 (a=1/2):
+    prefactor: 1 * (2*pi)^(-1/2) * exp(-1/8)
+    coefficients (ascending): -1/2, 1
+  component 2 (a=-1):
+    prefactor: 1 * (2*pi)^(-1/2) * exp(-1/2)
+    coefficients (ascending): 0
+"""
+
+POLY_HERMITE_DOC = {
+    "schema_version": 1,
+    "command": "poly",
+    "family": "hermite",
+    "parameters": {"a": ["1/2", "-1"], "n": [2, 0]},
+    "type_ii": {"degree": 2, "coefficients_ascending": ["-3/4", "-1", "1"]},
+    "type_i": [
+        {
+            "component": 1,
+            "weight": {"a": "1/2"},
+            "prefactor": {"rational": "1", "two_pi_half": -1, "exp_arg": "-1/8"},
+            "coefficients_ascending": ["-1/2", "1"],
+        },
+        {
+            "component": 2,
+            "weight": {"a": "-1"},
+            "prefactor": {"rational": "1", "two_pi_half": -1, "exp_arg": "-1/2"},
+            "coefficients_ascending": [],
+        },
+    ],
+}
+
+POLY_LAGUERRE_TEXT = """\
+family: laguerre
+beta: 1,2
+n: 1,1
+p: 1
+type II monic polynomial, degree 2
+  coefficients (ascending): 3, -9/2, 1
+type I linear form, one term per weight
+  component 1 (beta=1, p=1):
+    prefactor: 1 * (2*pi)^(0/2) * exp(0)
+    coefficients (ascending): 1
+  component 2 (beta=2, p=1):
+    prefactor: 1 * (2*pi)^(0/2) * exp(0)
+    coefficients (ascending): -4
+"""
+
+POLY_LAGUERRE_DOC = {
+    "schema_version": 1,
+    "command": "poly",
+    "family": "laguerre",
+    "parameters": {"beta": ["1", "2"], "n": [1, 1], "p": 1},
+    "type_ii": {"degree": 2, "coefficients_ascending": ["3", "-9/2", "1"]},
+    "type_i": [
+        {
+            "component": k,
+            "weight": {"beta": beta, "p": 1},
+            "prefactor": {"rational": "1", "two_pi_half": 0, "exp_arg": "0"},
+            "coefficients_ascending": [coeff],
+        }
+        for k, beta, coeff in ((1, "1", "1"), (2, "2", "-4"))
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, text, doc",
+    [
+        (("--family", "hermite", "--a", "1/2,-1", "--n", "2,0"), POLY_HERMITE_TEXT, POLY_HERMITE_DOC),
+        (
+            ("--family", "laguerre", "--beta", "1,2", "--n", "1,1", "--p", "1"),
+            POLY_LAGUERRE_TEXT,
+            POLY_LAGUERRE_DOC,
+        ),
+    ],
+    ids=["hermite", "laguerre"],
+)
+def test_poly_output_pinned(capsys, argv, text, doc):
+    """poly's text and JSON, byte for byte: each type I prefactor is
+    r * (2*pi)^(h/2) * exp(q), the reciprocal of its weight's normalizing
+    constant for Hermite and 1 for Laguerre, and a zero component prints
+    its prefactor and the coefficient 0."""
+    assert run(capsys, "poly", *argv) == (0, text, "")
+    assert run(capsys, "poly", *argv, "--format", "json") == (0, json.dumps(doc, indent=2) + "\n", "")
+
+
 def test_poly_negative_n_exit_2(capsys):
     code, _, err = run(capsys, "poly", "--family", "hermite", "--a", "0", "--n", "-1")
     assert code == 2

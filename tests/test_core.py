@@ -1,5 +1,5 @@
 """Exact arithmetic layer: multi-indices, rational polynomials, truncated
-scalar series, scaled constants, and weight moments."""
+scalar series, weight moments and normalizing constants, and linear forms."""
 
 from fractions import Fraction as F
 
@@ -19,8 +19,6 @@ from multiortho.core import (
     MultiIndex,
     RatPoly,
     RatVec,
-    ScaledConstant,
-    ScaleMismatchError,
     SingularExpansionError,
     as_fraction,
     mi_chain,
@@ -167,7 +165,7 @@ def _bits(values):
 def test_float_evaluation_is_reference_horner_bitwise(p, xs):
     """Float evaluation of a polynomial, the P side of a FormTable row, scalar
     and ndarray, is Horner over float(c) from the highest degree down, bit
-    for bit.  The row's form is exp(-y^2/2), which is exactly 1.0 at y = 0."""
+    for bit.  The row's form is exp(-y), which is exactly 1.0 at y = 0."""
 
     def horner(x):
         acc = 0.0
@@ -175,7 +173,7 @@ def test_float_evaluation_is_reference_horner_bitwise(p, xs):
             acc = acc * x + float(c)
         return acc
 
-    one = LinearForm((LinearFormTerm(0, ScaledConstant.of(1), RatPoly.of([1]), HermiteWeight(F(0))),))
+    one = LinearForm((LinearFormTerm(F(1), RatPoly.of([1]), LaguerreWeight(F(1), 0)),))
     table = FormTable.of([(1, p, one)])
     want = _bits([horner(x) for x in xs])
     assert _bits([table(x, 0.0) for x in xs]) == want
@@ -226,23 +224,6 @@ def test_binomial_inverse_inverts_binomial(n, order):
 def test_series_errors():
     with pytest.raises(SingularExpansionError):
         power_series(0, -1, 2)
-
-
-# ---------------------------------------------------------------------------
-# ScaledConstant
-
-
-def test_scaled_constant_algebra():
-    c = ScaledConstant.of(2, 1, F(1, 2))
-    d = ScaledConstant.of(3, -1, F(-1, 2))
-    prod = c * d
-    assert (prod.r, prod.two_pi_half, prod.exp_arg) == (F(6), 0, F(0))
-    assert prod.as_fraction() == F(6)
-    ratio = c / d
-    assert (ratio.r, ratio.two_pi_half, ratio.exp_arg) == (F(2, 3), 2, F(1))
-    with pytest.raises(ExactMathError):
-        c.as_fraction()
-    assert ScaledConstant.of(0, 5, 7).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +328,6 @@ def test_gamma_moments_match_fraction_loop(count, beta, p):
     assert weight.moments(count) == _fraction_moments(weight, count)
 
 
-def _term(weight, poly, r):
-    """A term whose prefactor times the weight's scale is the rational r."""
-    if isinstance(weight, HermiteWeight):
-        return LinearFormTerm(0, ScaledConstant.of(r, -1, -weight.a * weight.a / 2), poly, weight)
-    return LinearFormTerm(0, ScaledConstant.of(r), poly, weight)
-
-
 weights = st.one_of(
     mixed_rationals.map(HermiteWeight),
     st.builds(LaguerreWeight, nonzero_rationals.map(abs), st.integers(0, 2)),
@@ -362,7 +336,7 @@ weights = st.one_of(
 
 @given(st.lists(st.tuples(weights, mixed_polys, mixed_rationals), max_size=3), st.integers(0, 6))
 def test_form_moments_match_fraction_loop(terms, count):
-    form = LinearForm(tuple(_term(*t) for t in terms))
+    form = LinearForm(tuple(LinearFormTerm(r, poly, weight) for weight, poly, r in terms))
     want = [F(0)] * count
     for weight, poly, r in terms:
         if poly.is_zero:
@@ -373,14 +347,6 @@ def test_form_moments_match_fraction_loop(terms, count):
     assert form.moments(count) == want
 
 
-@given(rationals, st.integers(-3, 3), rationals)
-def test_scaled_constant_mul_div_roundtrip(r, h, q):
-    c = ScaledConstant.of(r, h, q)
-    d = ScaledConstant.of(F(3, 7), 1, F(1, 3))
-    if not c.is_zero:
-        assert (c * d) / c == d
-
-
 # ---------------------------------------------------------------------------
 # weight moments
 
@@ -388,15 +354,20 @@ def test_scaled_constant_mul_div_roundtrip(r, h, q):
 def test_gaussian_moment_examples():
     assert HermiteWeight(F(0)).moments(5) == [1, 0, 1, 0, 3]
     assert HermiteWeight(F(2)).moments(3) == [1, 2, 5]  # E[(Z+2)^2] = 1 + 4
-    assert HermiteWeight(F(1, 2)).scale == ScaledConstant.of(1, 1, F(1, 8))
+    w = HermiteWeight(F(1, 2))
+    assert (w.two_pi_half, w.exp_arg) == (1, F(1, 8))
     assert HermiteWeight(F(1)).moments(0) == []
+    # the prefactor 1 in units of 1 / (sqrt(2 pi) e^(1/2)) makes w's integral 1
+    one = LinearForm((LinearFormTerm(F(1), RatPoly.of([1]), HermiteWeight(F(1))),))
+    assert one.moments(3) == [1, 1, 2]
 
 
 def test_gamma_moment_examples():
     assert LaguerreWeight(F(1), 0).moments(2) == [1, 1]
     assert LaguerreWeight(F(2), 0).moments(4)[3] == F(6, 16)
     assert LaguerreWeight(F(2), 1).moments(3) == [F(1, 4), F(1, 4), F(3, 8)]
-    assert LaguerreWeight(F(2), 1).scale == ScaledConstant.one()
+    w = LaguerreWeight(F(2), 1)
+    assert (w.two_pi_half, w.exp_arg) == (0, 0)
 
 
 @given(st.integers(0, 20), st.fractions(min_value=-4, max_value=4, max_denominator=8))
@@ -415,21 +386,20 @@ def test_gamma_moment_matches_oracle(count, beta, p):
     ]
 
 
-def test_form_moments_reject_wrong_prefactor_scale():
-    """A Hermite term integrates to a rational only when its prefactor
-    cancels the weight's sqrt(2*pi) * e^(a^2/2)."""
-    weight = HermiteWeight(F(1))
-
-    def form(prefactor):
-        return LinearForm((LinearFormTerm(0, prefactor, RatPoly.of([1]), weight),))
-
-    assert form(ScaledConstant.of(1, -1, F(-1, 2))).moments(3) == [1, 1, 2]
-    for prefactor in (ScaledConstant.of(1, -1, 0), ScaledConstant.of(1, 0, F(-1, 2))):
-        with pytest.raises(ScaleMismatchError):
-            form(prefactor).moments(3)
-
-
 @given(st.floats(-1e6, 1e6, allow_nan=False))
 def test_as_fraction_roundtrip(x):
     q = as_fraction(x)
     assert abs(float(q) - x) <= 1e-12 * (1 + abs(x))
+
+
+def test_public_api():
+    """Every name in multiortho.__all__ resolves, and the package exports
+    no constant algebra: prefactors and norm constants are plain Fractions."""
+    import multiortho
+    from multiortho import core
+
+    for name in multiortho.__all__:
+        getattr(multiortho, name)
+    for gone in ("ScaledConstant", "ScaleMismatchError"):
+        assert gone not in multiortho.__all__
+        assert not hasattr(multiortho, gone) and not hasattr(core, gone)

@@ -9,7 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from multiortho import hermite as hm
-from multiortho.core import ExactMathError, HermiteWeight, RatPoly, ScaledConstant
+from multiortho.core import ExactMathError, HermiteWeight, RatPoly
 from multiortho.hermite import HermiteSpec
 from multiortho.kernels import moment_norm_constant, type_ii_residuals
 from oracles import (
@@ -46,9 +46,8 @@ def _assert_type_i_matches_oracle(spec):
         if n_k == 0:
             assert term.poly.is_zero
             continue
-        assert pf.two_pi_half == -1
-        assert pf.exp_arg == -(a_k**2) / 2
-        assert tuple(pf.r * c for c in term.poly.coeffs) == tuple(vec)
+        assert term.weight == HermiteWeight(a_k)
+        assert tuple(pf * c for c in term.poly.coeffs) == tuple(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +139,11 @@ def test_lowering_identity_exactly(spec):
         if spec.n[k] == 0:
             continue
         down = hm.type_i_form(spec.with_n(spec.n.drop(k)))
-        want = [RatPoly.of([t.prefactor.r * c for c in t.poly.coeffs]) for t in down.terms]
+        want = [RatPoly.of([t.prefactor * c for c in t.poly.coeffs]) for t in down.terms]
         for sign in (1, -1):
             got = []
             for t in Q.terms:
-                A = [t.prefactor.r * c for c in t.poly.coeffs]
+                A = [t.prefactor * c for c in t.poly.coeffs]
                 new = [(t.weight.a - a_k) * c for c in A]
                 for i, c in enumerate(_derivative(A)):
                     new[i] += sign * c
@@ -169,18 +168,18 @@ def test_residual_examples():
 def test_type_i_examples():
     form = hm.type_i_form(HermiteSpec.of([0], [1]))
     (term,) = form.terms
-    assert term.prefactor == ScaledConstant.of(1, -1, 0)
+    assert term.prefactor == 1 and term.weight == HermiteWeight(F(0))
     assert term.poly.coeffs == (1,)
 
     form2 = hm.type_i_form(HermiteSpec.of([0], [2]))
     (term2,) = form2.terms
-    assert [term2.prefactor.r * c for c in term2.poly.coeffs] == [0, 1]
+    assert [term2.prefactor * c for c in term2.poly.coeffs] == [0, 1]
 
     # frozen from the moment-system oracle: scaled vectors (1/2) and (-1/2)
     form3 = hm.type_i_form(HermiteSpec.of([1, -1], [1, 1]))
     t1, t2 = form3.terms
-    assert [t1.prefactor.r * c for c in t1.poly.coeffs] == [F(1, 2)]
-    assert [t2.prefactor.r * c for c in t2.poly.coeffs] == [F(-1, 2)]
+    assert [t1.prefactor * c for c in t1.poly.coeffs] == [F(1, 2)]
+    assert [t2.prefactor * c for c in t2.poly.coeffs] == [F(-1, 2)]
 
 
 def test_type_i_condition_examples():
@@ -214,18 +213,21 @@ def test_type_i_zero_component():
 
 
 def test_norm_constant_examples():
-    c = hm.norm_constant(HermiteSpec.of([0], [1]), 0)
-    assert (c.r, c.two_pi_half, c.exp_arg) == (F(1), 1, F(0))
-    c2 = hm.norm_constant(HermiteSpec.of([1, -1], [1, 1]), 0)
-    assert (c2.r, c2.two_pi_half, c2.exp_arg) == (F(2), 1, F(1, 2))
+    """h_k in units of w_k's normalizing constant (2*pi)^(h/2) * e^q."""
+    spec = HermiteSpec.of([0], [1])
+    w = spec.weights[0]
+    assert (hm.norm_constant(spec, 0), w.two_pi_half, w.exp_arg) == (F(1), 1, F(0))
+    spec2 = HermiteSpec.of([1, -1], [1, 1])
+    w2 = spec2.weights[0]
+    assert (hm.norm_constant(spec2, 0), w2.two_pi_half, w2.exp_arg) == (F(2), 1, F(1, 2))
 
 
 def test_norm_constant_from_moments_examples():
     spec = HermiteSpec.of([0], [1])
-    assert moment_norm_constant(spec, 0, RatPoly.of([0, 1])) == ScaledConstant.of(1, 1, 0)
+    assert moment_norm_constant(spec, 0, RatPoly.of([0, 1])) == F(1)
     spec2 = HermiteSpec.of([1, -1], [1, 1])
     P2 = RatPoly.of([-2, 0, 1])
-    assert moment_norm_constant(spec2, 0, P2) == ScaledConstant.of(2, 1, F(1, 2))
+    assert moment_norm_constant(spec2, 0, P2) == F(2)
 
 
 @given(_spec_strategy())
@@ -241,8 +243,7 @@ def test_norm_ratio_is_component(spec):
         if spec.n[k] == 0:
             continue
         down = spec.with_n(spec.n.drop(k))
-        ratio = hm.norm_constant(spec, k) / hm.norm_constant(down, k)
-        assert ratio.as_fraction() == spec.n[k]
+        assert hm.norm_constant(spec, k) / hm.norm_constant(down, k) == spec.n[k]
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +271,21 @@ def test_eval_form_examples():
 
 @given(_spec_strategy(), st.floats(-3, 3))
 def test_eval_form_matches_direct_sum(spec, x):
-    """form(x) folds each prefactor's e^q into the weight; the unfolded sum
-    r * (2*pi)^(h/2) * poly(x) * exp(q - x^2/2 + a x) is its reference.  The
+    """form(x) folds each weight's normalizing constant (2*pi)^(h/2) * e^q
+    into the exponent; the unfolded sum
+    r * (2*pi)^(-h/2) * poly(x) * exp(-q - x^2/2 + a x) is its reference.  The
     terms can cancel (close shifts), so the reference is summed in 40-digit
     arithmetic: a double-precision sum would carry the cancellation error."""
     form = hm.type_i_form(spec)
     with mpmath.workdps(40):
         direct = mpmath.mpf(0)
         for term, a_k in zip(form.terms, spec.a):
-            pf = term.prefactor
-            expo = pf.exp_arg - F(x) * F(x) / 2 + a_k * F(x)
+            w = term.weight
+            expo = -w.exp_arg - F(x) * F(x) / 2 + a_k * F(x)
             poly_x = sum(c * F(x) ** j for j, c in enumerate(term.poly.coeffs))
             direct += (
-                _mp(pf.r)
-                * (2 * mpmath.pi) ** (mpmath.mpf(pf.two_pi_half) / 2)
+                _mp(term.prefactor)
+                * (2 * mpmath.pi) ** (-mpmath.mpf(w.two_pi_half) / 2)
                 * _mp(poly_x)
                 * mpmath.exp(_mp(expo))
             )

@@ -239,23 +239,24 @@ def _ref_horner(poly, x):
 
 def _ref_form(form, y):
     """The type I form at y from its exact term data: per nonzero term,
-    r * (2 pi)^(h/2) * y^p * A_k(y) * exp(exponent), where the prefactor's
-    e^q joins the weight's exponent, summed over the terms in order."""
+    r * (2 pi)^(-h/2) * y^p * A_k(y) * exp(exponent), where the weight's
+    normalizing constant is (2 pi)^(h/2) e^q and its e^(-q) joins the
+    weight's exponent, summed over the terms in order."""
     total = 0.0
     for t in form.terms:
         if t.poly.is_zero:
             continue
-        pf, w = t.prefactor, t.weight
-        h = pf.two_pi_half
-        scale = float(pf.r) * (2 * math.pi) ** (h // 2)
+        w = t.weight
+        h = -w.two_pi_half
+        scale = float(t.prefactor) * (2 * math.pi) ** (h // 2)
         if h % 2:
             scale *= math.sqrt(2 * math.pi)
         if isinstance(w, HermiteWeight):
             a = float(w.a)
-            expo = -0.5 * (y - a) * (y - a) + float(pf.exp_arg + w.a * w.a / 2)
+            expo = -0.5 * (y - a) * (y - a) + float(w.a * w.a / 2 - w.exp_arg)
             total += scale * _ref_horner(t.poly, y) * math.exp(expo)
         else:
-            expo = float(pf.exp_arg) - float(w.beta) * y
+            expo = float(-w.exp_arg) - float(w.beta) * y
             total += scale * y**w.p * _ref_horner(t.poly, y) * math.exp(expo)
     return total
 
@@ -635,8 +636,9 @@ def _exact_outputs(spec):
     yield "P", mod.type_ii_poly(spec).coeffs
     form = mod.type_i_form(spec)
     for t in form.terms:
-        c = t.prefactor
-        yield "A", (c.r, c.two_pi_half, c.exp_arg) + t.poly.coeffs
+        # the prefactor r / Z as (r, h, q) of r * (2 pi)^(h/2) * e^q
+        w = t.weight
+        yield "A", (t.prefactor, -w.two_pi_half, -w.exp_arg) + t.poly.coeffs
     yield "Qm", tuple(form.moments(3))
     yield "B", tuple(itertools.chain.from_iterable(kn.check_biorthogonality(spec.family, spec)))
     if all(spec.n):
@@ -708,12 +710,13 @@ def _nonzero(block):
 
 def _weight_blocks(products, m):
     """Per weight k, the sum of factor * p(x) * A_k(y) over (factor, p, form)
-    as {(i, j): coefficient of x^i y^j}.  Each prefactor is made rational by
-    its weight's scale, so block k multiplies w_k(y) / scale_k."""
+    as {(i, j): coefficient of x^i y^j}.  Each prefactor is a rational in
+    units of 1 / Z_k, Z_k the weight's normalizing constant, so block k
+    multiplies w_k(y) / Z_k."""
     blocks = [{} for _ in range(m)]
     for factor, p, form in products:
         for k, t in enumerate(form.terms):
-            c = factor * (t.prefactor * t.weight.scale).as_fraction()
+            c = factor * t.prefactor
             for i, u in enumerate(p.coeffs):
                 for j, v in enumerate(t.poly.coeffs):
                     blocks[k][i, j] = blocks[k].get((i, j), 0) + c * u * v
