@@ -459,19 +459,13 @@ def cmd_density(cfg: argparse.Namespace) -> int:
         xs = standard_grid(family, count=101)
     _check_positive_grid(family, xs)
     K = _kernels.build_kernel(family, spec)
-    try:
-        values = _kernels.eval_cd_diagonal(K, xs).tolist()
-    except OverflowError as exc:
-        # The array pass raises without saying where (x^p overflows in
-        # pow); eval_cd at each point gives the same values, so find it.
-        for x in xs:
-            try:
-                _kernels.eval_cd(K, x, x)
-            except OverflowError:
-                raise OverflowError(f"density at x={float(x)} is not finite") from exc
-        raise
-    for x, v in zip(xs, values):
-        _require_finite(f"density at x={float(x)}", v)
+    values = []
+    for x in xs:
+        try:
+            values.append(_kernels.eval_cd(K, x, x))
+        except OverflowError as exc:
+            raise OverflowError(f"density at x={float(x)} is not finite") from exc
+        _require_finite(f"density at x={float(x)}", values[-1])
     if cfg.format == "json":
         rows = [{"x": float(x), "density": v} for x, v in zip(xs, values)]
         _emit(_json_text(_spec_doc("density", spec, rows=rows)), cfg.out)

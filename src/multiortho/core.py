@@ -1,7 +1,7 @@
 """Exact arithmetic foundation: multi-indices, rational polynomials,
-truncated scalar power series, the weights with their exact moment
-sequences and normalizing constants, the weighted linear forms, and the one
-float evaluator of the kernels.
+truncated scalar power series and their residue polynomial, the weights
+with their exact moment sequences and normalizing constants, the weighted
+linear forms, and the one float evaluator of the kernels.
 
 Everything here is immutable and exact.  Rational scalars are
 ``fractions.Fraction`` (unbounded integers, canonical reduced form).
@@ -166,7 +166,7 @@ def mi_chain(n: MultiIndex, strategy: str = "round-robin") -> list[MultiIndex]:
 @dataclass(frozen=True, eq=False)
 class RatVec:
     """An immutable sequence of rationals nums[i] / den, integer numerators
-    over one positive common denominator.  Indexing gives a Fraction,
+    over one nonzero common denominator.  Indexing gives a Fraction,
     slicing a RatVec over the same denominator, and a RatVec equals any
     list, tuple or RatVec of the same rational values."""
 
@@ -306,6 +306,15 @@ def power_series(c: RationalLike, e: int, order: int) -> RatVec:
 def series_mul(a: RatVec, b: RatVec) -> RatVec:
     """Product of two power series truncated at the same order."""
     return RatVec(tuple(_convolve(a.nums, b.nums, len(a))), a.den * b.den)
+
+
+def residue_poly(d: RatVec, sign: int, p: int) -> RatPoly:
+    """sum_j sign^j (T+p)!/(j+p)! d_{T-j} x^j, T = len(d) - 1, which for
+    p = 0 is T! [tau^T] e^{sign x tau} d(tau): the residue polynomial of
+    every contour-integral construction."""
+    T = len(d) - 1
+    nums = (sign**j * math.perm(T + p, T - j) * c for j, c in enumerate(reversed(d.nums)))
+    return RatPoly(tuple(nums), d.den)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ Both are built exactly.  Type II is P_n(x) = E[prod_k (x + iZ - a_k)^{n_k}],
 Z ~ N(0, 1), so one more factor x + iZ - a_k is one exact step
 P -> (x - a_k) P - P', and P_n is n_k such steps in each component from
 P_0 = 1, on integer numerators.  Type I takes the residue at each a_k: the
-coefficient of tau^(n_k - 1) in sum_j He_j(x - a_k) tau^j / j! times the
-scalar series prod_{l != k} (a_k - a_l + tau)^(-n_l).  The weights' exact
-moments (``core.HermiteWeight``) turn every verification integral into
-rational arithmetic: each type I prefactor is a rational in units of
-1 / Z_k and each norm constant h_k one in units of Z_k, where
+tau^(n_k - 1) coefficient of e^{x tau} times one scalar series
+(``core.residue_poly``).  The weights' exact moments
+(``core.HermiteWeight``) turn every verification integral into rational
+arithmetic: each type I prefactor is a rational in units of 1 / Z_k and
+each norm constant h_k one in units of Z_k, where
 Z_k = sqrt(2*pi) * e^(a_k^2/2) is w_k's normalizing constant.  Both
 constructors are cached per spec.
 
@@ -44,9 +44,11 @@ from .core import (
     MultiIndex,
     RatPoly,
     RationalLike,
+    RatVec,
     SingularExpansionError,
     as_fraction,
     power_series,
+    residue_poly,
     series_mul,
 )
 from .quad import MAX_LINE_NODES, ContourError, LineRule, bilinear_sum, line_rule_nodes
@@ -139,10 +141,10 @@ def type_ii_poly(spec: HermiteSpec) -> RatPoly:
 def type_i_form(spec: HermiteSpec) -> LinearForm:
     """Type I form Q = sum_k A_k w_k with A_k = c_k * Ahat_k.
 
-    Around t = a_k + tau the residue data is
-    exp((x - a_k) tau - tau^2/2) * d(tau), d = prod_{l != k} ((a_k - a_l) + tau)^(-n_l),
-    and the exponential is sum_j He_j(x - a_k) tau^j / j!.  Ahat_k is
-    (n_k - 1)! times the tau^(n_k - 1) coefficient and the prefactor is
+    Around t = a_k + tau the residue data is e^{x tau} d(tau) with
+    d = e^{-a_k tau - tau^2/2} prod_{l != k} ((a_k - a_l) + tau)^(-n_l).
+    Ahat_k = ``residue_poly(d, 1, 0)`` is (n_k - 1)! times the
+    tau^(n_k - 1) coefficient and the prefactor is
     c_k = (1/(n_k-1)!) * (2*pi)^(-1/2) * e^(-a_k^2/2), stored as the
     rational 1/(n_k-1)! in units of 1 / Z_k.
     """
@@ -155,28 +157,18 @@ def type_i_form(spec: HermiteSpec) -> LinearForm:
             terms.append(LinearFormTerm(Fraction(1), RatPoly.zero(), HermiteWeight(a_k)))
             continue
         T = n_k - 1
-        d = power_series(1, 0, T)
+        # d starts as e^{-a_k tau - tau^2/2} = sum_j He_j(-a_k) tau^j / j!, numerators
+        # r_j over v^T T! (a_k = u/v): He_{j+1}(y) = y He_j(y) - j He_{j-1}(y) becomes
+        # r_{j+1} = -(u r_j + v r_{j-1}) / (v (j+1)), an exact integer division
+        u, v = a_k.numerator, a_k.denominator
+        r = [0, v**T * math.factorial(T)]
+        for j in range(T):
+            r.append(-(u * r[-1] + v * r[-2]) // (v * (j + 1)))
+        d = RatVec(tuple(r[1:]), r[1])
         for l, (a_l, n_l) in enumerate(zip(spec.a, spec.n)):
             if l != k:
                 d = series_mul(d, power_series(a_k - a_l, -n_l, T))
-        # h_j = v^j He_j(x - a_k), a_k = u/v, in integers:
-        # h_{j+1} = (v x - u) h_j - j v^2 h_{j-1}
-        u, v = a_k.numerator, a_k.denominator
-        he = [[1], [-u, v]]
-        for j in range(1, T):
-            h = [-u * c for c in he[j]] + [0]
-            for i, c in enumerate(he[j]):
-                h[i + 1] += v * c
-            for i, c in enumerate(he[j - 1]):
-                h[i] -= j * v * v * c
-            he.append(h)
-        # Ahat_k = sum_j He_j(x - a_k) d_{T-j} T!/j!, over the denominator v^T * den(d)
-        a_hat = [0] * (T + 1)
-        for j in range(T + 1):
-            f = d.nums[T - j] * v ** (T - j) * math.perm(T, T - j)
-            for i, c in enumerate(he[j]):
-                a_hat[i] += f * c
-        a_hat = RatPoly(tuple(a_hat), d.den * v**T)
+        a_hat = residue_poly(d, 1, 0)
         terms.append(LinearFormTerm(Fraction(1, math.factorial(T)), a_hat, HermiteWeight(a_k)))
     return LinearForm(tuple(terms))
 

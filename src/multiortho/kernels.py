@@ -65,6 +65,9 @@ CONTOUR_START_NODES = 512
 CONTOUR_CAP_NODES = 8192
 CONTOUR_DOUBLING_TOL = 1e-9
 
+# Gauss nodes of the kernel-trace quadrature.
+TRACE_NODES = 200
+
 
 class DegenerateIndexError(ExactMathError):
     """Kernel build with some n_k = 0; that component has no down-neighbor."""
@@ -208,13 +211,14 @@ def eval_cd(K: KernelModel, x: float, y: float) -> float:
     DIAGONAL_EPS of the diagonal it returns the limit dN/dx evaluated at the
     midpoint: N vanishes on the diagonal, so K(x, x) = dN/dx |_{y=x}, which
     needs only the exact polynomial derivatives of P and P_down.  The
-    midpoint is 0.5 * x + 0.5 * y, which stays finite for all finite x, y
-    and is 0.5 * (x + y) wherever x + y neither overflows nor goes subnormal.
+    midpoint is x on the diagonal, even at a subnormal x, and 0.5 * x +
+    0.5 * y off it: finite for all finite x, y and 0.5 * (x + y) wherever
+    x + y neither overflows nor goes subnormal.
     """
     x, y = float(x), float(y)
     _check_domain(K.spec, x, y)
     if abs(x - y) < DIAGONAL_EPS:
-        t = 0.5 * x + 0.5 * y
+        t = x if x == y else 0.5 * x + 0.5 * y
         return K._diag(t, t)
     return K._cd(x, y) / (x - y)
 
@@ -453,12 +457,12 @@ def check_biorthogonality(
     return [[p.dot(m) for m in moments] for p, _ in factors]
 
 
-def kernel_trace(K: KernelModel, nodes: int = 200) -> float:
+def kernel_trace(K: KernelModel) -> float:
     """Quadrature value of integral(K(x, x) dx) over the family's support.
 
     Uses the lifted rule weights (weights times exp(+W)) so the kernel's own
     weight decay is divided out analytically; the exact value is |n|.
     """
-    rule = FAMILIES[K.spec.family].trace_rule(K.spec, nodes)
+    rule = FAMILIES[K.spec.family].trace_rule(K.spec, TRACE_NODES)
     keep = rule.lifted != 0.0
     return math.fsum(rule.lifted[keep] * eval_cd_diagonal(K, rule.nodes[keep]))

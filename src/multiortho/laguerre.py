@@ -4,13 +4,12 @@ on (0, inf), with a shared exponent p >= 0 and pairwise distinct rates.
 Type II comes from a single residue at s = 0 of
 e^{xs} s^{-(|n|+p+1)} G(s), G = prod_k (s - beta_k)^{n_k}, whose integer
 coefficients are built one factor (s - beta_k) at a time from G = 1
-(``_raise``); type I from residues at
-each beta_k, where e^{-x tau} times one scalar power series gives each
-coefficient of A_k in closed form.  Unlike the Hermite
-family there are no transcendental prefactors: every coefficient is a
-plain rational, and every verification integral is a dot product with the
-weights' gamma moments (``core.LaguerreWeight``).  Both constructors
-are cached per spec.
+(``_raise``); type I from residues at each beta_k, e^{-x tau} times one
+scalar power series.  Both read their polynomial off the series with
+``core.residue_poly``.  Unlike the Hermite family there are no
+transcendental prefactors: every coefficient is a plain rational, and
+every verification integral is a dot product with the weights' gamma
+moments (``core.LaguerreWeight``).  Both constructors are cached per spec.
 
 Along a chain of indices the same objects follow one exact step per index.
 Up, the walk carries G_c = prod_l (s - beta_l)^{c_l}, multiplies it by
@@ -41,9 +40,11 @@ from .core import (
     MultiIndex,
     RatPoly,
     RationalLike,
+    RatVec,
     SingularExpansionError,
     as_fraction,
     power_series,
+    residue_poly,
     series_mul,
 )
 from .quad import ContourError, LineRule, concentric_sum, line_rule_nodes
@@ -104,37 +105,26 @@ class LaguerreSpec:
 def _raise(g: list[int], beta_k: Fraction) -> list[int]:
     """The integer coefficients of G(s) (v s - u), ascending, from those of
     G (beta_k = u/v): one more factor s - beta_k, up to the factor v, which
-    cancels in ``_residue_poly``."""
+    cancels in the residue polynomial (``type_ii_poly``)."""
     u, v = beta_k.numerator, beta_k.denominator
     return [v * lo - u * hi for lo, hi in zip([0] + g, g + [0])]
 
 
 @lru_cache(maxsize=None)
 def type_ii_poly(spec: LaguerreSpec) -> RatPoly:
-    """Monic type II polynomial of degree |n|, exactly: ``_residue_poly``
-    of G(s) = prod_k (s - beta_k)^{n_k}, raised by ``_raise`` n_k times in
-    each component from G = 1."""
+    """Monic type II polynomial of degree |n|, exactly: the residue at s = 0
+    of e^{xs} s^{-(|n|+p+1)} G(s), G = prod_k (s - beta_k)^{n_k}, is
+    P(x) = ((|n|+p)! / G(0)) sum_j (x^j / (j+p)!) [s^{|n|-j}] G(s), which is
+    ``residue_poly`` of G / G(0) with p, on G's integer coefficients up to a
+    common factor (``_raise`` n_k times in each component from G = 1)."""
     g = [1]
     for beta_k, n_k in zip(spec.beta, spec.n):
         for _ in range(n_k):
             g = _raise(g, beta_k)
-    P = _residue_poly(g, spec.p)
+    P = residue_poly(RatVec(tuple(g), g[0]), 1, spec.p)
     if P.degree != spec.n.weight or not P.is_monic:
         raise ExactMathError("type II construction lost monicity")  # unreachable
     return P
-
-
-def _residue_poly(g: Sequence[int], p: int) -> RatPoly:
-    """The type II polynomial from the coefficients g of
-    G(s) = prod_k (s - beta_k)^{n_k}, ascending, over any common denominator.
-
-    The residue at s = 0 of e^{xs} s^{-(|n|+p+1)} G(s) gives
-    P(x) = C * sum_j (x^j / (j+p)!) * [s^{|n|-j}] G(s) with
-    C = (|n|+p)! / prod_k (-beta_k)^{n_k} = (|n|+p)! / G(0), so
-    [x^j] P = (|n|+p)! / (j+p)! * g_{|n|-j} / g_0 and the denominator cancels.
-    """
-    w = len(g) - 1
-    return RatPoly(tuple(g[w - j] * math.perm(w + p, w - j) for j in range(w + 1)), g[0])
 
 
 @lru_cache(maxsize=None)
@@ -144,14 +134,13 @@ def type_i_form(spec: LaguerreSpec) -> LinearForm:
     Around t = beta_k + tau the residue data is e^{-x tau} d(tau) with
     d = (beta_k + tau)^{|n|+p-1} prod_{l != k} ((beta_k - beta_l) + tau)^(-n_l);
     A_k is scale = -(prod_l (-beta_l)^{n_l} / (|n|+p-1)!) times its
-    tau^(n_k - 1) coefficient, so [x^j] A_k = scale * d_{n_k-1-j} * (-1)^j / j!.
+    tau^(n_k - 1) coefficient, so [x^j] A_k = scale * d_{n_k-1-j} * (-1)^j / j!:
+    ``residue_poly`` of d * scale / (n_k - 1)! with sign -1.
     """
     w, p = spec.n.weight, spec.p
     if w < 1:
         raise ExactMathError("type I needs |n| >= 1")
-    lead = Fraction(1)
-    for beta_l, n_l in zip(spec.beta, spec.n):
-        lead *= (-beta_l) ** n_l
+    lead = math.prod((-beta_l) ** n_l for beta_l, n_l in zip(spec.beta, spec.n))
     scale = -lead / math.factorial(w + p - 1)
     terms = []
     for k, (beta_k, n_k) in enumerate(zip(spec.beta, spec.n)):
@@ -164,13 +153,9 @@ def type_i_form(spec: LaguerreSpec) -> LinearForm:
         for l, (beta_l, n_l) in enumerate(zip(spec.beta, spec.n)):
             if l != k:
                 d = series_mul(d, power_series(beta_k - beta_l, -n_l, T))
-        # [x^j] A_k = scale d_{T-j} (-1)^j / j!, over the denominator den(scale) den(d) T!
-        num = scale.numerator
-        a_k = RatPoly(
-            tuple(num * d.nums[T - j] * (-1) ** j * math.perm(T, T - j) for j in range(T + 1)),
-            scale.denominator * d.den * math.factorial(T),
-        )
-        terms.append(LinearFormTerm(Fraction(1), a_k, weight))
+        num, den = scale.numerator, scale.denominator * math.factorial(T)
+        d = RatVec(tuple(num * c for c in d.nums), den * d.den)
+        terms.append(LinearFormTerm(Fraction(1), residue_poly(d, -1, 0), weight))
     return LinearForm(tuple(terms))
 
 
@@ -183,12 +168,12 @@ def type_ii_walk(spec: LaguerreSpec, steps: Sequence[int]) -> Iterator[RatPoly]:
     component steps[j] at step j.  There is no first-order relation
     between P_c and P_{c+e_k} alone, so the walk carries the integer
     coefficients of G_c = prod_l (s - beta_l)^{c_l}, raises them by
-    ``_raise`` and applies ``_residue_poly`` at each index."""
+    ``_raise`` and applies ``residue_poly`` at each index."""
     g = [1]
-    yield _residue_poly(g, spec.p)
+    yield residue_poly(RatVec(tuple(g), g[0]), 1, spec.p)
     for k in steps:
         g = _raise(g, spec.beta[k])
-        yield _residue_poly(g, spec.p)
+        yield residue_poly(RatVec(tuple(g), g[0]), 1, spec.p)
 
 
 def lower_type_i(spec: LaguerreSpec, c: Sequence[int], Q: LinearForm, k: int) -> LinearForm:

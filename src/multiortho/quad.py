@@ -96,8 +96,6 @@ class LineRule:
     weight's support is sum_i lifted[i] * g(nodes[i]) without overflow.
     """
 
-    kind: str
-    beta: Fraction
     nodes: np.ndarray
     weights: np.ndarray
     lifted: np.ndarray
@@ -169,7 +167,7 @@ def _line_rule_cached(kind: str, n: int, beta: Fraction) -> LineRule:
             lifted = lifted / b
     for arr in (nodes, weights, lifted):
         arr.setflags(write=False)
-    return LineRule(kind, beta, nodes, weights, lifted)
+    return LineRule(nodes, weights, lifted)
 
 
 def line_rule_nodes(kind: str, n: int, beta=1) -> LineRule:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -260,22 +261,6 @@ def _gamma_tails(a: float, y: float) -> tuple[float, float, float]:
     return 1.0 - upper, upper, scale
 
 
-def _normal_quantile(p: float) -> float:
-    """z with Phi(z) = p, by Newton on log Phi through math.erfc in the
-    smaller tail q.  The start z = -sqrt(-2 log q) lies left of that tail's
-    root, since Phi(z) < phi(z) / |z| = q / (sqrt(2 pi) |z|) < q there, and
-    log Phi is concave, so the iterates rise monotonically to the root."""
-    q = min(p, 1.0 - p)
-    z = -math.sqrt(-2.0 * math.log(q))
-    for _ in range(_NEWTON_STEPS):
-        tail = 0.5 * math.erfc(-z / math.sqrt(2.0))
-        step = (math.log(tail) - math.log(q)) * tail * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
-        z -= step
-        if abs(step) <= 1e-8:
-            break
-    return z if p <= 0.5 else -z
-
-
 def chi2_quantile(p: float, dof: int) -> float:
     """The p-quantile of chi-square with dof degrees of freedom, 0 < p < 1.
 
@@ -292,7 +277,7 @@ def chi2_quantile(p: float, dof: int) -> float:
         raise ValueError(f"need at least one degree of freedom, got {dof}")
     a = 0.5 * dof
     v = 2.0 / (9.0 * dof)
-    y = a * max(1.0 - v + _normal_quantile(p) * math.sqrt(v), 0.0) ** 3
+    y = a * max(1.0 - v + NormalDist().inv_cdf(p) * math.sqrt(v), 0.0) ** 3
     if p <= 0.5:
         # P(a, y) <= y^a / Gamma(a + 1), so this start is at or below the
         # root; it beats Wilson-Hilferty in the far lower tail.
@@ -314,14 +299,12 @@ def chi2_quantile(p: float, dof: int) -> float:
     raise ArithmeticError(f"chi-square quantile at p={p}, dof={dof} underflows")
 
 
-def chi_square_statistic(
-    observed: np.ndarray, expected: np.ndarray, min_expected: float = MIN_EXPECTED_COUNT
-) -> tuple[float, int]:
+def chi_square_statistic(observed: np.ndarray, expected: np.ndarray) -> tuple[float, int]:
     """Pearson chi-square over the bins whose expected count reaches
-    min_expected; returns (statistic, number of bins used)."""
+    MIN_EXPECTED_COUNT; returns (statistic, number of bins used)."""
     observed = np.asarray(observed, dtype=float)
     expected = np.asarray(expected, dtype=float)
-    use = expected >= min_expected
+    use = expected >= MIN_EXPECTED_COUNT
     dof = int(use.sum())
     if dof == 0:
         return 0.0, 0

@@ -9,12 +9,17 @@ import sys
 import numpy as np
 import pytest
 
-from multiortho import cli
+from multiortho import cli, kernels
 from multiortho.cli import main
 from multiortho.hermite import HermiteSpec
 from multiortho.kernels import build_kernel, eval_cd
 from multiortho.laguerre import LaguerreSpec
-from multiortho.presets import CheckResult
+from multiortho.presets import (
+    KERNEL_AGREEMENT_TOL_CONTOUR,
+    KERNEL_AGREEMENT_TOL_SUM,
+    CheckResult,
+    standard_grid,
+)
 
 
 HERMITE_11 = ("--family", "hermite", "--a", "1,-1", "--n", "1,1")
@@ -428,6 +433,41 @@ def test_simulate_runs_without_scipy(tmp_path):
     assert doc["verdict"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "family, spec_flags",
+    [
+        ("hermite", ("--a", "1,-1", "--n", "2,1")),
+        ("laguerre", ("--beta", "1,2", "--n", "1,1", "--p", "1")),
+    ],
+    ids=["hermite", "laguerre"],
+)
+def test_kernel_default_grid(capsys, family, spec_flags):
+    """Without --grid, kernel evaluates the 5 x 5 standard grid, x major,
+    and its three routes agree within the verify battery's tolerances."""
+    code, out, err = run(capsys, "kernel", "--family", family, *spec_flags, "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    grid = standard_grid(family).tolist()
+    assert [(r["x"], r["y"]) for r in rows] == [(x, y) for x in grid for y in grid]
+    for r in rows:
+        assert abs(r["cd"] - r["sum"]) <= KERNEL_AGREEMENT_TOL_SUM
+        assert abs(r["cd"] - r["contour"]) <= KERNEL_AGREEMENT_TOL_CONTOUR
+        assert r["abs_diff"] == abs(r["cd"] - r["contour"])
+
+
+def test_kernel_not_settled_exit_1(capsys, monkeypatch, tmp_path):
+    """A contour that does not settle by the node cap is refused: exit 1,
+    the reason on stderr, and no row written."""
+    monkeypatch.setattr(kernels, "CONTOUR_CAP_NODES", kernels.CONTOUR_START_NODES)
+    target = tmp_path / "k.csv"
+    argv = ("kernel", *HERMITE_11, "--grid=0.5:0.5:1,0:0:1", "--out", str(target))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "did not settle" in err
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # density
 
@@ -564,6 +604,25 @@ def test_simulate_requires_out_and_seed(capsys, tmp_path):
         str(tmp_path / "x.csv"),
     )
     assert code2 == 2
+
+
+def test_simulate_grid_sets_the_bins(capsys, tmp_path):
+    """--grid=lo:hi:count gives count bins over [lo, hi]; a second axis is
+    a usage error."""
+    target = tmp_path / "bins.csv"
+    args = ["simulate", *HERMITE_11, "--samples", "20000", "--seed", "91"]
+    code, out, err = run(capsys, *args, "--grid=-4:4:20", "--out", str(target))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["bin_count"] == 20
+    assert doc["bin_range"] == [-4.0, 4.0]
+    lines = target.read_text().splitlines()
+    assert len(lines) == 1 + 20
+    centers = [float(line.split(",")[0]) for line in lines[1:]]
+    assert centers == pytest.approx(np.linspace(-3.8, 3.8, 20).tolist(), abs=1e-12)
+    code, _, err = run(capsys, *args, "--grid=-4:4:20,0:1:2", "--out", str(target))
+    assert code == 2
+    assert "single" in err
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,15 @@ def test_diagonal_array_pass_matches_eval_cd_bitwise(family, spec):
         assert _outcome(kn.eval_cd_diagonal, K, np.array([t])) == want, t
 
 
+def test_eval_cd_diagonal_at_subnormal_points():
+    """On the diagonal eval_cd takes the limit at x itself, also at an odd
+    subnormal x, where 0.5 * x + 0.5 * x is the next subnormal up; so it
+    keeps eval_cd_diagonal's bits there."""
+    K = kn.build_kernel("laguerre", LaguerreSpec.of([1, 2], [2, 1], 1))
+    for t in (5e-324, 1.5e-323, 2.5e-323, 1e-320):
+        assert kn.eval_cd(K, t, t) == kn.eval_cd_diagonal(K, np.array([t]))[0], t
+
+
 def test_laguerre_domain_guard():
     KL = kn.build_kernel("laguerre", L11_P0)
     with pytest.raises(ExactMathError):
