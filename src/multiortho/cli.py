@@ -13,10 +13,10 @@ names the rest, and FLAGS converts each.  A --config file holds the same
 keys as the command's flags, switches aside.
 
 Exit codes: 0 success, 1 verification/statistical failure, 2 usage or
-configuration error, a flag or config key the command does not read among
-them.  Rational values cross this boundary as "num/den" strings; floats are
-printed with 17 significant digits.  File outputs are deterministic for a
-fixed config and seed.
+configuration error, a flag or config key the command does not read and an
+--out file that cannot be written among them.  Rational values cross this
+boundary as "num/den" strings; floats are printed with 17 significant
+digits.  File outputs are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 import sys
 from dataclasses import MISSING, fields
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -252,14 +252,18 @@ def _fmt(x: float) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
-def _csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+def _csv(header: Sequence[str], rows: Iterable[Iterable[float]]) -> str:
+    """CSV text under header, each value through _fmt."""
     lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -293,6 +297,16 @@ def _spec_doc(command: str, spec, **rest: Any) -> dict[str, Any]:
     }
 
 
+def _emit_rows(
+    cfg: argparse.Namespace, spec, header: Sequence[str], rows: list[dict[str, float]]
+) -> None:
+    """The grid rows as the command's JSON document or as CSV under header."""
+    if cfg.format == "json":
+        _emit(_json_text(_spec_doc(cfg.command, spec, rows=rows)), cfg.out)
+    else:
+        _emit(_csv(header, [row.values() for row in rows]), cfg.out)
+
+
 def _spec_label(spec) -> str:
     params = _fields_doc(spec)
     inner = " ".join(f"{k}={','.join(map(str, v)) if isinstance(v, list) else v}" for k, v in params.items())
@@ -324,16 +338,15 @@ def cmd_poly(cfg: argparse.Namespace) -> int:
     P = mod.type_ii_poly(spec)
     form = mod.type_i_form(spec)
 
-    type_i_docs = []
-    for k, term in enumerate(form.terms, 1):
-        type_i_docs.append(
-            {
-                "component": k,
-                "weight": _fields_doc(term.weight),
-                "prefactor": _prefactor_doc(term),
-                "coefficients_ascending": _coeff_strings(term.poly),
-            }
-        )
+    type_i_docs = [
+        {
+            "component": k,
+            "weight": _fields_doc(term.weight),
+            "prefactor": _prefactor_doc(term),
+            "coefficients_ascending": _coeff_strings(term.poly),
+        }
+        for k, term in enumerate(form.terms, 1)
+    ]
     doc = _spec_doc(
         "poly",
         spec,
@@ -390,11 +403,8 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     # A JSON document on stdout must be the only thing there.
     progress = sys.stderr if cfg.format == "json" and cfg.out is None else sys.stdout
     spec_docs = []
-    all_passed = True
     for family, spec in jobs:
         results = verify_battery(family, spec)
-        ok = all(r.passed for r in results)
-        all_passed = all_passed and ok
         label = _spec_label(spec)
         for r in results:
             status = "pass" if r.passed else "FAIL"
@@ -403,11 +413,11 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
             {
                 "family": family,
                 "parameters": _fields_doc(spec),
-                "status": "pass" if ok else "fail",
+                "status": "pass" if all(r.passed for r in results) else "fail",
                 "checks": [_check_doc(r, zero_timings=cfg.out is not None) for r in results],
             }
         )
-    overall = "pass" if all_passed else "fail"
+    overall = "pass" if all(d["status"] == "pass" for d in spec_docs) else "fail"
     print(f"overall: {overall}", file=progress)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -417,7 +427,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     }
     if cfg.out is not None or cfg.format == "json":
         _emit(_json_text(doc), cfg.out)
-    return EXIT_OK if all_passed else EXIT_FAIL
+    return EXIT_OK if overall == "pass" else EXIT_FAIL
 
 
 def cmd_kernel(cfg: argparse.Namespace) -> int:
@@ -435,19 +445,14 @@ def cmd_kernel(cfg: argparse.Namespace) -> int:
     chain = mi_chain(spec.n)
 
     rows = []
-    json_rows = []
     for x in xs:
         for y in ys:
             cd, s, ct = _kernels.kernel_point(K, chain, float(x), float(y), cfg.nodes, tol)
             diff = abs(cd - ct)
-            rows.append([_fmt(x), _fmt(y), _fmt(cd), _fmt(s), _fmt(ct), _fmt(diff)])
-            json_rows.append(
+            rows.append(
                 {"x": float(x), "y": float(y), "cd": cd, "sum": s, "contour": ct, "abs_diff": diff}
             )
-    if cfg.format == "json":
-        _emit(_json_text(_spec_doc("kernel", spec, rows=json_rows)), cfg.out)
-    else:
-        _emit(_csv(["x", "y", "cd", "sum", "contour", "|cd-contour|"], rows), cfg.out)
+    _emit_rows(cfg, spec, ["x", "y", "cd", "sum", "contour", "|cd-contour|"], rows)
     return EXIT_OK
 
 
@@ -459,19 +464,15 @@ def cmd_density(cfg: argparse.Namespace) -> int:
         xs = standard_grid(family, count=101)
     _check_positive_grid(family, xs)
     K = _kernels.build_kernel(family, spec)
-    values = []
+    rows = []
     for x in xs:
         try:
-            values.append(_kernels.eval_cd(K, x, x))
+            value = _kernels.eval_cd(K, x, x)
         except OverflowError as exc:
             raise OverflowError(f"density at x={float(x)} is not finite") from exc
-        _require_finite(f"density at x={float(x)}", values[-1])
-    if cfg.format == "json":
-        rows = [{"x": float(x), "density": v} for x, v in zip(xs, values)]
-        _emit(_json_text(_spec_doc("density", spec, rows=rows)), cfg.out)
-    else:
-        rows = [[_fmt(x), _fmt(v)] for x, v in zip(xs, values)]
-        _emit(_csv(["x", "density"], rows), cfg.out)
+        _require_finite(f"density at x={float(x)}", value)
+        rows.append({"x": float(x), "density": value})
+    _emit_rows(cfg, spec, ["x", "density"], rows)
     return EXIT_OK
 
 
@@ -492,39 +493,24 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         bin_count = DEFAULT_BIN_COUNT
     _check_positive_grid(family, np.asarray(bin_range))
 
-    try:
-        ens = _rmt.EnsembleConfig(
-            family=family,
-            spec=spec,
-            samples=samples,
-            seed=cfg.seed,
-            bin_range=bin_range,
-            bin_count=bin_count,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    ens = _rmt.EnsembleConfig(
+        family=family,
+        spec=spec,
+        samples=samples,
+        seed=cfg.seed,
+        bin_range=bin_range,
+        bin_count=bin_count,
+    )
     batch = _rmt.SAMPLERS[family](ens)
     K = _kernels.build_kernel(family, spec)
     comparison = _rmt.compare_density(batch, K, ens)
 
-    rows = [
-        [
-            _fmt(comparison.bin_centers[i]),
-            _fmt(comparison.empirical[i]),
-            _fmt(comparison.predicted[i]),
-            _fmt(comparison.stderr[i]),
-            _fmt(comparison.observed_counts[i]),
-            _fmt(comparison.expected_counts[i]),
-        ]
-        for i in range(comparison.bin_centers.size)
-    ]
-    _emit(
-        _csv(
-            ["x", "empirical", "predicted", "stderr", "observed_count", "expected_count"],
-            rows,
-        ),
-        cfg.out,
+    rows = zip(
+        comparison.bin_centers, comparison.empirical, comparison.predicted,
+        comparison.stderr, comparison.observed_counts, comparison.expected_counts,
     )
+    header = ["x", "empirical", "predicted", "stderr", "observed_count", "expected_count"]
+    _emit(_csv(header, rows), cfg.out)
     doc = _spec_doc(
         "simulate",
         spec,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -56,19 +56,19 @@ class CheckResult:
     seconds: float = 0.0
 
 
-def _timed(name: str, fn: Callable[[], CheckResult]) -> CheckResult:
+CheckOutcome = tuple[bool, str, tuple[str, ...], float]
+
+
+def _timed(name: str, check: Callable[[], CheckOutcome]) -> CheckResult:
+    """Time one check, which returns (passed, detail, exact residuals, float
+    discrepancy); an exception becomes a failed result, not a crash."""
     t0 = time.perf_counter()
     try:
-        out = fn()
-    except Exception as exc:  # module errors become failed checks, not crashes
-        elapsed = time.perf_counter() - t0
-        return CheckResult(
-            name, False, f"raised {type(exc).__name__}: {exc}", seconds=elapsed
-        )
-    elapsed = time.perf_counter() - t0
-    return CheckResult(
-        out.name, out.passed, out.detail, out.exact_residuals, out.float_discrepancy, elapsed
-    )
+        passed, detail, residuals, discrepancy = check()
+    except Exception as exc:
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        residuals, discrepancy = (), 0.0
+    return CheckResult(name, passed, detail, residuals, discrepancy, time.perf_counter() - t0)
 
 
 def verify_battery(family: str, spec) -> list[CheckResult]:
@@ -76,20 +76,14 @@ def verify_battery(family: str, spec) -> list[CheckResult]:
     normalization ratios, biorthogonality, chain independence, kernel
     three-way agreement, and (Gaussian family) the derivative identity."""
     mod = _kernels.family_module(family, spec)
-    results: list[CheckResult] = []
 
-    def check_type2() -> CheckResult:
+    def check_type2() -> CheckOutcome:
         P = mod.type_ii_poly(spec)
         res = _kernels.type_ii_residuals(P, spec)
         ok = all(v == 0 for v in res) and P.degree == spec.n.weight and P.is_monic
-        return CheckResult(
-            "type-ii-orthogonality",
-            ok,
-            f"monic degree {P.degree}, {len(res)} residuals",
-            tuple(str(v) for v in res),
-        )
+        return ok, f"monic degree {P.degree}, {len(res)} residuals", tuple(map(str, res)), 0.0
 
-    def check_type1() -> CheckResult:
+    def check_type1() -> CheckOutcome:
         form = mod.type_i_form(spec)
         vec = form.moments(spec.n.weight)
         want = [0] * (spec.n.weight - 1) + [1]
@@ -97,23 +91,14 @@ def verify_battery(family: str, spec) -> list[CheckResult]:
         degs_ok = all(
             t.poly.degree <= n_k - 1 for t, n_k in zip(form.terms, spec.n)
         )
-        return CheckResult(
-            "type-i-conditions",
-            ok and degs_ok,
-            f"condition vector length {len(vec)}",
-            tuple(str(v) for v in vec),
-        )
+        return ok and degs_ok, f"condition vector length {len(vec)}", tuple(map(str, vec)), 0.0
 
-    def check_ratios() -> CheckResult:
+    def check_ratios() -> CheckOutcome:
         K = _kernels.build_kernel(family, spec)  # has the exact assertions inside
-        return CheckResult(
-            "normalization-ratios",
-            True,
-            "closed-form h ratios equal moment-based ratios",
-            tuple(str(r) for r in K.ratios),
-        )
+        detail = "closed-form h ratios equal moment-based ratios"
+        return True, detail, tuple(map(str, K.ratios)), 0.0
 
-    def check_biorth() -> CheckResult:
+    def check_biorth() -> CheckOutcome:
         w = spec.n.weight
         ok = True
         for strategy in CHAIN_STRATEGIES:
@@ -121,9 +106,9 @@ def verify_battery(family: str, spec) -> list[CheckResult]:
             ok = ok and all(
                 M[i][j] == (1 if i == j else 0) for i in range(w) for j in range(w)
             )
-        return CheckResult("biorthogonality", ok, f"{w}x{w} exact identity, both chains")
+        return ok, f"{w}x{w} exact identity, both chains", (), 0.0
 
-    def check_kernels() -> CheckResult:
+    def check_kernels() -> CheckOutcome:
         K = _kernels.build_kernel(family, spec)
         grid = standard_grid(family)
         chains = [mi_chain(spec.n, s) for s in CHAIN_STRATEGIES]
@@ -140,25 +125,16 @@ def verify_battery(family: str, spec) -> list[CheckResult]:
             and worst_chain <= CHAIN_AGREEMENT_TOL
             and worst_contour <= KERNEL_AGREEMENT_TOL_CONTOUR
         )
-        return CheckResult(
-            "kernel-three-way",
-            ok,
-            f"|cd-sum| {worst_sum:.2e}, chains {worst_chain:.2e}, |cd-contour| {worst_contour:.2e}",
-            float_discrepancy=max(worst_sum, worst_contour),
-        )
+        detail = f"|cd-sum| {worst_sum:.2e}, chains {worst_chain:.2e}, |cd-contour| {worst_contour:.2e}"
+        return ok, detail, (), max(worst_sum, worst_contour)
 
-    def check_trace() -> CheckResult:
+    def check_trace() -> CheckOutcome:
         K = _kernels.build_kernel(family, spec)
         tr = _kernels.kernel_trace(K)
         err = abs(tr - spec.n.weight)
-        return CheckResult(
-            "kernel-trace",
-            err <= 1e-6,
-            f"trace {tr:.12f} vs |n| = {spec.n.weight}",
-            float_discrepancy=err,
-        )
+        return err <= 1e-6, f"trace {tr:.12f} vs |n| = {spec.n.weight}", (), err
 
-    def check_dxdy() -> CheckResult:
+    def check_dxdy() -> CheckOutcome:
         rng = np.random.Generator(np.random.Philox(key=20260814))
         worst = 0.0
         for _ in range(5):
@@ -167,19 +143,16 @@ def verify_battery(family: str, spec) -> list[CheckResult]:
                 y += 0.25
             r1, r2 = _kernels.check_dxdy_identity(spec, x, y, 1e-4)
             worst = max(worst, r1, r2)
-        return CheckResult(
-            "derivative-identity",
-            worst <= 1e-6,
-            f"worst central-difference residual {worst:.2e}",
-            float_discrepancy=worst,
-        )
+        return worst <= 1e-6, f"worst central-difference residual {worst:.2e}", (), worst
 
-    results.append(_timed("type-ii-orthogonality", check_type2))
-    results.append(_timed("type-i-conditions", check_type1))
-    results.append(_timed("normalization-ratios", check_ratios))
-    results.append(_timed("biorthogonality", check_biorth))
-    results.append(_timed("kernel-three-way", check_kernels))
-    results.append(_timed("kernel-trace", check_trace))
+    checks = [
+        ("type-ii-orthogonality", check_type2),
+        ("type-i-conditions", check_type1),
+        ("normalization-ratios", check_ratios),
+        ("biorthogonality", check_biorth),
+        ("kernel-three-way", check_kernels),
+        ("kernel-trace", check_trace),
+    ]
     if family in _DERIVATIVE_IDENTITY_FAMILIES:
-        results.append(_timed("derivative-identity", check_dxdy))
-    return results
+        checks.append(("derivative-identity", check_dxdy))
+    return [_timed(name, check) for name, check in checks]

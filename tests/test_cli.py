@@ -19,6 +19,7 @@ from multiortho.presets import (
     KERNEL_AGREEMENT_TOL_SUM,
     CheckResult,
     standard_grid,
+    verify_battery,
 )
 
 
@@ -201,6 +202,28 @@ def test_verify_inject_fault(capsys, tmp_path, monkeypatch):
     names = {c["name"]: c["status"] for c in doc["specs"][0]["checks"]}
     assert names["injected-fault"] == "fail"
     assert all(c["seconds"] == 0.0 for c in doc["specs"][0]["checks"])
+
+
+def test_verify_check_that_raises_fails_alone(capsys, monkeypatch):
+    """A check that raises becomes one failed result naming the exception;
+    the battery runs on and verify exits 1."""
+
+    def boom(K):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(kernels, "kernel_trace", boom)
+    results = {r.name: r for r in verify_battery("hermite", HermiteSpec.of([1, -1], [2, 1]))}
+    trace = results.pop("kernel-trace")
+    assert not trace.passed
+    assert trace.detail == "raised RuntimeError: boom"
+    assert trace.seconds >= 0.0
+    assert trace.exact_residuals == ()
+    assert trace.float_discrepancy == 0.0
+    assert len(results) == 6 and all(r.passed for r in results.values())
+    code, out, _ = run(capsys, "verify", "--family", "hermite", "--a", "1,-1", "--n", "2,1")
+    assert code == 1
+    assert "[FAIL] hermite a=1,-1 n=2,1 :: kernel-trace - raised RuntimeError: boom (" in out
+    assert "overall: fail" in out
 
 
 @pytest.mark.parametrize(
@@ -466,6 +489,31 @@ def test_kernel_not_settled_exit_1(capsys, monkeypatch, tmp_path):
     assert out == ""
     assert err.startswith("error:") and "did not settle" in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (("kernel", *HERMITE_11, "--grid=-1:1:3"), "x,y,cd,sum,contour,|cd-contour|"),
+        (("density", *HERMITE_11), "x,density"),
+        (("density", "--family", "laguerre", "--beta", "1,2", "--n", "2,1", "--p", "1"),
+         "x,density"),
+    ],
+    ids=["kernel", "density-hermite", "density-laguerre"],
+)
+def test_csv_and_json_carry_the_same_rows(capsys, argv, header):
+    """Each CSV row is the JSON row's values at 17 significant digits, in
+    order, under the documented header."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    lines = out.splitlines()
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert lines[0] == header
+    assert [line.split(",") for line in lines[1:]] == [
+        [format(v, ".17g") for v in row.values()] for row in rows
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -782,6 +830,28 @@ def test_out_writes_file(capsys, tmp_path):
     body = target.read_text().strip().split("\n")
     assert body[0] == "x,density"
     assert float(body[1].split(",")[1]) == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", *HERMITE_11, "--grid=0:1:2"),
+        ("simulate", *HERMITE_11, "--seed", "1", "--samples", "2000"),
+    ],
+    ids=["density", "simulate"],
+)
+def test_unwritable_out_exit_2(tmp_path, argv):
+    """An --out path that cannot be opened is a usage error: exit 2 and one
+    error line, no traceback."""
+    target = tmp_path / "missing" / "x.csv"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-m", "multiortho.cli", *argv, "--out", str(target)],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: cannot write {target}: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 # ---------------------------------------------------------------------------
