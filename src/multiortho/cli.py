@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, fields
 from fractions import Fraction
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import kernels as _kernels
 from . import rmt as _rmt
-from .core import LinearFormTerm, MultiIndex, RatPoly, as_fraction, mi_chain
+from .core import LinearFormTerm, MultiIndex, RatPoly, mi_chain
 from .quad import ConvergenceError
 from .hermite import HermiteSpec
 from .laguerre import LaguerreSpec
@@ -56,24 +57,6 @@ class UsageError(ValueError):
 
 # ---------------------------------------------------------------------------
 # flags and config
-
-
-def _rational_str(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _parse_rational(value: Any) -> Fraction:
-    try:
-        if isinstance(value, str):
-            return Fraction(value.strip())
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        if isinstance(value, float):
-            return as_fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational {value!r}: {exc}") from exc
-    raise UsageError(f"bad rational {value!r}")
 
 
 def _parse_int(value: Any) -> int:
@@ -111,15 +94,16 @@ def _require_finite(where: str, *values: float) -> None:
         raise OverflowError(f"{where} is not finite")
 
 
-def _list_of(convert: Callable[[Any], Any]) -> Callable[[Any], tuple]:
-    """A non-empty list from a comma-separated flag or a JSON array."""
+def _list_of(convert: Callable[[Any], Any] | None = None) -> Callable[[Any], tuple]:
+    """A non-empty list from a comma-separated flag or a JSON array, each
+    item through convert, or as given when the spec coerces it."""
 
     def parse(value: Any) -> tuple:
         if isinstance(value, str):
             value = [s for s in value.split(",") if s.strip()]
         if not isinstance(value, (list, tuple)) or not value:
             raise UsageError(f"expected a non-empty comma-separated list, got {value!r}")
-        return tuple(convert(v) for v in value)
+        return tuple(value) if convert is None else tuple(map(convert, value))
 
     return parse
 
@@ -134,8 +118,8 @@ class Flag(NamedTuple):
 
 FLAGS = {
     "family": Flag(_parse_text, "hermite or laguerre"),
-    "a": Flag(_list_of(_parse_rational), "comma-separated rationals (hermite shifts)"),
-    "beta": Flag(_list_of(_parse_rational), "comma-separated positive rationals (laguerre rates)"),
+    "a": Flag(_list_of(), "comma-separated rationals (hermite shifts)"),
+    "beta": Flag(_list_of(), "comma-separated positive rationals (laguerre rates)"),
     "n": Flag(_list_of(_parse_int), "comma-separated non-negative integers (multi-index)"),
     "p": Flag(_parse_int, "laguerre exponent offset (default 0)"),
     "sweep": Flag(None, "run the standard spec battery"),
@@ -249,6 +233,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse, before any work, an --out path that is a directory or whose
+    directory does not exist; _emit reports a write that fails later."""
+    if out is not None and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise UsageError(f"cannot write {out}: it is a directory or its directory does not exist")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -274,11 +265,11 @@ def _json_text(doc: dict[str, Any]) -> str:
 def _doc_value(value: Any) -> Any:
     """A spec or weight field as the JSON documents carry it."""
     if isinstance(value, MultiIndex):
-        return list(value.parts)
+        return list(value)
     if isinstance(value, tuple):
-        return [_rational_str(v) for v in value]
+        return [str(v) for v in value]
     if isinstance(value, Fraction):
-        return _rational_str(value)
+        return str(value)
     return value
 
 
@@ -322,14 +313,14 @@ def _prefactor_doc(term: LinearFormTerm) -> dict[str, str | int]:
     Z being its weight's normalizing constant."""
     w = term.weight
     return {
-        "rational": _rational_str(term.prefactor),
+        "rational": str(term.prefactor),
         "two_pi_half": -w.two_pi_half,
-        "exp_arg": _rational_str(-w.exp_arg),
+        "exp_arg": str(-w.exp_arg),
     }
 
 
 def _coeff_strings(poly: RatPoly) -> list[str]:
-    return [_rational_str(c) for c in poly.coeffs]
+    return [str(c) for c in poly.coeffs]
 
 
 def cmd_poly(cfg: argparse.Namespace) -> int:
@@ -538,7 +529,7 @@ def cmd_correlate(cfg: argparse.Namespace) -> int:
     det = _kernels.correlation_det(K, points)
     _require_finite(f"determinant at points {points}", det)
     doc = _spec_doc("correlate", spec, points=points, determinant=det)
-    if getattr(spec, "p", 0):
+    if spec.p:
         conj = _kernels.correlation_det(K, points, conjugated=True)
         _require_finite(f"conjugated determinant at points {points}", conj)
         doc["conjugated_determinant"] = conj
@@ -620,7 +611,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(_join_leading_minus(tokens))
     try:
-        return COMMANDS[args.command].run(_merge_config(args))
+        cfg = _merge_config(args)
+        _check_out(cfg.out)
+        return COMMANDS[args.command].run(cfg)
     except ValueError as exc:  # UsageError and ExactMathError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,8 @@
-"""Exact arithmetic foundation: multi-indices, rational polynomials,
-truncated scalar power series and their residue polynomial, the weights
-with their exact moment sequences and normalizing constants, the weighted
-linear forms, and the one float evaluator of the kernels.
+"""Exact arithmetic foundation: multi-indices and the base of both
+families' specs (the one place their exact values are coerced), rational
+polynomials, truncated scalar power series and their residue polynomial,
+the weights with their exact moment sequences and normalizing constants,
+the weighted linear forms, and the one float evaluator of the kernels.
 
 Everything here is immutable and exact.  Rational scalars are
 ``fractions.Fraction`` (unbounded integers, canonical reduced form).
@@ -26,7 +27,8 @@ point); a linear form alone is its one row 1 * 1 * Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import repeat
@@ -62,7 +64,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ExactMathError(f"bad rational {value!r}: {exc}") from None
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ExactMathError(f"cannot rationalize non-finite float {value!r}")
@@ -70,65 +75,70 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise ExactMathError(f"cannot interpret {value!r} as a rational scalar")
 
 
+def as_int(value) -> int:
+    """Coerce to int through ``operator.index`` (numpy integers pass);
+    bools, floats and strings are refused, never truncated."""
+    if isinstance(value, bool):
+        raise ExactMathError("bool is not an integer")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ExactMathError(f"cannot interpret {value!r} as an integer") from None
+
+
 # ---------------------------------------------------------------------------
 # multi-indices
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Tuple of nonnegative integers n = (n_1, ..., n_m), m >= 1."""
+class MultiIndex(tuple):
+    """Tuple of nonnegative integers n = (n_1, ..., n_m), m >= 1.  Each
+    component is coerced once, here, through ``as_int``; hashing and
+    equality are the tuple's."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        parts = tuple(int(v) for v in self.parts)
-        if len(parts) < 1:
+    def __new__(cls, parts: Iterable[int]) -> "MultiIndex":
+        self = super().__new__(cls, map(as_int, parts))
+        if not self:
             raise ExactMathError("multi-index needs at least one component")
-        if any(v < 0 for v in parts):
-            raise ExactMathError(f"multi-index components must be >= 0, got {parts}")
-        object.__setattr__(self, "parts", parts)
+        if any(v < 0 for v in self):
+            raise ExactMathError(f"multi-index components must be >= 0, got {self}")
+        return self
 
-    @classmethod
-    def of(cls, parts: Iterable[int]) -> "MultiIndex":
-        return cls(tuple(parts))
+    of = classmethod(type.__call__)  # the constructor, under the name callers use
 
     @classmethod
     def zeros(cls, m: int) -> "MultiIndex":
         return cls((0,) * m)
 
     @property
+    def parts(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    @property
     def m(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     @property
     def weight(self) -> int:
         """|n| = n_1 + ... + n_m."""
-        return sum(self.parts)
+        return sum(self)
 
     def bump(self, k: int) -> "MultiIndex":
         """n + e_k (k is a 0-based component index throughout the package)."""
         self._check_component(k)
-        return MultiIndex(self.parts[:k] + (self.parts[k] + 1,) + self.parts[k + 1 :])
+        return MultiIndex(self[:k] + (self[k] + 1,) + self[k + 1 :])
 
     def drop(self, k: int) -> "MultiIndex":
         """n - e_k; errors if the component is already 0."""
         self._check_component(k)
-        if self.parts[k] == 0:
-            raise ExactMathError(f"component {k} of {self.parts} is already 0")
-        return MultiIndex(self.parts[:k] + (self.parts[k] - 1,) + self.parts[k + 1 :])
+        if self[k] == 0:
+            raise ExactMathError(f"component {k} of {self} is already 0")
+        return MultiIndex(self[:k] + (self[k] - 1,) + self[k + 1 :])
 
     def _check_component(self, k: int) -> None:
         if not 0 <= k < self.m:
             raise ExactMathError(f"component {k} out of range for m={self.m}")
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, k: int) -> int:
-        return self.parts[k]
 
 
 CHAIN_STRATEGIES = ("round-robin", "lexicographic-first")
@@ -149,14 +159,59 @@ def mi_chain(n: MultiIndex, strategy: str = "round-robin") -> list[MultiIndex]:
         for k in range(n.m):
             for _ in range(n[k]):
                 cur[k] += 1
-                chain.append(MultiIndex(tuple(cur)))
+                chain.append(MultiIndex(cur))
     else:
         while sum(cur) < n.weight:
             for k in range(n.m):
                 if cur[k] < n[k]:
                     cur[k] += 1
-                    chain.append(MultiIndex(tuple(cur)))
+                    chain.append(MultiIndex(cur))
     return chain
+
+
+# ---------------------------------------------------------------------------
+# the families' specs
+
+
+class Spec:
+    """The base of both families' frozen spec dataclasses: rational weight
+    parameters, in the field named by ``param_name``, and a multi-index n
+    of the same length, both coerced here and nowhere else.  A subclass
+    body repeats ``__hash__ = Spec.__hash__``, which the dataclass
+    decorator would otherwise replace."""
+
+    family: ClassVar[str]
+    param_name: ClassVar[str]
+    p = 0  # the weight exponent, for a family without one
+
+    def __post_init__(self) -> None:
+        name = self.param_name
+        params = tuple(map(as_fraction, getattr(self, name)))
+        n = MultiIndex(self.n)
+        object.__setattr__(self, name, params)
+        object.__setattr__(self, "n", n)
+        if len(params) != n.m:
+            raise ExactMathError(
+                f"got {len(params)} values of {name} for a multi-index of length {n.m}"
+            )
+
+    of = classmethod(type.__call__)  # the constructor, under the name callers use
+
+    @property
+    def m(self) -> int:
+        return self.n.m
+
+    def with_n(self, n: MultiIndex):
+        return replace(self, n=n)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass field hash, computed once per spec: hashing a
+        Fraction runs Python code, and specs key the exact-layer caches."""
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
 
 
 # ---------------------------------------------------------------------------

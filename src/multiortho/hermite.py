@@ -29,10 +29,10 @@ A_l' + (a_l - a_k) A_l (``lower_type_i``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import ClassVar, Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -43,10 +43,9 @@ from .core import (
     LinearFormTerm,
     MultiIndex,
     RatPoly,
-    RationalLike,
     RatVec,
     SingularExpansionError,
-    as_fraction,
+    Spec,
     power_series,
     residue_poly,
     series_mul,
@@ -58,46 +57,21 @@ HALF_LINE = False
 
 
 @dataclass(frozen=True)
-class HermiteSpec:
+class HermiteSpec(Spec):
     """Shift parameters a = (a_1, ..., a_m) and a multi-index of the same
     length.  Coincident a_k are allowed for type II (indices then merge);
     type I construction requires them pairwise distinct."""
 
     family: ClassVar[str] = "hermite"
+    param_name: ClassVar[str] = "a"
     a: tuple[Fraction, ...]
     n: MultiIndex
 
-    def __post_init__(self) -> None:
-        a = tuple(as_fraction(v) for v in self.a)
-        object.__setattr__(self, "a", a)
-        if len(a) != self.n.m:
-            raise ExactMathError(
-                f"got {len(a)} shift parameters for a multi-index of length {self.n.m}"
-            )
-
-    @classmethod
-    def of(cls, a: Iterable[RationalLike], n: Iterable[int]) -> "HermiteSpec":
-        return cls(tuple(as_fraction(v) for v in a), MultiIndex.of(n))
-
-    @property
-    def m(self) -> int:
-        return self.n.m
+    __hash__ = Spec.__hash__
 
     @property
     def weights(self) -> tuple[HermiteWeight, ...]:
         return tuple(HermiteWeight(a_k) for a_k in self.a)
-
-    def with_n(self, n: MultiIndex) -> "HermiteSpec":
-        return replace(self, n=n)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The dataclass field hash, computed once per spec: hashing a
-        Fraction runs Python code, and specs key the exact-layer caches."""
-        return hash((self.a, self.n))
 
     def require_distinct(self) -> None:
         if len(set(self.a)) != len(self.a):

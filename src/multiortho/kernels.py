@@ -35,26 +35,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import attrgetter
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import hermite as _hermite
 from . import laguerre as _laguerre
-from .core import ExactMathError, FormTable, LinearForm, MultiIndex, RatPoly, mi_chain
+from .core import ExactMathError, FormTable, LinearForm, MultiIndex, RatPoly, Spec, mi_chain
 from .hermite import HermiteSpec
 from .laguerre import LaguerreSpec
 from .quad import ContourError, ConvergenceError
-
-Spec = Union[HermiteSpec, LaguerreSpec]
 
 # The family table: each spec class names its family, and each family
 # module exposes the same construction, closed-form h, trace-rule and
 # contour names.
 FAMILIES = {HermiteSpec.family: _hermite, LaguerreSpec.family: _laguerre}
-
-_PARTS = attrgetter("parts")
 
 # Below this separation the CD quotient switches to its analytic limit.
 DIAGONAL_EPS = 1e-8
@@ -272,7 +267,7 @@ def _chain_factors(
     fam = FAMILIES[spec.family]
     P = list(fam.type_ii_walk(spec, steps[:-1]))
     Q = [fam.type_i_form(spec)]
-    c = list(spec.n.parts)
+    c = list(spec.n)
     for k in reversed(steps[1:]):
         Q.append(fam.lower_type_i(spec, c, Q[-1], k))
         c[k] -= 1
@@ -280,11 +275,10 @@ def _chain_factors(
 
 
 @lru_cache(maxsize=None)
-def _chain_table(spec: Spec, chain: tuple[tuple[int, ...], ...]) -> FormTable:
+def _chain_table(spec: Spec, chain: tuple[MultiIndex, ...]) -> FormTable:
     """The FormTable of sum_j 1 * P_{chain[j]}(x) Q_{chain[j+1]}(y), built
-    once per spec and chain (given by each index's parts, whose hash runs
-    no Python code)."""
-    return FormTable.of((1, p, q) for p, q in _chain_factors(spec, tuple(map(MultiIndex, chain))))
+    once per spec and chain."""
+    return FormTable.of((1, p, q) for p, q in _chain_factors(spec, chain))
 
 
 def eval_sum(family: str, spec: Spec, chain: Sequence[MultiIndex], x: float, y: float) -> float:
@@ -295,7 +289,7 @@ def eval_sum(family: str, spec: Spec, chain: Sequence[MultiIndex], x: float, y: 
     chain-independent; the chain only reindexes the same span.
     """
     family_module(family, spec)
-    table = _chain_table(spec, tuple(map(_PARTS, chain)))
+    table = _chain_table(spec, tuple(chain))
     x, y = float(x), float(y)
     _check_domain(spec, x, y)
     return table(x, y)
@@ -375,9 +369,8 @@ def kernel_point(
         cd = eval_cd(K, x, y)
         s = eval_sum(spec.family, spec, chain, x, y)
         ct = eval_contour(spec.family, spec, x, y, nodes, tol)
-        p = getattr(spec, "p", 0)
-        if p:
-            ct *= (y / x) ** p
+        if spec.p:
+            ct *= (y / x) ** spec.p
     except OverflowError as exc:
         raise OverflowError(f"{where}: {exc}") from exc
     if not all(math.isfinite(v) for v in (cd, s, ct)):
@@ -398,7 +391,7 @@ def check_dxdy_identity(
     (|D - [(x-y) K - P(x) Q(y)]|, |D + sum_k n_k P_down_k(x) Q_up_k(y)|);
     both vanish like h^2.
     """
-    K = build_kernel("hermite", spec)
+    K = build_kernel(spec.family, spec)
     x, y = float(x), float(y)
     D = (eval_cd(K, x + h, y) - eval_cd(K, x - h, y)) / (2.0 * h)
     D += (eval_cd(K, x, y + h) - eval_cd(K, x, y - h)) / (2.0 * h)
@@ -417,7 +410,7 @@ def correlation_det(K: KernelModel, points: Sequence[float], conjugated: bool = 
     """
     pts = [float(v) for v in points]
     n = len(pts)
-    p = getattr(K.spec, "p", 0) if conjugated else 0
+    p = K.spec.p if conjugated else 0
     a = [[eval_cd(K, xi, xj) for xj in pts] for xi in pts]
     if p:
         fr = [math.frexp(v) for v in pts]

@@ -25,10 +25,10 @@ are ((|c|+p-1) / (-beta_k)) (A_l - beta_k sum_j A_l^(j) / beta_l^(j+1))
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import ClassVar, Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -39,10 +39,10 @@ from .core import (
     LinearFormTerm,
     MultiIndex,
     RatPoly,
-    RationalLike,
     RatVec,
     SingularExpansionError,
-    as_fraction,
+    Spec,
+    as_int,
     power_series,
     residue_poly,
     series_mul,
@@ -54,52 +54,31 @@ HALF_LINE = True
 
 
 @dataclass(frozen=True)
-class LaguerreSpec:
+class LaguerreSpec(Spec):
     """Rates beta = (beta_1, ..., beta_m), all > 0 and pairwise distinct,
     a multi-index of the same length, and the shared exponent p >= 0."""
 
     family: ClassVar[str] = "laguerre"
+    param_name: ClassVar[str] = "beta"
     beta: tuple[Fraction, ...]
     n: MultiIndex
     p: int = 0
 
+    __hash__ = Spec.__hash__
+
     def __post_init__(self) -> None:
-        beta = tuple(as_fraction(v) for v in self.beta)
-        object.__setattr__(self, "beta", beta)
-        if len(beta) != self.n.m:
-            raise ExactMathError(
-                f"got {len(beta)} rates for a multi-index of length {self.n.m}"
-            )
-        if any(b <= 0 for b in beta):
-            raise ExactMathError(f"rates must be > 0, got {beta}")
-        if len(set(beta)) != len(beta):
-            raise SingularExpansionError(f"rates must be pairwise distinct, got {beta}")
+        super().__post_init__()
+        object.__setattr__(self, "p", as_int(self.p))
+        if any(b <= 0 for b in self.beta):
+            raise ExactMathError(f"rates must be > 0, got {self.beta}")
+        if len(set(self.beta)) != len(self.beta):
+            raise SingularExpansionError(f"rates must be pairwise distinct, got {self.beta}")
         if self.p < 0:
             raise ExactMathError(f"weight exponent p must be >= 0, got {self.p}")
-
-    @classmethod
-    def of(cls, beta: Iterable[RationalLike], n: Iterable[int], p: int = 0) -> "LaguerreSpec":
-        return cls(tuple(as_fraction(v) for v in beta), MultiIndex.of(n), p)
-
-    @property
-    def m(self) -> int:
-        return self.n.m
 
     @property
     def weights(self) -> tuple[LaguerreWeight, ...]:
         return tuple(LaguerreWeight(beta_k, self.p) for beta_k in self.beta)
-
-    def with_n(self, n: MultiIndex) -> "LaguerreSpec":
-        return replace(self, n=n)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The dataclass field hash, computed once per spec: hashing a
-        Fraction runs Python code, and specs key the exact-layer caches."""
-        return hash((self.beta, self.n, self.p))
 
 
 def _raise(g: list[int], beta_k: Fraction) -> list[int]:

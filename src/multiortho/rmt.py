@@ -28,15 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from .core import Spec
 from .hermite import HermiteSpec
 from .kernels import KernelModel, eval_cd_diagonal, family_module
 from .laguerre import LaguerreSpec
-
-Spec = Union[HermiteSpec, LaguerreSpec]
 
 MAX_EIGEN_DIM = 64
 MIN_EXPECTED_COUNT = 10.0

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from multiortho import cli, kernels
+from multiortho import cli, kernels, rmt
 from multiortho.cli import main
 from multiortho.hermite import HermiteSpec
 from multiortho.kernels import build_kernel, eval_cd
@@ -779,6 +779,24 @@ def test_config_integer_fields_not_truncated(capsys, tmp_path, fields):
     assert "expected an integer" in err
 
 
+def test_config_bool_rational_exit_2(capsys, tmp_path):
+    """A JSON true among the shifts is refused by the spec, not read as 1."""
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"family": "hermite", "a": [True, -1], "n": [1, 1]}))
+    code, out, err = run(capsys, "poly", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_float_and_string_rationals(capsys, tmp_path):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"family": "hermite", "a": [0.5, "-1"], "n": [1, 1]}))
+    code, out, err = run(capsys, "poly", "--config", str(cfg))
+    assert code == 0, err
+    assert "a: 1/2,-1\n" in out
+
+
 @pytest.mark.parametrize("out", [None, 7], ids=["null", "number"])
 def test_config_out_must_be_a_string(capsys, tmp_path, monkeypatch, out):
     monkeypatch.chdir(tmp_path)
@@ -852,6 +870,35 @@ def test_unwritable_out_exit_2(tmp_path, argv):
     assert done.returncode == 2
     assert done.stderr.startswith(f"error: cannot write {target}: ")
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def test_unwritable_out_refused_before_verify_runs(tmp_path):
+    """verify checks --out before the battery: no progress line and no
+    "overall: pass" on stdout ahead of the usage error."""
+    target = tmp_path / "missing" / "r.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-m", "multiortho.cli", "verify", *HERMITE_11, "--out", str(target)],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"error: cannot write {target}")
+    assert done.stderr.count("\n") == 1
+
+
+def test_unwritable_out_refused_before_simulate_samples(capsys, tmp_path, monkeypatch):
+    def sampler(cfg):
+        pytest.fail("simulate sampled before checking --out")
+
+    monkeypatch.setitem(rmt.SAMPLERS, "hermite", sampler)
+    target = tmp_path / "missing" / "h.csv"
+    code, out, err = run(
+        capsys, "simulate", *HERMITE_11, "--seed", "1", "--samples", "100", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,9 @@ from multiortho.core import (
     power_series,
     series_mul,
 )
+from multiortho.hermite import HermiteSpec
+from multiortho.kernels import build_kernel
+from multiortho.laguerre import LaguerreSpec
 from oracles import gamma_moment_oracle, shifted_gaussian_moment
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
@@ -57,6 +60,45 @@ def test_multi_index_validation():
         MultiIndex.of([-1])
     with pytest.raises(ExactMathError):
         MultiIndex.of([])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MultiIndex.of([1.5, 2]),
+        lambda: MultiIndex.of([True, 1]),
+        lambda: MultiIndex.of(["2"]),
+        lambda: HermiteSpec.of([1, -1], [1.5, 1]),
+        lambda: LaguerreSpec.of([1], [1], 1.5),
+        lambda: HermiteSpec.of(["1/0"], [1]),
+    ],
+    ids=["index-float", "index-bool", "index-str", "spec-n-float", "laguerre-p-float",
+         "zero-denominator"],
+)
+def test_exact_values_refused_not_changed(build):
+    """Each exact value is coerced once, in its constructor, which refuses
+    what it would otherwise truncate or let through to a later raw error."""
+    with pytest.raises(ExactMathError):
+        build()
+
+
+def test_multi_index_is_a_tuple_of_ints():
+    n = MultiIndex.of([np.int64(2), 1])
+    assert n == (2, 1) and hash(n) == hash((2, 1))
+    assert all(type(v) is int for v in n)
+    assert repr(n.drop(0)) == "(1, 1)"
+
+
+def test_spec_constructor_coerces_its_fields():
+    """The dataclass constructor is the one coercion point: strings and
+    lists give the spec that Fractions and a MultiIndex give, with the same
+    hash and the same cached kernel."""
+    spec = HermiteSpec(a=["1/2", 1], n=[2, 1])
+    want = HermiteSpec.of([F(1, 2), 1], [2, 1])
+    assert spec == want and hash(spec) == hash(want)
+    assert isinstance(spec.n, MultiIndex) and spec.a == (F(1, 2), F(1))
+    assert build_kernel("hermite", spec) is build_kernel("hermite", want)
+    assert HermiteSpec.p == 0 and LaguerreSpec.of([1], [1], np.int64(2)).p == 2
 
 
 def test_bump_drop():
