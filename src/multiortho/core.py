@@ -86,6 +86,17 @@ def as_int(value) -> int:
         raise ExactMathError(f"cannot interpret {value!r} as an integer") from None
 
 
+def _values(value, what: str) -> Iterator:
+    """Iterate a sequence-valued exact field.  A string or bytes, which
+    would split into characters, and a non-iterable are refused."""
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            return iter(value)
+        except TypeError:
+            pass
+    raise ExactMathError(f"{what} must be a sequence of values, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # multi-indices
 
@@ -98,7 +109,7 @@ class MultiIndex(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int]) -> "MultiIndex":
-        self = super().__new__(cls, map(as_int, parts))
+        self = super().__new__(cls, map(as_int, _values(parts, "multi-index")))
         if not self:
             raise ExactMathError("multi-index needs at least one component")
         if any(v < 0 for v in self):
@@ -186,7 +197,8 @@ class Spec:
 
     def __post_init__(self) -> None:
         name = self.param_name
-        params = tuple(map(as_fraction, getattr(self, name)))
+        values = _values(getattr(self, name), f"{type(self).__name__}.{name}")
+        params = tuple(map(as_fraction, values))
         n = MultiIndex(self.n)
         object.__setattr__(self, name, params)
         object.__setattr__(self, "n", n)

@@ -19,7 +19,7 @@ Z_k = sqrt(2*pi) * e^(a_k^2/2) is w_k's normalizing constant.  Both
 constructors are cached per spec.
 
 Along a chain of indices the same objects follow one exact step per index.
-Up: P_{c+e_k} = (x - a_k) P_c - P_c' (``raise_type_ii``, the same step).
+Up: P_{c+e_k} = (x - a_k) P_c - P_c' (``type_ii_walk``, by ``_raise``).
 Down: Q_c = (2 pi)^(-1/2) (1/2 pi i) times the contour integral of
 e^{-(t-x)^2/2} / prod_l (t - a_l)^{c_l} around the shifts, and multiplying
 the integrand by (t - a_k) gives Q_{c-e_k}, whose terms' rational parts are
@@ -151,19 +151,16 @@ def type_i_form(spec: HermiteSpec) -> LinearForm:
 # chain steps
 
 
-def raise_type_ii(P: RatPoly, a_k: Fraction) -> RatPoly:
-    """P_{c+e_k} = (x - a_k) P_c - P_c' from P = P_c: ``_raise`` on its
-    numerators, over the denominator v * den (a_k = u/v)."""
-    return RatPoly(tuple(_raise(P.nums, a_k)), P.den * a_k.denominator)
-
-
 def type_ii_walk(spec: HermiteSpec, steps: Sequence[int]) -> Iterator[RatPoly]:
     """The type II polynomials up a chain from the zero index, which raises
-    component steps[j] at step j: P_0 = 1, then ``raise_type_ii``."""
+    component steps[j] at step j: P_0 = 1, then P_{c+e_k} =
+    (x - a_k) P_c - P_c' by ``_raise`` on P_c's numerators, over the
+    denominator v * den (a_k = u/v)."""
     P = RatPoly((1,))
     yield P
     for k in steps:
-        P = raise_type_ii(P, spec.a[k])
+        a_k = spec.a[k]
+        P = RatPoly(tuple(_raise(P.nums, a_k)), P.den * a_k.denominator)
         yield P
 
 
@@ -206,14 +203,6 @@ def norm_constant(spec: HermiteSpec, k: int) -> Fraction:
         if l != k:
             r *= (a_k - a_l) ** n_l
     return r
-
-
-def norm_ratio(spec: HermiteSpec, k: int) -> Fraction:
-    """Closed-form ratio h_k(n) / h_k(n - e_k) = n_k."""
-    spec.n._check_component(k)
-    if spec.n[k] == 0:
-        raise ExactMathError("ratio needs n_k >= 1")
-    return Fraction(spec.n[k])
 
 
 def trace_rule(spec: HermiteSpec, nodes: int) -> LineRule:

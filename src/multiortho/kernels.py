@@ -41,7 +41,7 @@ import numpy as np
 
 from . import hermite as _hermite
 from . import laguerre as _laguerre
-from .core import ExactMathError, FormTable, LinearForm, MultiIndex, RatPoly, Spec, mi_chain
+from .core import ExactMathError, FormTable, LinearForm, MultiIndex, RatPoly, Spec, as_int, mi_chain
 from .hermite import HermiteSpec
 from .laguerre import LaguerreSpec
 from .quad import ContourError, ConvergenceError
@@ -97,15 +97,6 @@ def moment_norm_constant(spec: Spec, k: int, P: RatPoly) -> Fraction:
     return P.dot(w.moments(len(P.nums) + n_k)[n_k:])
 
 
-def moment_norm_ratio(spec: Spec, k: int, P: RatPoly, P_down: RatPoly) -> Fraction:
-    """h_k(n) / h_k(n - e_k) from the moments, given the type II polynomials
-    at n and n - e_k; also asserts the family's closed form of h_k(n)."""
-    h_top = moment_norm_constant(spec, k, P)
-    if FAMILIES[spec.family].norm_constant(spec, k) != h_top:
-        raise ExactMathError("closed-form h disagrees with moment h")  # unreachable
-    return h_top / moment_norm_constant(spec.with_n(spec.n.drop(k)), k, P_down)
-
-
 # ---------------------------------------------------------------------------
 # Christoffel-Darboux model
 
@@ -148,12 +139,12 @@ class KernelModel:
 
 @lru_cache(maxsize=None)
 def build_kernel(family: str, spec: Spec) -> KernelModel:
-    """Construct all CD ingredients exactly and assert the ratio identity.
+    """Construct all CD ingredients exactly.
 
-    The closed-form ratio (n_k for the Gaussian family,
-    n_k (|n| + p) / beta_k^2 for the half-line family) is checked against
-    the ratio of moment-based normalization constants before use, and the
-    closed form of h_k(n) against its moment value.
+    ratio_k is h_k(n) / h_k(n - e_k), both from the family's closed-form
+    ``norm_constant`` (the quotient is n_k for the Gaussian family and
+    n_k (|n| + p) / beta_k^2 for the half-line family), and each h is
+    checked against its moment value before use.
     """
     fam = family_module(family, spec)
     n = spec.n
@@ -167,18 +158,13 @@ def build_kernel(family: str, spec: Spec) -> KernelModel:
     P_down, Q_up, ratios = [], [], []
     for k in range(n.m):
         spec_down = spec.with_n(n.drop(k))
-        spec_up = spec.with_n(n.bump(k))
         Pd = fam.type_ii_poly(spec_down)
         P_down.append(Pd)
-        Q_up.append(fam.type_i_form(spec_up))
-        closed = fam.norm_ratio(spec, k)
-        moment_ratio = moment_norm_ratio(spec, k, P, Pd)
-        if moment_ratio != closed:
-            raise ExactMathError(
-                f"normalization ratio mismatch for component {k}: "
-                f"closed form {closed}, moments {moment_ratio}"
-            )  # unreachable
-        ratios.append(closed)
+        Q_up.append(fam.type_i_form(spec.with_n(n.bump(k))))
+        h, h_down = fam.norm_constant(spec, k), fam.norm_constant(spec_down, k)
+        if (h, h_down) != (moment_norm_constant(spec, k, P), moment_norm_constant(spec_down, k, Pd)):
+            raise ExactMathError(f"closed-form h disagrees with moment h at component {k}")  # unreachable
+        ratios.append(h / h_down)
     return KernelModel(
         spec=spec,
         P=P,
@@ -314,20 +300,22 @@ def eval_contour(
     count.
 
     The values come from the family's ``contour_levels``, one per node
-    doubling.  With an explicit node count, which the cap bounds too, this
-    is its first level.  With
-    nodes=None the levels start at CONTOUR_START_NODES and the value is the
-    first one within tol of the level before, raising ConvergenceError
-    (carrying the best value) if CONTOUR_CAP_NODES is reached first.  A
-    non-finite level raises OverflowError.
+    doubling.  With an explicit integer node count, which the cap bounds
+    too, this is its first level.  With nodes=None the levels start at
+    CONTOUR_START_NODES and the value is the first one within tol of the
+    level before, raising ConvergenceError (carrying the best value) if
+    CONTOUR_CAP_NODES is reached first.  A non-finite level raises
+    OverflowError.
     """
     levels = family_module(family, spec).contour_levels
     x, y = float(x), float(y)
     _check_domain(spec, x, y)
-    if nodes is not None and (nodes < 16 or nodes % 2):
-        raise ContourError(f"node count must be even and >= 16, got {nodes}")
-    if nodes is not None and nodes > CONTOUR_CAP_NODES:
-        raise ContourError(f"node count must be <= {CONTOUR_CAP_NODES}, got {nodes}")
+    if nodes is not None:
+        nodes = as_int(nodes)
+        if nodes < 16 or nodes % 2:
+            raise ContourError(f"node count must be even and >= 16, got {nodes}")
+        if nodes > CONTOUR_CAP_NODES:
+            raise ContourError(f"node count must be <= {CONTOUR_CAP_NODES}, got {nodes}")
     n = CONTOUR_START_NODES if nodes is None else nodes
     with np.errstate(all="ignore"):
         values = (_finite_real(v) for v in levels(spec, x, y, n, None))

@@ -201,14 +201,6 @@ def norm_constant(spec: LaguerreSpec, k: int) -> Fraction:
     return r
 
 
-def norm_ratio(spec: LaguerreSpec, k: int) -> Fraction:
-    """Closed-form ratio h_k(n) / h_k(n - e_k) = n_k (|n| + p) / beta_k^2."""
-    spec.n._check_component(k)
-    if spec.n[k] == 0:
-        raise ExactMathError("ratio needs n_k >= 1")
-    return spec.n[k] * (spec.n.weight + spec.p) / spec.beta[k] ** 2
-
-
 def trace_rule(spec: LaguerreSpec, nodes: int) -> LineRule:
     """Gauss rule over the weights' support, for the kernel trace."""
     return line_rule_nodes("exponential", nodes, beta=min(spec.beta))

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ExactMathError, as_fraction
+from .core import ExactMathError, as_fraction, as_int
 
 MAX_LINE_NODES = 512
 # rescale recurrence state beyond this bound so squares stay representable;
@@ -175,6 +175,7 @@ def line_rule_nodes(kind: str, n: int, beta=1) -> LineRule:
     (exp(-u^2/2) on R) or "exponential" (exp(-beta*u) on (0, inf))."""
     if kind not in ("gaussian", "exponential"):
         raise ContourError(f"unknown line rule kind {kind!r}")
+    n = as_int(n)
     if not 1 <= n <= MAX_LINE_NODES:
         raise ContourError(f"line rules support 1..{MAX_LINE_NODES} nodes, got {n}")
     beta = as_fraction(beta)

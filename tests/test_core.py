@@ -71,9 +71,15 @@ def test_multi_index_validation():
         lambda: HermiteSpec.of([1, -1], [1.5, 1]),
         lambda: LaguerreSpec.of([1], [1], 1.5),
         lambda: HermiteSpec.of(["1/0"], [1]),
+        lambda: MultiIndex(5),
+        lambda: MultiIndex(b"12"),
+        lambda: HermiteSpec.of("12", [1, 1]),
+        lambda: LaguerreSpec.of(b"12", [1, 1]),
+        lambda: HermiteSpec.of([1], 1),
     ],
     ids=["index-float", "index-bool", "index-str", "spec-n-float", "laguerre-p-float",
-         "zero-denominator"],
+         "zero-denominator", "index-int", "index-bytes", "spec-param-str",
+         "laguerre-param-bytes", "spec-n-int"],
 )
 def test_exact_values_refused_not_changed(build):
     """Each exact value is coerced once, in its constructor, which refuses

@@ -110,9 +110,11 @@ def _derivative(coeffs):
 def test_raising_identity_exactly(spec):
     """P_{n+e_k} = (x - a_k) P_n - P_n' for every k (the heat flow turns
     multiplication by x into x - D), as an equality of exact polynomials,
-    written out here and by ``raise_type_ii``.  Negative control: with the
-    derivative's sign flipped it fails."""
+    written out here and as the last step of ``type_ii_walk`` up a chain
+    to n + e_k.  Negative control: with the derivative's sign flipped it
+    fails."""
     P = hm.type_ii_poly(spec)
+    steps = [l for l, n_l in enumerate(spec.n) for _ in range(n_l)]
     for k, a_k in enumerate(spec.a):
         up = hm.type_ii_poly(spec.with_n(spec.n.bump(k)))
         for sign in (-1, 1):
@@ -122,7 +124,8 @@ def test_raising_identity_exactly(spec):
             for i, c in enumerate(_derivative(P.coeffs)):
                 want[i] += sign * c
             assert (RatPoly.of(want) == up) == (sign == -1)
-        assert hm.raise_type_ii(P, a_k) == up
+        *_, last = hm.type_ii_walk(spec, steps + [k])
+        assert last == up
 
 
 @given(_spec_strategy())

@@ -18,7 +18,7 @@ from multiortho.core import CHAIN_STRATEGIES, ExactMathError, HermiteWeight, Mul
 from multiortho.hermite import HermiteSpec
 from multiortho.laguerre import LaguerreSpec
 from multiortho.presets import standard_grid
-from multiortho.quad import ContourError, ConvergenceError, bilinear_sum, concentric_sum
+from multiortho.quad import ContourError, ConvergenceError, bilinear_sum, concentric_sum, line_rule_nodes
 from oracles import cd_kernel_oracle
 from test_acceptance import hermite_sweep, laguerre_sweep
 
@@ -46,6 +46,25 @@ def test_build_kernel_ratio_examples():
     assert K2.P.coeffs == (F(-2), F(0), F(1))
     K3 = kn.build_kernel("laguerre", LaguerreSpec.of([1], [1], 0))
     assert K3.ratios == (F(1),)
+
+
+@pytest.mark.parametrize(
+    "family, spec",
+    [
+        ("hermite", HermiteSpec.of([F(7, 3), F(-5, 2)], [2, 3])),
+        ("laguerre", LaguerreSpec.of([F(7, 3), F(5, 2)], [2, 3], 2)),
+    ],
+    ids=["hermite", "laguerre"],
+)
+def test_build_kernel_checks_closed_h_at_down_index(family, spec, monkeypatch):
+    """build_kernel compares the closed-form h at n - e_k, not only at n,
+    with its moments: a norm_constant off by one only there is refused."""
+    mod = kn.FAMILIES[family]
+    closed = mod.norm_constant
+    down = spec.n.drop(1)
+    monkeypatch.setattr(mod, "norm_constant", lambda s, k: closed(s, k) + (s.n == down))
+    with pytest.raises(ExactMathError):
+        kn.build_kernel(family, spec)
 
 
 def test_build_kernel_rejects_zero_component():
@@ -400,6 +419,23 @@ def test_contour_adaptive_reports_nonconvergence():
     assert err.value.best == pytest.approx(kn.eval_cd(K, 1.2, -0.4), abs=1e-7)
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda nodes: kn.eval_contour("hermite", H11, 0.4, -0.3, nodes=nodes),
+        lambda nodes: line_rule_nodes("gaussian", nodes).nodes,
+    ],
+    ids=["eval_contour", "line_rule_nodes"],
+)
+def test_node_counts_are_integers(evaluate):
+    """A node count is coerced through as_int: a numpy integer gives the
+    int's result, and a float or a bool is refused, not passed on."""
+    assert np.array_equal(evaluate(np.int64(16)), evaluate(16))
+    for bad in (16.0, True):
+        with pytest.raises(ExactMathError):
+            evaluate(bad)
+
+
 def test_contour_geometry_validation():
     geo = hm.HermiteContourGeometry.at(H11, 0.0)
     geo.validate(H11)
@@ -630,9 +666,14 @@ def test_biorthogonality_examples():
 def test_exact_layer_at_large_weight(family, spec):
     """Where the float routes lose accuracy, the exact layer still holds
     exactly: the biorthogonality matrix is the identity under both chain
-    strategies, and build_kernel's moment ratios equal the closed forms."""
+    strategies, and build_kernel's ratios equal the closed forms n_k
+    (Gaussian) and n_k (|n| + p) / beta_k^2 (half-line)."""
     K = kn.build_kernel(family, spec)
-    assert K.ratios == tuple(kn.FAMILIES[family].norm_ratio(spec, k) for k in range(spec.m))
+    closed = tuple(
+        F(n_k) if family == "hermite" else n_k * (spec.n.weight + spec.p) / spec.beta[k] ** 2
+        for k, n_k in enumerate(spec.n)
+    )
+    assert K.ratios == closed
     w = spec.n.weight
     identity = [[int(i == j) for j in range(w)] for i in range(w)]
     for strategy in CHAIN_STRATEGIES:
