@@ -50,7 +50,16 @@ from .core import (
     residue_poly,
     series_mul,
 )
-from .quad import MAX_LINE_NODES, ContourError, LineRule, bilinear_sum, line_rule_nodes
+from .quad import (
+    MAX_LINE_NODES,
+    ContourError,
+    LineRule,
+    chunk_rows,
+    float_key,
+    line_rule_nodes,
+    read_only,
+    rows_sum,
+)
 
 # The weights live on the whole real line (no half-line domain check).
 HALF_LINE = False
@@ -222,6 +231,13 @@ CIRCLE_MARGIN = 1.0
 LINE_GAP = 0.5
 LINE_TERM_FLOOR = 1e-30
 
+# The x side of the node sum (``_line_side``, ``_circle_side``) is kept for
+# the points that follow on the same grid row: a row is one x and one
+# geometry, with up to five circle passes (512 nodes, then the new halves up
+# to the 8192-node cap).  Sized for about one row, so a later row evicts it.
+LINE_MEMO = 2
+CIRCLE_MEMO = 6
+
 
 @dataclass(frozen=True)
 class HermiteContourGeometry:
@@ -265,6 +281,45 @@ class HermiteContourGeometry:
                 raise ContourError(f"shift parameter {a_k} is not inside the circle")
 
 
+@lru_cache(maxsize=LINE_MEMO)
+def _line_side(
+    spec: HermiteSpec, key: tuple[str, str], line_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Line factors A and nodes s for x and the line abscissa sigma
+    (``quad.float_key(x, sigma)``): s = sigma + i u on the Gauss rule's
+    nodes u, and A the rule's weights times exp(iu(sigma-x)) prod_k
+    (s - a_k)^{n_k}, less the nodes deep in the Gaussian tail."""
+    x, sigma = map(float.fromhex, key)
+    line = line_rule_nodes("gaussian", line_nodes)
+    u = line.nodes
+    s = sigma + 1j * u
+    A = line.weights * np.exp(1j * u * (sigma - x))
+    for a_k, n_k in zip(spec.a, spec.n):
+        if n_k:
+            A = A * (s - float(a_k)) ** n_k
+    # Line nodes deep in the Gaussian tail carry no weight.  Non-finite
+    # entries of A are never dropped, so the level value turns non-finite.
+    keep = ~(np.abs(A) < LINE_TERM_FLOOR * np.abs(A).max())
+    A, s = A[keep], s[keep]
+    read_only(A, s)
+    return A, s
+
+
+@lru_cache(maxsize=CIRCLE_MEMO)
+def _circle_side(
+    spec: HermiteSpec, key: tuple[str, ...], line_nodes: int, nodes: int, offset: float
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Circle nodes t at theta = 2 pi (j + offset) / nodes, j < nodes, and the
+    line side's chunk rows against them (``quad.chunk_rows``), for
+    key = ``quad.float_key(x, sigma, c, rho)``.  Neither depends on y."""
+    c, rho = map(float.fromhex, key[2:])
+    A, s = _line_side(spec, key[:2], line_nodes)
+    t = c + rho * np.exp(1j * (2.0 * math.pi * (np.arange(nodes) + offset) / nodes))
+    rows = chunk_rows(A, s, t)
+    read_only(t, *rows)
+    return t, rows
+
+
 def contour_levels(
     spec: HermiteSpec,
     x: float,
@@ -283,33 +338,29 @@ def contour_levels(
     nested: level 2N adds the N new circle nodes theta = 2 pi (j + 1/2) / N
     to level N's node sum.  The imaginary part is a pure discretization
     diagnostic (the kernel is real on real inputs).
+
+    Each pass over circle nodes splits into an x side, the line factors and
+    their chunk rows against the circle nodes (``_line_side`` and
+    ``_circle_side``, kept for the rest of the grid row), and a y side, the
+    circle factors against those rows (``quad.rows_sum``).
     """
     geom = geometry if geometry is not None else HermiteContourGeometry.at(spec, x)
     geom.validate(spec)
     sigma, c, rho = geom.line_abscissa, geom.circle_center, geom.circle_radius
-    line = line_rule_nodes("gaussian", min(nodes, MAX_LINE_NODES))
-    u = line.nodes
-    s = sigma + 1j * u
-    A = line.weights * np.exp(1j * u * (sigma - x))
-    for a_k, n_k in zip(spec.a, spec.n):
-        if n_k:
-            A = A * (s - float(a_k)) ** n_k
-    # Line nodes deep in the Gaussian tail carry no weight.  Non-finite
-    # entries of A are never dropped, so the level value turns non-finite.
-    keep = ~(np.abs(A) < LINE_TERM_FLOOR * np.abs(A).max())
-    A, s = A[keep], s[keep]
+    key = float_key(x, sigma, c, rho)
+    line_nodes = min(nodes, MAX_LINE_NODES)
 
-    def circle_sum(theta: np.ndarray) -> complex:
-        t = c + rho * np.exp(1j * theta)
+    def circle_sum(offset: float) -> complex:
+        t, rows = _circle_side(spec, key, line_nodes, nodes, offset)
         B = (t - c) * np.exp(-0.5 * (t - y) ** 2)
         for a_k, n_k in zip(spec.a, spec.n):
             if n_k:
                 B = B / (t - float(a_k)) ** n_k
-        return bilinear_sum(A, s, t, B)
+        return rows_sum(rows, B)
 
     factor = math.exp(0.5 * (sigma - x) ** 2) / (2.0 * math.pi)
-    total = circle_sum(2.0 * math.pi * np.arange(nodes) / nodes)
+    total = circle_sum(0.0)
     while True:
         yield factor * total / nodes
-        total += circle_sum(2.0 * math.pi * (np.arange(nodes) + 0.5) / nodes)
+        total += circle_sum(0.5)
         nodes *= 2

@@ -17,7 +17,14 @@ The kernel of the determinantal eigenvalue process is computed as
    shifts; for the half-line family a circle around 0 and one around the
    rates (nested either way or disjoint), which a Moebius map sends to two
    circles around 0, where the node sum is one FFT convolution.  Both
-   take the node count up by nested doubling.
+   take the node count up by nested doubling.  Each node sum splits into
+   an x side (the line or s-circle factors; for the Gaussian family also
+   their chunk rows against the circle nodes) and a y side (the circle
+   factors against them).  Each family keeps the x side, with any node
+   data that does not depend on y, in small bounded memos sized for about
+   one grid row, so the later points of a row (``kernel`` and ``verify``
+   walk their grids x by x) compute only what depends on y, with the same
+   bits as a cold evaluation.
 
 All polynomial ingredients are exact rationals; floats appear only at the
 final evaluation step.  The cd numerator, its diagonal limit and the chain
@@ -304,10 +311,12 @@ def eval_contour(
     too, this is its first level.  With nodes=None the levels start at
     CONTOUR_START_NODES and the value is the first one within tol of the
     level before, raising ConvergenceError (carrying the best value) if
-    CONTOUR_CAP_NODES is reached first.  A non-finite level raises
-    OverflowError.
+    CONTOUR_CAP_NODES is reached first.  A tol that is not > 0 (nan
+    included) raises ContourError, and a non-finite level OverflowError.
     """
     levels = family_module(family, spec).contour_levels
+    if not tol > 0:
+        raise ContourError(f"contour tolerance must be > 0, got {tol}")
     x, y = float(x), float(y)
     _check_domain(spec, x, y)
     if nodes is not None:

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .core import (
     residue_poly,
     series_mul,
 )
-from .quad import ContourError, LineRule, concentric_sum, line_rule_nodes
+from .quad import ContourError, LineRule, concentric_sum, float_key, line_rule_nodes, read_only
 
 # The weights live on (0, inf): kernel arguments must be > 0.
 HALF_LINE = True
@@ -222,6 +222,14 @@ DISJOINT_S = np.array([0.0625, 0.125, 0.25, 0.5])
 DISJOINT_GAP = np.array([0.1, 0.25, 0.4])
 SEARCH_NODES = 64
 
+# What the node sums need of x alone (``_search_side``, which also holds the
+# candidates' y-free t-node factors, and ``_level_s_side``) is kept for the
+# points that follow on the same grid row: the search pass for one x, and
+# each level per chosen pair.  Sized for about one row, so a later row
+# evicts it.
+SEARCH_MEMO = 1
+LEVEL_MEMO = 6
+
 
 @dataclass(frozen=True)
 class LaguerreContourGeometry:
@@ -256,21 +264,20 @@ class LaguerreContourGeometry:
         nodes / h, and ``_alias_ratio`` to the power nodes.
         """
         h = min(nodes, SEARCH_NODES // 2)
-        circles = _candidates(spec)
-        lam, mu, r_s, r_t, _ = _coaxal(*circles)
-        a, b = _node_factors(spec, x, y, *(v[:, None] for v in (lam, mu, r_s, r_t)), SEARCH_NODES)
-        scale = np.abs(1.0 - lam * mu)
-        mass = scale * np.abs(a).sum(-1) * np.abs(b).sum(-1) / np.abs(r_s - r_t) / SEARCH_NODES**2
+        side = _search_side(spec, float_key(x))
+        b = _t_factors(side.t_nodes, y)
+        mass = side.a_mass * np.abs(b).sum(-1) / np.abs(side.r_s - side.r_t) / SEARCH_NODES**2
 
         def level(n: int) -> np.ndarray:
             step = SEARCH_NODES // n
-            return scale * concentric_sum(a[:, ::step], b[:, ::step], r_s, r_t) / n**2
+            a_n, b_n = side.a[:, ::step], b[:, ::step]
+            return side.scale * concentric_sum(a_n, b_n, side.r_s, side.r_t) / n**2
 
         measured = np.minimum(np.abs(level(2 * h) - level(h)) / mass, 1.0) ** (nodes / h)
-        alias = np.maximum(measured, _alias_ratio(spec, lam, mu, r_s, r_t) ** nodes)
+        alias = np.maximum(measured, side.alias ** nodes)
         score = mass * (np.finfo(float).eps + alias)
         i = np.argmin(np.where(np.isnan(score), np.inf, score))
-        return cls(*(float(v[i]) for v in circles))
+        return cls(*(float(v[i]) for v in side.circles))
 
     def validate(self, spec: LaguerreSpec) -> None:
         if self.s_radius <= 0.0 or self.t_radius <= 0.0:
@@ -363,23 +370,89 @@ def _alias_ratio(spec: LaguerreSpec, lam, mu, r_s, r_t) -> np.ndarray:
     return worst
 
 
-def _node_factors(spec: LaguerreSpec, x: float, y: float, lam, mu, r_s, r_t, nodes: int):
-    """a = f(s) u / (1 + mu u) at u = r_s w^i and b = g(t) v / (1 + mu v) at
-    v = r_t w^j, w = e^{2 pi i / nodes}, where s = (u + lam) / (1 + mu u) and
-    t likewise; the map's parameters broadcast against the trailing node
-    axis."""
-    w = np.exp(2j * math.pi * np.arange(nodes) / nodes)
-    u, v = r_s * w, r_t * w
-    ju, jv = 1.0 + mu * u, 1.0 + mu * v
-    s, t = (u + lam) / ju, (v + lam) / jv
-    wp = spec.n.weight + spec.p
-    A = u / ju * np.exp(x * s) * s ** (-wp)
-    B = v / jv * np.exp(-y * t) * t**wp
+def _s_factors(spec: LaguerreSpec, x: float, lam, mu, r_s, nodes: int) -> np.ndarray:
+    """a = f(s) u / (1 + mu u) at u = r_s w^i, w = e^{2 pi i / nodes}, where
+    s = (u + lam) / (1 + mu u); the map's parameters broadcast against the
+    trailing node axis."""
+    u = r_s * np.exp(2j * math.pi * np.arange(nodes) / nodes)
+    ju = 1.0 + mu * u
+    s = (u + lam) / ju
+    A = u / ju * np.exp(x * s) * s ** (-(spec.n.weight + spec.p))
     for b_k, n_k in zip(spec.beta, spec.n):
         if n_k:
             A = A * (s - float(b_k)) ** n_k
-            B = B / (t - float(b_k)) ** n_k
-    return A, B
+    return A
+
+
+class _TNodes(NamedTuple):
+    """The parts of the t-factors b that do not depend on y: the nodes
+    t = (v + lam) / (1 + mu v) at v = r_t w^j, w = e^{2 pi i / nodes}, the
+    Jacobian part v / (1 + mu v), t^{|n|+p}, and (t - beta_k)^{n_k} for each
+    n_k > 0.  The map's parameters broadcast against the trailing node
+    axis."""
+
+    t: np.ndarray
+    jacobian: np.ndarray
+    power: np.ndarray
+    poles: tuple[np.ndarray, ...]
+
+
+def _t_nodes(spec: LaguerreSpec, lam, mu, r_t, nodes: int) -> _TNodes:
+    v = r_t * np.exp(2j * math.pi * np.arange(nodes) / nodes)
+    jv = 1.0 + mu * v
+    t = (v + lam) / jv
+    poles = tuple((t - float(b_k)) ** n_k for b_k, n_k in zip(spec.beta, spec.n) if n_k)
+    return _TNodes(t, v / jv, t ** (spec.n.weight + spec.p), poles)
+
+
+def _t_factors(t_nodes: _TNodes, y: float) -> np.ndarray:
+    """b = g(t) v / (1 + mu v) on the nodes of ``_t_nodes``."""
+    B = t_nodes.jacobian * np.exp(-y * t_nodes.t) * t_nodes.power
+    for pole in t_nodes.poles:
+        B = B / pole
+    return B
+
+
+class _SearchSide(NamedTuple):
+    """What the candidate search needs of x alone: each candidate pair's
+    circles (``_candidates``), the radii of their images under the Moebius
+    map (``_coaxal``) and its scale |1 - lam mu|, the pair's
+    ``_alias_ratio``, its s-factors a on SEARCH_NODES nodes with their term
+    mass scale * sum|a|, and its ``_t_nodes``."""
+
+    circles: tuple[np.ndarray, ...]
+    r_s: np.ndarray
+    r_t: np.ndarray
+    scale: np.ndarray
+    alias: np.ndarray
+    a: np.ndarray
+    a_mass: np.ndarray
+    t_nodes: _TNodes
+
+
+@lru_cache(maxsize=SEARCH_MEMO)
+def _search_side(spec: LaguerreSpec, key: tuple[str]) -> _SearchSide:
+    """``_SearchSide`` for key = ``quad.float_key(x)``."""
+    circles = _candidates(spec)
+    lam, mu, r_s, r_t, _ = _coaxal(*circles)
+    scale = np.abs(1.0 - lam * mu)
+    alias = _alias_ratio(spec, lam, mu, r_s, r_t)
+    # one row of nodes per candidate
+    lam_c, mu_c = lam[:, None], mu[:, None]
+    a = _s_factors(spec, float.fromhex(key[0]), lam_c, mu_c, r_s[:, None], SEARCH_NODES)
+    t_nodes = _t_nodes(spec, lam_c, mu_c, r_t[:, None], SEARCH_NODES)
+    a_mass = scale * np.abs(a).sum(-1)
+    side = _SearchSide(circles, r_s, r_t, scale, alias, a, a_mass, t_nodes)
+    read_only(*circles, *side[1:-1], *t_nodes[:3], *t_nodes.poles)
+    return side
+
+
+@lru_cache(maxsize=LEVEL_MEMO)
+def _level_s_side(spec: LaguerreSpec, key: tuple[str, ...], nodes: int) -> np.ndarray:
+    """``_s_factors`` on nodes nodes, for key = ``quad.float_key(x, lam, mu, r_s)``."""
+    a = _s_factors(spec, *map(float.fromhex, key), nodes)
+    read_only(a)
+    return a
 
 
 def contour_levels(
@@ -399,6 +472,10 @@ def contour_levels(
     contour normalization differs from the CD kernel by the factor
     x^p y^(-p); they agree exactly when p = 0.  The imaginary part is a pure
     discretization diagnostic.
+
+    Each level's s-factors come from ``_level_s_side``, kept for the rest
+    of the grid row; only the t-factors (``_t_nodes``, ``_t_factors``) and
+    the sum are computed per point.
     """
     geom = geometry if geometry is not None else LaguerreContourGeometry.at(spec, x, y, nodes)
     geom.validate(spec)
@@ -406,7 +483,9 @@ def contour_levels(
         float(v) for v in _coaxal(geom.s_center, geom.s_radius, geom.t_center, geom.t_radius)
     )
     scale = sign * (1.0 - lam * mu)
+    key = float_key(x, lam, mu, r_s)
     while True:
-        a, b = _node_factors(spec, x, y, lam, mu, r_s, r_t, nodes)
+        a = _level_s_side(spec, key, nodes)
+        b = _t_factors(_t_nodes(spec, lam, mu, r_t, nodes), y)
         yield scale * complex(concentric_sum(a, b, r_s, r_t)) / (nodes * nodes)
         nodes *= 2

@@ -2,13 +2,20 @@
 
 Circles use the periodic trapezoid rule, which is spectrally accurate for
 analytic integrands; on two circles around one centre the double node sum
-is one FFT convolution (``concentric_sum``).  Lines carrying a Gaussian
-(exp(-u^2/2)) or exponential (exp(-beta*u)) weight use Gauss rules built
-from the classical orthonormal three-term recurrences (Golub & Welsch,
-Math. Comp. 23, 1969): the nodes are the eigenvalues of the symmetric
-tridiagonal Jacobi matrix, polished by one Newton step on the recurrence,
-and the weights come from the Christoffel sums evaluated in log space with
-overflow-safe rescaling.
+is one FFT convolution (``concentric_sum``).  The line-by-circle node sum
+(``bilinear_sum``) splits into an s side, one row vector per column chunk
+of the circle nodes (``chunk_rows``), and a t side, those rows against the
+circle factors (``rows_sum``).  The s side does not depend on the second
+kernel argument, so a caller can keep it for a whole grid row in a memo
+keyed by the exact bits of its floats (``float_key``) that hands out
+read-only arrays (``read_only``).
+
+Lines carrying a Gaussian (exp(-u^2/2)) or exponential (exp(-beta*u))
+weight use Gauss rules built from the classical orthonormal three-term
+recurrences (Golub & Welsch, Math. Comp. 23, 1969): the nodes are the
+eigenvalues of the symmetric tridiagonal Jacobi matrix, polished by one
+Newton step on the recurrence, and the weights come from the Christoffel
+sums evaluated in log space with overflow-safe rescaling.
 """
 
 from __future__ import annotations
@@ -45,19 +52,47 @@ class ConvergenceError(RuntimeError):
         self.nodes = nodes
 
 
+def read_only(*arrays: np.ndarray) -> None:
+    """Mark the arrays read-only: a cached array is shared by every caller."""
+    for arr in arrays:
+        arr.setflags(write=False)
+
+
+def float_key(*values: float) -> tuple[str, ...]:
+    """The values' exact bits as a memo key.  0.0 and -0.0 compare (and hash)
+    equal, yet can pick different contours; ``float.fromhex`` inverts it."""
+    return tuple(float(v).hex() for v in values)
+
+
 # Column-chunk bound so the 1/(s - t) node matrix never exceeds ~64 MB.
 _CHUNK_ENTRIES = 4_000_000
 
 
+def chunk_rows(A: np.ndarray, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The s side of ``bilinear_sum``: the row vector sum_i A[i] / (s[i] - t[j])
+    over each column chunk of t in turn.  It does not depend on the t-side
+    factors B, so a caller can keep it for every B on the same nodes."""
+    cols = max(1, _CHUNK_ENTRIES // max(1, s.size))
+    chunks = range(0, t.size, cols)
+    return tuple(A @ (1.0 / (s[:, None] - t[None, j0 : j0 + cols])) for j0 in chunks)
+
+
+def rows_sum(rows: tuple[np.ndarray, ...], B: np.ndarray) -> complex:
+    """The t side of ``bilinear_sum``: each chunk row against its slice of B,
+    summed in chunk order."""
+    total = 0.0 + 0.0j
+    j0 = 0
+    for row in rows:
+        total += complex(row @ B[j0 : j0 + row.size])
+        j0 += row.size
+    return total
+
+
 def bilinear_sum(A: np.ndarray, s: np.ndarray, t: np.ndarray, B: np.ndarray) -> complex:
     """sum_{i,j} A[i] * B[j] / (s[i] - t[j]), the double-contour node sum, with
-    bounded memory and summed in a fixed chunk order for determinism."""
-    cols = max(1, _CHUNK_ENTRIES // max(1, s.size))
-    total = 0.0 + 0.0j
-    for j0 in range(0, t.size, cols):
-        block = 1.0 / (s[:, None] - t[None, j0 : j0 + cols])
-        total += complex(A @ block @ B[j0 : j0 + cols])
-    return total
+    bounded memory and summed in a fixed chunk order for determinism:
+    (A @ (1 / (s - t_chunk))) @ B_chunk, chunk by chunk."""
+    return rows_sum(chunk_rows(A, s, t), B)
 
 
 def concentric_sum(A: np.ndarray, B: np.ndarray, r_s, r_t) -> np.ndarray:
@@ -165,8 +200,7 @@ def _line_rule_cached(kind: str, n: int, beta: Fraction) -> LineRule:
             nodes = nodes / b
             weights = weights / b
             lifted = lifted / b
-    for arr in (nodes, weights, lifted):
-        arr.setflags(write=False)
+    read_only(nodes, weights, lifted)
     return LineRule(nodes, weights, lifted)
 
 

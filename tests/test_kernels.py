@@ -14,11 +14,19 @@ from hypothesis import strategies as st
 from multiortho import hermite as hm
 from multiortho import kernels as kn
 from multiortho import laguerre as lg
+from multiortho.cli import main
 from multiortho.core import CHAIN_STRATEGIES, ExactMathError, HermiteWeight, MultiIndex, mi_chain
 from multiortho.hermite import HermiteSpec
 from multiortho.laguerre import LaguerreSpec
 from multiortho.presets import standard_grid
-from multiortho.quad import ContourError, ConvergenceError, bilinear_sum, concentric_sum, line_rule_nodes
+from multiortho.quad import (
+    ContourError,
+    ConvergenceError,
+    bilinear_sum,
+    concentric_sum,
+    float_key,
+    line_rule_nodes,
+)
 from oracles import cd_kernel_oracle
 from test_acceptance import hermite_sweep, laguerre_sweep
 
@@ -410,13 +418,22 @@ def test_contour_adaptive_dispatch():
 
 def test_contour_adaptive_reports_nonconvergence():
     """The doubling loop stops at the cap and reports its last value,
-    delta and node count when the tolerance cannot be met."""
+    delta and node count when the tolerance cannot be met: at (-4, 0) the
+    levels keep differing by a rounding step of ~3e-17."""
     with pytest.raises(ConvergenceError) as err:
-        kn.eval_contour("hermite", H11, 1.2, -0.4, tol=0.0)
+        kn.eval_contour("hermite", H11, -4.0, 0.0, tol=1e-17)
     assert err.value.nodes == kn.CONTOUR_CAP_NODES
     assert 0.0 <= err.value.delta < 1e-9
     K = kn.build_kernel("hermite", H11)
-    assert err.value.best == pytest.approx(kn.eval_cd(K, 1.2, -0.4), abs=1e-7)
+    assert err.value.best == pytest.approx(kn.eval_cd(K, -4.0, 0.0), abs=1e-7)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+def test_contour_refuses_nonpositive_tolerance(tol):
+    """A tolerance no delta can fall below is refused before any level is
+    computed, not reported as a contour that did not settle at the cap."""
+    with pytest.raises(ContourError, match="tolerance"):
+        kn.eval_contour("hermite", H11, 1.2, -0.4, tol=tol)
 
 
 @pytest.mark.parametrize(
@@ -522,6 +539,93 @@ def test_contour_nested_level_matches_fresh_evaluation():
     nested = next(levels)
     fresh = next(hm.contour_levels(spec, 3.0, 0.0, 1024, None))
     assert abs(nested - fresh) <= 1e-14 * abs(fresh)
+
+
+# The x side of the node sums is kept per grid row in these bounded memos.
+CONTOUR_MEMOS = {
+    "hermite": {hm._line_side: hm.LINE_MEMO, hm._circle_side: hm.CIRCLE_MEMO},
+    "laguerre": {lg._search_side: lg.SEARCH_MEMO, lg._level_s_side: lg.LEVEL_MEMO},
+}
+# 5 x 5 grids; the Hermite one holds x = -0.0 and x = 0.0, whose values differ
+# at y = 0.5 because the sign of zero picks the side of the line.
+ORDER_GRIDS = {
+    "hermite": (H21, (-0.0, 0.0, -1.5, 0.75, 3.0), (0.5, -0.0, -2.0, 1.25, 4.0)),
+    "laguerre": (L11_P1, (0.5, 1.25, 2.0, 3.5, 5.0), (0.5, 1.0, 2.5, 4.0, 6.0)),
+}
+
+
+def _clear_contour_memos(family):
+    for memo in CONTOUR_MEMOS[family]:
+        memo.cache_clear()
+
+
+def _contour_bits(family, spec, points, nodes, cold):
+    out = {}
+    for x, y in points:
+        if cold:
+            _clear_contour_memos(family)
+        out[x.hex(), y.hex()] = kn.eval_contour(family, spec, x, y, nodes).hex()
+    return out
+
+
+@pytest.mark.parametrize("nodes", [None, 16, 512], ids=["adaptive", "16", "512"])
+@pytest.mark.parametrize("family", ["hermite", "laguerre"])
+def test_contour_bits_do_not_depend_on_evaluation_order(family, nodes):
+    """The x side kept along a grid row gives the bits a cold evaluation
+    gives, in row-major and column-major order alike, and -0.0 and 0.0 (in
+    either order) do not share it."""
+    spec, xs, ys = ORDER_GRIDS[family]
+    by_row = [(x, y) for x in xs for y in ys]
+    by_column = [(x, y) for y in ys for x in xs]
+    _clear_contour_memos(family)
+    row_major = _contour_bits(family, spec, by_row, nodes, cold=False)
+    column_major = _contour_bits(family, spec, by_column, nodes, cold=False)
+    cold = _contour_bits(family, spec, by_row, nodes, cold=True)
+    assert row_major == column_major == cold
+    if family == "hermite":
+        assert cold[(-0.0).hex(), (0.5).hex()] != cold[(0.0).hex(), (0.5).hex()]
+
+
+def test_contour_memos_hit_along_a_row():
+    """Points 2-5 of a row reuse the x side the first point built."""
+    for family, spec, x, ys, memo in [
+        ("hermite", H21, 0.75, ORDER_GRIDS["hermite"][2], hm._circle_side),
+        ("laguerre", L11_P1, 2.0, ORDER_GRIDS["laguerre"][2], lg._search_side),
+    ]:
+        _clear_contour_memos(family)
+        infos = []
+        for y in ys:
+            kn.eval_contour(family, spec, x, y)
+            infos.append(memo.cache_info())
+        assert infos[0].hits == 0
+        assert all(info.misses == infos[0].misses for info in infos[1:])
+        assert all(b.hits > a.hits for a, b in zip(infos, infos[1:]))
+
+
+def test_contour_memos_bounded_and_read_only(capsys):
+    """After 11 x 11 kernel grids each memo holds at most its small constant
+    maxsize, and the arrays it hands out cannot be written."""
+    for family, params, grid in [
+        ("hermite", ("--a", "1,-1"), "-3:3:11,-3:3:11"),
+        ("laguerre", ("--beta", "1,2", "--p", "1"), "0.5:5:11,0.5:5:11"),
+    ]:
+        assert main(["kernel", "--family", family, *params, "--n", "2,1", f"--grid={grid}"]) == 0
+        for memo, maxsize in CONTOUR_MEMOS[family].items():
+            info = memo.cache_info()
+            assert info.maxsize == maxsize <= 8
+            assert 0 < info.currsize <= maxsize
+    capsys.readouterr()
+    geo = hm.HermiteContourGeometry.at(H21, 0.75)
+    key = float_key(0.75, geo.line_abscissa, geo.circle_center, geo.circle_radius)
+    t, rows = hm._circle_side(H21, key, 512, 512, 0.0)
+    lam, mu, r_s, _, _ = (float(v) for v in lg._coaxal(0.0, 0.5, 1.5, 0.75))
+    search = lg._search_side(L11_P1, float_key(2.0))
+    a = lg._level_s_side(L11_P1, float_key(2.0, lam, mu, r_s), 512)
+    arrays = [*hm._line_side(H21, key[:2], 512), t, *rows, *search.circles, *search[1:-1], a]
+    arrays += [*search.t_nodes[:3], *search.t_nodes.poles]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def _spec(family, params, n, p):
