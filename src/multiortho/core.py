@@ -20,8 +20,13 @@ for a half-line weight, whose integrals are rational.  A type I prefactor
 is a rational in units of 1/Z and a norm constant one in units of Z, so
 every exact integral stays rational.  Floating point enters only through
 ``FormTable``, the one evaluator of sum_i c_i P_i(x) Q_i(y) over
-polynomials P_i and linear forms Q_i (each weight's exponential once per
-point); a linear form alone is its one row 1 * 1 * Q.
+polynomials P_i and linear forms Q_i; a linear form alone is its one row
+1 * 1 * Q.  A point is an x side (each c_i P_i(x), by Horner) against a y
+side (each Q_i(y): each weight's exponential and y^p once, then Horner per
+term).  At float arguments both sides come from small bounded memos keyed
+by table and value, so the later points of a grid row, and the rows after
+the first, compute only the products, with the bits of a cold evaluation;
+ndarray arguments compute the same sides directly.
 """
 
 from __future__ import annotations
@@ -523,15 +528,34 @@ class LinearForm:
         return FormTable.of([(1, RatPoly((1,)), self)])
 
 
-@dataclass(frozen=True)
+# ``FormTable`` keeps a point's scalar x side and y side for the points
+# that follow: ``kernel``, ``verify`` and ``correlate`` walk their grids x by
+# x, so one x side serves a whole row, and a row's y sides serve every row
+# after it.  X_MEMO holds the x sides of a row's few tables (cd, its
+# diagonal limit, the chain sum); Y_MEMO holds a 101-point row's y sides for
+# two tables, so a later row evicts nothing it needs.
+X_MEMO = 8
+Y_MEMO = 256
+
+
+@dataclass(frozen=True, eq=False)
 class FormTable:
     """Float evaluation data of a bilinear sum sum_i c_i P_i(x) Q_i(y) of
     polynomials P_i and linear forms Q_i: each distinct weight (shift, p)
     of the forms' ``LinearForm._float_terms`` once, and per i one row
     (c_i, P_i's float coefficients highest degree first, Q_i's terms as
     (weight index, scale, coefficients)).  The forms of one kernel or one
-    chain share their m weights, so an evaluation computes each weight's
-    exponential, and y^p, once."""
+    chain share their m weights, so a y side computes each weight's
+    exponential, and y^p, once.
+
+    A point is its x side (each c_i P_i(x)) against its y side (each
+    Q_i(y)).  At a float argument the side comes from a bounded module
+    memo (``_x_memo``, ``_y_memo``), keyed by the table, which hashes by
+    identity, and the float's value: 0.0 and -0.0 share a key, and they
+    give the same side bit for bit, because each Horner loop ends by adding
+    a constant coefficient, which is 0.0 or nonzero, and a zero Q term adds
+    nothing to a sum that is never -0.0.  At an ndarray the side is
+    computed directly."""
 
     weights: tuple[tuple[float, Union[int, None]], ...]
     rows: tuple[tuple[float, tuple[float, ...], tuple[tuple[int, float, tuple[float, ...]], ...]], ...]
@@ -549,10 +573,29 @@ class FormTable:
 
     def __call__(self, x, y):
         """sum_i c_i P_i(x) Q_i(y) at floats x, y, or elementwise at float
-        ndarrays.  Q_i(y) is the sum from 0.0 over its terms of
-        scale * y^p * poly(y) * exp(...), P_i(x) is Horner's, and the
-        products (c_i P_i(x)) Q_i(y) are added in row order to -0.0, which
-        keeps each one's bits (-0.0 + v is v, signed zeros included)."""
+        ndarrays: the products (c_i P_i(x)) Q_i(y) of the two sides added
+        in row order to -0.0, which keeps each one's bits (-0.0 + v is v,
+        signed zeros included)."""
+        xs = self.x_side(x) if isinstance(x, np.ndarray) else _x_memo(self, x)
+        qs = self.y_side(y) if isinstance(y, np.ndarray) else _y_memo(self, y)
+        total = -0.0
+        for cp, q in zip(xs, qs):
+            total += cp * q
+        return total
+
+    def x_side(self, x) -> tuple:
+        """c_i P_i(x) per row, P_i(x) by Horner."""
+        out = []
+        for c, P, _ in self.rows:
+            acc = 0.0
+            for a in P:
+                acc = acc * x + a
+            out.append(c * acc)
+        return tuple(out)
+
+    def y_side(self, y) -> tuple:
+        """Q_i(y) per row: the sum from 0.0 over its terms of
+        scale * y^p * poly(y) * exp(...), poly(y) by Horner."""
         array = isinstance(y, np.ndarray)
         exp, power = (partial(_map, math.exp), partial(_map, pow)) if array else (math.exp, pow)
         yps, exps = [], []  # y^0 and a Hermite weight's 1.0 are exact (scale * 1.0 is scale)
@@ -563,19 +606,20 @@ class FormTable:
             else:
                 yps.append(power(y, p) if p else 1.0)
                 exps.append(exp(shift * y))
-        total = -0.0
-        for c, P, terms in self.rows:
+        out = []
+        for _, _, terms in self.rows:
             q = 0.0
             for i, scale, coeffs in terms:
                 acc = 0.0
                 for a in coeffs:
                     acc = acc * y + a
                 q += scale * yps[i] * acc * exps[i]
-            acc = 0.0
-            for a in P:
-                acc = acc * x + a
-            total += c * acc * q
-        return total
+            out.append(q)
+        return tuple(out)
+
+
+_x_memo = lru_cache(maxsize=X_MEMO)(FormTable.x_side)
+_y_memo = lru_cache(maxsize=Y_MEMO)(FormTable.y_side)
 
 
 def _map(f, t: np.ndarray, *args) -> np.ndarray:

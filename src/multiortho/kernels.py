@@ -29,9 +29,15 @@ The kernel of the determinantal eigenvalue process is computed as
 All polynomial ingredients are exact rationals; floats appear only at the
 final evaluation step.  The cd numerator, its diagonal limit and the chain
 sum are each a bilinear sum sum_i c_i P_i(x) Q_i(y), evaluated by one
-``core.FormTable`` built once per kernel, or per spec and chain (each
-weight's exponential once per point, then Horner over float
-coefficients).  The module also provides the derivative identity check,
+``core.FormTable`` built once per kernel, or per spec and chain, as an x
+side (each c_i P_i(x) by Horner over float coefficients) against a y side
+(each weight's exponential once, then each Q_i(y)).  ``core`` keeps both
+scalar sides in small bounded memos, so along a grid row the x side is
+computed once per table and, from the second row on, every y side is
+found, with the same bits in any evaluation order; the diagonal's points
+change both arguments, so each of them computes both sides.  The array
+routes (``eval_cd_diagonal``, ``kernel_trace``) compute the same sides on
+ndarrays.  The module also provides the derivative identity check,
 correlation determinants, exact biorthogonality matrices, and the trace
 rule integral(K(x,x) dx) = |n|.
 """
@@ -116,8 +122,9 @@ class KernelModel:
     P_down[k] has index n - e_k, Q_up[k] has index n + e_k, and ratios[k]
     is the exact normalization ratio h_n(k) / h_{n-e_k}(k).
     dP / dP_down are the formal derivatives used by the diagonal limit.
-    The float tables of the CD numerator and of its diagonal limit are
-    built once per kernel.
+    The float tables of the CD numerator, of its diagonal limit and of the
+    numerator's two parts (for the derivative identity) are built once
+    per kernel.
     """
 
     spec: Spec
@@ -138,6 +145,16 @@ class KernelModel:
     def _diag(self) -> FormTable:
         """dN/dx, which at x = y = t is K(t, t): N vanishes on the diagonal."""
         return FormTable.of([(1, self.dP, self.Q), *self._down_terms(self.dP_down)])
+
+    @cached_property
+    def _lead(self) -> FormTable:
+        """P(x) Q(y), the numerator's first row on its own."""
+        return FormTable.of([(1, self.P, self.Q)])
+
+    @cached_property
+    def _down(self) -> FormTable:
+        """-sum_k ratio_k P_down_k(x) Q_up_k(y), the numerator's other rows."""
+        return FormTable.of(self._down_terms(self.P_down))
 
     def _down_terms(self, P_down: Sequence[RatPoly]) -> list[tuple]:
         """The rows (-ratio_k, P_down[k], Q_up_k) of the numerator's sum."""
@@ -392,8 +409,8 @@ def check_dxdy_identity(
     x, y = float(x), float(y)
     D = (eval_cd(K, x + h, y) - eval_cd(K, x - h, y)) / (2.0 * h)
     D += (eval_cd(K, x, y + h) - eval_cd(K, x, y - h)) / (2.0 * h)
-    first = (x - y) * eval_cd(K, x, y) - FormTable.of([(1, K.P, K.Q)])(x, y)
-    second = FormTable.of(K._down_terms(K.P_down))(x, y)
+    first = (x - y) * eval_cd(K, x, y) - K._lead(x, y)
+    second = K._down(x, y)
     return abs(D - first), abs(D - second)
 
 

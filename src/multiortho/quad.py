@@ -3,9 +3,10 @@
 Circles use the periodic trapezoid rule, which is spectrally accurate for
 analytic integrands; on two circles around one centre the double node sum
 is one FFT convolution (``concentric_sum``).  The line-by-circle node sum
-(``bilinear_sum``) splits into an s side, one row vector per column chunk
-of the circle nodes (``chunk_rows``), and a t side, those rows against the
-circle factors (``rows_sum``).  The s side does not depend on the second
+sum_{i,j} A[i] * B[j] / (s[i] - t[j]) splits into an s side, one row
+vector per column chunk of the circle nodes (``chunk_rows``), and a t side,
+those rows against the circle factors (``rows_sum``), summed in a fixed
+chunk order with bounded memory.  The s side does not depend on the second
 kernel argument, so a caller can keep it for a whole grid row in a memo
 keyed by the exact bits of its floats (``float_key``) that hands out
 read-only arrays (``read_only``).
@@ -69,30 +70,25 @@ _CHUNK_ENTRIES = 4_000_000
 
 
 def chunk_rows(A: np.ndarray, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The s side of ``bilinear_sum``: the row vector sum_i A[i] / (s[i] - t[j])
-    over each column chunk of t in turn.  It does not depend on the t-side
-    factors B, so a caller can keep it for every B on the same nodes."""
+    """The s side of the line-by-circle node sum: the row vector
+    sum_i A[i] / (s[i] - t[j]) over each column chunk of t in turn.  It does
+    not depend on the t-side factors B, so a caller can keep it for every B
+    on the same nodes."""
     cols = max(1, _CHUNK_ENTRIES // max(1, s.size))
     chunks = range(0, t.size, cols)
     return tuple(A @ (1.0 / (s[:, None] - t[None, j0 : j0 + cols])) for j0 in chunks)
 
 
 def rows_sum(rows: tuple[np.ndarray, ...], B: np.ndarray) -> complex:
-    """The t side of ``bilinear_sum``: each chunk row against its slice of B,
-    summed in chunk order."""
+    """The t side of the line-by-circle node sum: each chunk row against its
+    slice of B, summed in chunk order, so rows_sum(chunk_rows(A, s, t), B)
+    is sum_{i,j} A[i] * B[j] / (s[i] - t[j])."""
     total = 0.0 + 0.0j
     j0 = 0
     for row in rows:
         total += complex(row @ B[j0 : j0 + row.size])
         j0 += row.size
     return total
-
-
-def bilinear_sum(A: np.ndarray, s: np.ndarray, t: np.ndarray, B: np.ndarray) -> complex:
-    """sum_{i,j} A[i] * B[j] / (s[i] - t[j]), the double-contour node sum, with
-    bounded memory and summed in a fixed chunk order for determinism:
-    (A @ (1 / (s - t_chunk))) @ B_chunk, chunk by chunk."""
-    return rows_sum(chunk_rows(A, s, t), B)
 
 
 def concentric_sum(A: np.ndarray, B: np.ndarray, r_s, r_t) -> np.ndarray:

@@ -8,7 +8,8 @@ elimination, sharing no series/residue machinery with the package:
   Gamma by integration by parts),
 - type II polynomials as solutions of the orthogonality linear system,
 - type I coefficient vectors as solutions of the moment linear system,
-- classical monic three-term recurrences for the m = 1 reductions,
+- classical monic three-term recurrences for the m = 1 reductions, and
+  the nearest-neighbour recurrences of the type II polynomials for any m,
 - Hermitian eigenvalues by cyclic complex Jacobi rotations,
 - Gauss nodes by 40-digit Newton steps on the monic He_n / L_n recurrences,
 - the Christoffel-Darboux kernel from the exact type II and type I
@@ -214,6 +215,45 @@ def laguerre_recurrence_oracle(beta: Fraction, p: int, degree: int) -> Poly:
         nxt = padd(pmul([-b_k, Fraction(1)], cur), pscale(prev, -c_k))
         prev, cur = cur, nxt
     return cur
+
+
+# ---------------------------------------------------------------------------
+# nearest-neighbour recurrences of the type II polynomials (any m)
+
+
+def nearest_neighbour_coefficients(
+    family: str, params: Sequence, n_parts: Sequence[int], p: int = 0
+) -> tuple[list[Fraction], list[Fraction]]:
+    """(b, a) of x P_n = P_{n+e_k} + b[k] P_n + sum_j a[j] P_{n-e_j}
+    (Van Assche, J. Approx. Theory 163, 2011).  For the weights
+    e^(-x^2/2 + a_k x): b[k] = a_k and a[j] = n_j.  For x^p e^(-beta_k x):
+    b[k] = (|n|+p+1)/beta_k + sum_j n_j/beta_j and a[j] = n_j (|n|+p)/beta_j^2."""
+    params = [Fraction(v) for v in params]
+    if family == "hermite":
+        return params, [Fraction(n_j) for n_j in n_parts]
+    w = sum(n_parts)
+    tail = sum(Fraction(n_j) / beta for n_j, beta in zip(n_parts, params))
+    b = [Fraction(w + p + 1) / beta + tail for beta in params]
+    a = [Fraction(n_j * (w + p)) / beta**2 for n_j, beta in zip(n_parts, params)]
+    return b, a
+
+
+def nearest_neighbour_residual(
+    P: Sequence[Fraction],
+    P_up: Sequence[Fraction],
+    P_down: Sequence,
+    b: Fraction,
+    a: Sequence[Fraction],
+) -> Poly:
+    """x P - P_up - b P - sum_j a[j] P_down[j], trimmed, which is [] exactly
+    where the recurrence holds.  P_down[j] is None where n_j = 0, whose
+    a[j] is 0."""
+    out = padd(pmul([Fraction(0), Fraction(1)], P), pscale(P_up, -1))
+    out = padd(out, pscale(P, -b))
+    for a_j, down in zip(a, P_down):
+        if down is not None:
+            out = padd(out, pscale(down, -a_j))
+    return ptrim(out)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from multiortho.core import (
     as_fraction,
     mi_chain,
     power_series,
+    _x_memo,
+    _y_memo,
     series_mul,
 )
 from multiortho.hermite import HermiteSpec
@@ -393,6 +395,33 @@ def test_form_moments_match_fraction_loop(terms, count):
         for j in range(count):
             want[j] += r * _fraction_dot(poly.coeffs, mom[j:])
     assert form.moments(count) == want
+
+
+@given(
+    st.lists(
+        st.tuples(mixed_rationals, mixed_polys, st.lists(st.tuples(weights, mixed_polys, mixed_rationals), max_size=3)),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_form_table_sides_agree_at_signed_zero(rows):
+    """The scalar sides are memoized by the float's value, under which -0.0
+    and 0.0 share a key: each gives the same x side and the same y side,
+    bit for bit, and every point of the four is the same with the memos
+    cold or warm."""
+    table = FormTable.of(
+        (c, P, LinearForm(tuple(LinearFormTerm(r, poly, w) for w, poly, r in terms)))
+        for c, P, terms in rows
+    )
+    assert _bits(table.x_side(-0.0)) == _bits(table.x_side(0.0))
+    assert _bits(table.y_side(-0.0)) == _bits(table.y_side(0.0))
+    points = [(x, y) for x in (-0.0, 0.0) for y in (-0.0, 0.0)]
+    cold = []
+    for x, y in points:
+        _x_memo.cache_clear()
+        _y_memo.cache_clear()
+        cold.append(table(x, y))
+    assert _bits([table(x, y) for x, y in points]) == _bits(cold)
 
 
 # ---------------------------------------------------------------------------

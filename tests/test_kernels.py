@@ -4,6 +4,7 @@ the identities tying them together."""
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from multiortho import core
 from multiortho import hermite as hm
 from multiortho import kernels as kn
 from multiortho import laguerre as lg
@@ -22,12 +24,13 @@ from multiortho.presets import standard_grid
 from multiortho.quad import (
     ContourError,
     ConvergenceError,
-    bilinear_sum,
+    chunk_rows,
     concentric_sum,
     float_key,
     line_rule_nodes,
+    rows_sum,
 )
-from oracles import cd_kernel_oracle
+from oracles import cd_kernel_oracle, nearest_neighbour_coefficients, nearest_neighbour_residual
 from test_acceptance import hermite_sweep, laguerre_sweep
 
 H11 = HermiteSpec.of([1, -1], [1, 1])
@@ -369,6 +372,151 @@ def test_float_routes_match_term_formula_bitwise(case):
                 assert _bits(got) == _bits(_ref_dxdy(K, x, y, 1e-4))
 
 
+# The scalar x and y sides of core.FormTable are kept per grid row in these
+# bounded memos.
+FORM_MEMOS = {core._x_memo: core.X_MEMO, core._y_memo: core.Y_MEMO}
+# Both axes of each grid hold a near-diagonal pair (eval_cd's limit branch
+# at the midpoint) and a nan; the Hermite axes hold -0.0 and 0.0, which
+# share a memo key.
+FORM_GRIDS = {
+    "hermite": (HermiteSpec.of(["1/2", -1, 2], [2, 3, 1]), (-0.0, 0.0, -1.5, 0.75, 0.75 + 5e-9, math.nan, 3.0)),
+    "laguerre": (LaguerreSpec.of(["1/2", 2, 3], [2, 2, 1], 2), (0.5, 1.25, 1.25 + 5e-9, math.nan, 3.5)),
+}
+
+
+def _clear_form_memos():
+    for memo in FORM_MEMOS:
+        memo.cache_clear()
+
+
+def _form_bits(family, spec, points, cold):
+    """eval_cd, eval_sum on each chain strategy and the type I form at y,
+    as hex strings, per point."""
+    K = kn.build_kernel(family, spec)
+    chains = [mi_chain(spec.n, strategy) for strategy in CHAIN_STRATEGIES]
+    out = {}
+    for x, y in points:
+        if cold:
+            _clear_form_memos()
+        values = [kn.eval_cd(K, x, y), *(kn.eval_sum(family, spec, c, x, y) for c in chains), K.Q(y)]
+        out[x.hex(), y.hex()] = [v.hex() for v in values]
+    return out
+
+
+@pytest.mark.parametrize("family", ["hermite", "laguerre"])
+def test_form_bits_do_not_depend_on_evaluation_order(family):
+    """The sides kept along a grid row give the bits a cold evaluation
+    gives, in row-major, column-major, reversed and shuffled order alike,
+    and -0.0 and 0.0 give the same values, in x and in y, also cold."""
+    spec, axis = FORM_GRIDS[family]
+    by_row = [(x, y) for x in axis for y in axis]
+    shuffled = by_row[:]
+    random.Random(1).shuffle(shuffled)
+    orders = [by_row, [(x, y) for y in axis for x in axis], by_row[::-1], shuffled]
+    cold = _form_bits(family, spec, by_row, cold=True)
+    _clear_form_memos()
+    for points in orders:
+        assert _form_bits(family, spec, points, cold=False) == cold
+    if family == "hermite":
+        zeros = [(-0.0).hex(), (0.0).hex()]
+        for v in [z.hex() for z in axis]:
+            assert cold[zeros[0], v] == cold[zeros[1], v]
+            assert cold[v, zeros[0]] == cold[v, zeros[1]]
+
+
+def test_form_memos_hit_along_a_row():
+    """A row computes each table's x side once, and every row after the
+    first finds all of its y sides."""
+    K = kn.build_kernel("hermite", H21)
+    ys = [float(v) for v in standard_grid("hermite")]
+    _clear_form_memos()
+    for row, x in enumerate([0.3, 1.1], start=1):
+        for y in ys:
+            kn.eval_cd(K, x, y)
+        xi, yi = core._x_memo.cache_info(), core._y_memo.cache_info()
+        assert (xi.misses, xi.hits) == (row, row * (len(ys) - 1))
+        assert (yi.misses, yi.hits) == (len(ys), (row - 1) * len(ys))
+
+
+def test_form_memos_bounded_and_hold_tuples():
+    """The y memo holds a 101-point row (the density default) for two
+    tables; both memos stay at their maxsize past it, and hold each side as
+    a tuple of floats, one per table row, with the bits of the side
+    computed directly."""
+    assert core.Y_MEMO >= 2 * 101
+    K = kn.build_kernel("hermite", H21)
+    chain = mi_chain(H21.n)
+    _clear_form_memos()
+    for x in np.linspace(0.1, 0.9, 2 * core.X_MEMO):
+        for y in np.linspace(-3, 3, core.Y_MEMO):
+            kn.eval_cd(K, float(x), float(y))
+            kn.eval_sum("hermite", H21, chain, float(x), float(y))
+    for memo, maxsize in FORM_MEMOS.items():
+        info = memo.cache_info()
+        assert info.maxsize == maxsize == info.currsize
+    for table in (K._cd, K._diag, kn._chain_table(H21, tuple(chain))):
+        for memo, side in [(core._x_memo, table.x_side), (core._y_memo, table.y_side)]:
+            got = memo(table, 0.5)
+            assert type(got) is tuple and len(got) == len(table.rows)
+            assert all(type(v) is float for v in got)
+            assert _bits(got) == _bits(side(0.5))
+
+
+def _nearest_neighbour_residuals(spec, b, a):
+    """The recurrence's residual at each k, from the package's type II
+    polynomials at n, n + e_k and each n - e_j."""
+    fam = kn.FAMILIES[spec.family]
+
+    def coeffs(n):
+        return list(fam.type_ii_poly(spec.with_n(n)).coeffs)
+
+    down = [coeffs(spec.n.drop(j)) if n_j else None for j, n_j in enumerate(spec.n)]
+    P = coeffs(spec.n)
+    return [nearest_neighbour_residual(P, coeffs(spec.n.bump(k)), down, b[k], a) for k in range(spec.m)]
+
+
+def _recurrence_sweep():
+    """The acceptance sweep's specs with m >= 2, each with its recurrence
+    coefficients."""
+    for spec in hermite_sweep() + laguerre_sweep():
+        if spec.m >= 2:
+            params = getattr(spec, spec.param_name)
+            yield spec, nearest_neighbour_coefficients(spec.family, params, spec.n, spec.p)
+
+
+def test_type_ii_nearest_neighbour_recurrences_exactly():
+    """Over the acceptance sweep's specs with m >= 2, in both families,
+    x P_n = P_{n+e_k} + b_{n,k} P_n + sum_j a_{n,j} P_{n-e_j} holds exactly
+    at every k, and wherever the kernel exists each a_{n,j} is its CD ratio
+    h_j(n)/h_j(n - e_j), checked with no norm constant."""
+    kernels = 0
+    for spec, (b, a) in _recurrence_sweep():
+        assert _nearest_neighbour_residuals(spec, b, a) == [[]] * spec.m, spec
+        if all(spec.n):
+            assert list(kn.build_kernel(spec.family, spec).ratios) == a, spec
+            kernels += 1
+    assert kernels > 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [HermiteSpec.of(["1/2", -1, 2], [2, 3, 1]), LaguerreSpec.of(["1/2", 2, 3], [2, 0, 1], 2)],
+    ids=["hermite", "laguerre"],
+)
+def test_type_ii_nearest_neighbour_negative_control(spec):
+    """With any one coefficient off by one (each b_{n,k}, and each a_{n,j}
+    with n_j > 0) the recurrence fails."""
+    b, a = nearest_neighbour_coefficients(spec.family, getattr(spec, spec.param_name), spec.n, spec.p)
+    assert _nearest_neighbour_residuals(spec, b, a) == [[]] * spec.m
+    for coeffs in (b, a):
+        for i in range(spec.m):
+            if coeffs is a and not spec.n[i]:
+                continue
+            coeffs[i] += 1
+            assert any(_nearest_neighbour_residuals(spec, b, a)), (coeffs, i)
+            coeffs[i] -= 1
+
+
 # ---------------------------------------------------------------------------
 # contour form
 
@@ -502,7 +650,7 @@ def test_contour_laguerre_mapped_sum_matches_direct_node_sum():
     dt = sign * (1 - lam * mu) / (1 + mu * r_t * w) ** 2 * r_t * w
     f = np.exp(x * s) * s ** -4 * (s - 1) ** 2 * (s - 2)
     g = np.exp(-y * t) * t**4 / ((t - 1) ** 2 * (t - 2))
-    direct = bilinear_sum(f * ds, s, t, g * dt) / N**2
+    direct = rows_sum(chunk_rows(f * ds, s, t), g * dt) / N**2
     got = next(lg.contour_levels(spec, x, y, N, geo))
     assert abs(got - direct) <= 1e-14 * abs(direct)
 
@@ -525,7 +673,7 @@ def test_concentric_sum_matches_bilinear_sum(N):
     radii = [(3.0, 2.0), (2.0, 3.0)]
     batched = concentric_sum(np.stack([A, A]), np.stack([B, B]), *np.array(radii).T)
     for (r_s, r_t), got in zip(radii, batched):
-        direct = bilinear_sum(A, r_s * w, r_t * w, B)
+        direct = rows_sum(chunk_rows(A, r_s * w, r_t * w), B)
         assert abs(concentric_sum(A, B, r_s, r_t) - direct) <= 1e-14 * abs(direct)
         assert got == concentric_sum(A, B, r_s, r_t)
 
