@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -305,19 +305,30 @@ def _line_side(
     return A, s
 
 
+class _CircleSide(NamedTuple):
+    """One pass's circle nodes t, the circle factors that do not depend on
+    y, (t - c) and (t - a_k)^{n_k} for each n_k > 0, and the line side's
+    chunk rows against t (``quad.chunk_rows``)."""
+
+    t: np.ndarray
+    centred: np.ndarray
+    poles: tuple[np.ndarray, ...]
+    rows: tuple[np.ndarray, ...]
+
+
 @lru_cache(maxsize=CIRCLE_MEMO)
 def _circle_side(
     spec: HermiteSpec, key: tuple[str, ...], line_nodes: int, nodes: int, offset: float
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Circle nodes t at theta = 2 pi (j + offset) / nodes, j < nodes, and the
-    line side's chunk rows against them (``quad.chunk_rows``), for
-    key = ``quad.float_key(x, sigma, c, rho)``.  Neither depends on y."""
+) -> _CircleSide:
+    """``_CircleSide`` at theta = 2 pi (j + offset) / nodes, j < nodes, for
+    key = ``quad.float_key(x, sigma, c, rho)``.  None of it depends on y."""
     c, rho = map(float.fromhex, key[2:])
     A, s = _line_side(spec, key[:2], line_nodes)
     t = c + rho * np.exp(1j * (2.0 * math.pi * (np.arange(nodes) + offset) / nodes))
-    rows = chunk_rows(A, s, t)
-    read_only(t, *rows)
-    return t, rows
+    poles = tuple((t - float(a_k)) ** n_k for a_k, n_k in zip(spec.a, spec.n) if n_k)
+    side = _CircleSide(t, t - c, poles, chunk_rows(A, s, t))
+    read_only(t, side.centred, *poles, *side.rows)
+    return side
 
 
 def contour_levels(
@@ -339,10 +350,11 @@ def contour_levels(
     to level N's node sum.  The imaginary part is a pure discretization
     diagnostic (the kernel is real on real inputs).
 
-    Each pass over circle nodes splits into an x side, the line factors and
-    their chunk rows against the circle nodes (``_line_side`` and
-    ``_circle_side``, kept for the rest of the grid row), and a y side, the
-    circle factors against those rows (``quad.rows_sum``).
+    Each pass over circle nodes splits into an x side, the line factors,
+    their chunk rows against the circle nodes and the circle factors that do
+    not depend on y (``_line_side`` and ``_circle_side``, kept for the rest
+    of the grid row), and a y side: exp(-(t - y)^2 / 2) times those factors,
+    against the chunk rows (``quad.rows_sum``).
     """
     geom = geometry if geometry is not None else HermiteContourGeometry.at(spec, x)
     geom.validate(spec)
@@ -351,12 +363,11 @@ def contour_levels(
     line_nodes = min(nodes, MAX_LINE_NODES)
 
     def circle_sum(offset: float) -> complex:
-        t, rows = _circle_side(spec, key, line_nodes, nodes, offset)
-        B = (t - c) * np.exp(-0.5 * (t - y) ** 2)
-        for a_k, n_k in zip(spec.a, spec.n):
-            if n_k:
-                B = B / (t - float(a_k)) ** n_k
-        return rows_sum(rows, B)
+        side = _circle_side(spec, key, line_nodes, nodes, offset)
+        B = side.centred * np.exp(-0.5 * (side.t - y) ** 2)
+        for pole in side.poles:
+            B = B / pole
+        return rows_sum(side.rows, B)
 
     factor = math.exp(0.5 * (sigma - x) ** 2) / (2.0 * math.pi)
     total = circle_sum(0.0)

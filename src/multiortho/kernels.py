@@ -19,12 +19,16 @@ The kernel of the determinantal eigenvalue process is computed as
    circles around 0, where the node sum is one FFT convolution.  Both
    take the node count up by nested doubling.  Each node sum splits into
    an x side (the line or s-circle factors; for the Gaussian family also
-   their chunk rows against the circle nodes) and a y side (the circle
-   factors against them).  Each family keeps the x side, with any node
-   data that does not depend on y, in small bounded memos sized for about
-   one grid row, so the later points of a row (``kernel`` and ``verify``
-   walk their grids x by x) compute only what depends on y, with the same
-   bits as a cold evaluation.
+   their chunk rows against the circle nodes, for the half-line family
+   their FFT side, ``quad.concentric_side``) and a y side (the circle
+   factors against them).  Each family keeps the x side, with the node
+   data that does not depend on y (the circle factors' y-free parts), in
+   small bounded memos sized for about one grid row, so the later points
+   of a row (``kernel`` and ``verify`` walk their grids x by x) compute
+   only what depends on y, with the same bits as a cold evaluation.  The
+   half-line levels nest: the nodes of level 2N are those of level N at
+   the even indices, with the same bits, so each level evaluates its
+   factors only at the N new odd nodes and reuses the rest.
 
 All polynomial ingredients are exact rationals; floats appear only at the
 final evaluation step.  The cd numerator, its diagonal limit and the chain

@@ -47,7 +47,16 @@ from .core import (
     residue_poly,
     series_mul,
 )
-from .quad import ContourError, LineRule, concentric_sum, float_key, line_rule_nodes, read_only
+from .quad import (
+    ConcentricSide,
+    ContourError,
+    LineRule,
+    concentric_side,
+    concentric_side_sum,
+    float_key,
+    line_rule_nodes,
+    read_only,
+)
 
 # The weights live on (0, inf): kernel arguments must be > 0.
 HALF_LINE = True
@@ -222,11 +231,10 @@ DISJOINT_S = np.array([0.0625, 0.125, 0.25, 0.5])
 DISJOINT_GAP = np.array([0.1, 0.25, 0.4])
 SEARCH_NODES = 64
 
-# What the node sums need of x alone (``_search_side``, which also holds the
-# candidates' y-free t-node factors, and ``_level_s_side``) is kept for the
-# points that follow on the same grid row: the search pass for one x, and
-# each level per chosen pair.  Sized for about one row, so a later row
-# evicts it.
+# What the node sums need of x alone, with the y-free t-node factors
+# (``_search_side`` and ``_level_s_side``), is kept for the points that
+# follow on the same grid row: the search pass for one x, and each level per
+# chosen pair.  Sized for about one row, so a later row evicts it.
 SEARCH_MEMO = 1
 LEVEL_MEMO = 6
 
@@ -260,24 +268,13 @@ class LaguerreContourGeometry:
         mapped node sum (its rounding error scales with it) times eps plus
         the trapezoid rule's relative aliasing error at nodes nodes.  That
         is the larger of the relative difference of the h- and 2h-node sums
-        (the nodes nest, h = min(nodes, SEARCH_NODES / 2)) to the power
-        nodes / h, and ``_alias_ratio`` to the power nodes.
+        to the power nodes / h, and ``_alias_ratio`` to the power nodes;
+        h is the largest power of two <= min(nodes, SEARCH_NODES / 2), so
+        both sums are trapezoid rules on nested subsets of the
+        SEARCH_NODES nodes.  Everything but the t-factors b, their
+        transforms and the score is kept per x (``_search_side``).
         """
-        h = min(nodes, SEARCH_NODES // 2)
-        side = _search_side(spec, float_key(x))
-        b = _t_factors(side.t_nodes, y)
-        mass = side.a_mass * np.abs(b).sum(-1) / np.abs(side.r_s - side.r_t) / SEARCH_NODES**2
-
-        def level(n: int) -> np.ndarray:
-            step = SEARCH_NODES // n
-            a_n, b_n = side.a[:, ::step], b[:, ::step]
-            return side.scale * concentric_sum(a_n, b_n, side.r_s, side.r_t) / n**2
-
-        measured = np.minimum(np.abs(level(2 * h) - level(h)) / mass, 1.0) ** (nodes / h)
-        alias = np.maximum(measured, side.alias ** nodes)
-        score = mass * (np.finfo(float).eps + alias)
-        i = np.argmin(np.where(np.isnan(score), np.inf, score))
-        return cls(*(float(v[i]) for v in side.circles))
+        return _search(spec, x, y, nodes)[0]
 
     def validate(self, spec: LaguerreSpec) -> None:
         if self.s_radius <= 0.0 or self.t_radius <= 0.0:
@@ -370,11 +367,26 @@ def _alias_ratio(spec: LaguerreSpec, lam, mu, r_s, r_t) -> np.ndarray:
     return worst
 
 
-def _s_factors(spec: LaguerreSpec, x: float, lam, mu, r_s, nodes: int) -> np.ndarray:
-    """a = f(s) u / (1 + mu u) at u = r_s w^i, w = e^{2 pi i / nodes}, where
+def _circle_nodes(nodes: int, first: bool) -> np.ndarray:
+    """w^k, w = e^{2 pi i / nodes}, at the nodes a level adds: every k on a
+    first level; on a nested one only the odd k, because the even ones
+    2 pi i 2k / nodes round exactly as level nodes / 2's 2 pi i k / (nodes / 2)."""
+    k = np.arange(nodes) if first else np.arange(1, nodes, 2)
+    return np.exp(2j * math.pi * k / nodes)
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The node values of a nested level from those of the level before
+    (its even nodes) and those of the nodes it adds (its odd ones)."""
+    out = np.empty(even.size + odd.size, dtype=complex)
+    out[0::2], out[1::2] = even, odd
+    return out
+
+
+def _s_factors(spec: LaguerreSpec, x: float, lam, mu, u) -> np.ndarray:
+    """a = f(s) u / (1 + mu u) at the image nodes u, where
     s = (u + lam) / (1 + mu u); the map's parameters broadcast against the
     trailing node axis."""
-    u = r_s * np.exp(2j * math.pi * np.arange(nodes) / nodes)
     ju = 1.0 + mu * u
     s = (u + lam) / ju
     A = u / ju * np.exp(x * s) * s ** (-(spec.n.weight + spec.p))
@@ -386,10 +398,9 @@ def _s_factors(spec: LaguerreSpec, x: float, lam, mu, r_s, nodes: int) -> np.nda
 
 class _TNodes(NamedTuple):
     """The parts of the t-factors b that do not depend on y: the nodes
-    t = (v + lam) / (1 + mu v) at v = r_t w^j, w = e^{2 pi i / nodes}, the
-    Jacobian part v / (1 + mu v), t^{|n|+p}, and (t - beta_k)^{n_k} for each
-    n_k > 0.  The map's parameters broadcast against the trailing node
-    axis."""
+    t = (v + lam) / (1 + mu v) at the image nodes v, the Jacobian part
+    v / (1 + mu v), t^{|n|+p}, and (t - beta_k)^{n_k} for each n_k > 0.
+    The map's parameters broadcast against the trailing node axis."""
 
     t: np.ndarray
     jacobian: np.ndarray
@@ -397,8 +408,7 @@ class _TNodes(NamedTuple):
     poles: tuple[np.ndarray, ...]
 
 
-def _t_nodes(spec: LaguerreSpec, lam, mu, r_t, nodes: int) -> _TNodes:
-    v = r_t * np.exp(2j * math.pi * np.arange(nodes) / nodes)
+def _t_nodes(spec: LaguerreSpec, lam, mu, v) -> _TNodes:
     jv = 1.0 + mu * v
     t = (v + lam) / jv
     poles = tuple((t - float(b_k)) ** n_k for b_k, n_k in zip(spec.beta, spec.n) if n_k)
@@ -415,44 +425,87 @@ def _t_factors(t_nodes: _TNodes, y: float) -> np.ndarray:
 
 class _SearchSide(NamedTuple):
     """What the candidate search needs of x alone: each candidate pair's
-    circles (``_candidates``), the radii of their images under the Moebius
-    map (``_coaxal``) and its scale |1 - lam mu|, the pair's
-    ``_alias_ratio``, its s-factors a on SEARCH_NODES nodes with their term
-    mass scale * sum|a|, and its ``_t_nodes``."""
+    circles (``_candidates``), the map's lam, mu, r_s, r_t and sign
+    (``_coaxal``) and its scale |1 - lam mu|, the pair's ``_alias_ratio``,
+    the term mass scale * sum|a| of its s-factors a on SEARCH_NODES nodes,
+    its ``_t_nodes``, and the A sides (``quad.concentric_side``) of a on the
+    2h and h nodes that ``LaguerreContourGeometry.at`` compares."""
 
     circles: tuple[np.ndarray, ...]
-    r_s: np.ndarray
-    r_t: np.ndarray
+    coaxal: tuple[np.ndarray, ...]
     scale: np.ndarray
     alias: np.ndarray
-    a: np.ndarray
     a_mass: np.ndarray
     t_nodes: _TNodes
+    levels: tuple[ConcentricSide, ConcentricSide]
 
 
 @lru_cache(maxsize=SEARCH_MEMO)
-def _search_side(spec: LaguerreSpec, key: tuple[str]) -> _SearchSide:
-    """``_SearchSide`` for key = ``quad.float_key(x)``."""
+def _search_side(spec: LaguerreSpec, key: tuple[str], h: int) -> _SearchSide:
+    """``_SearchSide`` for key = ``quad.float_key(x)`` and the coarser of
+    the two compared node counts, h."""
     circles = _candidates(spec)
-    lam, mu, r_s, r_t, _ = _coaxal(*circles)
+    coaxal = _coaxal(*circles)
+    lam, mu, r_s, r_t, _ = coaxal
     scale = np.abs(1.0 - lam * mu)
     alias = _alias_ratio(spec, lam, mu, r_s, r_t)
     # one row of nodes per candidate
-    lam_c, mu_c = lam[:, None], mu[:, None]
-    a = _s_factors(spec, float.fromhex(key[0]), lam_c, mu_c, r_s[:, None], SEARCH_NODES)
-    t_nodes = _t_nodes(spec, lam_c, mu_c, r_t[:, None], SEARCH_NODES)
+    lam_c, mu_c, w = lam[:, None], mu[:, None], _circle_nodes(SEARCH_NODES, True)
+    a = _s_factors(spec, float.fromhex(key[0]), lam_c, mu_c, r_s[:, None] * w)
+    t_nodes = _t_nodes(spec, lam_c, mu_c, r_t[:, None] * w)
     a_mass = scale * np.abs(a).sum(-1)
-    side = _SearchSide(circles, r_s, r_t, scale, alias, a, a_mass, t_nodes)
-    read_only(*circles, *side[1:-1], *t_nodes[:3], *t_nodes.poles)
+    levels = tuple(concentric_side(a[:, :: SEARCH_NODES // n], r_s, r_t) for n in (2 * h, h))
+    side = _SearchSide(circles, coaxal, scale, alias, a_mass, t_nodes, levels)
+    read_only(*circles, *coaxal, scale, alias, a_mass, *levels[0], *levels[1])
+    read_only(*t_nodes[:3], *t_nodes.poles)
     return side
 
 
+def _search(
+    spec: LaguerreSpec, x: float, y: float, nodes: int
+) -> tuple[LaguerreContourGeometry, tuple[float, ...]]:
+    """``LaguerreContourGeometry.at`` and the chosen pair's lam, mu, r_s,
+    r_t and sign, read off the search side."""
+    h = 1 << (min(nodes, SEARCH_NODES // 2).bit_length() - 1)
+    side = _search_side(spec, float_key(x), h)
+    r_s, r_t = side.coaxal[2:4]
+    b = _t_factors(side.t_nodes, y)
+    mass = side.a_mass * np.abs(b).sum(-1) / np.abs(r_s - r_t) / SEARCH_NODES**2
+    fine, coarse = (
+        side.scale * concentric_side_sum(a_side, b[:, :: SEARCH_NODES // n]) / n**2
+        for a_side, n in zip(side.levels, (2 * h, h))
+    )
+    measured = np.minimum(np.abs(fine - coarse) / mass, 1.0) ** (nodes / h)
+    alias = np.maximum(measured, side.alias ** nodes)
+    score = mass * (np.finfo(float).eps + alias)
+    i = np.argmin(np.where(np.isnan(score), np.inf, score))
+    geometry = LaguerreContourGeometry(*(float(v[i]) for v in side.circles))
+    return geometry, tuple(float(v[i]) for v in side.coaxal)
+
+
+class _Level(NamedTuple):
+    """A level's x side: its s-factors a, their A side
+    (``quad.concentric_side``), and the ``_t_nodes`` of the nodes it adds."""
+
+    a: np.ndarray
+    side: ConcentricSide
+    t_nodes: _TNodes
+
+
 @lru_cache(maxsize=LEVEL_MEMO)
-def _level_s_side(spec: LaguerreSpec, key: tuple[str, ...], nodes: int) -> np.ndarray:
-    """``_s_factors`` on nodes nodes, for key = ``quad.float_key(x, lam, mu, r_s)``."""
-    a = _s_factors(spec, *map(float.fromhex, key), nodes)
-    read_only(a)
-    return a
+def _level_s_side(spec: LaguerreSpec, key: tuple[str, ...], nodes: int, first: int) -> _Level:
+    """``_Level`` on nodes nodes of the levels that start at first nodes, for
+    key = ``quad.float_key(x, lam, mu, r_s, r_t)``.  A nested level takes
+    its even s-factors from the level before (this memo) and computes only
+    the odd ones."""
+    x, lam, mu, r_s, r_t = map(float.fromhex, key)
+    w = _circle_nodes(nodes, nodes == first)
+    a = _s_factors(spec, x, lam, mu, r_s * w)
+    if nodes != first:
+        a = _interleave(_level_s_side(spec, key, nodes // 2, first).a, a)
+    level = _Level(a, concentric_side(a, r_s, r_t), _t_nodes(spec, lam, mu, r_t * w))
+    read_only(a, *level.side, *level.t_nodes[:3], *level.t_nodes.poles)
+    return level
 
 
 def contour_levels(
@@ -473,19 +526,31 @@ def contour_levels(
     x^p y^(-p); they agree exactly when p = 0.  The imaginary part is a pure
     discretization diagnostic.
 
-    Each level's s-factors come from ``_level_s_side``, kept for the rest
-    of the grid row; only the t-factors (``_t_nodes``, ``_t_factors``) and
-    the sum are computed per point.
+    The node sum splits into an x side and a y side.  The x side is each
+    level's s-factors with their A side (``quad.concentric_side``) and the
+    y-free t-node factors, kept for the rest of the grid row
+    (``_level_s_side``); the y side is the t-factors b and their transforms
+    against it (``quad.concentric_side_sum``).  The levels are nested: the
+    nodes of level 2N are those of level N at the even indices, with the
+    same bits (``_circle_nodes``), so each level computes its s-factors and
+    each point its t-factors only at the N new odd nodes.  The default
+    geometry's map parameters come from the search side, which already
+    holds them for every candidate.
     """
-    geom = geometry if geometry is not None else LaguerreContourGeometry.at(spec, x, y, nodes)
-    geom.validate(spec)
-    lam, mu, r_s, r_t, sign = (
-        float(v) for v in _coaxal(geom.s_center, geom.s_radius, geom.t_center, geom.t_radius)
-    )
+    if geometry is None:
+        geometry, coaxal = _search(spec, x, y, nodes)
+        geometry.validate(spec)
+    else:
+        geometry.validate(spec)
+        g = geometry
+        coaxal = _coaxal(g.s_center, g.s_radius, g.t_center, g.t_radius)
+    lam, mu, r_s, r_t, sign = (float(v) for v in coaxal)
     scale = sign * (1.0 - lam * mu)
-    key = float_key(x, lam, mu, r_s)
+    key = float_key(x, lam, mu, r_s, r_t)
+    first, b = nodes, None
     while True:
-        a = _level_s_side(spec, key, nodes)
-        b = _t_factors(_t_nodes(spec, lam, mu, r_t, nodes), y)
-        yield scale * complex(concentric_sum(a, b, r_s, r_t)) / (nodes * nodes)
+        level = _level_s_side(spec, key, nodes, first)
+        new = _t_factors(level.t_nodes, y)
+        b = new if b is None else _interleave(b, new)
+        yield scale * complex(concentric_side_sum(level.side, b)) / (nodes * nodes)
         nodes *= 2

@@ -1,15 +1,20 @@
 """Quadrature primitives for the double-contour kernel integrals.
 
 Circles use the periodic trapezoid rule, which is spectrally accurate for
-analytic integrands; on two circles around one centre the double node sum
-is one FFT convolution (``concentric_sum``).  The line-by-circle node sum
+analytic integrands.  The line-by-circle node sum
 sum_{i,j} A[i] * B[j] / (s[i] - t[j]) splits into an s side, one row
 vector per column chunk of the circle nodes (``chunk_rows``), and a t side,
 those rows against the circle factors (``rows_sum``), summed in a fixed
-chunk order with bounded memory.  The s side does not depend on the second
-kernel argument, so a caller can keep it for a whole grid row in a memo
-keyed by the exact bits of its floats (``float_key``) that hands out
-read-only arrays (``read_only``).
+chunk order with bounded memory.  On two circles around one centre the
+double node sum is one FFT convolution (``concentric_sum``), which splits
+the same way: an A side (``concentric_side``: which rows swap the two
+factors, those with r_s < r_t, the sign, R (1 - q^N), and q^k times A's
+transform on the kept rows, or A's transform and q^k on the swapped ones)
+and a B side (``concentric_side_sum``: B's transform and the products of
+the one-pass sum, in its order, so the bits are the same).  The s or A side
+does not depend on the second kernel argument, so a caller can keep it for
+a whole grid row in a memo keyed by the exact bits of its floats
+(``float_key``) that hands out read-only arrays (``read_only``).
 
 Lines carrying a Gaussian (exp(-u^2/2)) or exponential (exp(-beta*u))
 weight use Gauss rules built from the classical orthonormal three-term
@@ -25,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,26 +97,81 @@ def rows_sum(rows: tuple[np.ndarray, ...], B: np.ndarray) -> complex:
     return total
 
 
+class ConcentricSide(NamedTuple):
+    """The A side of ``concentric_sum`` on rows of N nodes, with
+    F(X) = roll(fft(X), -1) and G(X) = N ifft(X): the rows (flat indices)
+    that keep A as the first factor (r_s > r_t) and their q^k F(A), the
+    swapped rows (r_s < r_t) and their G(A) and q^k, and the sign and the
+    denominator R (1 - q^N) in the radii's shape."""
+
+    kept: np.ndarray
+    kept_terms: np.ndarray
+    swapped: np.ndarray
+    swapped_terms: np.ndarray
+    powers: np.ndarray
+    sign: np.ndarray
+    denominator: np.ndarray
+
+
+def _fft_rolled(X: np.ndarray) -> np.ndarray:
+    """F(X) = roll(fft(X), -1) along the nodes; no rows, no transform."""
+    if not X.size:
+        return X
+    F = np.fft.fft(X)
+    return np.concatenate((F[:, 1:], F[:, :1]), axis=-1)
+
+
+def _ifft_scaled(X: np.ndarray) -> np.ndarray:
+    """G(X) = N ifft(X) along the N nodes; no rows, no transform."""
+    return X.shape[-1] * np.fft.ifft(X) if X.size else X
+
+
+def concentric_side(A: np.ndarray, r_s, r_t) -> ConcentricSide:
+    """The part of ``concentric_sum`` that does not depend on B, which a
+    caller can keep for every B on the same nodes."""
+    r_s, r_t = np.asarray(r_s, dtype=float), np.asarray(r_t, dtype=float)
+    swap = r_s < r_t
+    R = np.maximum(r_s, r_t)
+    q = np.minimum(r_s, r_t) / R
+    N = A.shape[-1]
+    rows = A.reshape(-1, N)
+    powers = (q[..., None] ** np.arange(N)).reshape(rows.shape)
+    swapped, kept = swap.ravel().nonzero()[0], (~swap).ravel().nonzero()[0]
+    return ConcentricSide(
+        kept,
+        powers[kept] * _fft_rolled(rows[kept]),
+        swapped,
+        _ifft_scaled(rows[swapped]),
+        powers[swapped],
+        np.where(swap, -1.0, 1.0),
+        R * (1.0 - q**N),
+    )
+
+
+def concentric_side_sum(side: ConcentricSide, B: np.ndarray) -> np.ndarray:
+    """The B side of ``concentric_sum``, B in the A side's shape: B's
+    transforms against the A side, the products (q^k F(A)) G(B) on the kept
+    rows and (q^k F(B)) G(A) on the swapped ones, summed over the nodes."""
+    rows = B.reshape(-1, B.shape[-1])
+    terms = np.empty(rows.shape, dtype=complex)
+    terms[side.kept] = side.kept_terms * _ifft_scaled(rows[side.kept])
+    terms[side.swapped] = side.powers * _fft_rolled(rows[side.swapped]) * side.swapped_terms
+    return side.sign * terms.sum(-1).reshape(side.sign.shape) / side.denominator
+
+
 def concentric_sum(A: np.ndarray, B: np.ndarray, r_s, r_t) -> np.ndarray:
     """sum_{i,j} A[i] * B[j] / (s[i] - t[j]) for N equispaced nodes on two
     circles around 0, s_i = r_s w^i and t_j = r_t w^j with
     w = e^{2 pi i / N} and r_s != r_t, in O(N log N).  The nodes run along
-    the last axis; the radii broadcast against the leading ones.
+    the last axis; the radii have the leading shape.
 
     For r_s > r_t, expanding 1/(s_i - t_j) = sum_m q^m w^{m(j-i) - i} / r_s
     with q = r_t / r_s and folding m mod N gives
     sum_{k<N} q^k Ahat[(k+1) mod N] Bchk[k] / (r_s (1 - q^N)), with
     Ahat = fft(A) and Bchk = N * ifft(B); for r_s < r_t the roles swap and
-    the sign flips.
+    the sign flips.  It is ``concentric_side_sum`` of ``concentric_side``.
     """
-    r_s, r_t = np.asarray(r_s, dtype=float), np.asarray(r_t, dtype=float)
-    swap = (r_s < r_t)[..., None]
-    A, B = np.where(swap, B, A), np.where(swap, A, B)
-    R = np.maximum(r_s, r_t)
-    q = np.minimum(r_s, r_t) / R
-    N = A.shape[-1]
-    terms = q[..., None] ** np.arange(N) * np.roll(np.fft.fft(A), -1, axis=-1) * (N * np.fft.ifft(B))
-    return np.where(swap[..., 0], -1.0, 1.0) * terms.sum(-1) / (R * (1.0 - q**N))
+    return concentric_side_sum(concentric_side(A, r_s, r_t), B)
 
 
 # ---------------------------------------------------------------------------

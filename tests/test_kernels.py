@@ -25,6 +25,8 @@ from multiortho.quad import (
     ContourError,
     ConvergenceError,
     chunk_rows,
+    concentric_side,
+    concentric_side_sum,
     concentric_sum,
     float_key,
     line_rule_nodes,
@@ -662,10 +664,24 @@ def test_contour_custom_geometry_consistent():
     assert got == pytest.approx(kn.eval_cd(K, 0.5, 0.1), abs=1e-7)
 
 
+def _concentric_reference(A, B, r_s, r_t):
+    """The FFT convolution in one pass over both factors, the form the A and
+    B sides split: (q^k F(A)) G(B) with A and B swapped on rows r_s < r_t."""
+    swap = (r_s < r_t)[..., None]
+    A, B = np.where(swap, B, A), np.where(swap, A, B)
+    R = np.maximum(r_s, r_t)
+    q = np.minimum(r_s, r_t) / R
+    N = A.shape[-1]
+    terms = q[..., None] ** np.arange(N) * np.roll(np.fft.fft(A), -1, axis=-1) * (N * np.fft.ifft(B))
+    return np.where(swap[..., 0], -1.0, 1.0) * terms.sum(-1) / (R * (1.0 - q**N))
+
+
 @pytest.mark.parametrize("N", [64, 512])
 def test_concentric_sum_matches_bilinear_sum(N):
     """The FFT convolution is the node sum over two circles around 0,
-    either one the larger, also row by row on stacked node values."""
+    either one the larger, also row by row on stacked node values; one A
+    side serves every B, with the bits of the one-pass form, on stacked
+    rows that mix swapped and unswapped radii."""
     rng = np.random.default_rng(N)
     A = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     B = rng.standard_normal(N) + 1j * rng.standard_normal(N)
@@ -676,17 +692,36 @@ def test_concentric_sum_matches_bilinear_sum(N):
         direct = rows_sum(chunk_rows(A, r_s * w, r_t * w), B)
         assert abs(concentric_sum(A, B, r_s, r_t) - direct) <= 1e-14 * abs(direct)
         assert got == concentric_sum(A, B, r_s, r_t)
+    r_s, r_t = np.array([0.5, 3.0, 2.0, 1.25, 4.0]), np.array([2.0, 2.0, 3.0, 1.0, 0.75])
+    As = rng.standard_normal((5, N)) + 1j * rng.standard_normal((5, N))
+    side = concentric_side(As, r_s, r_t)
+    for _ in range(2):
+        Bs = rng.standard_normal((5, N)) + 1j * rng.standard_normal((5, N))
+        got = concentric_side_sum(side, Bs)
+        assert _bits(got.view(float)) == _bits(concentric_sum(As, Bs, r_s, r_t).view(float))
+        assert _bits(got.view(float)) == _bits(_concentric_reference(As, Bs, r_s, r_t).view(float))
+        for row in range(5):
+            single = concentric_sum(As[row], Bs[row], r_s[row], r_t[row])
+            assert single == got[row] == _concentric_reference(As[row], Bs[row], r_s[row], r_t[row])
 
 
 def test_contour_nested_level_matches_fresh_evaluation():
     """Level 2N adds the odd circle nodes to level N's sum; that is the
-    2N-node evaluation."""
+    2N-node evaluation.  The Laguerre levels take level N's node values as
+    the even nodes of level 2N, which have the same bits, so there the
+    nested value equals the fresh one, with either circle pair inside."""
     spec = HermiteSpec.of([1, -2, -1], [1, 4, 2])
     levels = hm.contour_levels(spec, 3.0, 0.0, 512, None)
     next(levels)
     nested = next(levels)
     fresh = next(hm.contour_levels(spec, 3.0, 0.0, 1024, None))
     assert abs(nested - fresh) <= 1e-14 * abs(fresh)
+    spec = LaguerreSpec.of([1, 2], [2, 1], 1)
+    for x, y, circles in [(3.0, 2.0, (0.0, 0.5, 1.5, 0.75)), (0.7, 1.9, (1.0, 3.0, 1.0, 1.25))]:
+        geo = lg.LaguerreContourGeometry(*circles)
+        levels = lg.contour_levels(spec, x, y, 512, geo)
+        next(levels)
+        assert next(levels) == next(lg.contour_levels(spec, x, y, 1024, geo))
 
 
 # The x side of the node sums is kept per grid row in these bounded memos.
@@ -716,7 +751,9 @@ def _contour_bits(family, spec, points, nodes, cold):
     return out
 
 
-@pytest.mark.parametrize("nodes", [None, 16, 512], ids=["adaptive", "16", "512"])
+@pytest.mark.parametrize(
+    "nodes", [None, 16, 512, 1024, 8192], ids=["adaptive", "16", "512", "1024", "8192"]
+)
 @pytest.mark.parametrize("family", ["hermite", "laguerre"])
 def test_contour_bits_do_not_depend_on_evaluation_order(family, nodes):
     """The x side kept along a grid row gives the bits a cold evaluation
@@ -765,15 +802,25 @@ def test_contour_memos_bounded_and_read_only(capsys):
     capsys.readouterr()
     geo = hm.HermiteContourGeometry.at(H21, 0.75)
     key = float_key(0.75, geo.line_abscissa, geo.circle_center, geo.circle_radius)
-    t, rows = hm._circle_side(H21, key, 512, 512, 0.0)
-    lam, mu, r_s, _, _ = (float(v) for v in lg._coaxal(0.0, 0.5, 1.5, 0.75))
-    search = lg._search_side(L11_P1, float_key(2.0))
-    a = lg._level_s_side(L11_P1, float_key(2.0, lam, mu, r_s), 512)
-    arrays = [*hm._line_side(H21, key[:2], 512), t, *rows, *search.circles, *search[1:-1], a]
-    arrays += [*search.t_nodes[:3], *search.t_nodes.poles]
-    for arr in arrays:
+    lam, mu, r_s, r_t, _ = (float(v) for v in lg._coaxal(0.0, 0.5, 1.5, 0.75))
+    cached = [
+        hm._line_side(H21, key[:2], 512),
+        hm._circle_side(H21, key, 512, 512, 0.0),
+        lg._search_side(L11_P1, float_key(2.0), 32),
+        lg._level_s_side(L11_P1, float_key(2.0, lam, mu, r_s, r_t), 1024, 512),
+    ]
+    for arr in _arrays_in(cached):
         with pytest.raises(ValueError):
-            arr[0] = 0.0
+            arr[...] = 0.0
+
+
+def _arrays_in(value):
+    """Every ndarray in a memo value, through its nested tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays_in(item)
 
 
 def _spec(family, params, n, p):
@@ -816,6 +863,21 @@ def test_contour_laguerre_64_nodes_against_reference(n, p, tol):
         for y in grid:
             ct = _contour_as_cd(spec, x, y, nodes=64)
             assert abs(ct - cd_kernel_oracle("laguerre", (1, 2), n, p, x, y)) <= tol, (x, y)
+
+
+@pytest.mark.parametrize(
+    "beta, n", [((3, F(1, 2), 1), (1, 1, 2)), ((1, F(1, 2)), (1, 4))], ids=["3-rates", "2-rates"]
+)
+def test_contour_laguerre_search_nests_its_levels_below_32_nodes(beta, n):
+    """Below 32 nodes the geometry search compares 16 and 32 of its nodes,
+    two nested trapezoid sums, whatever the node count; at 24 nodes it once
+    compared 32 and 64 nodes, scaled as 24 and 48, and picked a pair that
+    missed this kernel value by 327.5."""
+    spec = LaguerreSpec.of(beta, n, 1)
+    x, y = 3.5, 2.5
+    cd = kn.eval_cd(kn.build_kernel("laguerre", spec), x, y)
+    errors = {nodes: abs(_contour_as_cd(spec, x, y, nodes=nodes) - cd) for nodes in range(16, 32, 2)}
+    assert all(err <= 10 * errors[16] for err in errors.values()), errors
 
 
 @pytest.mark.parametrize(
