@@ -50,16 +50,7 @@ from .core import (
     residue_poly,
     series_mul,
 )
-from .quad import (
-    MAX_LINE_NODES,
-    ContourError,
-    LineRule,
-    chunk_rows,
-    float_key,
-    line_rule_nodes,
-    read_only,
-    rows_sum,
-)
+from .quad import MAX_LINE_NODES, ContourError, LineRule, line_rule_nodes, read_only
 
 # The weights live on the whole real line (no half-line domain check).
 HALF_LINE = False
@@ -235,6 +226,10 @@ LINE_TERM_FLOOR = 1e-30
 # the points that follow on the same grid row: a row is one x and one
 # geometry, with up to five circle passes (512 nodes, then the new halves up
 # to the 8192-node cap).  Sized for about one row, so a later row evicts it.
+# The keys hold x and the geometry's floats, so x = -0.0 and 0.0 share an
+# entry when their geometries are equal; then sigma - x, A and the row have
+# the same bits.  Around a circle centre of 0 the sign of zero picks the
+# line's side (sigma = -reach or +reach), which keeps the keys apart.
 LINE_MEMO = 2
 CIRCLE_MEMO = 6
 
@@ -283,13 +278,12 @@ class HermiteContourGeometry:
 
 @lru_cache(maxsize=LINE_MEMO)
 def _line_side(
-    spec: HermiteSpec, key: tuple[str, str], line_nodes: int
+    spec: HermiteSpec, x: float, sigma: float, line_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Line factors A and nodes s for x and the line abscissa sigma
-    (``quad.float_key(x, sigma)``): s = sigma + i u on the Gauss rule's
-    nodes u, and A the rule's weights times exp(iu(sigma-x)) prod_k
-    (s - a_k)^{n_k}, less the nodes deep in the Gaussian tail."""
-    x, sigma = map(float.fromhex, key)
+    """Line factors A and nodes s for x on the line Re s = sigma:
+    s = sigma + i u on the Gauss rule's nodes u, and A the rule's weights
+    times exp(iu(sigma-x)) prod_k (s - a_k)^{n_k}, less the nodes deep in
+    the Gaussian tail."""
     line = line_rule_nodes("gaussian", line_nodes)
     u = line.nodes
     s = sigma + 1j * u
@@ -308,26 +302,32 @@ def _line_side(
 class _CircleSide(NamedTuple):
     """One pass's circle nodes t, the circle factors that do not depend on
     y, (t - c) and (t - a_k)^{n_k} for each n_k > 0, and the line side's
-    chunk rows against t (``quad.chunk_rows``)."""
+    row against t, row[j] = sum_i A[i] / (s[i] - t[j]), from one dense
+    matrix of at most MAX_LINE_NODES x 8192 entries (64 MiB)."""
 
     t: np.ndarray
     centred: np.ndarray
     poles: tuple[np.ndarray, ...]
-    rows: tuple[np.ndarray, ...]
+    row: np.ndarray
 
 
 @lru_cache(maxsize=CIRCLE_MEMO)
 def _circle_side(
-    spec: HermiteSpec, key: tuple[str, ...], line_nodes: int, nodes: int, offset: float
+    spec: HermiteSpec,
+    x: float,
+    geom: HermiteContourGeometry,
+    line_nodes: int,
+    nodes: int,
+    offset: float,
 ) -> _CircleSide:
-    """``_CircleSide`` at theta = 2 pi (j + offset) / nodes, j < nodes, for
-    key = ``quad.float_key(x, sigma, c, rho)``.  None of it depends on y."""
-    c, rho = map(float.fromhex, key[2:])
-    A, s = _line_side(spec, key[:2], line_nodes)
+    """``_CircleSide`` of x and geom at theta = 2 pi (j + offset) / nodes,
+    j < nodes.  None of it depends on y."""
+    c, rho = geom.circle_center, geom.circle_radius
+    A, s = _line_side(spec, x, geom.line_abscissa, line_nodes)
     t = c + rho * np.exp(1j * (2.0 * math.pi * (np.arange(nodes) + offset) / nodes))
     poles = tuple((t - float(a_k)) ** n_k for a_k, n_k in zip(spec.a, spec.n) if n_k)
-    side = _CircleSide(t, t - c, poles, chunk_rows(A, s, t))
-    read_only(t, side.centred, *poles, *side.rows)
+    side = _CircleSide(t, t - c, poles, A @ (1.0 / (s[:, None] - t)))
+    read_only(t, side.centred, *poles, side.row)
     return side
 
 
@@ -351,25 +351,25 @@ def contour_levels(
     diagnostic (the kernel is real on real inputs).
 
     Each pass over circle nodes splits into an x side, the line factors,
-    their chunk rows against the circle nodes and the circle factors that do
-    not depend on y (``_line_side`` and ``_circle_side``, kept for the rest
-    of the grid row), and a y side: exp(-(t - y)^2 / 2) times those factors,
-    against the chunk rows (``quad.rows_sum``).
+    their row sum_i A[i] / (s[i] - t_j) over the pass's circle nodes (one
+    dense matrix product) and the circle factors that do not depend on y
+    (``_line_side`` and ``_circle_side``, kept for the rest of the grid row
+    in memos keyed by x and the geometry), and a y side: exp(-(t - y)^2 / 2)
+    times those factors, against the row, added to 0j so that a zero sum
+    reads +0.
     """
     geom = geometry if geometry is not None else HermiteContourGeometry.at(spec, x)
     geom.validate(spec)
-    sigma, c, rho = geom.line_abscissa, geom.circle_center, geom.circle_radius
-    key = float_key(x, sigma, c, rho)
     line_nodes = min(nodes, MAX_LINE_NODES)
 
     def circle_sum(offset: float) -> complex:
-        side = _circle_side(spec, key, line_nodes, nodes, offset)
+        side = _circle_side(spec, x, geom, line_nodes, nodes, offset)
         B = side.centred * np.exp(-0.5 * (side.t - y) ** 2)
         for pole in side.poles:
             B = B / pole
-        return rows_sum(side.rows, B)
+        return 0j + complex(side.row @ B)
 
-    factor = math.exp(0.5 * (sigma - x) ** 2) / (2.0 * math.pi)
+    factor = math.exp(0.5 * (geom.line_abscissa - x) ** 2) / (2.0 * math.pi)
     total = circle_sum(0.0)
     while True:
         yield factor * total / nodes

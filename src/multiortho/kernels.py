@@ -19,16 +19,16 @@ The kernel of the determinantal eigenvalue process is computed as
    circles around 0, where the node sum is one FFT convolution.  Both
    take the node count up by nested doubling.  Each node sum splits into
    an x side (the line or s-circle factors; for the Gaussian family also
-   their chunk rows against the circle nodes, for the half-line family
-   their FFT side, ``quad.concentric_side``) and a y side (the circle
-   factors against them).  Each family keeps the x side, with the node
-   data that does not depend on y (the circle factors' y-free parts), in
-   small bounded memos sized for about one grid row, so the later points
-   of a row (``kernel`` and ``verify`` walk their grids x by x) compute
-   only what depends on y, with the same bits as a cold evaluation.  The
-   half-line levels nest: the nodes of level 2N are those of level N at
-   the even indices, with the same bits, so each level evaluates its
-   factors only at the N new odd nodes and reuses the rest.
+   their row against the circle nodes, one dense matrix product, for the
+   half-line family their FFT side, ``quad.concentric_side``) and a y side
+   (the circle factors against them).  Each family keeps the x side, with
+   the circle factors' y-free parts, in small bounded memos keyed by x and
+   the geometry's floats and sized for about one grid row, so the later
+   points of a row (``kernel`` and ``verify`` walk their grids x by x)
+   compute only what depends on y, with the same bits as a cold
+   evaluation.  The half-line levels nest: the nodes of level 2N are
+   those of level N at the even indices, with the same bits, so each level
+   evaluates its factors only at the N new odd nodes and reuses the rest.
 
 All polynomial ingredients are exact rationals; floats appear only at the
 final evaluation step.  The cd numerator, its diagonal limit and the chain
@@ -235,9 +235,10 @@ def eval_cd(K: KernelModel, x: float, y: float) -> float:
 def eval_cd_diagonal(K: KernelModel, t):
     """K(t, t) at each point of the float ndarray t, in one array pass over
     the exact ingredients; element i is eval_cd(K, t[i], t[i]) bit for bit,
-    and an overflow to inf or nan warns no more than it does there."""
+    and an overflow to inf or nan warns no more than it does there.  The
+    domain check names the least element that is not nan."""
     if t.size:
-        lo = float(t.min())
+        lo = float(np.fmin.reduce(t, axis=None))
         _check_domain(K.spec, lo, lo)
     with np.errstate(all="ignore"):
         return K._diag(t, t)

@@ -53,7 +53,6 @@ from .quad import (
     LineRule,
     concentric_side,
     concentric_side_sum,
-    float_key,
     line_rule_nodes,
     read_only,
 )
@@ -234,7 +233,9 @@ SEARCH_NODES = 64
 # What the node sums need of x alone, with the y-free t-node factors
 # (``_search_side`` and ``_level_s_side``), is kept for the points that
 # follow on the same grid row: the search pass for one x, and each level per
-# chosen pair.  Sized for about one row, so a later row evicts it.
+# chosen pair.  Sized for about one row, so a later row evicts it.  The keys
+# hold the floats; x > 0 and ``_coaxal`` never yields -0.0 for the
+# candidates, so no two signs of zero share a default-geometry entry.
 SEARCH_MEMO = 1
 LEVEL_MEMO = 6
 
@@ -250,7 +251,8 @@ class LaguerreContourGeometry:
     e^{(x-y)t}, which is entire, so the circles may lie either way round
     with no residue term.  Any such pair belongs to one coaxal family: a
     Moebius map sends both circles to circles around 0 (``_coaxal``), where
-    the trapezoid node sum is one FFT convolution (``quad.concentric_sum``).
+    the trapezoid node sum is one FFT convolution (``quad.concentric_side``
+    and ``quad.concentric_side_sum``).
     """
 
     s_center: float
@@ -441,9 +443,9 @@ class _SearchSide(NamedTuple):
 
 
 @lru_cache(maxsize=SEARCH_MEMO)
-def _search_side(spec: LaguerreSpec, key: tuple[str], h: int) -> _SearchSide:
-    """``_SearchSide`` for key = ``quad.float_key(x)`` and the coarser of
-    the two compared node counts, h."""
+def _search_side(spec: LaguerreSpec, x: float, h: int) -> _SearchSide:
+    """``_SearchSide`` for x and the coarser of the two compared node
+    counts, h."""
     circles = _candidates(spec)
     coaxal = _coaxal(*circles)
     lam, mu, r_s, r_t, _ = coaxal
@@ -451,7 +453,7 @@ def _search_side(spec: LaguerreSpec, key: tuple[str], h: int) -> _SearchSide:
     alias = _alias_ratio(spec, lam, mu, r_s, r_t)
     # one row of nodes per candidate
     lam_c, mu_c, w = lam[:, None], mu[:, None], _circle_nodes(SEARCH_NODES, True)
-    a = _s_factors(spec, float.fromhex(key[0]), lam_c, mu_c, r_s[:, None] * w)
+    a = _s_factors(spec, x, lam_c, mu_c, r_s[:, None] * w)
     t_nodes = _t_nodes(spec, lam_c, mu_c, r_t[:, None] * w)
     a_mass = scale * np.abs(a).sum(-1)
     levels = tuple(concentric_side(a[:, :: SEARCH_NODES // n], r_s, r_t) for n in (2 * h, h))
@@ -467,7 +469,7 @@ def _search(
     """``LaguerreContourGeometry.at`` and the chosen pair's lam, mu, r_s,
     r_t and sign, read off the search side."""
     h = 1 << (min(nodes, SEARCH_NODES // 2).bit_length() - 1)
-    side = _search_side(spec, float_key(x), h)
+    side = _search_side(spec, x, h)
     r_s, r_t = side.coaxal[2:4]
     b = _t_factors(side.t_nodes, y)
     mass = side.a_mass * np.abs(b).sum(-1) / np.abs(r_s - r_t) / SEARCH_NODES**2
@@ -493,16 +495,16 @@ class _Level(NamedTuple):
 
 
 @lru_cache(maxsize=LEVEL_MEMO)
-def _level_s_side(spec: LaguerreSpec, key: tuple[str, ...], nodes: int, first: int) -> _Level:
+def _level_s_side(spec: LaguerreSpec, x: float, mapped: tuple, nodes: int, first: int) -> _Level:
     """``_Level`` on nodes nodes of the levels that start at first nodes, for
-    key = ``quad.float_key(x, lam, mu, r_s, r_t)``.  A nested level takes
-    its even s-factors from the level before (this memo) and computes only
-    the odd ones."""
-    x, lam, mu, r_s, r_t = map(float.fromhex, key)
+    x and the map's floats mapped = (lam, mu, r_s, r_t).  A nested level
+    takes its even s-factors from the level before (this memo) and computes
+    only the odd ones."""
+    lam, mu, r_s, r_t = mapped
     w = _circle_nodes(nodes, nodes == first)
     a = _s_factors(spec, x, lam, mu, r_s * w)
     if nodes != first:
-        a = _interleave(_level_s_side(spec, key, nodes // 2, first).a, a)
+        a = _interleave(_level_s_side(spec, x, mapped, nodes // 2, first).a, a)
     level = _Level(a, concentric_side(a, r_s, r_t), _t_nodes(spec, lam, mu, r_t * w))
     read_only(a, *level.side, *level.t_nodes[:3], *level.t_nodes.poles)
     return level
@@ -521,21 +523,21 @@ def contour_levels(
     With s = S(u), t = S(v) for the Moebius map S of ``_coaxal``,
     ds dt / (s - t) = (1 - lam mu) du dv / ((1 + mu u)(1 + mu v)(u - v)), so
     both directions are trapezoid rules on the image circles around 0, and
-    each level's node sum is ``concentric_sum``, O(N log N).  Note the
+    each level's node sum is one FFT convolution, O(N log N).  Note the
     contour normalization differs from the CD kernel by the factor
     x^p y^(-p); they agree exactly when p = 0.  The imaginary part is a pure
     discretization diagnostic.
 
     The node sum splits into an x side and a y side.  The x side is each
     level's s-factors with their A side (``quad.concentric_side``) and the
-    y-free t-node factors, kept for the rest of the grid row
-    (``_level_s_side``); the y side is the t-factors b and their transforms
-    against it (``quad.concentric_side_sum``).  The levels are nested: the
-    nodes of level 2N are those of level N at the even indices, with the
-    same bits (``_circle_nodes``), so each level computes its s-factors and
-    each point its t-factors only at the N new odd nodes.  The default
-    geometry's map parameters come from the search side, which already
-    holds them for every candidate.
+    y-free t-node factors, kept for the rest of the grid row in a memo keyed
+    by x and the map's floats (``_level_s_side``); the y side is the
+    t-factors b and their transforms (``quad.concentric_side_sum``).  The
+    levels are nested: the nodes of level 2N are those of level N at the
+    even indices, with the same bits (``_circle_nodes``), so each level
+    computes its s-factors and each point its t-factors only at the N new
+    odd nodes.  The default geometry's map parameters come from the search
+    side, which already holds them for every candidate.
     """
     if geometry is None:
         geometry, coaxal = _search(spec, x, y, nodes)
@@ -546,10 +548,9 @@ def contour_levels(
         coaxal = _coaxal(g.s_center, g.s_radius, g.t_center, g.t_radius)
     lam, mu, r_s, r_t, sign = (float(v) for v in coaxal)
     scale = sign * (1.0 - lam * mu)
-    key = float_key(x, lam, mu, r_s, r_t)
     first, b = nodes, None
     while True:
-        level = _level_s_side(spec, key, nodes, first)
+        level = _level_s_side(spec, x, (lam, mu, r_s, r_t), nodes, first)
         new = _t_factors(level.t_nodes, y)
         b = new if b is None else _interleave(b, new)
         yield scale * complex(concentric_side_sum(level.side, b)) / (nodes * nodes)

@@ -1,20 +1,14 @@
 """Quadrature primitives for the double-contour kernel integrals.
 
 Circles use the periodic trapezoid rule, which is spectrally accurate for
-analytic integrands.  The line-by-circle node sum
-sum_{i,j} A[i] * B[j] / (s[i] - t[j]) splits into an s side, one row
-vector per column chunk of the circle nodes (``chunk_rows``), and a t side,
-those rows against the circle factors (``rows_sum``), summed in a fixed
-chunk order with bounded memory.  On two circles around one centre the
-double node sum is one FFT convolution (``concentric_sum``), which splits
-the same way: an A side (``concentric_side``: which rows swap the two
-factors, those with r_s < r_t, the sign, R (1 - q^N), and q^k times A's
-transform on the kept rows, or A's transform and q^k on the swapped ones)
-and a B side (``concentric_side_sum``: B's transform and the products of
-the one-pass sum, in its order, so the bits are the same).  The s or A side
+analytic integrands.  On two circles around one centre the double node sum
+is one FFT convolution, which splits into an A side (``concentric_side``:
+which rows swap the two factors, those with r_s < r_t, the sign,
+R (1 - q^N), and q^k times A's transform on the kept rows, or A's transform
+and q^k on the swapped ones) and a B side (``concentric_side_sum``: B's
+transforms and the products of the one-pass sum, in its order).  The A side
 does not depend on the second kernel argument, so a caller can keep it for
-a whole grid row in a memo keyed by the exact bits of its floats
-(``float_key``) that hands out read-only arrays (``read_only``).
+a whole grid row in a memo that hands out read-only arrays (``read_only``).
 
 Lines carrying a Gaussian (exp(-u^2/2)) or exponential (exp(-beta*u))
 weight use Gauss rules built from the classical orthonormal three-term
@@ -65,40 +59,8 @@ def read_only(*arrays: np.ndarray) -> None:
         arr.setflags(write=False)
 
 
-def float_key(*values: float) -> tuple[str, ...]:
-    """The values' exact bits as a memo key.  0.0 and -0.0 compare (and hash)
-    equal, yet can pick different contours; ``float.fromhex`` inverts it."""
-    return tuple(float(v).hex() for v in values)
-
-
-# Column-chunk bound so the 1/(s - t) node matrix never exceeds ~64 MB.
-_CHUNK_ENTRIES = 4_000_000
-
-
-def chunk_rows(A: np.ndarray, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The s side of the line-by-circle node sum: the row vector
-    sum_i A[i] / (s[i] - t[j]) over each column chunk of t in turn.  It does
-    not depend on the t-side factors B, so a caller can keep it for every B
-    on the same nodes."""
-    cols = max(1, _CHUNK_ENTRIES // max(1, s.size))
-    chunks = range(0, t.size, cols)
-    return tuple(A @ (1.0 / (s[:, None] - t[None, j0 : j0 + cols])) for j0 in chunks)
-
-
-def rows_sum(rows: tuple[np.ndarray, ...], B: np.ndarray) -> complex:
-    """The t side of the line-by-circle node sum: each chunk row against its
-    slice of B, summed in chunk order, so rows_sum(chunk_rows(A, s, t), B)
-    is sum_{i,j} A[i] * B[j] / (s[i] - t[j])."""
-    total = 0.0 + 0.0j
-    j0 = 0
-    for row in rows:
-        total += complex(row @ B[j0 : j0 + row.size])
-        j0 += row.size
-    return total
-
-
 class ConcentricSide(NamedTuple):
-    """The A side of ``concentric_sum`` on rows of N nodes, with
+    """The A side (``concentric_side``) on rows of N nodes, with
     F(X) = roll(fft(X), -1) and G(X) = N ifft(X): the rows (flat indices)
     that keep A as the first factor (r_s > r_t) and their q^k F(A), the
     swapped rows (r_s < r_t) and their G(A) and q^k, and the sign and the
@@ -127,8 +89,18 @@ def _ifft_scaled(X: np.ndarray) -> np.ndarray:
 
 
 def concentric_side(A: np.ndarray, r_s, r_t) -> ConcentricSide:
-    """The part of ``concentric_sum`` that does not depend on B, which a
-    caller can keep for every B on the same nodes."""
+    """The A side of sum_{i,j} A[i] * B[j] / (s[i] - t[j]) for N equispaced
+    nodes on two circles around 0, s_i = r_s w^i and t_j = r_t w^j with
+    w = e^{2 pi i / N} and r_s != r_t: the part that does not depend on B,
+    which a caller can keep for every B on the same nodes.  The nodes run
+    along the last axis; the radii have the leading shape.
+
+    For r_s > r_t, expanding 1/(s_i - t_j) = sum_m q^m w^{m(j-i) - i} / r_s
+    with q = r_t / r_s and folding m mod N gives
+    sum_{k<N} q^k Ahat[(k+1) mod N] Bchk[k] / (r_s (1 - q^N)), with
+    Ahat = fft(A) and Bchk = N * ifft(B); for r_s < r_t the roles swap and
+    the sign flips.  ``concentric_side_sum`` completes it in O(N log N).
+    """
     r_s, r_t = np.asarray(r_s, dtype=float), np.asarray(r_t, dtype=float)
     swap = r_s < r_t
     R = np.maximum(r_s, r_t)
@@ -149,7 +121,7 @@ def concentric_side(A: np.ndarray, r_s, r_t) -> ConcentricSide:
 
 
 def concentric_side_sum(side: ConcentricSide, B: np.ndarray) -> np.ndarray:
-    """The B side of ``concentric_sum``, B in the A side's shape: B's
+    """The node sum of ``concentric_side``, B in the A side's shape: B's
     transforms against the A side, the products (q^k F(A)) G(B) on the kept
     rows and (q^k F(B)) G(A) on the swapped ones, summed over the nodes."""
     rows = B.reshape(-1, B.shape[-1])
@@ -157,21 +129,6 @@ def concentric_side_sum(side: ConcentricSide, B: np.ndarray) -> np.ndarray:
     terms[side.kept] = side.kept_terms * _ifft_scaled(rows[side.kept])
     terms[side.swapped] = side.powers * _fft_rolled(rows[side.swapped]) * side.swapped_terms
     return side.sign * terms.sum(-1).reshape(side.sign.shape) / side.denominator
-
-
-def concentric_sum(A: np.ndarray, B: np.ndarray, r_s, r_t) -> np.ndarray:
-    """sum_{i,j} A[i] * B[j] / (s[i] - t[j]) for N equispaced nodes on two
-    circles around 0, s_i = r_s w^i and t_j = r_t w^j with
-    w = e^{2 pi i / N} and r_s != r_t, in O(N log N).  The nodes run along
-    the last axis; the radii have the leading shape.
-
-    For r_s > r_t, expanding 1/(s_i - t_j) = sum_m q^m w^{m(j-i) - i} / r_s
-    with q = r_t / r_s and folding m mod N gives
-    sum_{k<N} q^k Ahat[(k+1) mod N] Bchk[k] / (r_s (1 - q^N)), with
-    Ahat = fft(A) and Bchk = N * ifft(B); for r_s < r_t the roles swap and
-    the sign flips.  It is ``concentric_side_sum`` of ``concentric_side``.
-    """
-    return concentric_side_sum(concentric_side(A, r_s, r_t), B)
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,9 @@ from multiortho.presets import standard_grid
 from multiortho.quad import (
     ContourError,
     ConvergenceError,
-    chunk_rows,
     concentric_side,
     concentric_side_sum,
-    concentric_sum,
-    float_key,
     line_rule_nodes,
-    rows_sum,
 )
 from oracles import cd_kernel_oracle, nearest_neighbour_coefficients, nearest_neighbour_residual
 from test_acceptance import hermite_sweep, laguerre_sweep
@@ -147,6 +143,18 @@ def test_diagonal_array_pass_matches_eval_cd_bitwise(family, spec):
     for t in points:
         want = _outcome(kn.eval_cd, K, t, t)
         assert _outcome(kn.eval_cd_diagonal, K, np.array([t])) == want, t
+
+
+def test_eval_cd_diagonal_refuses_past_a_nan():
+    """A nan element does not hide an element off the half line: the array
+    pass refuses it, naming it, as eval_cd does; a nan alone propagates."""
+    K = kn.build_kernel("laguerre", L11_P1)
+    with pytest.raises(ExactMathError, match=r"\(-1\.0, -1\.0\)"):
+        kn.eval_cd_diagonal(K, np.array([np.nan, -1.0]))
+    with pytest.raises(ExactMathError):
+        kn.eval_cd(K, -1.0, -1.0)
+    got = kn.eval_cd_diagonal(K, np.array([np.nan, 1.0]))
+    assert math.isnan(got[0]) and got[1] == kn.eval_cd(K, 1.0, 1.0)
 
 
 def test_eval_cd_diagonal_at_subnormal_points():
@@ -652,7 +660,7 @@ def test_contour_laguerre_mapped_sum_matches_direct_node_sum():
     dt = sign * (1 - lam * mu) / (1 + mu * r_t * w) ** 2 * r_t * w
     f = np.exp(x * s) * s ** -4 * (s - 1) ** 2 * (s - 2)
     g = np.exp(-y * t) * t**4 / ((t - 1) ** 2 * (t - 2))
-    direct = rows_sum(chunk_rows(f * ds, s, t), g * dt) / N**2
+    direct = (f * ds) @ (1.0 / (s[:, None] - t)) @ (g * dt) / N**2
     got = next(lg.contour_levels(spec, x, y, N, geo))
     assert abs(got - direct) <= 1e-14 * abs(direct)
 
@@ -687,21 +695,24 @@ def test_concentric_sum_matches_bilinear_sum(N):
     B = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     w = np.exp(2j * np.pi * np.arange(N) / N)
     radii = [(3.0, 2.0), (2.0, 3.0)]
-    batched = concentric_sum(np.stack([A, A]), np.stack([B, B]), *np.array(radii).T)
+    stacked = concentric_side(np.stack([A, A]), *np.array(radii).T)
+    batched = concentric_side_sum(stacked, np.stack([B, B]))
     for (r_s, r_t), got in zip(radii, batched):
-        direct = rows_sum(chunk_rows(A, r_s * w, r_t * w), B)
-        assert abs(concentric_sum(A, B, r_s, r_t) - direct) <= 1e-14 * abs(direct)
-        assert got == concentric_sum(A, B, r_s, r_t)
+        direct = A @ (1.0 / ((r_s * w)[:, None] - r_t * w)) @ B
+        single = concentric_side_sum(concentric_side(A, r_s, r_t), B)
+        assert abs(single - direct) <= 1e-14 * abs(direct)
+        assert got == single
     r_s, r_t = np.array([0.5, 3.0, 2.0, 1.25, 4.0]), np.array([2.0, 2.0, 3.0, 1.0, 0.75])
     As = rng.standard_normal((5, N)) + 1j * rng.standard_normal((5, N))
     side = concentric_side(As, r_s, r_t)
     for _ in range(2):
         Bs = rng.standard_normal((5, N)) + 1j * rng.standard_normal((5, N))
         got = concentric_side_sum(side, Bs)
-        assert _bits(got.view(float)) == _bits(concentric_sum(As, Bs, r_s, r_t).view(float))
+        fresh = concentric_side_sum(concentric_side(As, r_s, r_t), Bs)
+        assert _bits(got.view(float)) == _bits(fresh.view(float))
         assert _bits(got.view(float)) == _bits(_concentric_reference(As, Bs, r_s, r_t).view(float))
         for row in range(5):
-            single = concentric_sum(As[row], Bs[row], r_s[row], r_t[row])
+            single = concentric_side_sum(concentric_side(As[row], r_s[row], r_t[row]), Bs[row])
             assert single == got[row] == _concentric_reference(As[row], Bs[row], r_s[row], r_t[row])
 
 
@@ -729,12 +740,15 @@ CONTOUR_MEMOS = {
     "hermite": {hm._line_side: hm.LINE_MEMO, hm._circle_side: hm.CIRCLE_MEMO},
     "laguerre": {lg._search_side: lg.SEARCH_MEMO, lg._level_s_side: lg.LEVEL_MEMO},
 }
-# 5 x 5 grids; the Hermite one holds x = -0.0 and x = 0.0, whose values differ
-# at y = 0.5 because the sign of zero picks the side of the line.
+# 5 x 5 grids; the Hermite ones hold x = -0.0 and x = 0.0.  For H21 the
+# circle centre is 0, so the sign of zero picks the side of the line and the
+# values differ at y = 0.5; for a = (1, 2) the centre is 1.5, both zeros
+# share one line and one memo entry, and every value is the same.
 ORDER_GRIDS = {
     "hermite": (H21, (-0.0, 0.0, -1.5, 0.75, 3.0), (0.5, -0.0, -2.0, 1.25, 4.0)),
     "laguerre": (L11_P1, (0.5, 1.25, 2.0, 3.5, 5.0), (0.5, 1.0, 2.5, 4.0, 6.0)),
 }
+OFF_CENTRE_GRID = (HermiteSpec.of([1, 2], [2, 1]),) + ORDER_GRIDS["hermite"][1:]
 
 
 def _clear_contour_memos(family):
@@ -757,18 +771,27 @@ def _contour_bits(family, spec, points, nodes, cold):
 @pytest.mark.parametrize("family", ["hermite", "laguerre"])
 def test_contour_bits_do_not_depend_on_evaluation_order(family, nodes):
     """The x side kept along a grid row gives the bits a cold evaluation
-    gives, in row-major and column-major order alike, and -0.0 and 0.0 (in
-    either order) do not share it."""
-    spec, xs, ys = ORDER_GRIDS[family]
-    by_row = [(x, y) for x in xs for y in ys]
-    by_column = [(x, y) for y in ys for x in xs]
-    _clear_contour_memos(family)
-    row_major = _contour_bits(family, spec, by_row, nodes, cold=False)
-    column_major = _contour_bits(family, spec, by_column, nodes, cold=False)
-    cold = _contour_bits(family, spec, by_row, nodes, cold=True)
-    assert row_major == column_major == cold
-    if family == "hermite":
-        assert cold[(-0.0).hex(), (0.5).hex()] != cold[(0.0).hex(), (0.5).hex()]
+    gives, in row-major and column-major order alike.  Around a circle
+    centre of 0, -0.0 and 0.0 (in either order) do not share it; off centre
+    they share it and every value."""
+    grids = [ORDER_GRIDS[family]] + ([OFF_CENTRE_GRID] if family == "hermite" else [])
+    for spec, xs, ys in grids:
+        by_row = [(x, y) for x in xs for y in ys]
+        by_column = [(x, y) for y in ys for x in xs]
+        _clear_contour_memos(family)
+        row_major = _contour_bits(family, spec, by_row, nodes, cold=False)
+        column_major = _contour_bits(family, spec, by_column, nodes, cold=False)
+        cold = _contour_bits(family, spec, by_row, nodes, cold=True)
+        assert row_major == column_major == cold
+        if spec is H21:
+            assert cold[(-0.0).hex(), (0.5).hex()] != cold[(0.0).hex(), (0.5).hex()]
+        elif family == "hermite":
+            assert all(cold[(-0.0).hex(), y.hex()] == cold[(0.0).hex(), y.hex()] for y in ys)
+            _clear_contour_memos(family)
+            kn.eval_contour(family, spec, -0.0, 0.5, nodes)
+            misses = hm._circle_side.cache_info().misses
+            kn.eval_contour(family, spec, 0.0, 0.5, nodes)
+            assert hm._circle_side.cache_info().misses == misses
 
 
 def test_contour_memos_hit_along_a_row():
@@ -801,13 +824,12 @@ def test_contour_memos_bounded_and_read_only(capsys):
             assert 0 < info.currsize <= maxsize
     capsys.readouterr()
     geo = hm.HermiteContourGeometry.at(H21, 0.75)
-    key = float_key(0.75, geo.line_abscissa, geo.circle_center, geo.circle_radius)
     lam, mu, r_s, r_t, _ = (float(v) for v in lg._coaxal(0.0, 0.5, 1.5, 0.75))
     cached = [
-        hm._line_side(H21, key[:2], 512),
-        hm._circle_side(H21, key, 512, 512, 0.0),
-        lg._search_side(L11_P1, float_key(2.0), 32),
-        lg._level_s_side(L11_P1, float_key(2.0, lam, mu, r_s, r_t), 1024, 512),
+        hm._line_side(H21, 0.75, geo.line_abscissa, 512),
+        hm._circle_side(H21, 0.75, geo, 512, 512, 0.0),
+        lg._search_side(L11_P1, 2.0, 32),
+        lg._level_s_side(L11_P1, 2.0, (lam, mu, r_s, r_t), 1024, 512),
     ]
     for arr in _arrays_in(cached):
         with pytest.raises(ValueError):
