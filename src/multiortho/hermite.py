@@ -222,13 +222,14 @@ CIRCLE_MARGIN = 1.0
 LINE_GAP = 0.5
 LINE_TERM_FLOOR = 1e-30
 
-# The x side of the node sum (``_line_side``, ``_circle_side``) is kept for
-# the points that follow on the same grid row: a row is one x and one
-# geometry, with up to five circle passes (512 nodes, then the new halves up
-# to the 8192-node cap).  Sized for about one row, so a later row evicts it.
-# The keys hold x and the geometry's floats, so x = -0.0 and 0.0 share an
-# entry when their geometries are equal; then sigma - x, A and the row have
-# the same bits.  Around a circle centre of 0 the sign of zero picks the
+# The x side of the node sum (``_line_side``: the line's power sums;
+# ``_circle_side``: each pass's row and circle factors) is kept for the
+# points that follow on the same grid row: a row is one x and one geometry,
+# with up to five circle passes (512 nodes, then the new halves up to the
+# 8192-node cap).  Sized for about one row, so a later row evicts it.  The
+# keys hold x and the geometry, so x = -0.0 and 0.0 share an entry when
+# their geometries are equal; then sigma - x, A and the row have the same
+# bits.  Around a circle centre of 0 the sign of zero picks the
 # line's side (sigma = -reach or +reach), which keeps the keys apart.
 LINE_MEMO = 2
 CIRCLE_MEMO = 6
@@ -276,16 +277,37 @@ class HermiteContourGeometry:
                 raise ContourError(f"shift parameter {a_k} is not inside the circle")
 
 
+def _power_sums(w: np.ndarray, q: np.ndarray, count: int) -> np.ndarray:
+    """sum_i w[i] q[i]^k for k < count, with the powers filled by doubling:
+    rows m to 2m - 1 are rows 0 to m - 1 times q^m."""
+    V = np.empty((count, len(q)), dtype=complex)
+    V[0] = 1.0
+    m = 1
+    while m < count:
+        step = min(m, count - m)
+        np.multiply(V[:step], V[m - 1] * q, out=V[m : m + step])
+        m += step
+    return V @ w
+
+
 @lru_cache(maxsize=LINE_MEMO)
 def _line_side(
-    spec: HermiteSpec, x: float, sigma: float, line_nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Line factors A and nodes s for x on the line Re s = sigma:
-    s = sigma + i u on the Gauss rule's nodes u, and A the rule's weights
-    times exp(iu(sigma-x)) prod_k (s - a_k)^{n_k}, less the nodes deep in
-    the Gaussian tail."""
+    spec: HermiteSpec, x: float, geom: HermiteContourGeometry, line_nodes: int
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray | None]:
+    """The line side (w, q, K, M) of x and geom.  The line factors A are the
+    rule's weights times exp(iu(sigma-x)) prod_k (s - a_k)^{n_k} at
+    s = sigma + i u on the Gauss rule's nodes u, less the nodes deep in the
+    Gaussian tail.  With z_i = s_i - c at the kept nodes, w_i = A_i / z_i
+    and q_i = rho / z_i (|q_i| < 1, as the line clears the circle); K is
+    the least k with q_max^k <= eps (1 - q_max); and M holds the power sums
+    M_k = sum_i w_i q_i^k for k < K when K <= line_nodes, else None.  From
+    q^K on, a node's series sums to at most eps |w_i|, below 2 eps times
+    its term mass |A_i| / |s_i - t| at any circle node t.  Every pass has
+    at least line_nodes circle nodes, so kept sums serve every pass of the
+    row."""
     line = line_rule_nodes("gaussian", line_nodes)
     u = line.nodes
+    sigma = geom.line_abscissa
     s = sigma + 1j * u
     A = line.weights * np.exp(1j * u * (sigma - x))
     for a_k, n_k in zip(spec.a, spec.n):
@@ -294,16 +316,59 @@ def _line_side(
     # Line nodes deep in the Gaussian tail carry no weight.  Non-finite
     # entries of A are never dropped, so the level value turns non-finite.
     keep = ~(np.abs(A) < LINE_TERM_FLOOR * np.abs(A).max())
-    A, s = A[keep], s[keep]
-    read_only(A, s)
-    return A, s
+    z = s[keep] - geom.circle_center
+    w, q = A[keep] / z, geom.circle_radius / z
+    q_max = float(np.abs(q).max())
+    eps = np.finfo(float).eps
+    K = max(1, math.ceil(math.log(eps * (1.0 - q_max)) / math.log(q_max))) if q_max else 1
+    sums = None
+    if K <= line_nodes:
+        sums = _power_sums(w, q, K)
+        read_only(sums)
+    read_only(w, q)
+    return w, q, K, sums
+
+
+def _row(
+    w: np.ndarray, q: np.ndarray, K: int, sums: np.ndarray | None, nodes: int, offset: float
+) -> np.ndarray:
+    """The line side's row against the pass's circle nodes,
+    row[j] = sum_i A_i / (z_i - rho e^{i theta_j}) with
+    theta_j = 2 pi (j + offset) / nodes, offset 0 or 1/2, from one inverse
+    FFT.  Expanding 1 / (z - rho e^{i theta}) = sum_k q^k e^{ik theta} / z
+    and folding k mod nodes gives
+    row = nodes * ifft(e^{2 pi i k offset / nodes} M_k), where each term of
+    M_k takes the factor 1 / (1 - sign q_i^nodes), sign = e^{2 pi i offset}.
+    For K <= nodes the terms from K on and that factor are below rounding,
+    so the first K sums serve, zero-padded; otherwise all nodes of them
+    are summed with the factor, which is exact."""
+    count = min(K, nodes)
+    if sums is None:
+        if K > nodes:
+            sign = -1.0 if offset else 1.0
+            w = w / (1.0 - sign * q**nodes)
+        sums = _power_sums(w, q, count)
+    X = np.zeros(nodes, dtype=complex)
+    X[:count] = sums * np.exp(1j * (2.0 * math.pi * offset / nodes) * np.arange(count)) if offset else sums
+    return nodes * np.fft.ifft(X)
+
+
+def _unit_nodes(nodes: int, offset: float) -> np.ndarray:
+    """e^{2 pi i (j + offset) / nodes} for j < nodes, each within about an
+    ulp.  ``_row`` gives the row at these ideal nodes, so the circle factors
+    should see them too: each angle splits into an exact quarter turn i^q
+    and a remainder 2 pi r with |r| <= 1/8, whose rounding is 8 times
+    smaller than that of an angle up to 2 pi."""
+    m = np.arange(nodes) + offset
+    quarter = np.rint(4.0 * m / nodes)
+    r = (4.0 * m - quarter * nodes) / (4.0 * nodes)
+    return np.array([1.0, 1j, -1.0, -1j])[quarter.astype(int) % 4] * np.exp(1j * (2.0 * math.pi * r))
 
 
 class _CircleSide(NamedTuple):
     """One pass's circle nodes t, the circle factors that do not depend on
     y, (t - c) and (t - a_k)^{n_k} for each n_k > 0, and the line side's
-    row against t, row[j] = sum_i A[i] / (s[i] - t[j]), from one dense
-    matrix of at most MAX_LINE_NODES x 8192 entries (64 MiB)."""
+    row against t from ``_row``."""
 
     t: np.ndarray
     centred: np.ndarray
@@ -323,10 +388,9 @@ def _circle_side(
     """``_CircleSide`` of x and geom at theta = 2 pi (j + offset) / nodes,
     j < nodes.  None of it depends on y."""
     c, rho = geom.circle_center, geom.circle_radius
-    A, s = _line_side(spec, x, geom.line_abscissa, line_nodes)
-    t = c + rho * np.exp(1j * (2.0 * math.pi * (np.arange(nodes) + offset) / nodes))
+    t = c + rho * _unit_nodes(nodes, offset)
     poles = tuple((t - float(a_k)) ** n_k for a_k, n_k in zip(spec.a, spec.n) if n_k)
-    side = _CircleSide(t, t - c, poles, A @ (1.0 / (s[:, None] - t)))
+    side = _CircleSide(t, t - c, poles, _row(*_line_side(spec, x, geom, line_nodes), nodes, offset))
     read_only(t, side.centred, *poles, side.row)
     return side
 
@@ -350,13 +414,14 @@ def contour_levels(
     to level N's node sum.  The imaginary part is a pure discretization
     diagnostic (the kernel is real on real inputs).
 
-    Each pass over circle nodes splits into an x side, the line factors,
-    their row sum_i A[i] / (s[i] - t_j) over the pass's circle nodes (one
-    dense matrix product) and the circle factors that do not depend on y
-    (``_line_side`` and ``_circle_side``, kept for the rest of the grid row
-    in memos keyed by x and the geometry), and a y side: exp(-(t - y)^2 / 2)
-    times those factors, against the row, added to 0j so that a zero sum
-    reads +0.
+    Each pass over circle nodes splits into an x side and a y side.  The x
+    side is the line factors' row sum_i A[i] / (s[i] - t_j) over the pass's
+    circle nodes, from power sums of the line nodes computed once per grid
+    row (``_line_side``) and one inverse FFT per pass (``_row``), and the
+    circle factors that do not depend on y (``_circle_side``); both are
+    kept for the rest of the grid row in memos keyed by x and the geometry.
+    The y side is exp(-(t - y)^2 / 2) times those factors, against the row,
+    added to 0j so that a zero sum reads +0.
     """
     geom = geometry if geometry is not None else HermiteContourGeometry.at(spec, x)
     geom.validate(spec)

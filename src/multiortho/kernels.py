@@ -19,8 +19,9 @@ The kernel of the determinantal eigenvalue process is computed as
    circles around 0, where the node sum is one FFT convolution.  Both
    take the node count up by nested doubling.  Each node sum splits into
    an x side (the line or s-circle factors; for the Gaussian family also
-   their row against the circle nodes, one dense matrix product, for the
-   half-line family their FFT side, ``quad.concentric_side``) and a y side
+   their row against the circle nodes, from the line nodes' power sums once
+   per row and one inverse FFT per pass, for the half-line family their
+   FFT side, ``quad.concentric_side``) and a y side
    (the circle factors against them).  Each family keeps the x side, with
    the circle factors' y-free parts, in small bounded memos keyed by x and
    the geometry's floats and sized for about one grid row, so the later

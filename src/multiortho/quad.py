@@ -9,6 +9,9 @@ and q^k on the swapped ones) and a B side (``concentric_side_sum``: B's
 transforms and the products of the one-pass sum, in its order).  The A side
 does not depend on the second kernel argument, so a caller can keep it for
 a whole grid row in a memo that hands out read-only arrays (``read_only``).
+The same q^k series folded mod N serves a line against a circle: the
+Gaussian family sums each line node's powers of rho / (s - c) once per row
+and takes each circle pass's row from one inverse FFT (``hermite._row``).
 
 Lines carrying a Gaussian (exp(-u^2/2)) or exponential (exp(-beta*u))
 weight use Gauss rules built from the classical orthonormal three-term

@@ -5,8 +5,10 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -22,6 +24,7 @@ from multiortho.hermite import HermiteSpec
 from multiortho.laguerre import LaguerreSpec
 from multiortho.presets import standard_grid
 from multiortho.quad import (
+    MAX_LINE_NODES,
     ContourError,
     ConvergenceError,
     concentric_side,
@@ -527,6 +530,75 @@ def test_type_ii_nearest_neighbour_negative_control(spec):
             coeffs[i] -= 1
 
 
+def _type_i_coefficients(spec):
+    """(b, a) of the type I recurrence at n: b[k] = b_{n-e_k,k} (None where
+    n_k = 0) and a[j] = a_{n,j}, the type II coefficients."""
+    params, p = getattr(spec, spec.param_name), getattr(spec, "p", 0)
+    b = [
+        nearest_neighbour_coefficients(spec.family, params, spec.n.drop(k), p)[0][k] if n_k else None
+        for k, n_k in enumerate(spec.n)
+    ]
+    return b, nearest_neighbour_coefficients(spec.family, params, spec.n, p)[1]
+
+
+def _type_i_residuals(spec, b, a):
+    """For each k with n_k > 0, the first |n| + m moments of
+    x Q_n - Q_{n-e_k} - b[k] Q_n - sum_j a[j] Q_{n+e_j}.  That residual is
+    sum_l A_l w_l with deg A_l <= n_l, and in these AT systems index
+    n + (1, ..., 1) is normal, so the only such form whose first |n| + m
+    moments vanish is 0: all-zero moments mean the recurrence holds."""
+    fam = kn.FAMILIES[spec.family]
+    count = spec.n.weight + spec.m
+
+    def moments(n, extra=0):
+        return list(fam.type_i_form(spec.with_n(n)).moments(count + extra))
+
+    Q = moments(spec.n, 1)
+    up = [moments(spec.n.bump(j)) for j in range(spec.m)]
+    out = []
+    for k, b_k in enumerate(b):
+        if b_k is not None:
+            down = moments(spec.n.drop(k))
+            tail = [sum(a_j * u[i] for a_j, u in zip(a, up)) for i in range(count)]
+            out.append([Q[i + 1] - down[i] - b_k * Q[i] - tail[i] for i in range(count)])
+    return out
+
+
+def test_type_i_nearest_neighbour_recurrences_exactly():
+    """Over the acceptance sweep's specs with m >= 2 and |n| >= 2, in both
+    families, x Q_n = Q_{n-e_k} + b_{n-e_k,k} Q_n + sum_j a_{n,j} Q_{n+e_j}
+    holds exactly at every k with n_k > 0, with the type II coefficients
+    (Van Assche, J. Approx. Theory 163, 2011, derives it from the type II
+    recurrence by biorthogonality): for Hermite
+    x Q_n = Q_{n-e_k} + a_k Q_n + sum_j n_j Q_{n+e_j}."""
+    checked = 0
+    for spec in hermite_sweep() + laguerre_sweep():
+        if spec.m >= 2 and spec.n.weight >= 2:
+            residuals = _type_i_residuals(spec, *_type_i_coefficients(spec))
+            assert all(r == [0] * len(r) for r in residuals), spec
+            checked += len(residuals)
+    assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [HermiteSpec.of(["1/2", -1, 2], [2, 3, 1]), LaguerreSpec.of(["1/2", 2, 3], [2, 0, 1], 2)],
+    ids=["hermite", "laguerre"],
+)
+def test_type_i_nearest_neighbour_negative_control(spec):
+    """With any one coefficient off by one (each b_{n-e_k,k} with n_k > 0,
+    and each a_{n,j} with n_j > 0) the type I recurrence fails."""
+    b, a = _type_i_coefficients(spec)
+    assert not any(any(r) for r in _type_i_residuals(spec, b, a))
+    for coeffs in (b, a):
+        for i in range(spec.m):
+            if not spec.n[i]:
+                continue
+            coeffs[i] += 1
+            assert any(any(r) for r in _type_i_residuals(spec, b, a)), (coeffs, i)
+            coeffs[i] -= 1
+
+
 # ---------------------------------------------------------------------------
 # contour form
 
@@ -670,6 +742,100 @@ def test_contour_custom_geometry_consistent():
     K = kn.build_kernel("hermite", H11)
     got = next(hm.contour_levels(H11, 0.5, 0.1, 512, geo)).real
     assert got == pytest.approx(kn.eval_cd(K, 0.5, 0.1), abs=1e-7)
+    # a circle so small against the line's distance that every rho / (s - c)
+    # underflows to 0; K(x, 0) = Q_1(0) = 1/sqrt(2 pi) for a=(0), n=(1)
+    geo = hm.HermiteContourGeometry(1e300, 0.0, 1e-300)
+    got = next(hm.contour_levels(HermiteSpec.of([0], [1]), 1e300, 0.0, 64, geo)).real
+    assert got == pytest.approx(INV_ROOT_2PI, abs=1e-12)
+
+
+def _hermite_line_factors(spec, x, geo, line_nodes):
+    """The line factors A and nodes s of the line side, rebuilt here: the
+    rule's weights times exp(iu(sigma-x)) prod_k (s - a_k)^{n_k}, less the
+    nodes below LINE_TERM_FLOOR times the largest factor."""
+    rule = line_rule_nodes("gaussian", line_nodes)
+    sigma = geo.line_abscissa
+    s = sigma + 1j * rule.nodes
+    A = rule.weights * np.exp(1j * rule.nodes * (sigma - x))
+    for a_k, n_k in zip(spec.a, spec.n):
+        A = A * (s - float(a_k)) ** n_k
+    keep = ~(np.abs(A) < hm.LINE_TERM_FLOOR * np.abs(A).max())
+    return A[keep], s[keep]
+
+
+# Two default geometries, whose row sums serve every pass from 512 nodes on
+# (below, K exceeds the nodes and each pass folds exactly), and a custom line
+# 0.01 from the circle, q_max ~ 0.99, whose K exceeds 16 to 512 nodes (the
+# exact fold) and stays below 8192 (the pass sums its own K powers).
+FOLDED_ROW_CASES = [
+    (H21, 0.75, None),
+    (HermiteSpec.of([1, -1, 2], [3, 3, 2]), 0.5, None),
+    (H21, 0.0, hm.HermiteContourGeometry(1.51, 0.0, 1.5)),
+]
+
+
+@pytest.mark.parametrize("N", [16, 64, 512, 8192])
+def test_contour_hermite_folded_row_matches_dense_row(N):
+    """Each pass's row from one inverse FFT of the folded power sums equals
+    the dense A @ (1/(s[:, None] - t)) at every circle node, relative to
+    the entry's term mass sum_i |A_i| / |s_i - t_j|, within
+    4 eps / (1 - q_max): rounding a node t by about eps |t| moves a term by
+    up to that relative amount, and the dense row sees the rounded nodes."""
+    eps = np.finfo(float).eps
+    line_nodes = min(N, MAX_LINE_NODES)
+    for spec, x, geo in FOLDED_ROW_CASES:
+        geo = geo or hm.HermiteContourGeometry.at(spec, x)
+        _, _, K, sums = hm._line_side(spec, x, geo, line_nodes)
+        assert (sums is not None) == (K <= line_nodes)
+        if geo.line_abscissa == 1.51:
+            assert (K > N) == (N <= 512)
+        A, s = _hermite_line_factors(spec, x, geo, line_nodes)
+        bound = 4 * eps / (1 - np.abs(geo.circle_radius / (s - geo.circle_center)).max())
+        for offset in (0.0, 0.5):
+            row = hm._circle_side(spec, x, geo, line_nodes, N, offset).row
+            t = geo.circle_center + geo.circle_radius * np.exp(2j * math.pi * (np.arange(N) + offset) / N)
+            inv = 1.0 / (s[:, None] - t)
+            mass = np.abs(A) @ np.abs(inv)
+            assert np.all(np.abs(row - A @ inv) <= bound * mass), (spec, N, offset)
+
+
+def test_contour_hermite_folded_row_against_40_digits():
+    """A 64-node row at the exact circle nodes c + rho e^{2 pi i (j + offset)/64},
+    summed at 40 digits over the same float A and s, within 4 eps of each
+    entry's term mass; and the circle factors' unit nodes within eps of
+    the exact ones, at 64 nodes and at 24, where N/4 is not an integer."""
+    eps = np.finfo(float).eps
+    geo = hm.HermiteContourGeometry.at(H21, 0.75)
+    A, s = _hermite_line_factors(H21, 0.75, geo, 64)
+    with mpmath.workdps(40):
+        As = [mpmath.mpc(complex(v)) for v in A]
+        ss = [mpmath.mpc(complex(v)) for v in s]
+        for offset in (0.0, 0.5):
+            row = hm._circle_side(H21, 0.75, geo, 64, 64, offset).row
+            for j in range(64):
+                t = geo.circle_center + geo.circle_radius * mpmath.expjpi(2 * (j + mpmath.mpf(offset)) / 64)
+                exact = mpmath.fsum(a / (si - t) for a, si in zip(As, ss))
+                mass = mpmath.fsum(abs(a) / abs(si - t) for a, si in zip(As, ss))
+                assert abs(row[j] - exact) <= 4 * eps * mass, (offset, j)
+            for N in (24, 64):
+                unit = hm._unit_nodes(N, offset)
+                for j in range(N):
+                    assert abs(unit[j] - mpmath.expjpi(2 * (j + mpmath.mpf(offset)) / N)) <= eps, (N, offset, j)
+
+
+def test_contour_hermite_pass_holds_no_dense_node_matrix():
+    """One cold 8192-node pass at hermite a=(1,-1), n=(2,1), x=0 allocates
+    less at its peak than one line-nodes x circle-nodes complex matrix."""
+    geo = hm.HermiteContourGeometry.at(H21, 0.0)
+    matrix_bytes = len(_hermite_line_factors(H21, 0.0, geo, 512)[0]) * 8192 * 16
+    _clear_contour_memos("hermite")
+    tracemalloc.start()
+    try:
+        hm._circle_side(H21, 0.0, geo, 512, 8192, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix_bytes
 
 
 def _concentric_reference(A, B, r_s, r_t):
@@ -826,7 +992,7 @@ def test_contour_memos_bounded_and_read_only(capsys):
     geo = hm.HermiteContourGeometry.at(H21, 0.75)
     lam, mu, r_s, r_t, _ = (float(v) for v in lg._coaxal(0.0, 0.5, 1.5, 0.75))
     cached = [
-        hm._line_side(H21, 0.75, geo.line_abscissa, 512),
+        hm._line_side(H21, 0.75, geo, 512),
         hm._circle_side(H21, 0.75, geo, 512, 512, 0.0),
         lg._search_side(L11_P1, 2.0, 32),
         lg._level_s_side(L11_P1, 2.0, (lam, mu, r_s, r_t), 1024, 512),
