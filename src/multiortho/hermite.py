@@ -50,7 +50,7 @@ from .core import (
     residue_poly,
     series_mul,
 )
-from .quad import MAX_LINE_NODES, ContourError, LineRule, line_rule_nodes, read_only
+from .quad import MAX_LINE_NODES, ContourError, LineRule, line_rule_nodes, read_only, unit_nodes
 
 # The weights live on the whole real line (no half-line domain check).
 HALF_LINE = False
@@ -353,18 +353,6 @@ def _row(
     return nodes * np.fft.ifft(X)
 
 
-def _unit_nodes(nodes: int, offset: float) -> np.ndarray:
-    """e^{2 pi i (j + offset) / nodes} for j < nodes, each within about an
-    ulp.  ``_row`` gives the row at these ideal nodes, so the circle factors
-    should see them too: each angle splits into an exact quarter turn i^q
-    and a remainder 2 pi r with |r| <= 1/8, whose rounding is 8 times
-    smaller than that of an angle up to 2 pi."""
-    m = np.arange(nodes) + offset
-    quarter = np.rint(4.0 * m / nodes)
-    r = (4.0 * m - quarter * nodes) / (4.0 * nodes)
-    return np.array([1.0, 1j, -1.0, -1j])[quarter.astype(int) % 4] * np.exp(1j * (2.0 * math.pi * r))
-
-
 class _CircleSide(NamedTuple):
     """One pass's circle nodes t, the circle factors that do not depend on
     y, (t - c) and (t - a_k)^{n_k} for each n_k > 0, and the line side's
@@ -386,9 +374,10 @@ def _circle_side(
     offset: float,
 ) -> _CircleSide:
     """``_CircleSide`` of x and geom at theta = 2 pi (j + offset) / nodes,
-    j < nodes.  None of it depends on y."""
+    j < nodes.  None of it depends on y.  ``_row`` gives the row at the
+    ideal nodes, so the circle factors see them too (``quad.unit_nodes``)."""
     c, rho = geom.circle_center, geom.circle_radius
-    t = c + rho * _unit_nodes(nodes, offset)
+    t = c + rho * unit_nodes(nodes, offset)
     poles = tuple((t - float(a_k)) ** n_k for a_k, n_k in zip(spec.a, spec.n) if n_k)
     side = _CircleSide(t, t - c, poles, _row(*_line_side(spec, x, geom, line_nodes), nodes, offset))
     read_only(t, side.centred, *poles, side.row)

@@ -16,18 +16,18 @@ The kernel of the determinantal eigenvalue process is computed as
    (or beside the circle, on either side) times a circle around the
    shifts; for the half-line family a circle around 0 and one around the
    rates (nested either way or disjoint), which a Moebius map sends to two
-   circles around 0, where the node sum is one FFT convolution.  Both
-   take the node count up by nested doubling.  Each node sum splits into
-   an x side (the line or s-circle factors; for the Gaussian family also
-   their row against the circle nodes, from the line nodes' power sums once
-   per row and one inverse FFT per pass, for the half-line family their
-   FFT side, ``quad.concentric_side``) and a y side
-   (the circle factors against them).  Each family keeps the x side, with
-   the circle factors' y-free parts, in small bounded memos keyed by x and
-   the geometry's floats and sized for about one grid row, so the later
-   points of a row (``kernel`` and ``verify`` walk their grids x by x)
-   compute only what depends on y, with the same bits as a cold
-   evaluation.  The half-line levels nest: the nodes of level 2N are
+   circles around 0.  Both take the node count up by nested doubling.
+   Each node sum splits into an x side, the line or s-circle factors'
+   row sum_i A_i / (s_i - t_j) against the circle nodes, and a y side, the
+   circle factors b, so that the sum is row @ b.  The Gaussian family
+   takes the row from the line nodes' power sums once per row and one
+   inverse FFT per pass, the half-line family from one FFT and one
+   inverse FFT of the s-factors per level (``quad.concentric_row``).  Each family keeps the
+   x side, with the circle factors' y-free parts, in small bounded memos
+   keyed by x and the geometry's floats and sized for about one grid row,
+   so the later points of a row (``kernel`` and ``verify`` walk their
+   grids x by x) compute only what depends on y, with the same bits as a
+   cold evaluation.  The half-line levels nest: the nodes of level 2N are
    those of level N at the even indices, with the same bits, so each level
    evaluates its factors only at the N new odd nodes and reuses the rest.
 

@@ -47,15 +47,7 @@ from .core import (
     residue_poly,
     series_mul,
 )
-from .quad import (
-    ConcentricSide,
-    ContourError,
-    LineRule,
-    concentric_side,
-    concentric_side_sum,
-    line_rule_nodes,
-    read_only,
-)
+from .quad import ContourError, LineRule, concentric_row, line_rule_nodes, read_only, unit_nodes
 
 # The weights live on (0, inf): kernel arguments must be > 0.
 HALF_LINE = True
@@ -251,8 +243,9 @@ class LaguerreContourGeometry:
     e^{(x-y)t}, which is entire, so the circles may lie either way round
     with no residue term.  Any such pair belongs to one coaxal family: a
     Moebius map sends both circles to circles around 0 (``_coaxal``), where
-    the trapezoid node sum is one FFT convolution (``quad.concentric_side``
-    and ``quad.concentric_side_sum``).
+    the s-factors' row against the t nodes is one FFT and one inverse FFT
+    (``quad.concentric_row``) and the node sum is that row against the
+    t-factors.
     """
 
     s_center: float
@@ -273,8 +266,8 @@ class LaguerreContourGeometry:
         to the power nodes / h, and ``_alias_ratio`` to the power nodes;
         h is the largest power of two <= min(nodes, SEARCH_NODES / 2), so
         both sums are trapezoid rules on nested subsets of the
-        SEARCH_NODES nodes.  Everything but the t-factors b, their
-        transforms and the score is kept per x (``_search_side``).
+        SEARCH_NODES nodes.  Everything but the t-factors b and the
+        score is kept per x (``_search_side``).
         """
         return _search(spec, x, y, nodes)[0]
 
@@ -369,14 +362,6 @@ def _alias_ratio(spec: LaguerreSpec, lam, mu, r_s, r_t) -> np.ndarray:
     return worst
 
 
-def _circle_nodes(nodes: int, first: bool) -> np.ndarray:
-    """w^k, w = e^{2 pi i / nodes}, at the nodes a level adds: every k on a
-    first level; on a nested one only the odd k, because the even ones
-    2 pi i 2k / nodes round exactly as level nodes / 2's 2 pi i k / (nodes / 2)."""
-    k = np.arange(nodes) if first else np.arange(1, nodes, 2)
-    return np.exp(2j * math.pi * k / nodes)
-
-
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """The node values of a nested level from those of the level before
     (its even nodes) and those of the nodes it adds (its odd ones)."""
@@ -430,7 +415,7 @@ class _SearchSide(NamedTuple):
     circles (``_candidates``), the map's lam, mu, r_s, r_t and sign
     (``_coaxal``) and its scale |1 - lam mu|, the pair's ``_alias_ratio``,
     the term mass scale * sum|a| of its s-factors a on SEARCH_NODES nodes,
-    its ``_t_nodes``, and the A sides (``quad.concentric_side``) of a on the
+    its ``_t_nodes``, and the rows (``quad.concentric_row``) of a on the
     2h and h nodes that ``LaguerreContourGeometry.at`` compares."""
 
     circles: tuple[np.ndarray, ...]
@@ -439,7 +424,7 @@ class _SearchSide(NamedTuple):
     alias: np.ndarray
     a_mass: np.ndarray
     t_nodes: _TNodes
-    levels: tuple[ConcentricSide, ConcentricSide]
+    levels: tuple[np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=SEARCH_MEMO)
@@ -452,13 +437,13 @@ def _search_side(spec: LaguerreSpec, x: float, h: int) -> _SearchSide:
     scale = np.abs(1.0 - lam * mu)
     alias = _alias_ratio(spec, lam, mu, r_s, r_t)
     # one row of nodes per candidate
-    lam_c, mu_c, w = lam[:, None], mu[:, None], _circle_nodes(SEARCH_NODES, True)
+    lam_c, mu_c, w = lam[:, None], mu[:, None], unit_nodes(SEARCH_NODES, 0.0)
     a = _s_factors(spec, x, lam_c, mu_c, r_s[:, None] * w)
     t_nodes = _t_nodes(spec, lam_c, mu_c, r_t[:, None] * w)
     a_mass = scale * np.abs(a).sum(-1)
-    levels = tuple(concentric_side(a[:, :: SEARCH_NODES // n], r_s, r_t) for n in (2 * h, h))
+    levels = tuple(concentric_row(a[:, :: SEARCH_NODES // n], r_s, r_t) for n in (2 * h, h))
     side = _SearchSide(circles, coaxal, scale, alias, a_mass, t_nodes, levels)
-    read_only(*circles, *coaxal, scale, alias, a_mass, *levels[0], *levels[1])
+    read_only(*circles, *coaxal, scale, alias, a_mass, *levels)
     read_only(*t_nodes[:3], *t_nodes.poles)
     return side
 
@@ -474,8 +459,8 @@ def _search(
     b = _t_factors(side.t_nodes, y)
     mass = side.a_mass * np.abs(b).sum(-1) / np.abs(r_s - r_t) / SEARCH_NODES**2
     fine, coarse = (
-        side.scale * concentric_side_sum(a_side, b[:, :: SEARCH_NODES // n]) / n**2
-        for a_side, n in zip(side.levels, (2 * h, h))
+        side.scale * (row * b[:, :: SEARCH_NODES // n]).sum(-1) / n**2
+        for row, n in zip(side.levels, (2 * h, h))
     )
     measured = np.minimum(np.abs(fine - coarse) / mass, 1.0) ** (nodes / h)
     alias = np.maximum(measured, side.alias ** nodes)
@@ -486,11 +471,12 @@ def _search(
 
 
 class _Level(NamedTuple):
-    """A level's x side: its s-factors a, their A side
-    (``quad.concentric_side``), and the ``_t_nodes`` of the nodes it adds."""
+    """A level's x side: its s-factors a, their row against the level's t
+    nodes (``quad.concentric_row``), and the ``_t_nodes`` of the nodes it
+    adds."""
 
     a: np.ndarray
-    side: ConcentricSide
+    row: np.ndarray
     t_nodes: _TNodes
 
 
@@ -499,14 +485,15 @@ def _level_s_side(spec: LaguerreSpec, x: float, mapped: tuple, nodes: int, first
     """``_Level`` on nodes nodes of the levels that start at first nodes, for
     x and the map's floats mapped = (lam, mu, r_s, r_t).  A nested level
     takes its even s-factors from the level before (this memo) and computes
-    only the odd ones."""
+    only those at its new odd nodes, which are level nodes / 2's nodes
+    turned by half a step."""
     lam, mu, r_s, r_t = mapped
-    w = _circle_nodes(nodes, nodes == first)
+    w = unit_nodes(nodes, 0.0) if nodes == first else unit_nodes(nodes // 2, 0.5)
     a = _s_factors(spec, x, lam, mu, r_s * w)
     if nodes != first:
         a = _interleave(_level_s_side(spec, x, mapped, nodes // 2, first).a, a)
-    level = _Level(a, concentric_side(a, r_s, r_t), _t_nodes(spec, lam, mu, r_t * w))
-    read_only(a, *level.side, *level.t_nodes[:3], *level.t_nodes.poles)
+    level = _Level(a, concentric_row(a, r_s, r_t), _t_nodes(spec, lam, mu, r_t * w))
+    read_only(a, level.row, *level.t_nodes[:3], *level.t_nodes.poles)
     return level
 
 
@@ -523,21 +510,22 @@ def contour_levels(
     With s = S(u), t = S(v) for the Moebius map S of ``_coaxal``,
     ds dt / (s - t) = (1 - lam mu) du dv / ((1 + mu u)(1 + mu v)(u - v)), so
     both directions are trapezoid rules on the image circles around 0, and
-    each level's node sum is one FFT convolution, O(N log N).  Note the
-    contour normalization differs from the CD kernel by the factor
+    each level's node sum is two FFTs, O(N log N), and one dot product.
+    Note the contour normalization differs from the CD kernel by the factor
     x^p y^(-p); they agree exactly when p = 0.  The imaginary part is a pure
     discretization diagnostic.
 
     The node sum splits into an x side and a y side.  The x side is each
-    level's s-factors with their A side (``quad.concentric_side``) and the
-    y-free t-node factors, kept for the rest of the grid row in a memo keyed
-    by x and the map's floats (``_level_s_side``); the y side is the
-    t-factors b and their transforms (``quad.concentric_side_sum``).  The
-    levels are nested: the nodes of level 2N are those of level N at the
-    even indices, with the same bits (``_circle_nodes``), so each level
-    computes its s-factors and each point its t-factors only at the N new
-    odd nodes.  The default geometry's map parameters come from the search
-    side, which already holds them for every candidate.
+    level's s-factors with their row against the level's t nodes
+    (``quad.concentric_row``) and the y-free t-node factors, kept for the
+    rest of the grid row in a memo keyed by x and the map's floats
+    (``_level_s_side``); the y side is the t-factors b, and the level's
+    value is row @ b.  The levels are nested: the nodes of level 2N are
+    those of level N at the even indices, with the same bits
+    (``quad.unit_nodes``), so each level computes its s-factors and each
+    point its t-factors only at the N new odd nodes.  The default
+    geometry's map parameters come from the search side, which already
+    holds them for every candidate.
     """
     if geometry is None:
         geometry, coaxal = _search(spec, x, y, nodes)
@@ -553,5 +541,5 @@ def contour_levels(
         level = _level_s_side(spec, x, (lam, mu, r_s, r_t), nodes, first)
         new = _t_factors(level.t_nodes, y)
         b = new if b is None else _interleave(b, new)
-        yield scale * complex(concentric_side_sum(level.side, b)) / (nodes * nodes)
+        yield scale * complex(level.row @ b) / (nodes * nodes)
         nodes *= 2

@@ -1,14 +1,12 @@
 """Quadrature primitives for the double-contour kernel integrals.
 
 Circles use the periodic trapezoid rule, which is spectrally accurate for
-analytic integrands.  On two circles around one centre the double node sum
-is one FFT convolution, which splits into an A side (``concentric_side``:
-which rows swap the two factors, those with r_s < r_t, the sign,
-R (1 - q^N), and q^k times A's transform on the kept rows, or A's transform
-and q^k on the swapped ones) and a B side (``concentric_side_sum``: B's
-transforms and the products of the one-pass sum, in its order).  The A side
-does not depend on the second kernel argument, so a caller can keep it for
-a whole grid row in a memo that hands out read-only arrays (``read_only``).
+analytic integrands, on nodes from ``unit_nodes``.  On two circles around 0
+the double node sum folds into two FFTs per circle pass: ``concentric_row``
+gives the row sum_i A_i / (s_i - t_j) of the first factor against the
+second circle's nodes, so the sum against any B is row @ B.  The row does
+not depend on the second kernel argument, so a caller can keep it for a
+whole grid row in a memo that hands out read-only arrays (``read_only``).
 The same q^k series folded mod N serves a line against a circle: the
 Gaussian family sums each line node's powers of rho / (s - c) once per row
 and takes each circle pass's row from one inverse FFT (``hermite._row``).
@@ -27,7 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,76 +59,47 @@ def read_only(*arrays: np.ndarray) -> None:
         arr.setflags(write=False)
 
 
-class ConcentricSide(NamedTuple):
-    """The A side (``concentric_side``) on rows of N nodes, with
-    F(X) = roll(fft(X), -1) and G(X) = N ifft(X): the rows (flat indices)
-    that keep A as the first factor (r_s > r_t) and their q^k F(A), the
-    swapped rows (r_s < r_t) and their G(A) and q^k, and the sign and the
-    denominator R (1 - q^N) in the radii's shape."""
-
-    kept: np.ndarray
-    kept_terms: np.ndarray
-    swapped: np.ndarray
-    swapped_terms: np.ndarray
-    powers: np.ndarray
-    sign: np.ndarray
-    denominator: np.ndarray
+def unit_nodes(nodes: int, offset: float) -> np.ndarray:
+    """e^{2 pi i (j + offset) / nodes} for j < nodes, each within about an
+    ulp: each angle splits into an exact quarter turn i^q and a remainder
+    2 pi r with |r| <= 1/8, whose rounding is 8 times smaller than that of
+    an angle up to 2 pi.  The remainder only scales by a power of two when
+    the count and offset do, so nested and strided node sets keep their
+    bits: unit_nodes(2N, 0)[1::2] is unit_nodes(N, 1/2) and
+    unit_nodes(2N, 0)[::2] is unit_nodes(N, 0)."""
+    m = np.arange(nodes) + offset
+    quarter = np.rint(4.0 * m / nodes)
+    r = (4.0 * m - quarter * nodes) / (4.0 * nodes)
+    return np.array([1.0, 1j, -1.0, -1j])[quarter.astype(int) % 4] * np.exp(1j * (2.0 * math.pi * r))
 
 
-def _fft_rolled(X: np.ndarray) -> np.ndarray:
-    """F(X) = roll(fft(X), -1) along the nodes; no rows, no transform."""
-    if not X.size:
-        return X
-    F = np.fft.fft(X)
-    return np.concatenate((F[:, 1:], F[:, :1]), axis=-1)
+def concentric_row(A: np.ndarray, r_s, r_t) -> np.ndarray:
+    """row[j] = sum_i A[i] / (s_i - t_j) for N equispaced nodes on two
+    circles around 0, s_i = r_s w^i and t_j = r_t w^j with w = e^{2 pi i / N}
+    and r_s != r_t, so the node sum against any B on the t nodes is
+    row @ B.  The nodes run along the last axis; the radii have the leading
+    shape, and each row takes its own orientation.
 
-
-def _ifft_scaled(X: np.ndarray) -> np.ndarray:
-    """G(X) = N ifft(X) along the N nodes; no rows, no transform."""
-    return X.shape[-1] * np.fft.ifft(X) if X.size else X
-
-
-def concentric_side(A: np.ndarray, r_s, r_t) -> ConcentricSide:
-    """The A side of sum_{i,j} A[i] * B[j] / (s[i] - t[j]) for N equispaced
-    nodes on two circles around 0, s_i = r_s w^i and t_j = r_t w^j with
-    w = e^{2 pi i / N} and r_s != r_t: the part that does not depend on B,
-    which a caller can keep for every B on the same nodes.  The nodes run
-    along the last axis; the radii have the leading shape.
-
-    For r_s > r_t, expanding 1/(s_i - t_j) = sum_m q^m w^{m(j-i) - i} / r_s
-    with q = r_t / r_s and folding m mod N gives
-    sum_{k<N} q^k Ahat[(k+1) mod N] Bchk[k] / (r_s (1 - q^N)), with
-    Ahat = fft(A) and Bchk = N * ifft(B); for r_s < r_t the roles swap and
-    the sign flips.  ``concentric_side_sum`` completes it in O(N log N).
+    With Ahat = fft(A), q = min(r_s, r_t) / R and R = max(r_s, r_t), both
+    orientations give row_j = sum_k c_k Ahat_{k+1} w^{kj}, one inverse FFT
+    of c roll(Ahat, -1).  For r_s > r_t, expanding
+    1/(s_i - t_j) = sum_m q^m w^{m(j-i) - i} / r_s and folding m mod N gives
+    c_k = q^k / (R (1 - q^N)).  For r_s < r_t, expanding
+    -1/(t_j (1 - s_i / t_j)) instead gives the terms
+    -q^m Ahat_{-m} w^{-(m+1)j} / R; with k = N - 1 - m mod N,
+    Ahat_{-m} = Ahat_{k+1} and w^{-(m+1)j} = w^{kj}, so they fold into the
+    same sum with the coefficients reversed and negated,
+    c_k = -q^{N-1-k} / (R (1 - q^N)).  The phase w^{-j} of the swapped
+    rows thus costs no rounding and no second transform.
     """
     r_s, r_t = np.asarray(r_s, dtype=float), np.asarray(r_t, dtype=float)
-    swap = r_s < r_t
     R = np.maximum(r_s, r_t)
     q = np.minimum(r_s, r_t) / R
     N = A.shape[-1]
-    rows = A.reshape(-1, N)
-    powers = (q[..., None] ** np.arange(N)).reshape(rows.shape)
-    swapped, kept = swap.ravel().nonzero()[0], (~swap).ravel().nonzero()[0]
-    return ConcentricSide(
-        kept,
-        powers[kept] * _fft_rolled(rows[kept]),
-        swapped,
-        _ifft_scaled(rows[swapped]),
-        powers[swapped],
-        np.where(swap, -1.0, 1.0),
-        R * (1.0 - q**N),
-    )
-
-
-def concentric_side_sum(side: ConcentricSide, B: np.ndarray) -> np.ndarray:
-    """The node sum of ``concentric_side``, B in the A side's shape: B's
-    transforms against the A side, the products (q^k F(A)) G(B) on the kept
-    rows and (q^k F(B)) G(A) on the swapped ones, summed over the nodes."""
-    rows = B.reshape(-1, B.shape[-1])
-    terms = np.empty(rows.shape, dtype=complex)
-    terms[side.kept] = side.kept_terms * _ifft_scaled(rows[side.kept])
-    terms[side.swapped] = side.powers * _fft_rolled(rows[side.swapped]) * side.swapped_terms
-    return side.sign * terms.sum(-1).reshape(side.sign.shape) / side.denominator
+    c = q[..., None] ** np.arange(N) / (R * (1.0 - q**N))[..., None]
+    c = np.where((r_s < r_t)[..., None], -c[..., ::-1], c)
+    F = np.fft.fft(A)
+    return np.fft.ifft(c * np.concatenate((F[..., 1:], F[..., :1]), axis=-1), norm="forward")
 
 
 # ---------------------------------------------------------------------------

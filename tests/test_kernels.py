@@ -27,9 +27,9 @@ from multiortho.quad import (
     MAX_LINE_NODES,
     ContourError,
     ConvergenceError,
-    concentric_side,
-    concentric_side_sum,
+    concentric_row,
     line_rule_nodes,
+    unit_nodes,
 )
 from oracles import cd_kernel_oracle, nearest_neighbour_coefficients, nearest_neighbour_residual
 from test_acceptance import hermite_sweep, laguerre_sweep
@@ -803,7 +803,9 @@ def test_contour_hermite_folded_row_against_40_digits():
     """A 64-node row at the exact circle nodes c + rho e^{2 pi i (j + offset)/64},
     summed at 40 digits over the same float A and s, within 4 eps of each
     entry's term mass; and the circle factors' unit nodes within eps of
-    the exact ones, at 64 nodes and at 24, where N/4 is not an integer."""
+    the exact ones, at 64 nodes and at 24, where N/4 is not an integer.
+    The unit nodes nest with their bits: the odd nodes of 2N are those of N
+    turned by half a step, and the even ones those of N, at 16 to 8192."""
     eps = np.finfo(float).eps
     geo = hm.HermiteContourGeometry.at(H21, 0.75)
     A, s = _hermite_line_factors(H21, 0.75, geo, 64)
@@ -818,9 +820,13 @@ def test_contour_hermite_folded_row_against_40_digits():
                 mass = mpmath.fsum(abs(a) / abs(si - t) for a, si in zip(As, ss))
                 assert abs(row[j] - exact) <= 4 * eps * mass, (offset, j)
             for N in (24, 64):
-                unit = hm._unit_nodes(N, offset)
+                unit = unit_nodes(N, offset)
                 for j in range(N):
                     assert abs(unit[j] - mpmath.expjpi(2 * (j + mpmath.mpf(offset)) / N)) <= eps, (N, offset, j)
+    for N in 2 ** np.arange(4, 14):
+        unit = unit_nodes(N, 0.0)
+        assert _bits(unit[1::2].copy().view(float)) == _bits(unit_nodes(N // 2, 0.5).view(float)), N
+        assert _bits(unit[::2].copy().view(float)) == _bits(unit_nodes(N // 2, 0.0).view(float)), N
 
 
 def test_contour_hermite_pass_holds_no_dense_node_matrix():
@@ -838,48 +844,32 @@ def test_contour_hermite_pass_holds_no_dense_node_matrix():
     assert peak < matrix_bytes
 
 
-def _concentric_reference(A, B, r_s, r_t):
-    """The FFT convolution in one pass over both factors, the form the A and
-    B sides split: (q^k F(A)) G(B) with A and B swapped on rows r_s < r_t."""
-    swap = (r_s < r_t)[..., None]
-    A, B = np.where(swap, B, A), np.where(swap, A, B)
-    R = np.maximum(r_s, r_t)
-    q = np.minimum(r_s, r_t) / R
-    N = A.shape[-1]
-    terms = q[..., None] ** np.arange(N) * np.roll(np.fft.fft(A), -1, axis=-1) * (N * np.fft.ifft(B))
-    return np.where(swap[..., 0], -1.0, 1.0) * terms.sum(-1) / (R * (1.0 - q**N))
-
-
-@pytest.mark.parametrize("N", [64, 512])
+@pytest.mark.parametrize("N", [16, 64, 512])
 def test_concentric_sum_matches_bilinear_sum(N):
-    """The FFT convolution is the node sum over two circles around 0,
-    either one the larger, also row by row on stacked node values; one A
-    side serves every B, with the bits of the one-pass form, on stacked
-    rows that mix swapped and unswapped radii."""
+    """The FFT row is the node sum over two circles around 0, either one the
+    larger: on radii 3 and 2, row @ B matches the dense
+    A @ (1/(s[:, None] - t)) @ B, and on every pair each row entry matches
+    the dense row relative to its term mass sum_i |A_i| / |s_i - t_j|
+    within 4 eps / (1 - q), q the ratio of the radii, also near q = 1 where
+    the 1/(1 - q^N) fold matters.  Stacked rows that mix the two
+    orientations have the bits of the single rows."""
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(N)
-    A = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    B = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     w = np.exp(2j * np.pi * np.arange(N) / N)
-    radii = [(3.0, 2.0), (2.0, 3.0)]
-    stacked = concentric_side(np.stack([A, A]), *np.array(radii).T)
-    batched = concentric_side_sum(stacked, np.stack([B, B]))
-    for (r_s, r_t), got in zip(radii, batched):
-        direct = A @ (1.0 / ((r_s * w)[:, None] - r_t * w)) @ B
-        single = concentric_side_sum(concentric_side(A, r_s, r_t), B)
-        assert abs(single - direct) <= 1e-14 * abs(direct)
-        assert got == single
-    r_s, r_t = np.array([0.5, 3.0, 2.0, 1.25, 4.0]), np.array([2.0, 2.0, 3.0, 1.0, 0.75])
-    As = rng.standard_normal((5, N)) + 1j * rng.standard_normal((5, N))
-    side = concentric_side(As, r_s, r_t)
-    for _ in range(2):
-        Bs = rng.standard_normal((5, N)) + 1j * rng.standard_normal((5, N))
-        got = concentric_side_sum(side, Bs)
-        fresh = concentric_side_sum(concentric_side(As, r_s, r_t), Bs)
-        assert _bits(got.view(float)) == _bits(fresh.view(float))
-        assert _bits(got.view(float)) == _bits(_concentric_reference(As, Bs, r_s, r_t).view(float))
-        for row in range(5):
-            single = concentric_side_sum(concentric_side(As[row], r_s[row], r_t[row]), Bs[row])
-            assert single == got[row] == _concentric_reference(As[row], Bs[row], r_s[row], r_t[row])
+    radii = [(3.0, 2.0), (2.0, 3.0), (1.0, 0.99), (0.99, 1.0), (0.5, 2.0), (1.25, 1.0), (4.0, 0.75)]
+    r_s, r_t = np.array(radii).T
+    As = rng.standard_normal((len(radii), N)) + 1j * rng.standard_normal((len(radii), N))
+    Bs = rng.standard_normal((len(radii), N)) + 1j * rng.standard_normal((len(radii), N))
+    stacked = concentric_row(As, r_s, r_t)
+    for A, B, (r_s, r_t), got in zip(As, Bs, radii, stacked):
+        row = concentric_row(A, r_s, r_t)
+        assert _bits(got.view(float)) == _bits(row.view(float))
+        inv = 1.0 / ((r_s * w)[:, None] - r_t * w)
+        bound = 4 * eps / (1 - min(r_s, r_t) / max(r_s, r_t))
+        assert np.all(np.abs(row - A @ inv) <= bound * (np.abs(A) @ np.abs(inv))), (r_s, r_t)
+        if {r_s, r_t} == {2.0, 3.0}:
+            direct = A @ inv @ B
+            assert abs(row @ B - direct) <= 1e-14 * abs(direct), (r_s, r_t)
 
 
 def test_contour_nested_level_matches_fresh_evaluation():
