@@ -38,7 +38,14 @@ from .core import LinearFormTerm, MultiIndex, RatPoly, mi_chain
 from .quad import ConvergenceError
 from .hermite import HermiteSpec
 from .laguerre import LaguerreSpec
-from .presets import CheckResult, standard_grid, standard_specs, verify_battery
+from .presets import (
+    KERNEL_AGREEMENT_TOL_CONTOUR,
+    KERNEL_AGREEMENT_TOL_SUM,
+    CheckResult,
+    standard_grid,
+    standard_specs,
+    verify_battery,
+)
 
 SCHEMA_VERSION = 1
 
@@ -440,6 +447,17 @@ def cmd_kernel(cfg: argparse.Namespace) -> int:
         for y in ys:
             cd, s, ct = _kernels.kernel_point(K, chain, float(x), float(y), cfg.nodes, tol)
             diff = abs(cd - ct)
+            # An explicit --nodes asks for that discretization, so its
+            # contour gap is printed, not judged; cd and sum must agree.
+            if abs(cd - s) > KERNEL_AGREEMENT_TOL_SUM or (
+                cfg.nodes is None and diff > KERNEL_AGREEMENT_TOL_CONTOUR
+            ):
+                print(
+                    f"error: the kernel routes disagree at x={float(x)}, y={float(y)}: "
+                    f"|cd-sum| {abs(cd - s):.3g}, |cd-contour| {diff:.3g}",
+                    file=sys.stderr,
+                )
+                return EXIT_FAIL
             rows.append(
                 {"x": float(x), "y": float(y), "cd": cd, "sum": s, "contour": ct, "abs_diff": diff}
             )

@@ -267,7 +267,9 @@ class LaguerreContourGeometry:
         h is the largest power of two <= min(nodes, SEARCH_NODES / 2), so
         both sums are trapezoid rules on nested subsets of the
         SEARCH_NODES nodes.  Everything but the t-factors b and the
-        score is kept per x (``_search_side``).
+        score is kept per x (``_search_side``), the y-free t-node factors
+        once per distinct t-circle: the concentric candidates share them,
+        so 52 candidates need only 20 rows of b (``_search_terms``).
         """
         return _search(spec, x, y, nodes)[0]
 
@@ -415,8 +417,11 @@ class _SearchSide(NamedTuple):
     circles (``_candidates``), the map's lam, mu, r_s, r_t and sign
     (``_coaxal``) and its scale |1 - lam mu|, the pair's ``_alias_ratio``,
     the term mass scale * sum|a| of its s-factors a on SEARCH_NODES nodes,
-    its ``_t_nodes``, and the rows (``quad.concentric_row``) of a on the
-    2h and h nodes that ``LaguerreContourGeometry.at`` compares."""
+    and the rows (``quad.concentric_row``) of a on the 2h and h nodes that
+    ``LaguerreContourGeometry.at`` compares.  The t side is kept per
+    distinct t-circle image, since the concentric candidates share few of
+    them: ``_t_nodes`` on each distinct (lam, mu, r_t), and t_index, the
+    distinct row of each candidate."""
 
     circles: tuple[np.ndarray, ...]
     coaxal: tuple[np.ndarray, ...]
@@ -424,6 +429,7 @@ class _SearchSide(NamedTuple):
     alias: np.ndarray
     a_mass: np.ndarray
     t_nodes: _TNodes
+    t_index: np.ndarray
     levels: tuple[np.ndarray, np.ndarray]
 
 
@@ -436,32 +442,45 @@ def _search_side(spec: LaguerreSpec, x: float, h: int) -> _SearchSide:
     lam, mu, r_s, r_t, _ = coaxal
     scale = np.abs(1.0 - lam * mu)
     alias = _alias_ratio(spec, lam, mu, r_s, r_t)
-    # one row of nodes per candidate
-    lam_c, mu_c, w = lam[:, None], mu[:, None], unit_nodes(SEARCH_NODES, 0.0)
-    a = _s_factors(spec, x, lam_c, mu_c, r_s[:, None] * w)
-    t_nodes = _t_nodes(spec, lam_c, mu_c, r_t[:, None] * w)
+    # one row of nodes per candidate on the s side, per distinct t-circle on the t side
+    w = unit_nodes(SEARCH_NODES, 0.0)
+    a = _s_factors(spec, x, lam[:, None], mu[:, None], r_s[:, None] * w)
+    t_maps, t_index = np.unique(np.stack([lam, mu, r_t]), axis=1, return_inverse=True)
+    t_lam, t_mu, t_r = t_maps[:, :, None]
+    t_nodes = _t_nodes(spec, t_lam, t_mu, t_r * w)
     a_mass = scale * np.abs(a).sum(-1)
     levels = tuple(concentric_row(a[:, :: SEARCH_NODES // n], r_s, r_t) for n in (2 * h, h))
-    side = _SearchSide(circles, coaxal, scale, alias, a_mass, t_nodes, levels)
-    read_only(*circles, *coaxal, scale, alias, a_mass, *levels)
+    side = _SearchSide(circles, coaxal, scale, alias, a_mass, t_nodes, t_index, levels)
+    read_only(*circles, *coaxal, scale, alias, a_mass, t_index, *levels)
     read_only(*t_nodes[:3], *t_nodes.poles)
     return side
+
+
+def _search_terms(side: _SearchSide, y: float, h: int) -> tuple[np.ndarray, ...]:
+    """Each candidate's term mass sum|a| sum|b| / |r_s - r_t| (over the node
+    count squared) and its node sums on the 2h and h nodes, for y.  The
+    t-factors b are computed once per distinct t-circle and gathered per
+    candidate by t_index; every row reduction is its own, so the values
+    are those of one b row per candidate."""
+    r_s, r_t = side.coaxal[2:4]
+    b = _t_factors(side.t_nodes, y)
+    mass = side.a_mass * np.abs(b).sum(-1)[side.t_index] / np.abs(r_s - r_t) / SEARCH_NODES**2
+    fine, coarse = (
+        side.scale * (row * b[side.t_index, :: SEARCH_NODES // n]).sum(-1) / n**2
+        for row, n in zip(side.levels, (2 * h, h))
+    )
+    return mass, fine, coarse
 
 
 def _search(
     spec: LaguerreSpec, x: float, y: float, nodes: int
 ) -> tuple[LaguerreContourGeometry, tuple[float, ...]]:
     """``LaguerreContourGeometry.at`` and the chosen pair's lam, mu, r_s,
-    r_t and sign, read off the search side."""
+    r_t and sign, read off the search side and scored from
+    ``_search_terms``, the only part that depends on y."""
     h = 1 << (min(nodes, SEARCH_NODES // 2).bit_length() - 1)
     side = _search_side(spec, x, h)
-    r_s, r_t = side.coaxal[2:4]
-    b = _t_factors(side.t_nodes, y)
-    mass = side.a_mass * np.abs(b).sum(-1) / np.abs(r_s - r_t) / SEARCH_NODES**2
-    fine, coarse = (
-        side.scale * (row * b[:, :: SEARCH_NODES // n]).sum(-1) / n**2
-        for row, n in zip(side.levels, (2 * h, h))
-    )
+    mass, fine, coarse = _search_terms(side, y, h)
     measured = np.minimum(np.abs(fine - coarse) / mass, 1.0) ** (nodes / h)
     alias = np.maximum(measured, side.alias ** nodes)
     score = mass * (np.finfo(float).eps + alias)

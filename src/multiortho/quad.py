@@ -1,12 +1,13 @@
 """Quadrature primitives for the double-contour kernel integrals.
 
 Circles use the periodic trapezoid rule, which is spectrally accurate for
-analytic integrands, on nodes from ``unit_nodes``.  On two circles around 0
-the double node sum folds into two FFTs per circle pass: ``concentric_row``
-gives the row sum_i A_i / (s_i - t_j) of the first factor against the
-second circle's nodes, so the sum against any B is row @ B.  The row does
-not depend on the second kernel argument, so a caller can keep it for a
-whole grid row in a memo that hands out read-only arrays (``read_only``).
+analytic integrands, on nodes from ``unit_nodes``, kept per node count and
+offset.  On two circles around 0 the double node sum folds into two FFTs
+per circle pass: ``concentric_row`` gives the row sum_i A_i / (s_i - t_j)
+of the first factor against the second circle's nodes, so the sum against
+any B is row @ B.  The row does not depend on the second kernel argument,
+so a caller can keep it for a whole grid row in a memo that hands out
+read-only arrays (``read_only``), as ``unit_nodes`` hands out its nodes.
 The same q^k series folded mod N serves a line against a circle: the
 Gaussian family sums each line node's powers of rho / (s - c) once per row
 and takes each circle pass's row from one inverse FFT (``hermite._row``).
@@ -31,6 +32,8 @@ import numpy as np
 from .core import ExactMathError, as_fraction, as_int
 
 MAX_LINE_NODES = 512
+# (nodes, offset) pairs whose circle nodes are kept (``unit_nodes``)
+UNIT_NODES_MEMO = 8
 # rescale recurrence state beyond this bound so squares stay representable;
 # Newton ratios are scale invariant and the tracked log-scale keeps the
 # Christoffel sums meaningful
@@ -59,6 +62,7 @@ def read_only(*arrays: np.ndarray) -> None:
         arr.setflags(write=False)
 
 
+@lru_cache(maxsize=UNIT_NODES_MEMO)
 def unit_nodes(nodes: int, offset: float) -> np.ndarray:
     """e^{2 pi i (j + offset) / nodes} for j < nodes, each within about an
     ulp: each angle splits into an exact quarter turn i^q and a remainder
@@ -66,11 +70,15 @@ def unit_nodes(nodes: int, offset: float) -> np.ndarray:
     an angle up to 2 pi.  The remainder only scales by a power of two when
     the count and offset do, so nested and strided node sets keep their
     bits: unit_nodes(2N, 0)[1::2] is unit_nodes(N, 1/2) and
-    unit_nodes(2N, 0)[::2] is unit_nodes(N, 0)."""
+    unit_nodes(2N, 0)[::2] is unit_nodes(N, 0).  The contour routes use a
+    handful of (nodes, offset) pairs, so the node sets are memoized and
+    handed out read-only."""
     m = np.arange(nodes) + offset
     quarter = np.rint(4.0 * m / nodes)
     r = (4.0 * m - quarter * nodes) / (4.0 * nodes)
-    return np.array([1.0, 1j, -1.0, -1j])[quarter.astype(int) % 4] * np.exp(1j * (2.0 * math.pi * r))
+    w = np.array([1.0, 1j, -1.0, -1j])[quarter.astype(int) % 4] * np.exp(1j * (2.0 * math.pi * r))
+    read_only(w)
+    return w
 
 
 def concentric_row(A: np.ndarray, r_s, r_t) -> np.ndarray:

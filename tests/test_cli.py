@@ -491,6 +491,46 @@ def test_kernel_not_settled_exit_1(capsys, monkeypatch, tmp_path):
     assert not target.exists()
 
 
+def test_kernel_refuses_disagreeing_routes(capsys, tmp_path):
+    """At hermite n=(16,16) the float routes lose their digits: on a 3 x 3
+    grid kernel writes no row and exits 1, naming the first point whose
+    routes disagree past the verify battery's tolerances and both gaps."""
+    target = tmp_path / "k.csv"
+    argv = ("--a", "1,-1", "--n", "16,16", "--grid=-2:2:3,-2:2:3", "--out", str(target))
+    code, out, err = run(capsys, "kernel", "--family", "hermite", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "x=-2.0, y=-2.0:" in err
+    gap_sum, gap_contour = (
+        float(err.split(label)[1].split(",")[0]) for label in ("|cd-sum| ", "|cd-contour| ")
+    )
+    assert gap_sum > KERNEL_AGREEMENT_TOL_SUM and gap_contour > KERNEL_AGREEMENT_TOL_CONTOUR
+    assert not target.exists()
+
+
+def test_kernel_adaptive_grid_far_from_the_rates(capsys):
+    """A default-node grid whose routes agree passes the refusal: laguerre
+    beta=(1,2,3), n=(1,1,6), p=2 at x = 0.5, far below the rates."""
+    argv = ("--beta", "1,2,3", "--n", "1,1,6", "--p", "2", "--grid=0.5:0.5:1,0.5:4.5:5")
+    code, out, err = run(capsys, "kernel", "--family", "laguerre", *argv, "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 5
+    for r in rows:
+        assert abs(r["cd"] - r["sum"]) <= KERNEL_AGREEMENT_TOL_SUM
+        assert r["abs_diff"] <= KERNEL_AGREEMENT_TOL_CONTOUR
+
+
+def test_kernel_explicit_nodes_prints_the_contour_gap(capsys):
+    """An explicit --nodes asks for that discretization: at 32 nodes the
+    contour misses cd by more than the default gate, and kernel prints it."""
+    code, out, err = run(capsys, "kernel", *HERMITE_11, "--nodes", "32", "--format", "json")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert max(r["abs_diff"] for r in rows) > KERNEL_AGREEMENT_TOL_CONTOUR
+    assert all(abs(r["cd"] - r["sum"]) <= KERNEL_AGREEMENT_TOL_SUM for r in rows)
+
+
 @pytest.mark.parametrize(
     "argv, header",
     [

@@ -25,6 +25,7 @@ from multiortho.laguerre import LaguerreSpec
 from multiortho.presets import standard_grid
 from multiortho.quad import (
     MAX_LINE_NODES,
+    UNIT_NODES_MEMO,
     ContourError,
     ConvergenceError,
     concentric_row,
@@ -891,10 +892,19 @@ def test_contour_nested_level_matches_fresh_evaluation():
         assert next(levels) == next(lg.contour_levels(spec, x, y, 1024, geo))
 
 
-# The x side of the node sums is kept per grid row in these bounded memos.
+# The x side of the node sums is kept per grid row in these bounded memos,
+# on circle nodes kept per node count and offset.
 CONTOUR_MEMOS = {
-    "hermite": {hm._line_side: hm.LINE_MEMO, hm._circle_side: hm.CIRCLE_MEMO},
-    "laguerre": {lg._search_side: lg.SEARCH_MEMO, lg._level_s_side: lg.LEVEL_MEMO},
+    "hermite": {
+        hm._line_side: hm.LINE_MEMO,
+        hm._circle_side: hm.CIRCLE_MEMO,
+        unit_nodes: UNIT_NODES_MEMO,
+    },
+    "laguerre": {
+        lg._search_side: lg.SEARCH_MEMO,
+        lg._level_s_side: lg.LEVEL_MEMO,
+        unit_nodes: UNIT_NODES_MEMO,
+    },
 }
 # 5 x 5 grids; the Hermite ones hold x = -0.0 and x = 0.0.  For H21 the
 # circle centre is 0, so the sign of zero picks the side of the line and the
@@ -986,6 +996,7 @@ def test_contour_memos_bounded_and_read_only(capsys):
         hm._circle_side(H21, 0.75, geo, 512, 512, 0.0),
         lg._search_side(L11_P1, 2.0, 32),
         lg._level_s_side(L11_P1, 2.0, (lam, mu, r_s, r_t), 1024, 512),
+        unit_nodes(512, 0.5),
     ]
     for arr in _arrays_in(cached):
         with pytest.raises(ValueError):
@@ -1056,6 +1067,38 @@ def test_contour_laguerre_search_nests_its_levels_below_32_nodes(beta, n):
     cd = kn.eval_cd(kn.build_kernel("laguerre", spec), x, y)
     errors = {nodes: abs(_contour_as_cd(spec, x, y, nodes=nodes) - cd) for nodes in range(16, 32, 2)}
     assert all(err <= 10 * errors[16] for err in errors.values()), errors
+
+
+@pytest.mark.parametrize(
+    "spec, y, h",
+    [
+        (LaguerreSpec.of([1, 2], [3, 2], 1), 2.5, 32),
+        (L11_P1, 0.5, 16),
+        (LaguerreSpec.of([1, 2, 3], [2, 2, 2], 1), 4.0, 32),
+        (LaguerreSpec.of([F(1, 2), 3, 1], [1, 2, 1], 2), 1.0, 8),
+    ],
+)
+def test_contour_laguerre_search_t_side_per_distinct_circle(spec, y, h):
+    """The search side keeps its y-free t-node factors once per distinct
+    t-circle image, fewer rows than candidates, and gathers them per
+    candidate by t_index.  The t-factors, the term masses and the 2h- and
+    h-node sums have the bits of the t-node rows built per candidate."""
+    def bits(v):
+        return _bits(np.asarray(v).view(float))
+
+    side = lg._search_side(spec, 1.5, h)
+    lam, mu, r_s, r_t, _ = side.coaxal
+    assert side.t_nodes.t.shape[0] < lam.size
+    w = unit_nodes(lg.SEARCH_NODES, 0.0)
+    b = lg._t_factors(lg._t_nodes(spec, lam[:, None], mu[:, None], r_t[:, None] * w), y)
+    assert bits(lg._t_factors(side.t_nodes, y)[side.t_index]) == bits(b)
+    mass = side.a_mass * np.abs(b).sum(-1) / np.abs(r_s - r_t) / lg.SEARCH_NODES**2
+    sums = [
+        side.scale * (row * b[:, :: lg.SEARCH_NODES // n]).sum(-1) / n**2
+        for row, n in zip(side.levels, (2 * h, h))
+    ]
+    for got, want in zip(lg._search_terms(side, y, h), [mass, *sums]):
+        assert bits(got) == bits(want)
 
 
 @pytest.mark.parametrize(
