@@ -50,7 +50,7 @@ from .core import (
     residue_poly,
     series_mul,
 )
-from .quad import MAX_LINE_NODES, ContourError, LineRule, line_rule_nodes, read_only, unit_nodes
+from .quad import MAX_LINE_NODES, LineRule, line_rule_nodes, read_only, unit_nodes
 
 # The weights live on the whole real line (no half-line domain check).
 HALF_LINE = False
@@ -250,31 +250,19 @@ class HermiteContourGeometry:
     circle_center: float
     circle_radius: float
 
-    @classmethod
-    def at(cls, spec: HermiteSpec, x: float) -> "HermiteContourGeometry":
-        """The geometry for kernel argument x: the circle clears the shifts
-        by CIRCLE_MARGIN, and the line runs through x, where the Gaussian
-        factor exp((s-x)^2/2) has its saddle, when that clears the circle by
-        LINE_GAP; otherwise it runs at that gap on the circle's nearer side."""
-        a = [float(v) for v in spec.a]
-        lo, hi = min(a), max(a)
-        c, r = 0.5 * (lo + hi), 0.5 * (hi - lo) + CIRCLE_MARGIN
-        reach = r + LINE_GAP
-        sigma = x if abs(x - c) >= reach else c + math.copysign(reach, x - c)
-        return cls(sigma, c, r)
 
-    def validate(self, spec: HermiteSpec) -> None:
-        if self.circle_radius <= 0.0:
-            raise ContourError("circle radius must be positive")
-        if abs(self.line_abscissa - self.circle_center) <= self.circle_radius:
-            raise ContourError(
-                "vertical line must not cut or touch the circle "
-                f"(abscissa {self.line_abscissa}, circle spans "
-                f"[{self.circle_center - self.circle_radius}, {self.circle_center + self.circle_radius}])"
-            )
-        for a_k in spec.a:
-            if abs(float(a_k) - self.circle_center) >= self.circle_radius:
-                raise ContourError(f"shift parameter {a_k} is not inside the circle")
+def contour_geometry(spec: HermiteSpec, x: float, y: float, nodes: int) -> HermiteContourGeometry:
+    """The geometry for kernel argument x (y and nodes do not move it): the
+    circle clears the shifts by CIRCLE_MARGIN, and the line runs through x,
+    where the Gaussian factor exp((s-x)^2/2) has its saddle, when that
+    clears the circle by LINE_GAP; otherwise it runs at that gap on the
+    circle's nearer side."""
+    a = [float(v) for v in spec.a]
+    lo, hi = min(a), max(a)
+    c, r = 0.5 * (lo + hi), 0.5 * (hi - lo) + CIRCLE_MARGIN
+    reach = r + LINE_GAP
+    sigma = x if abs(x - c) >= reach else c + math.copysign(reach, x - c)
+    return HermiteContourGeometry(sigma, c, r)
 
 
 def _power_sums(w: np.ndarray, q: np.ndarray, count: int) -> np.ndarray:
@@ -389,10 +377,11 @@ def contour_levels(
     x: float,
     y: float,
     nodes: int,
-    geometry: HermiteContourGeometry | None,
+    geometry: HermiteContourGeometry,
 ) -> Iterator[complex]:
     """Double-contour kernel values at nodes, 2*nodes, 4*nodes, ... circle
-    nodes (geometry None: ``HermiteContourGeometry.at(spec, x)``).
+    nodes on geometry, whose circle encloses every shift and which the
+    line neither cuts nor touches (``contour_geometry`` builds one).
 
     The vertical-line direction substitutes s = sigma + i u, so the Gaussian
     factor exp((s-x)^2/2) splits into exp((sigma-x)^2/2) * exp(iu(sigma-x))
@@ -412,18 +401,16 @@ def contour_levels(
     The y side is exp(-(t - y)^2 / 2) times those factors, against the row,
     added to 0j so that a zero sum reads +0.
     """
-    geom = geometry if geometry is not None else HermiteContourGeometry.at(spec, x)
-    geom.validate(spec)
     line_nodes = min(nodes, MAX_LINE_NODES)
 
     def circle_sum(offset: float) -> complex:
-        side = _circle_side(spec, x, geom, line_nodes, nodes, offset)
+        side = _circle_side(spec, x, geometry, line_nodes, nodes, offset)
         B = side.centred * np.exp(-0.5 * (side.t - y) ** 2)
         for pole in side.poles:
             B = B / pole
         return 0j + complex(side.row @ B)
 
-    factor = math.exp(0.5 * (geom.line_abscissa - x) ** 2) / (2.0 * math.pi)
+    factor = math.exp(0.5 * (geometry.line_abscissa - x) ** 2) / (2.0 * math.pi)
     total = circle_sum(0.0)
     while True:
         yield factor * total / nodes

@@ -16,7 +16,11 @@ The kernel of the determinantal eigenvalue process is computed as
    (or beside the circle, on either side) times a circle around the
    shifts; for the half-line family a circle around 0 and one around the
    rates (nested either way or disjoint), which a Moebius map sends to two
-   circles around 0.  Both take the node count up by nested doubling.
+   circles around 0.  ``eval_contour`` chooses the geometry once per
+   point, by the family's ``contour_geometry`` (for the half-line family
+   the best-scored of a fixed candidate set, refused with ContourError
+   when that pair cannot carry the kernel), and passes it to the family's
+   ``contour_levels``.  Both take the node count up by nested doubling.
    Each node sum splits into an x side, the line or s-circle factors'
    row sum_i A_i / (s_i - t_j) against the circle nodes, and a y side, the
    circle factors b, so that the sum is row @ b.  The Gaussian family
@@ -326,18 +330,19 @@ def eval_contour(
     """Double-contour kernel value (real part): vertical line x circle for
     the Gaussian family, two circles for the half-line family, whose
     contour normalization differs from the CD kernel by x^p y^(-p).  The
-    geometry is the family's per-point one, chosen for the starting node
-    count.
+    geometry is chosen here, once per point, by the family's
+    ``contour_geometry`` for the starting node count, and passed in.
 
-    The values come from the family's ``contour_levels``, one per node
-    doubling.  With an explicit integer node count, which the cap bounds
-    too, this is its first level.  With nodes=None the levels start at
+    The values come from the family's ``contour_levels`` on that
+    geometry, one per node doubling.  With an explicit integer node count,
+    which the cap bounds too, this is its first level.  With nodes=None the levels start at
     CONTOUR_START_NODES and the value is the first one within tol of the
     level before, raising ConvergenceError (carrying the best value) if
     CONTOUR_CAP_NODES is reached first.  A tol that is not > 0 (nan
-    included) raises ContourError, and a non-finite level OverflowError.
+    included) raises ContourError, as does a half-line geometry that
+    cannot carry the kernel, and a non-finite level OverflowError.
     """
-    levels = family_module(family, spec).contour_levels
+    fam = family_module(family, spec)
     if not tol > 0:
         raise ContourError(f"contour tolerance must be > 0, got {tol}")
     x, y = float(x), float(y)
@@ -350,7 +355,8 @@ def eval_contour(
             raise ContourError(f"node count must be <= {CONTOUR_CAP_NODES}, got {nodes}")
     n = CONTOUR_START_NODES if nodes is None else nodes
     with np.errstate(all="ignore"):
-        values = (_finite_real(v) for v in levels(spec, x, y, n, None))
+        geometry = fam.contour_geometry(spec, x, y, n)
+        values = (_finite_real(v) for v in fam.contour_levels(spec, x, y, n, geometry))
         prev = next(values)
         if nodes is not None:
             return prev

@@ -211,11 +211,11 @@ def trace_rule(spec: LaguerreSpec, nodes: int) -> LineRule:
 
 
 # Candidate circle pairs, scored per point on SEARCH_NODES nodes (see
-# ``LaguerreContourGeometry.at``).  RADIUS_STEPS scale the radii of the
-# pairs around half the largest rate, SADDLE_STEPS shrink the s-circle
-# inside a t-circle around 0 towards the saddle of e^{xs} s^{-(|n|+p)},
-# and DISJOINT_S and DISJOINT_GAP (fractions of the smallest rate) give the
-# s-circle around 0 and the t-circle's margin around the rates.
+# ``contour_geometry``).  RADIUS_STEPS scale the radii of the pairs around
+# half the largest rate, SADDLE_STEPS shrink the s-circle inside a t-circle
+# around 0 towards the saddle of e^{xs} s^{-(|n|+p)}, and DISJOINT_S and
+# DISJOINT_GAP (fractions of the smallest rate) give the s-circle around 0
+# and the t-circle's margin around the rates.
 RADIUS_STEPS = np.array([1.25, 1.5, 2.0, 3.0])
 SADDLE_STEPS = np.array([1.25, 2.0, 4.0, 8.0, 16.0, 32.0])
 DISJOINT_S = np.array([0.0625, 0.125, 0.25, 0.5])
@@ -227,69 +227,9 @@ SEARCH_NODES = 64
 # follow on the same grid row: the search pass for one x, and each level per
 # chosen pair.  Sized for about one row, so a later row evicts it.  The keys
 # hold the floats; x > 0 and ``_coaxal`` never yields -0.0 for the
-# candidates, so no two signs of zero share a default-geometry entry.
+# candidates, so no two signs of zero share an entry of a chosen pair.
 SEARCH_MEMO = 1
 LEVEL_MEMO = 6
-
-
-@dataclass(frozen=True)
-class LaguerreContourGeometry:
-    """Two counterclockwise circles, |s - s_center| = s_radius enclosing 0
-    and |t - t_center| = t_radius enclosing every rate, nested either way
-    or disjoint; they must not cut or touch.
-
-    The s-factor f(s) = e^{xs} s^{-(|n|+p)} prod_k (s - beta_k)^{n_k} and the
-    t-factor g(t) = e^{-yt} t^{|n|+p} / prod_k (t - beta_k)^{n_k} multiply to
-    e^{(x-y)t}, which is entire, so the circles may lie either way round
-    with no residue term.  Any such pair belongs to one coaxal family: a
-    Moebius map sends both circles to circles around 0 (``_coaxal``), where
-    the s-factors' row against the t nodes is one FFT and one inverse FFT
-    (``quad.concentric_row``) and the node sum is that row against the
-    t-factors.
-    """
-
-    s_center: float
-    s_radius: float
-    t_center: float
-    t_radius: float
-
-    @classmethod
-    def at(cls, spec: LaguerreSpec, x: float, y: float, nodes: int) -> "LaguerreContourGeometry":
-        """The geometry for the kernel arguments (x, y) at the given node
-        count: the candidate pair (``_candidates``) with the smallest
-        estimated error, all found from one SEARCH_NODES-node pass.
-
-        The estimate is the term mass sum|a| sum|b| / |r_s - r_t| of the
-        mapped node sum (its rounding error scales with it) times eps plus
-        the trapezoid rule's relative aliasing error at nodes nodes.  That
-        is the larger of the relative difference of the h- and 2h-node sums
-        to the power nodes / h, and ``_alias_ratio`` to the power nodes;
-        h is the largest power of two <= min(nodes, SEARCH_NODES / 2), so
-        both sums are trapezoid rules on nested subsets of the
-        SEARCH_NODES nodes.  Everything but the t-factors b and the
-        score is kept per x (``_search_side``), the y-free t-node factors
-        once per distinct t-circle: the concentric candidates share them,
-        so 52 candidates need only 20 rows of b (``_search_terms``).
-        """
-        return _search(spec, x, y, nodes)[0]
-
-    def validate(self, spec: LaguerreSpec) -> None:
-        if self.s_radius <= 0.0 or self.t_radius <= 0.0:
-            raise ContourError("circle radii must be positive")
-        if abs(self.s_center) >= self.s_radius:
-            raise ContourError(
-                f"the s-circle must enclose 0 (centre {self.s_center}, radius {self.s_radius})"
-            )
-        for b_k in spec.beta:
-            if abs(float(b_k) - self.t_center) >= self.t_radius:
-                raise ContourError(f"rate {b_k} is not inside the t-circle")
-        d = abs(self.t_center - self.s_center)
-        if abs(self.s_radius - self.t_radius) <= d <= self.s_radius + self.t_radius:
-            raise ContourError(
-                "the circles must not cut or touch "
-                f"(s: radius {self.s_radius} around {self.s_center}, "
-                f"t: radius {self.t_radius} around {self.t_center})"
-            )
 
 
 def _candidates(spec: LaguerreSpec) -> tuple[np.ndarray, ...]:
@@ -314,6 +254,18 @@ def _candidates(spec: LaguerreSpec) -> tuple[np.ndarray, ...]:
     )
     s_radius = np.concatenate([s_out, s_in, s_dis])
     return s_center, s_radius, t_center, np.concatenate([t_out, t_in, t_dis])
+
+
+def _valid(spec: LaguerreSpec, sc, sr, tc, tr) -> np.ndarray:
+    """Where the circle pairs |s - sc| = sr and |t - tc| = tr (float arrays)
+    can carry the kernel: the s-circle encloses 0 and the t-circle every
+    rate, nested either way or disjoint; they must not cut or touch
+    (``contour_levels``)."""
+    d = np.abs(tc - sc)
+    bad = (sr <= 0.0) | (tr <= 0.0) | (np.abs(sc) >= sr) | ((np.abs(sr - tr) <= d) & (d <= sr + tr))
+    for b_k in spec.beta:
+        bad |= np.abs(float(b_k) - tc) >= tr
+    return ~bad
 
 
 def _coaxal(s_center, s_radius, t_center, t_radius) -> tuple[np.ndarray, ...]:
@@ -413,17 +365,17 @@ def _t_factors(t_nodes: _TNodes, y: float) -> np.ndarray:
 
 
 class _SearchSide(NamedTuple):
-    """What the candidate search needs of x alone: each candidate pair's
-    circles (``_candidates``), the map's lam, mu, r_s, r_t and sign
-    (``_coaxal``) and its scale |1 - lam mu|, the pair's ``_alias_ratio``,
-    the term mass scale * sum|a| of its s-factors a on SEARCH_NODES nodes,
-    and the rows (``quad.concentric_row``) of a on the 2h and h nodes that
-    ``LaguerreContourGeometry.at`` compares.  The t side is kept per
-    distinct t-circle image, since the concentric candidates share few of
-    them: ``_t_nodes`` on each distinct (lam, mu, r_t), and t_index, the
-    distinct row of each candidate."""
+    """What the candidate search needs of x alone: whether each candidate
+    pair (``_candidates``) can carry the kernel (``_valid``), the map's lam,
+    mu, r_s, r_t and sign (``_coaxal``) and its scale |1 - lam mu|, the
+    pair's ``_alias_ratio``, the term mass scale * sum|a| of its s-factors a
+    on SEARCH_NODES nodes, and the rows (``quad.concentric_row``) of a on
+    the 2h and h nodes that ``contour_geometry`` compares.  The t side is
+    kept per distinct t-circle image, since the concentric candidates share
+    few of them: ``_t_nodes`` on each distinct (lam, mu, r_t), and t_index,
+    the distinct row of each candidate."""
 
-    circles: tuple[np.ndarray, ...]
+    valid: np.ndarray
     coaxal: tuple[np.ndarray, ...]
     scale: np.ndarray
     alias: np.ndarray
@@ -438,6 +390,7 @@ def _search_side(spec: LaguerreSpec, x: float, h: int) -> _SearchSide:
     """``_SearchSide`` for x and the coarser of the two compared node
     counts, h."""
     circles = _candidates(spec)
+    valid = _valid(spec, *circles)
     coaxal = _coaxal(*circles)
     lam, mu, r_s, r_t, _ = coaxal
     scale = np.abs(1.0 - lam * mu)
@@ -450,8 +403,8 @@ def _search_side(spec: LaguerreSpec, x: float, h: int) -> _SearchSide:
     t_nodes = _t_nodes(spec, t_lam, t_mu, t_r * w)
     a_mass = scale * np.abs(a).sum(-1)
     levels = tuple(concentric_row(a[:, :: SEARCH_NODES // n], r_s, r_t) for n in (2 * h, h))
-    side = _SearchSide(circles, coaxal, scale, alias, a_mass, t_nodes, t_index, levels)
-    read_only(*circles, *coaxal, scale, alias, a_mass, t_index, *levels)
+    side = _SearchSide(valid, coaxal, scale, alias, a_mass, t_nodes, t_index, levels)
+    read_only(valid, *coaxal, scale, alias, a_mass, t_index, *levels)
     read_only(*t_nodes[:3], *t_nodes.poles)
     return side
 
@@ -472,12 +425,26 @@ def _search_terms(side: _SearchSide, y: float, h: int) -> tuple[np.ndarray, ...]
     return mass, fine, coarse
 
 
-def _search(
-    spec: LaguerreSpec, x: float, y: float, nodes: int
-) -> tuple[LaguerreContourGeometry, tuple[float, ...]]:
-    """``LaguerreContourGeometry.at`` and the chosen pair's lam, mu, r_s,
-    r_t and sign, read off the search side and scored from
-    ``_search_terms``, the only part that depends on y."""
+def contour_geometry(spec: LaguerreSpec, x: float, y: float, nodes: int) -> tuple[float, ...]:
+    """The circle pair for the kernel arguments (x, y) at the given node
+    count, as its map's lam, mu, r_s, r_t and sign (``_coaxal``): the
+    candidate pair (``_candidates``) with the smallest estimated error, all
+    found from one SEARCH_NODES-node pass.  ContourError if that pair
+    cannot carry the kernel (``_valid``).
+
+    The estimate is the term mass sum|a| sum|b| / |r_s - r_t| of the
+    mapped node sum (its rounding error scales with it) times eps plus
+    the trapezoid rule's relative aliasing error at nodes nodes.  That
+    is the larger of the relative difference of the h- and 2h-node sums
+    to the power nodes / h, and ``_alias_ratio`` to the power nodes;
+    h is the largest power of two <= min(nodes, SEARCH_NODES / 2), so
+    both sums are trapezoid rules on nested subsets of the
+    SEARCH_NODES nodes.  Everything but the t-factors b and the
+    score is kept per x (``_search_side``), the y-free t-node factors
+    once per distinct t-circle: the concentric candidates share them,
+    so 52 candidates need only 20 rows of b (``_search_terms``), the
+    only part that depends on y.
+    """
     h = 1 << (min(nodes, SEARCH_NODES // 2).bit_length() - 1)
     side = _search_side(spec, x, h)
     mass, fine, coarse = _search_terms(side, y, h)
@@ -485,8 +452,13 @@ def _search(
     alias = np.maximum(measured, side.alias ** nodes)
     score = mass * (np.finfo(float).eps + alias)
     i = np.argmin(np.where(np.isnan(score), np.inf, score))
-    geometry = LaguerreContourGeometry(*(float(v[i]) for v in side.circles))
-    return geometry, tuple(float(v[i]) for v in side.coaxal)
+    if not side.valid[i]:
+        rates = ", ".join(map(str, spec.beta))
+        raise ContourError(
+            f"the best-scored circle pair at x={x}, y={y} is no contour: "
+            f"its circles cut or touch, or miss 0 or a rate of {rates}"
+        )
+    return tuple(float(v[i]) for v in side.coaxal)
 
 
 class _Level(NamedTuple):
@@ -521,12 +493,18 @@ def contour_levels(
     x: float,
     y: float,
     nodes: int,
-    geometry: LaguerreContourGeometry | None,
+    geometry: tuple[float, ...],
 ) -> Iterator[complex]:
     """Double-contour kernel values at nodes, 2*nodes, 4*nodes, ... nodes per
-    circle (geometry None: ``LaguerreContourGeometry.at(spec, x, y, nodes)``).
+    circle, on the circle pair whose map's lam, mu, r_s, r_t and sign
+    (``_coaxal``) are geometry, a pair that ``_valid`` accepts.
 
-    With s = S(u), t = S(v) for the Moebius map S of ``_coaxal``,
+    The s-factor f(s) = e^{xs} s^{-(|n|+p)} prod_k (s - beta_k)^{n_k} and the
+    t-factor g(t) = e^{-yt} t^{|n|+p} / prod_k (t - beta_k)^{n_k} multiply to
+    e^{(x-y)t}, which is entire, so the circles may lie either way round
+    with no residue term.  Any such pair belongs to one coaxal family: the
+    Moebius map S of ``_coaxal`` sends both circles to circles around 0.
+    With s = S(u), t = S(v),
     ds dt / (s - t) = (1 - lam mu) du dv / ((1 + mu u)(1 + mu v)(u - v)), so
     both directions are trapezoid rules on the image circles around 0, and
     each level's node sum is two FFTs, O(N log N), and one dot product.
@@ -542,18 +520,9 @@ def contour_levels(
     value is row @ b.  The levels are nested: the nodes of level 2N are
     those of level N at the even indices, with the same bits
     (``quad.unit_nodes``), so each level computes its s-factors and each
-    point its t-factors only at the N new odd nodes.  The default
-    geometry's map parameters come from the search side, which already
-    holds them for every candidate.
+    point its t-factors only at the N new odd nodes.
     """
-    if geometry is None:
-        geometry, coaxal = _search(spec, x, y, nodes)
-        geometry.validate(spec)
-    else:
-        geometry.validate(spec)
-        g = geometry
-        coaxal = _coaxal(g.s_center, g.s_radius, g.t_center, g.t_radius)
-    lam, mu, r_s, r_t, sign = (float(v) for v in coaxal)
+    lam, mu, r_s, r_t, sign = (float(v) for v in geometry)
     scale = sign * (1.0 - lam * mu)
     first, b = nodes, None
     while True:

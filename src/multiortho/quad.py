@@ -43,7 +43,8 @@ _RESCALE_LOG = -1024.0 * math.log(2.0)
 
 
 class ContourError(ExactMathError):
-    """Invalid contour geometry or node configuration."""
+    """Invalid node configuration or tolerance, or a circle pair that
+    cannot carry the contour kernel."""
 
 
 class ConvergenceError(RuntimeError):

@@ -338,6 +338,18 @@ def test_non_finite_number_exit_2(capsys, argv):
     assert "finite" in err
 
 
+def test_kernel_refuses_unplaceable_circle_pair(capsys):
+    """At rates (1e-16, 1) the contour's best-scored circle pair misses
+    rate 1 at (100, 100): kernel prints no row and one error line."""
+    code, out, err = run(
+        capsys, "kernel", "--family", "laguerre", "--beta", "1/10000000000000000,1",
+        "--n", "1,1", "--p", "1", "--grid=100:100:1,100:100:1", "--nodes", "16",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_density_grid_takes_one_range_exit_2(capsys):
     code, out, err = run(capsys, "density", *HERMITE_11, "--grid=1,0")
     assert code == 2

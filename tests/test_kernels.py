@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 
 import mpmath
@@ -617,7 +618,7 @@ def test_contour_hermite_doubling_settles():
 
 
 def test_contour_hermite_imag_part_small():
-    val = next(hm.contour_levels(H11, 0.7, -1.1, 256, None))
+    val = next(hm.contour_levels(H11, 0.7, -1.1, 256, hm.contour_geometry(H11, 0.7, -1.1, 256)))
     assert abs(val.imag) < 1e-10
 
 
@@ -637,7 +638,7 @@ def test_contour_laguerre_conjugation_factor():
 
 
 def test_contour_laguerre_imag_part_small():
-    val = next(lg.contour_levels(L11_P1, 0.8, 2.3, 256, None))
+    val = next(lg.contour_levels(L11_P1, 0.8, 2.3, 256, lg.contour_geometry(L11_P1, 0.8, 2.3, 256)))
     assert abs(val.imag) < 1e-10
 
 
@@ -684,48 +685,124 @@ def test_node_counts_are_integers(evaluate):
             evaluate(bad)
 
 
+# Circle pairs (s_center, s_radius, t_center, t_radius) around the rates
+# (1, 2): disjoint and nested either way, and four that cannot carry the
+# kernel.
+LAGUERRE_PAIRS = {
+    "disjoint": (0.0, 0.5, 1.5, 0.75),
+    "s-inside": (0.0, 0.25, 0.0, 2.5),
+    "t-inside": (1.0, 3.0, 1.0, 1.25),
+    "t-inside-off-centre": (-0.5, 4.0, 1.5, 1.0),
+}
+LAGUERRE_REJECTED_PAIRS = {
+    "touching": (0.0, 0.5, 1.5, 1.0),
+    "rate-outside": (0.0, 0.5, 1.5, 0.4),
+    "zero-outside": (0.6, 0.5, 1.5, 0.75),
+    "equal": (0.0, 2.0, 0.0, 2.0),
+}
+
+
 def test_contour_geometry_validation():
-    geo = hm.HermiteContourGeometry.at(H11, 0.0)
-    geo.validate(H11)
-    bad = hm.HermiteContourGeometry(geo.circle_center + geo.circle_radius, geo.circle_center, geo.circle_radius)
-    with pytest.raises(ContourError):
-        bad.validate(H11)
-    lgeo = lg.LaguerreContourGeometry.at(L11_P0, 1.0, 1.0, 512)
-    lgeo.validate(L11_P0)
-    with pytest.raises(ContourError):
-        lg.LaguerreContourGeometry(lgeo.s_center, lgeo.s_radius, lgeo.t_center, 1.0).validate(L11_P0)
+    """``_valid`` accepts the pairs that agree with cd and rejects a pair
+    that touches, misses a rate, misses 0, or equals the other circle."""
+    pairs = np.array([*LAGUERRE_PAIRS.values(), *LAGUERRE_REJECTED_PAIRS.values()])
+    assert lg._valid(L11_P0, *pairs.T).tolist() == [True] * 4 + [False] * 4
 
 
-@pytest.mark.parametrize(
-    "circles",
-    [(0.0, 0.5, 1.5, 0.75), (0.0, 0.25, 0.0, 2.5), (1.0, 3.0, 1.0, 1.25), (-0.5, 4.0, 1.5, 1.0)],
-    ids=["disjoint", "s-inside", "t-inside", "t-inside-off-centre"],
-)
+# Every rate set and every shift set drawn from the README sweep pools and
+# the hypothesis pools.
+RATE_SETS = [
+    beta
+    for m in range(1, 6)
+    for beta in itertools.combinations([F(1, 2), F(1), F(3, 2), F(2), F(3)], m)
+]
+SHIFT_SETS = [
+    a
+    for m in range(1, 8)
+    for a in itertools.combinations([-2, -1, F(-1, 2), 0, F(1, 3), 1, 2], m)
+]
+# Rates at which the best-scored circle pair can miss rate 1 in float.
+TINY_RATES = LaguerreSpec.of([F(1, 10**16), 1], [1, 1], 1)
+
+
+def test_contour_laguerre_candidates_valid_on_pool_rates():
+    """Every candidate pair of every pool rate set can carry the kernel;
+    at rates (1e-16, 1) some cannot."""
+    for beta in RATE_SETS:
+        spec = LaguerreSpec.of(beta, [1] * len(beta), 0)
+        valid = lg._valid(spec, *lg._candidates(spec))
+        assert valid.size == 52 and valid.all(), beta
+    assert not lg._valid(TINY_RATES, *lg._candidates(TINY_RATES)).all()
+
+
+def test_contour_hermite_geometry_clears_the_circle():
+    """The chosen circle has r > 0 and holds every shift strictly inside,
+    and the line keeps |sigma - c| >= r + LINE_GAP, at and beside the
+    circle, at both zeros and far out.  Where the line is moved to
+    c + copysign(r + LINE_GAP, x - c), rounding that sum can take one ulp
+    off the gap (a = (1/3, 2), x = c + r + LINE_GAP); it never lets the
+    line touch the circle."""
+    for a in SHIFT_SETS:
+        spec = HermiteSpec.of(a, [1] * len(a))
+        geo = hm.contour_geometry(spec, 0.0, 0.0, 512)
+        c, r = geo.circle_center, geo.circle_radius
+        assert r > 0.0 and all(abs(float(a_k) - c) < r for a_k in a), a
+        reach = r + hm.LINE_GAP
+        for x in (-0.0, 0.0, c - reach, c + reach, -1e300, 1e300):
+            geo = hm.contour_geometry(spec, x, 0.0, 512)
+            assert (geo.circle_center, geo.circle_radius) == (c, r)
+            gap = abs(geo.line_abscissa - c)
+            assert gap > r and gap >= reach - math.ulp(abs(c) + reach), (a, x)
+
+
+@pytest.mark.parametrize("circles", LAGUERRE_PAIRS.values(), ids=LAGUERRE_PAIRS.keys())
 def test_contour_laguerre_circle_pairs_agree_with_cd(circles):
     """Disjoint and nested circle pairs, either way round, give the same
     kernel: the Moebius map to circles around 0 keeps the node sum exact."""
-    geo = lg.LaguerreContourGeometry(*circles)
     K = kn.build_kernel("laguerre", L11_P0)
-    got = next(lg.contour_levels(L11_P0, 0.7, 1.9, 256, geo)).real
+    got = next(lg.contour_levels(L11_P0, 0.7, 1.9, 256, lg._coaxal(*circles))).real
     assert got == pytest.approx(kn.eval_cd(K, 0.7, 1.9), abs=1e-12)
 
 
 @pytest.mark.parametrize(
-    "circles",
-    [(0.0, 0.5, 1.5, 1.0), (0.0, 0.5, 1.5, 0.4), (0.6, 0.5, 1.5, 0.75), (0.0, 2.0, 0.0, 2.0)],
-    ids=["touching", "rate-outside", "zero-outside", "equal"],
+    "x, y, nodes", [(100.0, 100.0, 16), (100.0, 100.0, 64), (100.0, 100.0, 512), (20.0, 100.0, 16)]
 )
-def test_contour_laguerre_geometry_rejected(circles):
-    with pytest.raises(ContourError):
-        lg.LaguerreContourGeometry(*circles).validate(L11_P0)
+def test_contour_laguerre_refuses_pair_that_misses_a_rate(x, y, nodes):
+    """At rates (1e-16, 1) the best-scored pair is disjoint, and its
+    t-circle misses rate 1 in float.  The kernel refuses it, naming the
+    point and the rates, rather than print a number from another pair:
+    the best-scored valid pair there gives 1.1e12 to -8.2e54, where cd is
+    3.7e-42.  The cold search
+    runs in eval_contour's silenced floating point state, so its
+    overflowing candidates warn nothing."""
+    _clear_contour_memos("laguerre")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContourError, match=rf"x={x}, y={y}.* 1/10000000000000000, 1$"):
+            kn.eval_contour("laguerre", TINY_RATES, x, y, nodes)
+
+
+@pytest.mark.parametrize(
+    "spec, x, y",
+    [(LaguerreSpec.of([1, 2], [8, 8], 1), 30.0, 0.5), (L11_P0, 100.0, 0.5)],
+    ids=["8-8-p1", "1-1-p0"],
+)
+def test_contour_laguerre_search_warns_nothing(spec, x, y):
+    """A cold adaptive point warns nothing: the search runs in
+    eval_contour's silenced state, and at x = 100 its e^{xs} overflows on
+    some candidates."""
+    _clear_contour_memos("laguerre")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kn.eval_contour("laguerre", spec, x, y)
 
 
 def test_contour_laguerre_mapped_sum_matches_direct_node_sum():
     """The mapped FFT sum is the double node sum at the preimages of the
     equispaced image nodes, summed directly."""
     spec, x, y, N = LaguerreSpec.of([1, 2], [2, 1], 1), 3.0, 2.0, 128
-    geo = lg.LaguerreContourGeometry(0.0, 0.5, 1.5, 0.75)
-    lam, mu, r_s, r_t, sign = (float(v) for v in lg._coaxal(0.0, 0.5, 1.5, 0.75))
+    geometry = lg._coaxal(0.0, 0.5, 1.5, 0.75)
+    lam, mu, r_s, r_t, sign = (float(v) for v in geometry)
     w = np.exp(2j * np.pi * np.arange(N) / N)
     s = (r_s * w + lam) / (1 + mu * r_s * w)
     t = (r_t * w + lam) / (1 + mu * r_t * w)
@@ -734,7 +811,7 @@ def test_contour_laguerre_mapped_sum_matches_direct_node_sum():
     f = np.exp(x * s) * s ** -4 * (s - 1) ** 2 * (s - 2)
     g = np.exp(-y * t) * t**4 / ((t - 1) ** 2 * (t - 2))
     direct = (f * ds) @ (1.0 / (s[:, None] - t)) @ (g * dt) / N**2
-    got = next(lg.contour_levels(spec, x, y, N, geo))
+    got = next(lg.contour_levels(spec, x, y, N, geometry))
     assert abs(got - direct) <= 1e-14 * abs(direct)
 
 
@@ -785,7 +862,7 @@ def test_contour_hermite_folded_row_matches_dense_row(N):
     eps = np.finfo(float).eps
     line_nodes = min(N, MAX_LINE_NODES)
     for spec, x, geo in FOLDED_ROW_CASES:
-        geo = geo or hm.HermiteContourGeometry.at(spec, x)
+        geo = geo or hm.contour_geometry(spec, x, 0.0, N)
         _, _, K, sums = hm._line_side(spec, x, geo, line_nodes)
         assert (sums is not None) == (K <= line_nodes)
         if geo.line_abscissa == 1.51:
@@ -808,7 +885,7 @@ def test_contour_hermite_folded_row_against_40_digits():
     The unit nodes nest with their bits: the odd nodes of 2N are those of N
     turned by half a step, and the even ones those of N, at 16 to 8192."""
     eps = np.finfo(float).eps
-    geo = hm.HermiteContourGeometry.at(H21, 0.75)
+    geo = hm.contour_geometry(H21, 0.75, 0.0, 64)
     A, s = _hermite_line_factors(H21, 0.75, geo, 64)
     with mpmath.workdps(40):
         As = [mpmath.mpc(complex(v)) for v in A]
@@ -833,7 +910,7 @@ def test_contour_hermite_folded_row_against_40_digits():
 def test_contour_hermite_pass_holds_no_dense_node_matrix():
     """One cold 8192-node pass at hermite a=(1,-1), n=(2,1), x=0 allocates
     less at its peak than one line-nodes x circle-nodes complex matrix."""
-    geo = hm.HermiteContourGeometry.at(H21, 0.0)
+    geo = hm.contour_geometry(H21, 0.0, 0.0, 8192)
     matrix_bytes = len(_hermite_line_factors(H21, 0.0, geo, 512)[0]) * 8192 * 16
     _clear_contour_memos("hermite")
     tracemalloc.start()
@@ -879,14 +956,15 @@ def test_contour_nested_level_matches_fresh_evaluation():
     the even nodes of level 2N, which have the same bits, so there the
     nested value equals the fresh one, with either circle pair inside."""
     spec = HermiteSpec.of([1, -2, -1], [1, 4, 2])
-    levels = hm.contour_levels(spec, 3.0, 0.0, 512, None)
+    geo = hm.contour_geometry(spec, 3.0, 0.0, 512)
+    levels = hm.contour_levels(spec, 3.0, 0.0, 512, geo)
     next(levels)
     nested = next(levels)
-    fresh = next(hm.contour_levels(spec, 3.0, 0.0, 1024, None))
+    fresh = next(hm.contour_levels(spec, 3.0, 0.0, 1024, geo))
     assert abs(nested - fresh) <= 1e-14 * abs(fresh)
     spec = LaguerreSpec.of([1, 2], [2, 1], 1)
     for x, y, circles in [(3.0, 2.0, (0.0, 0.5, 1.5, 0.75)), (0.7, 1.9, (1.0, 3.0, 1.0, 1.25))]:
-        geo = lg.LaguerreContourGeometry(*circles)
+        geo = lg._coaxal(*circles)
         levels = lg.contour_levels(spec, x, y, 512, geo)
         next(levels)
         assert next(levels) == next(lg.contour_levels(spec, x, y, 1024, geo))
@@ -989,7 +1067,7 @@ def test_contour_memos_bounded_and_read_only(capsys):
             assert info.maxsize == maxsize <= 8
             assert 0 < info.currsize <= maxsize
     capsys.readouterr()
-    geo = hm.HermiteContourGeometry.at(H21, 0.75)
+    geo = hm.contour_geometry(H21, 0.75, 0.0, 512)
     lam, mu, r_s, r_t, _ = (float(v) for v in lg._coaxal(0.0, 0.5, 1.5, 0.75))
     cached = [
         hm._line_side(H21, 0.75, geo, 512),
