@@ -703,10 +703,18 @@ LAGUERRE_REJECTED_PAIRS = {
 
 
 def test_contour_geometry_validation():
-    """``_valid`` accepts the pairs that agree with cd and rejects a pair
-    that touches, misses a rate, misses 0, or equals the other circle."""
-    pairs = np.array([*LAGUERRE_PAIRS.values(), *LAGUERRE_REJECTED_PAIRS.values()])
-    assert lg._valid(L11_P0, *pairs.T).tolist() == [True] * 4 + [False] * 4
+    """``_valid`` accepts the pairs that agree with cd, all in one call."""
+    pairs = np.array([*LAGUERRE_PAIRS.values()])
+    assert lg._valid(L11_P0, *pairs.T).tolist() == [True] * len(LAGUERRE_PAIRS)
+
+
+@pytest.mark.parametrize(
+    "circles", LAGUERRE_REJECTED_PAIRS.values(), ids=LAGUERRE_REJECTED_PAIRS.keys()
+)
+def test_contour_laguerre_geometry_rejected(circles):
+    """``_valid`` rejects a pair that touches, misses a rate, misses 0, or
+    equals the other circle."""
+    assert not lg._valid(L11_P0, *circles)
 
 
 # Every rate set and every shift set drawn from the README sweep pools and
