@@ -35,7 +35,7 @@ import numpy as np
 from . import kernels as _kernels
 from . import rmt as _rmt
 from .core import LinearFormTerm, MultiIndex, RatPoly, mi_chain
-from .quad import ConvergenceError
+from .quad import ContourError, ConvergenceError
 from .hermite import HermiteSpec
 from .laguerre import LaguerreSpec
 from .presets import (
@@ -635,7 +635,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:  # UsageError and ExactMathError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConvergenceError as exc:
+    except (ContourError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except OverflowError as exc:

@@ -50,7 +50,7 @@ from .core import (
     residue_poly,
     series_mul,
 )
-from .quad import MAX_LINE_NODES, LineRule, line_rule_nodes, read_only, unit_nodes
+from .quad import LEVEL_MEMO, MAX_LINE_NODES, LineRule, interleave, line_rule_nodes, read_only, unit_nodes
 
 # The weights live on the whole real line (no half-line domain check).
 HALF_LINE = False
@@ -223,16 +223,16 @@ LINE_GAP = 0.5
 LINE_TERM_FLOOR = 1e-30
 
 # The x side of the node sum (``_line_side``: the line's power sums;
-# ``_circle_side``: each pass's row and circle factors) is kept for the
-# points that follow on the same grid row: a row is one x and one geometry,
-# with up to five circle passes (512 nodes, then the new halves up to the
-# 8192-node cap).  Sized for about one row, so a later row evicts it.  The
-# keys hold x and the geometry, so x = -0.0 and 0.0 share an entry when
-# their geometries are equal; then sigma - x, A and the row have the same
-# bits.  Around a circle centre of 0 the sign of zero picks the
-# line's side (sigma = -reach or +reach), which keeps the keys apart.
+# ``contour_level``: each level's row and the circle factors of the nodes it
+# adds) is kept for the points that follow on the same grid row: a row is
+# one x and one geometry, with up to five levels (512 nodes, then each
+# doubling up to the 8192-node cap).  Sized for about one row, so a later
+# row evicts it.  The keys hold x and the geometry, so x = -0.0 and 0.0
+# share an entry when their geometries are equal; then sigma - x, A and the
+# row have the same bits.  Around a circle centre of 0 the sign of zero
+# picks the line's side (sigma = -reach or +reach), which keeps the keys
+# apart.
 LINE_MEMO = 2
-CIRCLE_MEMO = 6
 
 
 @dataclass(frozen=True)
@@ -290,8 +290,8 @@ def _line_side(
     the least k with q_max^k <= eps (1 - q_max); and M holds the power sums
     M_k = sum_i w_i q_i^k for k < K when K <= line_nodes, else None.  From
     q^K on, a node's series sums to at most eps |w_i|, below 2 eps times
-    its term mass |A_i| / |s_i - t| at any circle node t.  Every pass has
-    at least line_nodes circle nodes, so kept sums serve every pass of the
+    its term mass |A_i| / |s_i - t| at any circle node t.  Every level adds
+    at least line_nodes circle nodes, so kept sums serve every level of the
     row."""
     line = line_rule_nodes("gaussian", line_nodes)
     u = line.nodes
@@ -320,7 +320,7 @@ def _line_side(
 def _row(
     w: np.ndarray, q: np.ndarray, K: int, sums: np.ndarray | None, nodes: int, offset: float
 ) -> np.ndarray:
-    """The line side's row against the pass's circle nodes,
+    """The line side's row against nodes circle nodes,
     row[j] = sum_i A_i / (z_i - rho e^{i theta_j}) with
     theta_j = 2 pi (j + offset) / nodes, offset 0 or 1/2, from one inverse
     FFT.  Expanding 1 / (z - rho e^{i theta}) = sum_k q^k e^{ik theta} / z
@@ -341,78 +341,59 @@ def _row(
     return nodes * np.fft.ifft(X)
 
 
-class _CircleSide(NamedTuple):
-    """One pass's circle nodes t, the circle factors that do not depend on
-    y, (t - c) and (t - a_k)^{n_k} for each n_k > 0, and the line side's
-    row against t from ``_row``."""
+class _Level(NamedTuple):
+    """A level's x side: the line side's row against the level's circle
+    nodes (``_row``), the level's factor exp((sigma-x)^2/2) / (2 pi) and
+    norm (its node count), and, at the circle nodes t it adds, the circle
+    factors that do not depend on y, (t - c) and (t - a_k)^{n_k} for each
+    n_k > 0."""
 
+    row: np.ndarray
+    scale: float
+    norm: int
     t: np.ndarray
     centred: np.ndarray
     poles: tuple[np.ndarray, ...]
-    row: np.ndarray
 
 
-@lru_cache(maxsize=CIRCLE_MEMO)
-def _circle_side(
-    spec: HermiteSpec,
-    x: float,
-    geom: HermiteContourGeometry,
-    line_nodes: int,
-    nodes: int,
-    offset: float,
-) -> _CircleSide:
-    """``_CircleSide`` of x and geom at theta = 2 pi (j + offset) / nodes,
-    j < nodes.  None of it depends on y.  ``_row`` gives the row at the
-    ideal nodes, so the circle factors see them too (``quad.unit_nodes``)."""
-    c, rho = geom.circle_center, geom.circle_radius
-    t = c + rho * unit_nodes(nodes, offset)
-    poles = tuple((t - float(a_k)) ** n_k for a_k, n_k in zip(spec.a, spec.n) if n_k)
-    side = _CircleSide(t, t - c, poles, _row(*_line_side(spec, x, geom, line_nodes), nodes, offset))
-    read_only(t, side.centred, *poles, side.row)
-    return side
-
-
-def contour_levels(
-    spec: HermiteSpec,
-    x: float,
-    y: float,
-    nodes: int,
-    geometry: HermiteContourGeometry,
-) -> Iterator[complex]:
-    """Double-contour kernel values at nodes, 2*nodes, 4*nodes, ... circle
-    nodes on geometry, whose circle encloses every shift and which the
-    line neither cuts nor touches (``contour_geometry`` builds one).
+@lru_cache(maxsize=LEVEL_MEMO)
+def contour_level(
+    spec: HermiteSpec, x: float, geometry: HermiteContourGeometry, nodes: int, first: int
+) -> _Level:
+    """``_Level`` on nodes circle nodes of the levels that start at first
+    nodes, for x and geometry, whose circle encloses every shift and which
+    the line neither cuts nor touches (``contour_geometry`` builds one).
+    None of it depends on y.
 
     The vertical-line direction substitutes s = sigma + i u, so the Gaussian
     factor exp((s-x)^2/2) splits into exp((sigma-x)^2/2) * exp(iu(sigma-x))
     times the Gaussian weight absorbed by the line rule, which keeps the
-    first level's min(nodes, MAX_LINE_NODES) nodes less the weightless
-    tail.  The circle direction uses the trapezoid rule, and the levels are
-    nested: level 2N adds the N new circle nodes theta = 2 pi (j + 1/2) / N
-    to level N's node sum.  The imaginary part is a pure discretization
-    diagnostic (the kernel is real on real inputs).
+    first level's min(first, MAX_LINE_NODES) nodes less the weightless
+    tail (``_line_side``).  The circle direction uses the trapezoid rule on
+    theta = 2 pi j / nodes.  A nested level takes the row at its even nodes
+    from the level before (this memo) and computes it only at its new odd
+    nodes, theta = 2 pi (j + 1/2) / (nodes / 2); ``_row`` gives the row at
+    the ideal nodes, so the circle factors see them too
+    (``quad.unit_nodes``)."""
+    c, rho = geometry.circle_center, geometry.circle_radius
+    line = _line_side(spec, x, geometry, min(first, MAX_LINE_NODES))
+    if nodes == first:
+        w, row = unit_nodes(nodes, 0.0), _row(*line, nodes, 0.0)
+    else:
+        before = contour_level(spec, x, geometry, nodes // 2, first).row
+        w, row = unit_nodes(nodes // 2, 0.5), interleave(before, _row(*line, nodes // 2, 0.5))
+    t = c + rho * w
+    poles = tuple((t - float(a_k)) ** n_k for a_k, n_k in zip(spec.a, spec.n) if n_k)
+    scale = math.exp(0.5 * (geometry.line_abscissa - x) ** 2) / (2.0 * math.pi)
+    level = _Level(row, scale, nodes, t, t - c, poles)
+    read_only(row, t, level.centred, *poles)
+    return level
 
-    Each pass over circle nodes splits into an x side and a y side.  The x
-    side is the line factors' row sum_i A[i] / (s[i] - t_j) over the pass's
-    circle nodes, from power sums of the line nodes computed once per grid
-    row (``_line_side``) and one inverse FFT per pass (``_row``), and the
-    circle factors that do not depend on y (``_circle_side``); both are
-    kept for the rest of the grid row in memos keyed by x and the geometry.
-    The y side is exp(-(t - y)^2 / 2) times those factors, against the row,
-    added to 0j so that a zero sum reads +0.
-    """
-    line_nodes = min(nodes, MAX_LINE_NODES)
 
-    def circle_sum(offset: float) -> complex:
-        side = _circle_side(spec, x, geometry, line_nodes, nodes, offset)
-        B = side.centred * np.exp(-0.5 * (side.t - y) ** 2)
-        for pole in side.poles:
-            B = B / pole
-        return 0j + complex(side.row @ B)
-
-    factor = math.exp(0.5 * (geometry.line_abscissa - x) ** 2) / (2.0 * math.pi)
-    total = circle_sum(0.0)
-    while True:
-        yield factor * total / nodes
-        total += circle_sum(0.5)
-        nodes *= 2
+def circle_factors(level: _Level, y: float) -> np.ndarray:
+    """The circle factors exp(-(t - y)^2 / 2) (t - c) / prod_k (t - a_k)^{n_k}
+    at the circle nodes the level adds."""
+    B = level.centred * np.exp(-0.5 * (level.t - y) ** 2)
+    for pole in level.poles:
+        B = B / pole
+    return B

@@ -19,21 +19,24 @@ The kernel of the determinantal eigenvalue process is computed as
    circles around 0.  ``eval_contour`` chooses the geometry once per
    point, by the family's ``contour_geometry`` (for the half-line family
    the best-scored of a fixed candidate set, refused with ContourError
-   when that pair cannot carry the kernel), and passes it to the family's
-   ``contour_levels``.  Both take the node count up by nested doubling.
-   Each node sum splits into an x side, the line or s-circle factors'
-   row sum_i A_i / (s_i - t_j) against the circle nodes, and a y side, the
-   circle factors b, so that the sum is row @ b.  The Gaussian family
-   takes the row from the line nodes' power sums once per row and one
-   inverse FFT per pass, the half-line family from one FFT and one
-   inverse FFT of the s-factors per level (``quad.concentric_row``).  Each family keeps the
-   x side, with the circle factors' y-free parts, in small bounded memos
-   keyed by x and the geometry's floats and sized for about one grid row,
-   so the later points of a row (``kernel`` and ``verify`` walk their
-   grids x by x) compute only what depends on y, with the same bits as a
-   cold evaluation.  The half-line levels nest: the nodes of level 2N are
-   those of level N at the even indices, with the same bits, so each level
-   evaluates its factors only at the N new odd nodes and reuses the rest.
+   when that pair cannot carry the kernel), and passes it to
+   ``contour_levels``, the one loop that takes the node count up by
+   nested doubling for both families.  Each level's node sum splits into
+   an x side, the line or s-circle factors' row sum_i A_i / (s_i - t_j)
+   against the level's circle nodes, and a y side, the circle factors b,
+   so that the sum is row @ b.  The levels nest: the circle nodes of level
+   2N are those of level N at the even indices, with the same bits, so a
+   family supplies only each level's x side (``contour_level``) and the
+   circle factors at the N nodes it adds (``circle_factors``), and the
+   loop interleaves those with level N's.  The Gaussian family takes the
+   row from the line nodes' power sums once per row and one inverse FFT
+   per level, the half-line family from one FFT and one inverse FFT of
+   the s-factors per level (``quad.concentric_row``).  Each family keeps
+   its levels, with the circle factors' y-free parts, in small bounded
+   memos keyed by x and the geometry's floats and sized for about one
+   grid row, so the later points of a row (``kernel`` and ``verify`` walk
+   their grids x by x) compute only what depends on y, with the same bits
+   as a cold evaluation.
 
 All polynomial ingredients are exact rationals; floats appear only at the
 final evaluation step.  The cd numerator, its diagonal limit and the chain
@@ -57,7 +60,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -66,11 +69,13 @@ from . import laguerre as _laguerre
 from .core import ExactMathError, FormTable, LinearForm, MultiIndex, RatPoly, Spec, as_int, mi_chain
 from .hermite import HermiteSpec
 from .laguerre import LaguerreSpec
-from .quad import ContourError, ConvergenceError
+from .quad import ConvergenceError, interleave
 
 # The family table: each spec class names its family, and each family
-# module exposes the same construction, closed-form h, trace-rule and
-# contour names.
+# module exposes the same construction, closed-form h and trace-rule names,
+# and for the contour its ``contour_geometry``, ``contour_level`` (a level's
+# x side, with its row, scale and norm) and ``circle_factors`` (the y side
+# at the nodes a level adds).
 FAMILIES = {HermiteSpec.family: _hermite, LaguerreSpec.family: _laguerre}
 
 # Below this separation the CD quotient switches to its analytic limit.
@@ -319,6 +324,27 @@ def eval_sum(family: str, spec: Spec, chain: Sequence[MultiIndex], x: float, y: 
 # double-contour quadrature
 
 
+def contour_levels(spec: Spec, x: float, y: float, nodes: int, geometry) -> Iterator[complex]:
+    """Double-contour kernel values at nodes, 2*nodes, 4*nodes, ... circle
+    nodes on geometry, the family's ``contour_geometry``.
+
+    Each level's x side comes from the family's ``contour_level`` and the
+    circle factors b at the nodes it adds from its ``circle_factors``; a
+    nested level's b is level N's at the even nodes and the new ones at the
+    odd nodes, and its value is scale * (row @ b) / norm, added to 0j so
+    that a zero sum reads +0.  The imaginary part is a pure discretization
+    diagnostic (the kernel is real on real inputs).
+    """
+    fam = FAMILIES[spec.family]
+    first, b = nodes, None
+    while True:
+        level = fam.contour_level(spec, x, geometry, nodes, first)
+        new = fam.circle_factors(level, y)
+        b = new if b is None else interleave(b, new)
+        yield level.scale * (0j + complex(level.row @ b)) / level.norm
+        nodes *= 2
+
+
 def eval_contour(
     family: str,
     spec: Spec,
@@ -333,30 +359,31 @@ def eval_contour(
     geometry is chosen here, once per point, by the family's
     ``contour_geometry`` for the starting node count, and passed in.
 
-    The values come from the family's ``contour_levels`` on that
-    geometry, one per node doubling.  With an explicit integer node count,
-    which the cap bounds too, this is its first level.  With nodes=None the levels start at
+    The values come from ``contour_levels`` on that geometry, one per node
+    doubling.  With an explicit integer node count, which the cap bounds
+    too, this is its first level.  With nodes=None the levels start at
     CONTOUR_START_NODES and the value is the first one within tol of the
     level before, raising ConvergenceError (carrying the best value) if
     CONTOUR_CAP_NODES is reached first.  A tol that is not > 0 (nan
-    included) raises ContourError, as does a half-line geometry that
-    cannot carry the kernel, and a non-finite level OverflowError.
+    included) or a bad node count raises ExactMathError, a half-line
+    geometry that cannot carry the kernel ContourError, and a non-finite
+    level OverflowError.
     """
     fam = family_module(family, spec)
     if not tol > 0:
-        raise ContourError(f"contour tolerance must be > 0, got {tol}")
+        raise ExactMathError(f"contour tolerance must be > 0, got {tol}")
     x, y = float(x), float(y)
     _check_domain(spec, x, y)
     if nodes is not None:
         nodes = as_int(nodes)
         if nodes < 16 or nodes % 2:
-            raise ContourError(f"node count must be even and >= 16, got {nodes}")
+            raise ExactMathError(f"node count must be even and >= 16, got {nodes}")
         if nodes > CONTOUR_CAP_NODES:
-            raise ContourError(f"node count must be <= {CONTOUR_CAP_NODES}, got {nodes}")
+            raise ExactMathError(f"node count must be <= {CONTOUR_CAP_NODES}, got {nodes}")
     n = CONTOUR_START_NODES if nodes is None else nodes
     with np.errstate(all="ignore"):
         geometry = fam.contour_geometry(spec, x, y, n)
-        values = (_finite_real(v) for v in fam.contour_levels(spec, x, y, n, geometry))
+        values = (_finite_real(v) for v in contour_levels(spec, x, y, n, geometry))
         prev = next(values)
         if nodes is not None:
             return prev

@@ -47,7 +47,9 @@ from .core import (
     residue_poly,
     series_mul,
 )
-from .quad import ContourError, LineRule, concentric_row, line_rule_nodes, read_only, unit_nodes
+from .quad import (
+    LEVEL_MEMO, ContourError, LineRule, concentric_row, interleave, line_rule_nodes, read_only, unit_nodes,
+)
 
 # The weights live on (0, inf): kernel arguments must be > 0.
 HALF_LINE = True
@@ -223,13 +225,12 @@ DISJOINT_GAP = np.array([0.1, 0.25, 0.4])
 SEARCH_NODES = 64
 
 # What the node sums need of x alone, with the y-free t-node factors
-# (``_search_side`` and ``_level_s_side``), is kept for the points that
+# (``_search_side`` and ``contour_level``), is kept for the points that
 # follow on the same grid row: the search pass for one x, and each level per
 # chosen pair.  Sized for about one row, so a later row evicts it.  The keys
 # hold the floats; x > 0 and ``_coaxal`` never yields -0.0 for the
 # candidates, so no two signs of zero share an entry of a chosen pair.
 SEARCH_MEMO = 1
-LEVEL_MEMO = 6
 
 
 def _candidates(spec: LaguerreSpec) -> tuple[np.ndarray, ...]:
@@ -260,7 +261,7 @@ def _valid(spec: LaguerreSpec, sc, sr, tc, tr) -> np.ndarray:
     """Where the circle pairs |s - sc| = sr and |t - tc| = tr (float arrays)
     can carry the kernel: the s-circle encloses 0 and the t-circle every
     rate, nested either way or disjoint; they must not cut or touch
-    (``contour_levels``)."""
+    (``contour_level``)."""
     d = np.abs(tc - sc)
     bad = (sr <= 0.0) | (tr <= 0.0) | (np.abs(sc) >= sr) | ((np.abs(sr - tr) <= d) & (d <= sr + tr))
     for b_k in spec.beta:
@@ -314,14 +315,6 @@ def _alias_ratio(spec: LaguerreSpec, lam, mu, r_s, r_t) -> np.ndarray:
     for b_k in spec.beta:
         worst = np.maximum(worst, ratio(np.abs((float(b_k) - lam) / (1.0 - mu * float(b_k))), r_t))
     return worst
-
-
-def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """The node values of a nested level from those of the level before
-    (its even nodes) and those of the nodes it adds (its odd ones)."""
-    out = np.empty(even.size + odd.size, dtype=complex)
-    out[0::2], out[1::2] = even, odd
-    return out
 
 
 def _s_factors(spec: LaguerreSpec, x: float, lam, mu, u) -> np.ndarray:
@@ -463,41 +456,24 @@ def contour_geometry(spec: LaguerreSpec, x: float, y: float, nodes: int) -> tupl
 
 class _Level(NamedTuple):
     """A level's x side: its s-factors a, their row against the level's t
-    nodes (``quad.concentric_row``), and the ``_t_nodes`` of the nodes it
+    nodes (``quad.concentric_row``), the level's factor sign (1 - lam mu)
+    and norm (its node count squared), and the ``_t_nodes`` of the nodes it
     adds."""
 
     a: np.ndarray
     row: np.ndarray
+    scale: float
+    norm: int
     t_nodes: _TNodes
 
 
 @lru_cache(maxsize=LEVEL_MEMO)
-def _level_s_side(spec: LaguerreSpec, x: float, mapped: tuple, nodes: int, first: int) -> _Level:
-    """``_Level`` on nodes nodes of the levels that start at first nodes, for
-    x and the map's floats mapped = (lam, mu, r_s, r_t).  A nested level
-    takes its even s-factors from the level before (this memo) and computes
-    only those at its new odd nodes, which are level nodes / 2's nodes
-    turned by half a step."""
-    lam, mu, r_s, r_t = mapped
-    w = unit_nodes(nodes, 0.0) if nodes == first else unit_nodes(nodes // 2, 0.5)
-    a = _s_factors(spec, x, lam, mu, r_s * w)
-    if nodes != first:
-        a = _interleave(_level_s_side(spec, x, mapped, nodes // 2, first).a, a)
-    level = _Level(a, concentric_row(a, r_s, r_t), _t_nodes(spec, lam, mu, r_t * w))
-    read_only(a, level.row, *level.t_nodes[:3], *level.t_nodes.poles)
-    return level
-
-
-def contour_levels(
-    spec: LaguerreSpec,
-    x: float,
-    y: float,
-    nodes: int,
-    geometry: tuple[float, ...],
-) -> Iterator[complex]:
-    """Double-contour kernel values at nodes, 2*nodes, 4*nodes, ... nodes per
-    circle, on the circle pair whose map's lam, mu, r_s, r_t and sign
-    (``_coaxal``) are geometry, a pair that ``_valid`` accepts.
+def contour_level(
+    spec: LaguerreSpec, x: float, geometry: tuple[float, ...], nodes: int, first: int
+) -> _Level:
+    """``_Level`` on nodes nodes per circle of the levels that start at first
+    nodes, for x and the circle pair whose map's floats lam, mu, r_s, r_t
+    and sign (``_coaxal``) are geometry, a pair that ``_valid`` accepts.
 
     The s-factor f(s) = e^{xs} s^{-(|n|+p)} prod_k (s - beta_k)^{n_k} and the
     t-factor g(t) = e^{-yt} t^{|n|+p} / prod_k (t - beta_k)^{n_k} multiply to
@@ -507,27 +483,25 @@ def contour_levels(
     With s = S(u), t = S(v),
     ds dt / (s - t) = (1 - lam mu) du dv / ((1 + mu u)(1 + mu v)(u - v)), so
     both directions are trapezoid rules on the image circles around 0, and
-    each level's node sum is two FFTs, O(N log N), and one dot product.
-    Note the contour normalization differs from the CD kernel by the factor
-    x^p y^(-p); they agree exactly when p = 0.  The imaginary part is a pure
-    discretization diagnostic.
+    each level's row is two FFTs, O(N log N).  Note the contour
+    normalization differs from the CD kernel by the factor x^p y^(-p); they
+    agree exactly when p = 0.
 
-    The node sum splits into an x side and a y side.  The x side is each
-    level's s-factors with their row against the level's t nodes
-    (``quad.concentric_row``) and the y-free t-node factors, kept for the
-    rest of the grid row in a memo keyed by x and the map's floats
-    (``_level_s_side``); the y side is the t-factors b, and the level's
-    value is row @ b.  The levels are nested: the nodes of level 2N are
-    those of level N at the even indices, with the same bits
-    (``quad.unit_nodes``), so each level computes its s-factors and each
-    point its t-factors only at the N new odd nodes.
-    """
-    lam, mu, r_s, r_t, sign = (float(v) for v in geometry)
-    scale = sign * (1.0 - lam * mu)
-    first, b = nodes, None
-    while True:
-        level = _level_s_side(spec, x, (lam, mu, r_s, r_t), nodes, first)
-        new = _t_factors(level.t_nodes, y)
-        b = new if b is None else _interleave(b, new)
-        yield scale * complex(level.row @ b) / (nodes * nodes)
-        nodes *= 2
+    A nested level takes its even s-factors from the level before (this
+    memo) and computes only those at its new odd nodes, which are level
+    nodes / 2's nodes turned by half a step, with the same bits
+    (``quad.unit_nodes``)."""
+    lam, mu, r_s, r_t, sign = geometry
+    w = unit_nodes(nodes, 0.0) if nodes == first else unit_nodes(nodes // 2, 0.5)
+    a = _s_factors(spec, x, lam, mu, r_s * w)
+    if nodes != first:
+        a = interleave(contour_level(spec, x, geometry, nodes // 2, first).a, a)
+    t_nodes = _t_nodes(spec, lam, mu, r_t * w)
+    level = _Level(a, concentric_row(a, r_s, r_t), sign * (1.0 - lam * mu), nodes * nodes, t_nodes)
+    read_only(a, level.row, *t_nodes[:3], *t_nodes.poles)
+    return level
+
+
+def circle_factors(level: _Level, y: float) -> np.ndarray:
+    """The t-factors b at the t nodes the level adds (``_t_factors``)."""
+    return _t_factors(level.t_nodes, y)

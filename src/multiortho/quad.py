@@ -3,14 +3,16 @@
 Circles use the periodic trapezoid rule, which is spectrally accurate for
 analytic integrands, on nodes from ``unit_nodes``, kept per node count and
 offset.  On two circles around 0 the double node sum folds into two FFTs
-per circle pass: ``concentric_row`` gives the row sum_i A_i / (s_i - t_j)
+per level: ``concentric_row`` gives the row sum_i A_i / (s_i - t_j)
 of the first factor against the second circle's nodes, so the sum against
 any B is row @ B.  The row does not depend on the second kernel argument,
 so a caller can keep it for a whole grid row in a memo that hands out
 read-only arrays (``read_only``), as ``unit_nodes`` hands out its nodes.
 The same q^k series folded mod N serves a line against a circle: the
 Gaussian family sums each line node's powers of rho / (s - c) once per row
-and takes each circle pass's row from one inverse FFT (``hermite._row``).
+and takes each level's row from one inverse FFT (``hermite._row``).  The
+levels nest: the values on 2N nodes are those on N at the even indices
+(``interleave``).
 
 Lines carrying a Gaussian (exp(-u^2/2)) or exponential (exp(-beta*u))
 weight use Gauss rules built from the classical orthonormal three-term
@@ -34,6 +36,8 @@ from .core import ExactMathError, as_fraction, as_int
 MAX_LINE_NODES = 512
 # (nodes, offset) pairs whose circle nodes are kept (``unit_nodes``)
 UNIT_NODES_MEMO = 8
+# contour levels kept per family: one grid row's five (512 to 8192 nodes)
+LEVEL_MEMO = 6
 # rescale recurrence state beyond this bound so squares stay representable;
 # Newton ratios are scale invariant and the tracked log-scale keeps the
 # Christoffel sums meaningful
@@ -42,9 +46,8 @@ _RESCALE_BY = 2.0**-1024
 _RESCALE_LOG = -1024.0 * math.log(2.0)
 
 
-class ContourError(ExactMathError):
-    """Invalid node configuration or tolerance, or a circle pair that
-    cannot carry the contour kernel."""
+class ContourError(RuntimeError):
+    """No candidate contour can carry the kernel at this point."""
 
 
 class ConvergenceError(RuntimeError):
@@ -61,6 +64,14 @@ def read_only(*arrays: np.ndarray) -> None:
     """Mark the arrays read-only: a cached array is shared by every caller."""
     for arr in arrays:
         arr.setflags(write=False)
+
+
+def interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The node values of a nested level from those of the level before
+    (its even nodes) and those of the nodes it adds (its odd ones)."""
+    out = np.empty(even.size + odd.size, dtype=complex)
+    out[0::2], out[1::2] = even, odd
+    return out
 
 
 @lru_cache(maxsize=UNIT_NODES_MEMO)
@@ -202,11 +213,11 @@ def line_rule_nodes(kind: str, n: int, beta=1) -> LineRule:
     """Gauss rule of n nodes for the named weight.  kind is "gaussian"
     (exp(-u^2/2) on R) or "exponential" (exp(-beta*u) on (0, inf))."""
     if kind not in ("gaussian", "exponential"):
-        raise ContourError(f"unknown line rule kind {kind!r}")
+        raise ExactMathError(f"unknown line rule kind {kind!r}")
     n = as_int(n)
     if not 1 <= n <= MAX_LINE_NODES:
-        raise ContourError(f"line rules support 1..{MAX_LINE_NODES} nodes, got {n}")
+        raise ExactMathError(f"line rules support 1..{MAX_LINE_NODES} nodes, got {n}")
     beta = as_fraction(beta)
     if beta <= 0:
-        raise ContourError(f"exponential rate must be > 0, got {beta}")
+        raise ExactMathError(f"exponential rate must be > 0, got {beta}")
     return _line_rule_cached(kind, n, beta)

@@ -340,12 +340,13 @@ def test_non_finite_number_exit_2(capsys, argv):
 
 def test_kernel_refuses_unplaceable_circle_pair(capsys):
     """At rates (1e-16, 1) the contour's best-scored circle pair misses
-    rate 1 at (100, 100): kernel prints no row and one error line."""
+    rate 1 at (100, 100): the spec is valid, so kernel exits 1, not 2, and
+    prints no row and one error line."""
     code, out, err = run(
         capsys, "kernel", "--family", "laguerre", "--beta", "1/10000000000000000,1",
         "--n", "1,1", "--p", "1", "--grid=100:100:1,100:100:1", "--nodes", "16",
     )
-    assert code == 2
+    assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -997,14 +998,30 @@ def test_unread_flag_exit_2(capsys, tmp_path, monkeypatch, argv):
         ("poly", "--family", "gauss", "--a", "1", "--n", "1"),
         ("poly", *HERMITE_11, "--format", "xml"),
         ("kernel", *HERMITE_11, "--nodes", "abc"),
+        ("poly", "--config", "missing.json"),
+        ("poly", "--config", "invalid.json"),
+        ("poly", "--config", "array.json"),
+        ("poly", "--family", "hermite", "--a", "1,-1", "--n", ","),
+        ("kernel", "--family", "hermite", "--n", "1,1"),
+        ("density", *HERMITE_11, "--grid=1:2"),
+        ("density", *HERMITE_11, "--grid=a:b:3"),
+        ("density", *HERMITE_11, "--grid=2:1:3"),
+        ("verify", "--sweep", "--family", "bogus"),
+        ("correlate", *HERMITE_11),
+        ("kernel", *HERMITE_11, "--grid=0:1:2", "--nodes", "17"),
     ],
-    ids=["hermite-p-0", "family", "format", "integer"],
+    ids=["hermite-p-0", "family", "format", "integer", "config-missing", "config-invalid-json",
+         "config-array", "n-empty", "hermite-without-a", "grid-two-fields", "grid-not-numbers",
+         "grid-reversed", "sweep-family", "correlate-without-points", "nodes-odd"],
 )
-def test_bad_spec_or_value_error_line(capsys, argv):
+def test_bad_spec_or_value_error_line(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "invalid.json").write_text("{")
+    (tmp_path / "array.json").write_text("[]")
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("spec", [HERMITE_11, LAGUERRE_11], ids=["hermite", "laguerre"])

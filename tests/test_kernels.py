@@ -25,6 +25,7 @@ from multiortho.hermite import HermiteSpec
 from multiortho.laguerre import LaguerreSpec
 from multiortho.presets import standard_grid
 from multiortho.quad import (
+    LEVEL_MEMO,
     MAX_LINE_NODES,
     UNIT_NODES_MEMO,
     ContourError,
@@ -618,7 +619,7 @@ def test_contour_hermite_doubling_settles():
 
 
 def test_contour_hermite_imag_part_small():
-    val = next(hm.contour_levels(H11, 0.7, -1.1, 256, hm.contour_geometry(H11, 0.7, -1.1, 256)))
+    val = next(kn.contour_levels(H11, 0.7, -1.1, 256, hm.contour_geometry(H11, 0.7, -1.1, 256)))
     assert abs(val.imag) < 1e-10
 
 
@@ -638,7 +639,7 @@ def test_contour_laguerre_conjugation_factor():
 
 
 def test_contour_laguerre_imag_part_small():
-    val = next(lg.contour_levels(L11_P1, 0.8, 2.3, 256, lg.contour_geometry(L11_P1, 0.8, 2.3, 256)))
+    val = next(kn.contour_levels(L11_P1, 0.8, 2.3, 256, lg.contour_geometry(L11_P1, 0.8, 2.3, 256)))
     assert abs(val.imag) < 1e-10
 
 
@@ -664,7 +665,7 @@ def test_contour_adaptive_reports_nonconvergence():
 def test_contour_refuses_nonpositive_tolerance(tol):
     """A tolerance no delta can fall below is refused before any level is
     computed, not reported as a contour that did not settle at the cap."""
-    with pytest.raises(ContourError, match="tolerance"):
+    with pytest.raises(ExactMathError, match="tolerance"):
         kn.eval_contour("hermite", H11, 1.2, -0.4, tol=tol)
 
 
@@ -768,7 +769,8 @@ def test_contour_laguerre_circle_pairs_agree_with_cd(circles):
     """Disjoint and nested circle pairs, either way round, give the same
     kernel: the Moebius map to circles around 0 keeps the node sum exact."""
     K = kn.build_kernel("laguerre", L11_P0)
-    got = next(lg.contour_levels(L11_P0, 0.7, 1.9, 256, lg._coaxal(*circles))).real
+    geometry = tuple(float(v) for v in lg._coaxal(*circles))
+    got = next(kn.contour_levels(L11_P0, 0.7, 1.9, 256, geometry)).real
     assert got == pytest.approx(kn.eval_cd(K, 0.7, 1.9), abs=1e-12)
 
 
@@ -809,8 +811,8 @@ def test_contour_laguerre_mapped_sum_matches_direct_node_sum():
     """The mapped FFT sum is the double node sum at the preimages of the
     equispaced image nodes, summed directly."""
     spec, x, y, N = LaguerreSpec.of([1, 2], [2, 1], 1), 3.0, 2.0, 128
-    geometry = lg._coaxal(0.0, 0.5, 1.5, 0.75)
-    lam, mu, r_s, r_t, sign = (float(v) for v in geometry)
+    geometry = tuple(float(v) for v in lg._coaxal(0.0, 0.5, 1.5, 0.75))
+    lam, mu, r_s, r_t, sign = geometry
     w = np.exp(2j * np.pi * np.arange(N) / N)
     s = (r_s * w + lam) / (1 + mu * r_s * w)
     t = (r_t * w + lam) / (1 + mu * r_t * w)
@@ -819,20 +821,29 @@ def test_contour_laguerre_mapped_sum_matches_direct_node_sum():
     f = np.exp(x * s) * s ** -4 * (s - 1) ** 2 * (s - 2)
     g = np.exp(-y * t) * t**4 / ((t - 1) ** 2 * (t - 2))
     direct = (f * ds) @ (1.0 / (s[:, None] - t)) @ (g * dt) / N**2
-    got = next(lg.contour_levels(spec, x, y, N, geometry))
+    got = next(kn.contour_levels(spec, x, y, N, geometry))
     assert abs(got - direct) <= 1e-14 * abs(direct)
 
 
 def test_contour_custom_geometry_consistent():
     geo = hm.HermiteContourGeometry(-4.0, 0.0, 2.5)
     K = kn.build_kernel("hermite", H11)
-    got = next(hm.contour_levels(H11, 0.5, 0.1, 512, geo)).real
+    got = next(kn.contour_levels(H11, 0.5, 0.1, 512, geo)).real
     assert got == pytest.approx(kn.eval_cd(K, 0.5, 0.1), abs=1e-7)
     # a circle so small against the line's distance that every rho / (s - c)
     # underflows to 0; K(x, 0) = Q_1(0) = 1/sqrt(2 pi) for a=(0), n=(1)
     geo = hm.HermiteContourGeometry(1e300, 0.0, 1e-300)
-    got = next(hm.contour_levels(HermiteSpec.of([0], [1]), 1e300, 0.0, 64, geo)).real
+    got = next(kn.contour_levels(HermiteSpec.of([0], [1]), 1e300, 0.0, 64, geo)).real
     assert got == pytest.approx(INV_ROOT_2PI, abs=1e-12)
+
+
+def _hermite_pass_row(spec, x, geo, N, offset):
+    """The row on the N circle nodes theta = 2 pi (j + offset) / N of the
+    levels that start at N nodes: the first level's row at offset 0, the
+    odd entries of the next level's at offset 1/2."""
+    if offset:
+        return hm.contour_level(spec, x, geo, 2 * N, N).row[1::2]
+    return hm.contour_level(spec, x, geo, N, N).row
 
 
 def _hermite_line_factors(spec, x, geo, line_nodes):
@@ -878,7 +889,7 @@ def test_contour_hermite_folded_row_matches_dense_row(N):
         A, s = _hermite_line_factors(spec, x, geo, line_nodes)
         bound = 4 * eps / (1 - np.abs(geo.circle_radius / (s - geo.circle_center)).max())
         for offset in (0.0, 0.5):
-            row = hm._circle_side(spec, x, geo, line_nodes, N, offset).row
+            row = _hermite_pass_row(spec, x, geo, N, offset)
             t = geo.circle_center + geo.circle_radius * np.exp(2j * math.pi * (np.arange(N) + offset) / N)
             inv = 1.0 / (s[:, None] - t)
             mass = np.abs(A) @ np.abs(inv)
@@ -899,7 +910,7 @@ def test_contour_hermite_folded_row_against_40_digits():
         As = [mpmath.mpc(complex(v)) for v in A]
         ss = [mpmath.mpc(complex(v)) for v in s]
         for offset in (0.0, 0.5):
-            row = hm._circle_side(H21, 0.75, geo, 64, 64, offset).row
+            row = _hermite_pass_row(H21, 0.75, geo, 64, offset)
             for j in range(64):
                 t = geo.circle_center + geo.circle_radius * mpmath.expjpi(2 * (j + mpmath.mpf(offset)) / 64)
                 exact = mpmath.fsum(a / (si - t) for a, si in zip(As, ss))
@@ -923,7 +934,7 @@ def test_contour_hermite_pass_holds_no_dense_node_matrix():
     _clear_contour_memos("hermite")
     tracemalloc.start()
     try:
-        hm._circle_side(H21, 0.0, geo, 512, 8192, 0.0)
+        hm.contour_level(H21, 0.0, geo, 8192, 8192)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -965,17 +976,17 @@ def test_contour_nested_level_matches_fresh_evaluation():
     nested value equals the fresh one, with either circle pair inside."""
     spec = HermiteSpec.of([1, -2, -1], [1, 4, 2])
     geo = hm.contour_geometry(spec, 3.0, 0.0, 512)
-    levels = hm.contour_levels(spec, 3.0, 0.0, 512, geo)
+    levels = kn.contour_levels(spec, 3.0, 0.0, 512, geo)
     next(levels)
     nested = next(levels)
-    fresh = next(hm.contour_levels(spec, 3.0, 0.0, 1024, geo))
+    fresh = next(kn.contour_levels(spec, 3.0, 0.0, 1024, geo))
     assert abs(nested - fresh) <= 1e-14 * abs(fresh)
     spec = LaguerreSpec.of([1, 2], [2, 1], 1)
     for x, y, circles in [(3.0, 2.0, (0.0, 0.5, 1.5, 0.75)), (0.7, 1.9, (1.0, 3.0, 1.0, 1.25))]:
-        geo = lg._coaxal(*circles)
-        levels = lg.contour_levels(spec, x, y, 512, geo)
+        geo = tuple(float(v) for v in lg._coaxal(*circles))
+        levels = kn.contour_levels(spec, x, y, 512, geo)
         next(levels)
-        assert next(levels) == next(lg.contour_levels(spec, x, y, 1024, geo))
+        assert next(levels) == next(kn.contour_levels(spec, x, y, 1024, geo))
 
 
 # The x side of the node sums is kept per grid row in these bounded memos,
@@ -983,12 +994,12 @@ def test_contour_nested_level_matches_fresh_evaluation():
 CONTOUR_MEMOS = {
     "hermite": {
         hm._line_side: hm.LINE_MEMO,
-        hm._circle_side: hm.CIRCLE_MEMO,
+        hm.contour_level: LEVEL_MEMO,
         unit_nodes: UNIT_NODES_MEMO,
     },
     "laguerre": {
         lg._search_side: lg.SEARCH_MEMO,
-        lg._level_s_side: lg.LEVEL_MEMO,
+        lg.contour_level: LEVEL_MEMO,
         unit_nodes: UNIT_NODES_MEMO,
     },
 }
@@ -1041,23 +1052,25 @@ def test_contour_bits_do_not_depend_on_evaluation_order(family, nodes):
             assert all(cold[(-0.0).hex(), y.hex()] == cold[(0.0).hex(), y.hex()] for y in ys)
             _clear_contour_memos(family)
             kn.eval_contour(family, spec, -0.0, 0.5, nodes)
-            misses = hm._circle_side.cache_info().misses
+            misses = hm.contour_level.cache_info().misses
             kn.eval_contour(family, spec, 0.0, 0.5, nodes)
-            assert hm._circle_side.cache_info().misses == misses
+            assert hm.contour_level.cache_info().misses == misses
 
 
 def test_contour_memos_hit_along_a_row():
-    """Points 2-5 of a row reuse the x side the first point built."""
-    for family, spec, x, ys, memo in [
-        ("hermite", H21, 0.75, ORDER_GRIDS["hermite"][2], hm._circle_side),
-        ("laguerre", L11_P1, 2.0, ORDER_GRIDS["laguerre"][2], lg._search_side),
+    """Points 2-5 of a row reuse the x side the first point built.  The
+    first point finds only what it built itself: each nested level it
+    builds hits the level before."""
+    for family, spec, x, ys, memo, nested in [
+        ("hermite", H21, 0.75, ORDER_GRIDS["hermite"][2], hm.contour_level, True),
+        ("laguerre", L11_P1, 2.0, ORDER_GRIDS["laguerre"][2], lg._search_side, False),
     ]:
         _clear_contour_memos(family)
         infos = []
         for y in ys:
             kn.eval_contour(family, spec, x, y)
             infos.append(memo.cache_info())
-        assert infos[0].hits == 0
+        assert infos[0].hits == (infos[0].misses - 1 if nested else 0)
         assert all(info.misses == infos[0].misses for info in infos[1:])
         assert all(b.hits > a.hits for a, b in zip(infos, infos[1:]))
 
@@ -1076,12 +1089,12 @@ def test_contour_memos_bounded_and_read_only(capsys):
             assert 0 < info.currsize <= maxsize
     capsys.readouterr()
     geo = hm.contour_geometry(H21, 0.75, 0.0, 512)
-    lam, mu, r_s, r_t, _ = (float(v) for v in lg._coaxal(0.0, 0.5, 1.5, 0.75))
+    mapped = tuple(float(v) for v in lg._coaxal(0.0, 0.5, 1.5, 0.75))
     cached = [
         hm._line_side(H21, 0.75, geo, 512),
-        hm._circle_side(H21, 0.75, geo, 512, 512, 0.0),
+        hm.contour_level(H21, 0.75, geo, 1024, 512),
         lg._search_side(L11_P1, 2.0, 32),
-        lg._level_s_side(L11_P1, 2.0, (lam, mu, r_s, r_t), 1024, 512),
+        lg.contour_level(L11_P1, 2.0, mapped, 1024, 512),
         unit_nodes(512, 0.5),
     ]
     for arr in _arrays_in(cached):
