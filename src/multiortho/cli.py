@@ -446,11 +446,11 @@ def cmd_kernel(cfg: argparse.Namespace) -> int:
     for x in xs:
         for y in ys:
             cd, s, ct = _kernels.kernel_point(K, chain, float(x), float(y), cfg.nodes, tol)
-            diff = abs(cd - ct)
-            # An explicit --nodes asks for that discretization, so its
-            # contour gap is printed, not judged; cd and sum must agree.
-            if abs(cd - s) > KERNEL_AGREEMENT_TOL_SUM or (
-                cfg.nodes is None and diff > KERNEL_AGREEMENT_TOL_CONTOUR
+            diff, unit = abs(cd - ct), max(1.0, abs(cd))
+            # Gaps are judged relative to |cd| > 1.  An explicit --nodes asks
+            # for that discretization, so its contour gap is only printed.
+            if abs(cd - s) > KERNEL_AGREEMENT_TOL_SUM * unit or (
+                cfg.nodes is None and diff > KERNEL_AGREEMENT_TOL_CONTOUR * unit
             ):
                 print(
                     f"error: the kernel routes disagree at x={float(x)}, y={float(y)}: "

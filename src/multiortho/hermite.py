@@ -50,7 +50,7 @@ from .core import (
     residue_poly,
     series_mul,
 )
-from .quad import LEVEL_MEMO, MAX_LINE_NODES, LineRule, interleave, line_rule_nodes, read_only, unit_nodes
+from .quad import MAX_LINE_NODES, LineRule, interleave, line_rule_nodes, unit_nodes
 
 # The weights live on the whole real line (no half-line domain check).
 HALF_LINE = False
@@ -222,18 +222,6 @@ CIRCLE_MARGIN = 1.0
 LINE_GAP = 0.5
 LINE_TERM_FLOOR = 1e-30
 
-# The x side of the node sum (``_line_side``: the line's power sums;
-# ``contour_level``: each level's row and the circle factors of the nodes it
-# adds) is kept for the points that follow on the same grid row: a row is
-# one x and one geometry, with up to five levels (512 nodes, then each
-# doubling up to the 8192-node cap).  Sized for about one row, so a later
-# row evicts it.  The keys hold x and the geometry, so x = -0.0 and 0.0
-# share an entry when their geometries are equal; then sigma - x, A and the
-# row have the same bits.  Around a circle centre of 0 the sign of zero
-# picks the line's side (sigma = -reach or +reach), which keeps the keys
-# apart.
-LINE_MEMO = 2
-
 
 @dataclass(frozen=True)
 class HermiteContourGeometry:
@@ -278,7 +266,6 @@ def _power_sums(w: np.ndarray, q: np.ndarray, count: int) -> np.ndarray:
     return V @ w
 
 
-@lru_cache(maxsize=LINE_MEMO)
 def _line_side(
     spec: HermiteSpec, x: float, geom: HermiteContourGeometry, line_nodes: int
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray | None]:
@@ -291,8 +278,8 @@ def _line_side(
     M_k = sum_i w_i q_i^k for k < K when K <= line_nodes, else None.  From
     q^K on, a node's series sums to at most eps |w_i|, below 2 eps times
     its term mass |A_i| / |s_i - t| at any circle node t.  Every level adds
-    at least line_nodes circle nodes, so kept sums serve every level of the
-    row."""
+    at least line_nodes circle nodes, so kept sums serve every level that
+    nests on the first."""
     line = line_rule_nodes("gaussian", line_nodes)
     u = line.nodes
     sigma = geom.line_abscissa
@@ -309,11 +296,7 @@ def _line_side(
     q_max = float(np.abs(q).max())
     eps = np.finfo(float).eps
     K = max(1, math.ceil(math.log(eps * (1.0 - q_max)) / math.log(q_max))) if q_max else 1
-    sums = None
-    if K <= line_nodes:
-        sums = _power_sums(w, q, K)
-        read_only(sums)
-    read_only(w, q)
+    sums = _power_sums(w, q, K) if K <= line_nodes else None
     return w, q, K, sums
 
 
@@ -342,12 +325,13 @@ def _row(
 
 
 class _Level(NamedTuple):
-    """A level's x side: the line side's row against the level's circle
-    nodes (``_row``), the level's factor exp((sigma-x)^2/2) / (2 pi) and
-    norm (its node count), and, at the circle nodes t it adds, the circle
-    factors that do not depend on y, (t - c) and (t - a_k)^{n_k} for each
-    n_k > 0."""
+    """A level's x side: the first level's line side (``_line_side``), its
+    row against the level's circle nodes (``_row``), the level's factor
+    exp((sigma-x)^2/2) / (2 pi) and norm (its node count), and, at the
+    circle nodes t it adds, the circle factors that do not depend on y,
+    (t - c) and (t - a_k)^{n_k} for each n_k > 0."""
 
+    line: tuple
     row: np.ndarray
     scale: float
     norm: int
@@ -356,38 +340,36 @@ class _Level(NamedTuple):
     poles: tuple[np.ndarray, ...]
 
 
-@lru_cache(maxsize=LEVEL_MEMO)
 def contour_level(
-    spec: HermiteSpec, x: float, geometry: HermiteContourGeometry, nodes: int, first: int
+    spec: HermiteSpec, x: float, geometry: HermiteContourGeometry, nodes: int, before: _Level | None
 ) -> _Level:
-    """``_Level`` on nodes circle nodes of the levels that start at first
-    nodes, for x and geometry, whose circle encloses every shift and which
-    the line neither cuts nor touches (``contour_geometry`` builds one).
+    """``_Level`` on nodes circle nodes, for x and geometry, whose circle
+    encloses every shift and which the line neither cuts nor touches
+    (``contour_geometry`` builds one): the first level when before is None,
+    else the level that nests on before, the level on nodes / 2 nodes.
     None of it depends on y.
 
     The vertical-line direction substitutes s = sigma + i u, so the Gaussian
     factor exp((s-x)^2/2) splits into exp((sigma-x)^2/2) * exp(iu(sigma-x))
     times the Gaussian weight absorbed by the line rule, which keeps the
-    first level's min(first, MAX_LINE_NODES) nodes less the weightless
-    tail (``_line_side``).  The circle direction uses the trapezoid rule on
-    theta = 2 pi j / nodes.  A nested level takes the row at its even nodes
-    from the level before (this memo) and computes it only at its new odd
-    nodes, theta = 2 pi (j + 1/2) / (nodes / 2); ``_row`` gives the row at
-    the ideal nodes, so the circle factors see them too
-    (``quad.unit_nodes``)."""
+    first level's min(nodes, MAX_LINE_NODES) nodes less the weightless
+    tail (``_line_side``); the nested levels reuse that line side.  The
+    circle direction uses the trapezoid rule on theta = 2 pi j / nodes.  A
+    nested level takes the row at its even nodes from before and computes
+    it only at its new odd nodes, theta = 2 pi (j + 1/2) / (nodes / 2);
+    ``_row`` gives the row at the ideal nodes, so the circle factors see
+    them too (``quad.unit_nodes``)."""
     c, rho = geometry.circle_center, geometry.circle_radius
-    line = _line_side(spec, x, geometry, min(first, MAX_LINE_NODES))
-    if nodes == first:
+    if before is None:
+        line = _line_side(spec, x, geometry, min(nodes, MAX_LINE_NODES))
         w, row = unit_nodes(nodes, 0.0), _row(*line, nodes, 0.0)
     else:
-        before = contour_level(spec, x, geometry, nodes // 2, first).row
-        w, row = unit_nodes(nodes // 2, 0.5), interleave(before, _row(*line, nodes // 2, 0.5))
+        line = before.line
+        w, row = unit_nodes(nodes // 2, 0.5), interleave(before.row, _row(*line, nodes // 2, 0.5))
     t = c + rho * w
     poles = tuple((t - float(a_k)) ** n_k for a_k, n_k in zip(spec.a, spec.n) if n_k)
     scale = math.exp(0.5 * (geometry.line_abscissa - x) ** 2) / (2.0 * math.pi)
-    level = _Level(row, scale, nodes, t, t - c, poles)
-    read_only(row, t, level.centred, *poles)
-    return level
+    return _Level(line, row, scale, nodes, t, t - c, poles)
 
 
 def circle_factors(level: _Level, y: float) -> np.ndarray:

@@ -31,12 +31,12 @@ The kernel of the determinantal eigenvalue process is computed as
    loop interleaves those with level N's.  The Gaussian family takes the
    row from the line nodes' power sums once per row and one inverse FFT
    per level, the half-line family from one FFT and one inverse FFT of
-   the s-factors per level (``quad.concentric_row``).  Each family keeps
-   its levels, with the circle factors' y-free parts, in small bounded
-   memos keyed by x and the geometry's floats and sized for about one
-   grid row, so the later points of a row (``kernel`` and ``verify`` walk
-   their grids x by x) compute only what depends on y, with the same bits
-   as a cold evaluation.
+   the s-factors per level (``quad.concentric_row``).  A family builds a
+   level from the level before it; one bounded memo here, sized for a
+   grid row, keeps both families' levels with the circle factors' y-free
+   parts (``_contour_level``), so the later points of a row (``kernel``
+   and ``verify`` walk their grids x by x) compute only what depends on
+   y, with the same bits as a cold evaluation.
 
 All polynomial ingredients are exact rationals; floats appear only at the
 final evaluation step.  The cd numerator, its diagonal limit and the chain
@@ -69,13 +69,13 @@ from . import laguerre as _laguerre
 from .core import ExactMathError, FormTable, LinearForm, MultiIndex, RatPoly, Spec, as_int, mi_chain
 from .hermite import HermiteSpec
 from .laguerre import LaguerreSpec
-from .quad import ConvergenceError, interleave
+from .quad import ConvergenceError, interleave, read_only
 
 # The family table: each spec class names its family, and each family
 # module exposes the same construction, closed-form h and trace-rule names,
 # and for the contour its ``contour_geometry``, ``contour_level`` (a level's
-# x side, with its row, scale and norm) and ``circle_factors`` (the y side
-# at the nodes a level adds).
+# x side, with its row, scale and norm, from the level before it) and
+# ``circle_factors`` (the y side at the nodes a level adds).
 FAMILIES = {HermiteSpec.family: _hermite, LaguerreSpec.family: _laguerre}
 
 # Below this separation the CD quotient switches to its analytic limit.
@@ -86,6 +86,12 @@ DIAGONAL_EPS = 1e-8
 CONTOUR_START_NODES = 512
 CONTOUR_CAP_NODES = 8192
 CONTOUR_DOUBLING_TOL = 1e-9
+
+# Contour levels kept (``_contour_level``): one grid row's, a row being one x
+# and one geometry with up to five levels (512 to 8192 nodes), so a later row
+# evicts them.  Keyed by x and the geometry's floats, so x = -0.0 and 0.0
+# share a level, with its bits, only where their geometries are equal.
+LEVEL_MEMO = 6
 
 # Gauss nodes of the kernel-trace quadrature.
 TRACE_NODES = 200
@@ -134,11 +140,10 @@ class KernelModel:
 
     P and Q carry the top multi-index n; for each component k,
     P_down[k] has index n - e_k, Q_up[k] has index n + e_k, and ratios[k]
-    is the exact normalization ratio h_n(k) / h_{n-e_k}(k).
-    dP / dP_down are the formal derivatives used by the diagonal limit.
-    The float tables of the CD numerator, of its diagonal limit and of the
-    numerator's two parts (for the derivative identity) are built once
-    per kernel.
+    is the exact normalization ratio h_n(k) / h_{n-e_k}(k).  The CD
+    numerator is the bilinear sum over ``rows``; its float tables, of the
+    numerator, of its diagonal limit and of the numerator's two parts (for
+    the derivative identity), are built once per kernel.
     """
 
     spec: Spec
@@ -147,32 +152,31 @@ class KernelModel:
     P_down: tuple[RatPoly, ...]
     Q_up: tuple[LinearForm, ...]
     ratios: tuple[Fraction, ...]
-    dP: RatPoly
-    dP_down: tuple[RatPoly, ...]
+
+    @cached_property
+    def rows(self) -> tuple[tuple, ...]:
+        """(1, P, Q), then (-ratio_k, P_down[k], Q_up[k]) for each k."""
+        return ((1, self.P, self.Q), *zip((-r for r in self.ratios), self.P_down, self.Q_up))
 
     @cached_property
     def _cd(self) -> FormTable:
         """N(x, y) = P(x) Q(y) - sum_k ratio_k P_down_k(x) Q_up_k(y)."""
-        return FormTable.of([(1, self.P, self.Q), *self._down_terms(self.P_down)])
+        return FormTable.of(self.rows)
 
     @cached_property
     def _diag(self) -> FormTable:
         """dN/dx, which at x = y = t is K(t, t): N vanishes on the diagonal."""
-        return FormTable.of([(1, self.dP, self.Q), *self._down_terms(self.dP_down)])
+        return FormTable.of((c, p.derivative(), q) for c, p, q in self.rows)
 
     @cached_property
     def _lead(self) -> FormTable:
         """P(x) Q(y), the numerator's first row on its own."""
-        return FormTable.of([(1, self.P, self.Q)])
+        return FormTable.of(self.rows[:1])
 
     @cached_property
     def _down(self) -> FormTable:
         """-sum_k ratio_k P_down_k(x) Q_up_k(y), the numerator's other rows."""
-        return FormTable.of(self._down_terms(self.P_down))
-
-    def _down_terms(self, P_down: Sequence[RatPoly]) -> list[tuple]:
-        """The rows (-ratio_k, P_down[k], Q_up_k) of the numerator's sum."""
-        return [(-r, p, q) for r, p, q in zip(self.ratios, P_down, self.Q_up)]
+        return FormTable.of(self.rows[1:])
 
 
 @lru_cache(maxsize=None)
@@ -210,8 +214,6 @@ def build_kernel(family: str, spec: Spec) -> KernelModel:
         P_down=tuple(P_down),
         Q_up=tuple(Q_up),
         ratios=tuple(ratios),
-        dP=P.derivative(),
-        dP_down=tuple(p.derivative() for p in P_down),
     )
 
 
@@ -324,21 +326,33 @@ def eval_sum(family: str, spec: Spec, chain: Sequence[MultiIndex], x: float, y: 
 # double-contour quadrature
 
 
+@lru_cache(maxsize=LEVEL_MEMO)
+def _contour_level(spec: Spec, x: float, geometry, nodes: int, first: int):
+    """The x side of the level on nodes circle nodes, of the levels that
+    start at first nodes, from the family's ``contour_level`` on the level
+    before it (None for the first), handed out read-only."""
+    before = None if nodes == first else _contour_level(spec, x, geometry, nodes // 2, first)
+    level = FAMILIES[spec.family].contour_level(spec, x, geometry, nodes, before)
+    read_only(level)
+    return level
+
+
 def contour_levels(spec: Spec, x: float, y: float, nodes: int, geometry) -> Iterator[complex]:
     """Double-contour kernel values at nodes, 2*nodes, 4*nodes, ... circle
     nodes on geometry, the family's ``contour_geometry``.
 
-    Each level's x side comes from the family's ``contour_level`` and the
-    circle factors b at the nodes it adds from its ``circle_factors``; a
-    nested level's b is level N's at the even nodes and the new ones at the
-    odd nodes, and its value is scale * (row @ b) / norm, added to 0j so
-    that a zero sum reads +0.  The imaginary part is a pure discretization
-    diagnostic (the kernel is real on real inputs).
+    Each level's x side comes from ``_contour_level``, kept along a grid
+    row, and the circle factors b at the nodes it adds from the family's
+    ``circle_factors``; a nested level's b is level N's at the even nodes
+    and the new ones at the odd nodes, and its value is
+    scale * (row @ b) / norm, added to 0j so that a zero sum reads +0.  The
+    imaginary part is a pure discretization diagnostic (the kernel is real
+    on real inputs).
     """
     fam = FAMILIES[spec.family]
     first, b = nodes, None
     while True:
-        level = fam.contour_level(spec, x, geometry, nodes, first)
+        level = _contour_level(spec, x, geometry, nodes, first)
         new = fam.circle_factors(level, y)
         b = new if b is None else interleave(b, new)
         yield level.scale * (0j + complex(level.row @ b)) / level.norm

@@ -48,7 +48,7 @@ from .core import (
     series_mul,
 )
 from .quad import (
-    LEVEL_MEMO, ContourError, LineRule, concentric_row, interleave, line_rule_nodes, read_only, unit_nodes,
+    ContourError, LineRule, concentric_row, interleave, line_rule_nodes, read_only, unit_nodes,
 )
 
 # The weights live on (0, inf): kernel arguments must be > 0.
@@ -224,12 +224,12 @@ DISJOINT_S = np.array([0.0625, 0.125, 0.25, 0.5])
 DISJOINT_GAP = np.array([0.1, 0.25, 0.4])
 SEARCH_NODES = 64
 
-# What the node sums need of x alone, with the y-free t-node factors
-# (``_search_side`` and ``contour_level``), is kept for the points that
-# follow on the same grid row: the search pass for one x, and each level per
-# chosen pair.  Sized for about one row, so a later row evicts it.  The keys
-# hold the floats; x > 0 and ``_coaxal`` never yields -0.0 for the
-# candidates, so no two signs of zero share an entry of a chosen pair.
+# What the candidate search needs of x alone, with the y-free t-node
+# factors (``_search_side``), is kept for the points that follow on the same
+# grid row: one search pass for one x, so a later row evicts it.  (The levels
+# of each chosen pair are kept by ``kernels``.)  The keys hold the floats;
+# x > 0 and ``_coaxal`` never yields -0.0 for the candidates, so no two
+# signs of zero share an entry of a chosen pair.
 SEARCH_MEMO = 1
 
 
@@ -397,8 +397,7 @@ def _search_side(spec: LaguerreSpec, x: float, h: int) -> _SearchSide:
     a_mass = scale * np.abs(a).sum(-1)
     levels = tuple(concentric_row(a[:, :: SEARCH_NODES // n], r_s, r_t) for n in (2 * h, h))
     side = _SearchSide(valid, coaxal, scale, alias, a_mass, t_nodes, t_index, levels)
-    read_only(valid, *coaxal, scale, alias, a_mass, t_index, *levels)
-    read_only(*t_nodes[:3], *t_nodes.poles)
+    read_only(side)
     return side
 
 
@@ -467,13 +466,13 @@ class _Level(NamedTuple):
     t_nodes: _TNodes
 
 
-@lru_cache(maxsize=LEVEL_MEMO)
 def contour_level(
-    spec: LaguerreSpec, x: float, geometry: tuple[float, ...], nodes: int, first: int
+    spec: LaguerreSpec, x: float, geometry: tuple[float, ...], nodes: int, before: _Level | None
 ) -> _Level:
-    """``_Level`` on nodes nodes per circle of the levels that start at first
-    nodes, for x and the circle pair whose map's floats lam, mu, r_s, r_t
-    and sign (``_coaxal``) are geometry, a pair that ``_valid`` accepts.
+    """``_Level`` on nodes nodes per circle, for x and the circle pair whose
+    map's floats lam, mu, r_s, r_t and sign (``_coaxal``) are geometry, a
+    pair that ``_valid`` accepts: the first level when before is None, else
+    the level that nests on before, the level on nodes / 2 nodes.
 
     The s-factor f(s) = e^{xs} s^{-(|n|+p)} prod_k (s - beta_k)^{n_k} and the
     t-factor g(t) = e^{-yt} t^{|n|+p} / prod_k (t - beta_k)^{n_k} multiply to
@@ -487,19 +486,16 @@ def contour_level(
     normalization differs from the CD kernel by the factor x^p y^(-p); they
     agree exactly when p = 0.
 
-    A nested level takes its even s-factors from the level before (this
-    memo) and computes only those at its new odd nodes, which are level
-    nodes / 2's nodes turned by half a step, with the same bits
-    (``quad.unit_nodes``)."""
+    A nested level takes its even s-factors from before and computes only
+    those at its new odd nodes, which are before's nodes turned by half a
+    step, with the same bits (``quad.unit_nodes``)."""
     lam, mu, r_s, r_t, sign = geometry
-    w = unit_nodes(nodes, 0.0) if nodes == first else unit_nodes(nodes // 2, 0.5)
+    w = unit_nodes(nodes, 0.0) if before is None else unit_nodes(nodes // 2, 0.5)
     a = _s_factors(spec, x, lam, mu, r_s * w)
-    if nodes != first:
-        a = interleave(contour_level(spec, x, geometry, nodes // 2, first).a, a)
+    if before is not None:
+        a = interleave(before.a, a)
     t_nodes = _t_nodes(spec, lam, mu, r_t * w)
-    level = _Level(a, concentric_row(a, r_s, r_t), sign * (1.0 - lam * mu), nodes * nodes, t_nodes)
-    read_only(a, level.row, *t_nodes[:3], *t_nodes.poles)
-    return level
+    return _Level(a, concentric_row(a, r_s, r_t), sign * (1.0 - lam * mu), nodes * nodes, t_nodes)
 
 
 def circle_factors(level: _Level, y: float) -> np.ndarray:

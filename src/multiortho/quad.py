@@ -6,8 +6,8 @@ offset.  On two circles around 0 the double node sum folds into two FFTs
 per level: ``concentric_row`` gives the row sum_i A_i / (s_i - t_j)
 of the first factor against the second circle's nodes, so the sum against
 any B is row @ B.  The row does not depend on the second kernel argument,
-so a caller can keep it for a whole grid row in a memo that hands out
-read-only arrays (``read_only``), as ``unit_nodes`` hands out its nodes.
+so ``kernels`` keeps it with its level for a grid row, in a memo that hands
+out read-only arrays (``read_only``), as ``unit_nodes`` hands out its nodes.
 The same q^k series folded mod N serves a line against a circle: the
 Gaussian family sums each line node's powers of rho / (s - c) once per row
 and takes each level's row from one inverse FFT (``hermite._row``).  The
@@ -36,8 +36,6 @@ from .core import ExactMathError, as_fraction, as_int
 MAX_LINE_NODES = 512
 # (nodes, offset) pairs whose circle nodes are kept (``unit_nodes``)
 UNIT_NODES_MEMO = 8
-# contour levels kept per family: one grid row's five (512 to 8192 nodes)
-LEVEL_MEMO = 6
 # rescale recurrence state beyond this bound so squares stay representable;
 # Newton ratios are scale invariant and the tracked log-scale keeps the
 # Christoffel sums meaningful
@@ -60,10 +58,14 @@ class ConvergenceError(RuntimeError):
         self.nodes = nodes
 
 
-def read_only(*arrays: np.ndarray) -> None:
-    """Mark the arrays read-only: a cached array is shared by every caller."""
-    for arr in arrays:
-        arr.setflags(write=False)
+def read_only(*values) -> None:
+    """Mark the ndarrays among values read-only, through nested tuples (None
+    and scalars pass): a cached array is shared by every caller."""
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        elif isinstance(value, tuple):
+            read_only(*value)
 
 
 def interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:

@@ -534,6 +534,27 @@ def test_kernel_adaptive_grid_far_from_the_rates(capsys):
         assert r["abs_diff"] <= KERNEL_AGREEMENT_TOL_CONTOUR
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--a", "1,-1,2", "--n", "3,3,2", "--grid=30:30:1,1:1:1"),
+        ("--a", "1,-1", "--n", "2,1", "--grid=1e5:1e5:1,0:0:1"),
+    ],
+    ids=["n-332", "far-x"],
+)
+def test_kernel_judges_large_values_relative_to_cd(capsys, argv):
+    """Where |cd| is large, one ulp of cd exceeds the absolute tolerances,
+    so kernel judges each gap against tolerance * max(1, |cd|): these rows,
+    whose routes agree to rounding, print with exit 0."""
+    code, out, err = run(capsys, "kernel", "--family", "hermite", *argv, "--format", "json")
+    assert code == 0, err
+    (row,) = json.loads(out)["rows"]
+    gap_sum, gap_contour, unit = abs(row["cd"] - row["sum"]), row["abs_diff"], abs(row["cd"])
+    assert gap_sum > KERNEL_AGREEMENT_TOL_SUM or gap_contour > KERNEL_AGREEMENT_TOL_CONTOUR
+    assert gap_sum <= KERNEL_AGREEMENT_TOL_SUM * unit
+    assert gap_contour <= KERNEL_AGREEMENT_TOL_CONTOUR * unit
+
+
 def test_kernel_explicit_nodes_prints_the_contour_gap(capsys):
     """An explicit --nodes asks for that discretization: at 32 nodes the
     contour misses cd by more than the default gate, and kernel prints it."""
@@ -1009,10 +1030,14 @@ def test_unread_flag_exit_2(capsys, tmp_path, monkeypatch, argv):
         ("verify", "--sweep", "--family", "bogus"),
         ("correlate", *HERMITE_11),
         ("kernel", *HERMITE_11, "--grid=0:1:2", "--nodes", "17"),
+        pytest.param(
+            ("density", *HERMITE_11, "--grid=0:1:2", "--out", "/dev/full"),
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
     ],
     ids=["hermite-p-0", "family", "format", "integer", "config-missing", "config-invalid-json",
          "config-array", "n-empty", "hermite-without-a", "grid-two-fields", "grid-not-numbers",
-         "grid-reversed", "sweep-family", "correlate-without-points", "nodes-odd"],
+         "grid-reversed", "sweep-family", "correlate-without-points", "nodes-odd", "out-full"],
 )
 def test_bad_spec_or_value_error_line(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

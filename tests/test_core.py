@@ -27,6 +27,8 @@ from multiortho.core import (
     _y_memo,
     series_mul,
 )
+from multiortho import hermite as hm
+from multiortho import laguerre as lg
 from multiortho.hermite import HermiteSpec
 from multiortho.kernels import build_kernel
 from multiortho.laguerre import LaguerreSpec
@@ -78,14 +80,22 @@ def test_multi_index_validation():
         lambda: HermiteSpec.of("12", [1, 1]),
         lambda: LaguerreSpec.of(b"12", [1, 1]),
         lambda: HermiteSpec.of([1], 1),
+        lambda: as_fraction(float("nan")),
+        lambda: as_fraction(None),
+        lambda: MultiIndex.of([2, 1]).bump(5),
+        lambda: mi_chain(MultiIndex.of([1, 1]), "bogus"),
+        lambda: hm.type_i_form(HermiteSpec.of([1, -1], [0, 0])),
+        lambda: lg.type_i_form(LaguerreSpec.of([1, 2], [0, 0])),
     ],
     ids=["index-float", "index-bool", "index-str", "spec-n-float", "laguerre-p-float",
          "zero-denominator", "index-int", "index-bytes", "spec-param-str",
-         "laguerre-param-bytes", "spec-n-int"],
+         "laguerre-param-bytes", "spec-n-int", "fraction-nan", "fraction-none",
+         "bump-component", "chain-strategy", "hermite-type-i-empty", "laguerre-type-i-empty"],
 )
 def test_exact_values_refused_not_changed(build):
     """Each exact value is coerced once, in its constructor, which refuses
-    what it would otherwise truncate or let through to a later raw error."""
+    what it would otherwise truncate or let through to a later raw error;
+    an exact operation refuses an index or a strategy it does not have."""
     with pytest.raises(ExactMathError):
         build()
 

@@ -22,10 +22,10 @@ from multiortho import laguerre as lg
 from multiortho.cli import main
 from multiortho.core import CHAIN_STRATEGIES, ExactMathError, HermiteWeight, MultiIndex, mi_chain
 from multiortho.hermite import HermiteSpec
+from multiortho.kernels import LEVEL_MEMO
 from multiortho.laguerre import LaguerreSpec
 from multiortho.presets import standard_grid
 from multiortho.quad import (
-    LEVEL_MEMO,
     MAX_LINE_NODES,
     UNIT_NODES_MEMO,
     ContourError,
@@ -321,9 +321,9 @@ def _ref_cd(K, x, y):
     model's exact polynomials and forms."""
     if abs(x - y) < kn.DIAGONAL_EPS:
         t = 0.5 * x + 0.5 * y
-        lead = _ref_horner(K.dP, t) * _ref_form(K.Q, t)
-        for r, pd, qu in zip(K.ratios, K.dP_down, K.Q_up):
-            lead = lead - float(r) * _ref_horner(pd, t) * _ref_form(qu, t)
+        lead = _ref_horner(K.P.derivative(), t) * _ref_form(K.Q, t)
+        for r, pd, qu in zip(K.ratios, K.P_down, K.Q_up):
+            lead = lead - float(r) * _ref_horner(pd.derivative(), t) * _ref_form(qu, t)
         return lead
     lead = _ref_horner(K.P, x) * _ref_form(K.Q, y)
     for r, pd, qu in zip(K.ratios, K.P_down, K.Q_up):
@@ -842,8 +842,8 @@ def _hermite_pass_row(spec, x, geo, N, offset):
     levels that start at N nodes: the first level's row at offset 0, the
     odd entries of the next level's at offset 1/2."""
     if offset:
-        return hm.contour_level(spec, x, geo, 2 * N, N).row[1::2]
-    return hm.contour_level(spec, x, geo, N, N).row
+        return kn._contour_level(spec, x, geo, 2 * N, N).row[1::2]
+    return kn._contour_level(spec, x, geo, N, N).row
 
 
 def _hermite_line_factors(spec, x, geo, line_nodes):
@@ -934,7 +934,7 @@ def test_contour_hermite_pass_holds_no_dense_node_matrix():
     _clear_contour_memos("hermite")
     tracemalloc.start()
     try:
-        hm.contour_level(H21, 0.0, geo, 8192, 8192)
+        kn._contour_level(H21, 0.0, geo, 8192, 8192)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -993,13 +993,12 @@ def test_contour_nested_level_matches_fresh_evaluation():
 # on circle nodes kept per node count and offset.
 CONTOUR_MEMOS = {
     "hermite": {
-        hm._line_side: hm.LINE_MEMO,
-        hm.contour_level: LEVEL_MEMO,
+        kn._contour_level: LEVEL_MEMO,
         unit_nodes: UNIT_NODES_MEMO,
     },
     "laguerre": {
         lg._search_side: lg.SEARCH_MEMO,
-        lg.contour_level: LEVEL_MEMO,
+        kn._contour_level: LEVEL_MEMO,
         unit_nodes: UNIT_NODES_MEMO,
     },
 }
@@ -1028,9 +1027,12 @@ def _contour_bits(family, spec, points, nodes, cold):
     return out
 
 
-@pytest.mark.parametrize(
+ORDER_NODES = pytest.mark.parametrize(
     "nodes", [None, 16, 512, 1024, 8192], ids=["adaptive", "16", "512", "1024", "8192"]
 )
+
+
+@ORDER_NODES
 @pytest.mark.parametrize("family", ["hermite", "laguerre"])
 def test_contour_bits_do_not_depend_on_evaluation_order(family, nodes):
     """The x side kept along a grid row gives the bits a cold evaluation
@@ -1052,9 +1054,25 @@ def test_contour_bits_do_not_depend_on_evaluation_order(family, nodes):
             assert all(cold[(-0.0).hex(), y.hex()] == cold[(0.0).hex(), y.hex()] for y in ys)
             _clear_contour_memos(family)
             kn.eval_contour(family, spec, -0.0, 0.5, nodes)
-            misses = hm.contour_level.cache_info().misses
+            misses = kn._contour_level.cache_info().misses
             kn.eval_contour(family, spec, 0.0, 0.5, nodes)
-            assert hm.contour_level.cache_info().misses == misses
+            assert kn._contour_level.cache_info().misses == misses
+
+
+@ORDER_NODES
+def test_contour_bits_do_not_depend_on_alternating_families(nodes):
+    """Hermite and Laguerre points taken in turn share the one level memo,
+    and each gives the bits of its cold evaluation."""
+    points = {f: [(x, y) for x in xs for y in ys] for f, (_, xs, ys) in ORDER_GRIDS.items()}
+    cold = {f: _contour_bits(f, ORDER_GRIDS[f][0], points[f], nodes, cold=True) for f in points}
+    _clear_contour_memos("hermite")
+    _clear_contour_memos("laguerre")
+    turns = {"hermite": {}, "laguerre": {}}
+    for pair in zip(points["hermite"], points["laguerre"]):
+        for family, point in zip(turns, pair):
+            spec = ORDER_GRIDS[family][0]
+            turns[family].update(_contour_bits(family, spec, [point], nodes, cold=False))
+    assert turns == cold
 
 
 def test_contour_memos_hit_along_a_row():
@@ -1062,7 +1080,7 @@ def test_contour_memos_hit_along_a_row():
     first point finds only what it built itself: each nested level it
     builds hits the level before."""
     for family, spec, x, ys, memo, nested in [
-        ("hermite", H21, 0.75, ORDER_GRIDS["hermite"][2], hm.contour_level, True),
+        ("hermite", H21, 0.75, ORDER_GRIDS["hermite"][2], kn._contour_level, True),
         ("laguerre", L11_P1, 2.0, ORDER_GRIDS["laguerre"][2], lg._search_side, False),
     ]:
         _clear_contour_memos(family)
@@ -1075,9 +1093,19 @@ def test_contour_memos_hit_along_a_row():
         assert all(b.hits > a.hits for a, b in zip(infos, infos[1:]))
 
 
-def test_contour_memos_bounded_and_read_only(capsys):
+def test_contour_memos_bounded_and_read_only(capsys, monkeypatch):
     """After 11 x 11 kernel grids each memo holds at most its small constant
-    maxsize, and the arrays it hands out cannot be written."""
+    maxsize, and the arrays it hands out cannot be written: every level the
+    shared level memo handed out on both grids, and an entry of each other
+    memo."""
+    level_memo, handed_out = kn._contour_level, {}
+
+    def recorded(*key):
+        level = level_memo(*key)
+        handed_out[id(level)] = level
+        return level
+
+    monkeypatch.setattr(kn, "_contour_level", recorded)
     for family, params, grid in [
         ("hermite", ("--a", "1,-1"), "-3:3:11,-3:3:11"),
         ("laguerre", ("--beta", "1,2", "--p", "1"), "0.5:5:11,0.5:5:11"),
@@ -1088,13 +1116,15 @@ def test_contour_memos_bounded_and_read_only(capsys):
             assert info.maxsize == maxsize <= 8
             assert 0 < info.currsize <= maxsize
     capsys.readouterr()
+    assert level_memo.cache_info().currsize <= LEVEL_MEMO
+    assert {type(level) for level in handed_out.values()} == {hm._Level, lg._Level}
     geo = hm.contour_geometry(H21, 0.75, 0.0, 512)
     mapped = tuple(float(v) for v in lg._coaxal(0.0, 0.5, 1.5, 0.75))
     cached = [
-        hm._line_side(H21, 0.75, geo, 512),
-        hm.contour_level(H21, 0.75, geo, 1024, 512),
+        *handed_out.values(),
+        level_memo(H21, 0.75, geo, 1024, 512),
         lg._search_side(L11_P1, 2.0, 32),
-        lg.contour_level(L11_P1, 2.0, mapped, 1024, 512),
+        level_memo(L11_P1, 2.0, mapped, 1024, 512),
         unit_nodes(512, 0.5),
     ]
     for arr in _arrays_in(cached):
@@ -1328,7 +1358,7 @@ def _exact_outputs(spec):
     if all(spec.n):
         K = kn.build_kernel(spec.family, spec)
         yield "ratios", K.ratios
-        yield "dP", K.dP.coeffs
+        yield "dP", K.P.derivative().coeffs
 
 
 # SHA-256 of the exact outputs over the acceptance sweep and three large

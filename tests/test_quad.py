@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multiortho.core import ExactMathError
 from multiortho.quad import MAX_LINE_NODES, line_rule_nodes
 from oracles import gamma_moment_oracle, gauss_node_oracle, gaussian_moment_oracle
 
@@ -78,6 +79,17 @@ def test_rules_are_read_only_and_capped():
     big = line_rule_nodes("gaussian", MAX_LINE_NODES)
     assert big.nodes.size == MAX_LINE_NODES
     assert np.all(np.diff(big.nodes) > 0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("beta", 8), ("gaussian", 0), ("gaussian", MAX_LINE_NODES + 1), ("exponential", 8, 0),
+     ("exponential", 8, -1)],
+    ids=["kind", "zero-nodes", "above-cap", "beta-zero", "beta-negative"],
+)
+def test_line_rule_refuses_bad_input(args):
+    with pytest.raises(ExactMathError):
+        line_rule_nodes(*args)
 
 
 def test_max_size_rules_high_degree():

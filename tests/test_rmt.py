@@ -201,6 +201,12 @@ def test_config_validation():
         rmt.EnsembleConfig("hermite", H11, 0, 0, (-4.0, 4.0), 40)
     with pytest.raises(ValueError):
         rmt.EnsembleConfig("hermite", H11, 10, 0, (4.0, -4.0), 40)
+    with pytest.raises(ValueError):
+        rmt.EnsembleConfig("hermite", H11, 10, 0, (-4.0, 4.0), 0)
+    with pytest.raises(ValueError, match="needs a hermite config"):
+        rmt.sample_gue_source(laguerre_cfg(L11, 10, 0))
+    with pytest.raises(ValueError, match="needs a laguerre config"):
+        rmt.sample_wishart(hermite_cfg(H11, 10, 0))
 
 
 # ---------------------------------------------------------------------------
