@@ -1096,8 +1096,8 @@ def test_contour_memos_hit_along_a_row():
 def test_contour_memos_bounded_and_read_only(capsys, monkeypatch):
     """After 11 x 11 kernel grids each memo holds at most its small constant
     maxsize, and the arrays it hands out cannot be written: every level the
-    shared level memo handed out on both grids, and an entry of each other
-    memo."""
+    shared level memo handed out on both grids (first and nested ones of
+    both families), and an entry of each other memo."""
     level_memo, handed_out = kn._contour_level, {}
 
     def recorded(*key):
@@ -1117,16 +1117,9 @@ def test_contour_memos_bounded_and_read_only(capsys, monkeypatch):
             assert 0 < info.currsize <= maxsize
     capsys.readouterr()
     assert level_memo.cache_info().currsize <= LEVEL_MEMO
-    assert {type(level) for level in handed_out.values()} == {hm._Level, lg._Level}
-    geo = hm.contour_geometry(H21, 0.75, 0.0, 512)
-    mapped = tuple(float(v) for v in lg._coaxal(0.0, 0.5, 1.5, 0.75))
-    cached = [
-        *handed_out.values(),
-        level_memo(H21, 0.75, geo, 1024, 512),
-        lg._search_side(L11_P1, 2.0, 32),
-        level_memo(L11_P1, 2.0, mapped, 1024, 512),
-        unit_nodes(512, 0.5),
-    ]
+    kinds = {(type(level), level.norm in (512, 512 * 512)) for level in handed_out.values()}
+    assert kinds == {(hm._Level, True), (hm._Level, False), (lg._Level, True), (lg._Level, False)}
+    cached = [*handed_out.values(), lg._search_side(L11_P1, 2.0, 32), unit_nodes(512, 0.5)]
     for arr in _arrays_in(cached):
         with pytest.raises(ValueError):
             arr[...] = 0.0
